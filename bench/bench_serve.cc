@@ -15,11 +15,10 @@
 //
 // --closed-loop switches to the front-door benchmark instead: N
 // concurrent clients (1/4/16/64) in a closed loop of point-heavy
-// gathers against a hot cache, once with cross-request coalescing on
-// and once off, with admission control bounding in-flight requests.
-// Reports per-config p50/p99/p999 latency and the rejected-request
-// rate; --json then emits a compare_bench.py-compatible array
-// (closed_loop/<mode>/c<N>/{p50_us,p99_us,p999_us,rejected_rate}).
+// gathers against a hot cache, with admission control bounding
+// in-flight requests. Reports per-config p50/p99/p999 latency and the
+// rejected-request rate; --json then emits a compare_bench.py-compatible
+// array (closed_loop/solo/c<N>/{p50_us,p99_us,p999_us,rejected_rate}).
 
 #include <algorithm>
 #include <atomic>
@@ -162,10 +161,8 @@ double PercentileUs(std::vector<uint64_t>& sorted_ns, double q) {
 
 // `clients` threads each run `ops` point gathers against one shared
 // service with a hot cache. Every op gathers two columns at 128 strided
-// positions inside one of kHotWindows shared hot windows — the
-// point-serving shape coalescing targets: concurrent clients keep
-// re-reading the same hot row ranges, so batched requests dedup to one
-// decode of the union instead of one per caller. Rejected requests
+// positions inside one of kHotWindows shared hot windows, so concurrent
+// clients keep re-reading the same hot row ranges. Rejected requests
 // (admission control) are counted, not retried.
 constexpr size_t kHotWindows = 16;
 constexpr size_t kWindowRows = 128;
@@ -173,7 +170,7 @@ constexpr size_t kWindowStride = 3;
 
 ClosedLoopStats RunClosedLoopConfig(const std::string& path, size_t rows,
                                     size_t num_blocks, size_t clients,
-                                    bool coalescing, size_t ops) {
+                                    size_t ops) {
   obs::Registry registry;
   auto cache = std::make_shared<serve::BlockCache>(
       serve::BlockCacheOptions{.capacity_blocks = num_blocks + 8,
@@ -189,7 +186,6 @@ ClosedLoopStats RunClosedLoopConfig(const std::string& path, size_t rows,
   serve::ScanService service(
       serve::ScanService::Options{.num_threads = 4,
                                   .registry = &registry,
-                                  .coalescing = coalescing,
                                   .max_inflight_requests = 48});
 
   // Warm the cache so the loop measures front-door contention, not disk.
@@ -217,7 +213,7 @@ ClosedLoopStats RunClosedLoopConfig(const std::string& path, size_t rows,
     latencies[client].reserve(ops);
     for (size_t op = 0; op < ops; ++op) {
       // All clients draw from the same window pool, so concurrent ops
-      // frequently request identical row sets — the coalescer's case.
+      // frequently request identical row sets.
       const uint64_t window = static_cast<uint64_t>(
           rng.Uniform(0, static_cast<int64_t>(kHotWindows) - 1));
       const uint64_t start = window * (rows / kHotWindows);
@@ -281,7 +277,6 @@ int RunClosedLoop(const std::string& path, size_t rows, size_t num_blocks,
                   const bench::Flags& flags) {
   const size_t ops_per_client = 150 * flags.runs;
   struct Config {
-    const char* mode;
     size_t clients;
     ClosedLoopStats stats;
   };
@@ -291,26 +286,20 @@ int RunClosedLoop(const std::string& path, size_t rows, size_t num_blocks,
         "Closed-loop front door: point gathers, 4 workers, "
         "max_inflight=48, " +
         std::to_string(ops_per_client) + " ops/client");
-    std::printf("%-10s %8s %10s %10s %10s %10s %9s\n", "mode", "clients",
-                "p50 us", "p99 us", "p999 us", "ok ops", "rej rate");
+    std::printf("%8s %10s %10s %10s %10s %9s\n", "clients", "p50 us",
+                "p99 us", "p999 us", "ok ops", "rej rate");
     bench::PrintRule();
   }
   for (size_t clients : {size_t{1}, size_t{4}, size_t{16}, size_t{64}}) {
-    for (bool coalescing : {true, false}) {
-      Config config;
-      config.mode = coalescing ? "coalesce" : "solo";
-      config.clients = clients;
-      config.stats = RunClosedLoopConfig(path, rows, num_blocks, clients,
-                                         coalescing, ops_per_client);
-      if (!flags.json) {
-        std::printf("%-10s %8zu %10.1f %10.1f %10.1f %10zu %8.2f%%\n",
-                    config.mode, config.clients, config.stats.p50_us,
-                    config.stats.p99_us, config.stats.p999_us,
-                    config.stats.ok_ops,
-                    100.0 * config.stats.rejected_rate);
-      }
-      configs.push_back(config);
+    const Config config{clients, RunClosedLoopConfig(path, rows, num_blocks,
+                                                     clients, ops_per_client)};
+    if (!flags.json) {
+      std::printf("%8zu %10.1f %10.1f %10.1f %10zu %8.2f%%\n", config.clients,
+                  config.stats.p50_us, config.stats.p99_us,
+                  config.stats.p999_us, config.stats.ok_ops,
+                  100.0 * config.stats.rejected_rate);
     }
+    configs.push_back(config);
   }
   if (flags.json) {
     // compare_bench.py-compatible array: percentiles in microseconds
@@ -318,8 +307,9 @@ int RunClosedLoop(const std::string& path, size_t rows, size_t num_blocks,
     std::printf("[\n");
     for (size_t i = 0; i < configs.size(); ++i) {
       const Config& config = configs[i];
-      const std::string prefix = "closed_loop/" + std::string(config.mode) +
-                                 "/c" + std::to_string(config.clients);
+      // "solo" keeps the row names BENCH_PR7.json and the CI gate use.
+      const std::string prefix =
+          "closed_loop/solo/c" + std::to_string(config.clients);
       std::printf(
           "  {\"name\": \"%s/p50_us\", \"rows\": %zu, \"ns_per_row\": %.3f},\n"
           "  {\"name\": \"%s/p99_us\", \"rows\": %zu, \"ns_per_row\": %.3f},\n"

@@ -3,8 +3,11 @@
 //
 // Row counts default to paper-scale divided by a per-dataset factor
 // (override with --scale/--rows); sizes are normalized back to the paper's
-// full row counts. Payload bits per row are scale-exact; per-block
-// metadata normalizes approximately (noted in EXPERIMENTS.md).
+// full row counts. Payload bits per row are scale-exact. Per-block
+// metadata (headers, bases, dictionaries) is a fixed cost per block, so
+// at reduced scale it is scaled up with the rows of a partly filled
+// block and the normalized size slightly overstates the full-scale one;
+// run with --scale 1 for exact sizes.
 
 #include <cstdio>
 

@@ -127,7 +127,8 @@ int Run(int argc, char** argv) {
       "Note: C3's published 1-to-1 result on (city, zip-code) and its\n"
       "Numerical result on (pickup, dropoff) rely on implementation\n"
       "details beyond the paper's description; our reimplementation\n"
-      "follows the description only (see EXPERIMENTS.md).\n");
+      "follows the description only, so its sizes for these two pairs\n"
+      "are not expected to match the published ones.\n");
   return 0;
 }
 

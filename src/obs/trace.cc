@@ -47,18 +47,15 @@ std::string RequestTrace::ToJson() const {
     const BlockSpan& span = blocks[b];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"block\": %u, \"rows\": %" PRIu64
-                  ", \"pruned\": %s, \"cache_hit\": %s, \"coalesced\": %s"
+                  ", \"pruned\": %s, \"cache_hit\": %s"
                   ", \"retried\": %s, \"queue_ns\": %" PRIu64
                   ", \"pin_ns\": %" PRIu64 ", \"fill_ns\": %" PRIu64
-                  ", \"decode_ns\": %" PRIu64 ", \"scatter_ns\": %" PRIu64
-                  ", \"schemes\": \"",
+                  ", \"decode_ns\": %" PRIu64 ", \"schemes\": \"",
                   b ? ", " : "", span.block, span.rows,
                   span.pruned ? "true" : "false",
                   span.cache_hit ? "true" : "false",
-                  span.coalesced ? "true" : "false",
                   span.retried ? "true" : "false", span.queue_ns,
-                  span.pin_ns, span.fill_ns, span.decode_ns,
-                  span.scatter_ns);
+                  span.pin_ns, span.fill_ns, span.decode_ns);
     out += buf;
     out += span.schemes;  // "index:scheme" pairs; no JSON metacharacters.
     out += "\"}";

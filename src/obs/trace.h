@@ -51,8 +51,7 @@ enum class Phase : uint8_t {
   kMissFill,       // Loader time: disk read + deserialize (misses only).
   kDecodeFilter,   // Predicate, decode, gather, aggregate kernels.
   kMerge,          // In-order merge of per-block partials.
-  kScatter,        // Per-caller scatter out of a coalesced batch's
-                   // merged gather (zero for uncoalesced requests).
+  kScatter,        // Always 0; stays because ladderbench/common.cc names it.
 };
 inline constexpr size_t kNumPhases = 7;
 
@@ -64,11 +63,6 @@ struct BlockSpan {
   uint64_t rows = 0;       // Rows this block contributed to the request.
   bool pruned = false;     // Skipped via min/max stats; no other fields.
   bool cache_hit = false;  // Pin was served without running the loader.
-  /// This block's work piggybacked on another request's batch (the
-  /// front door's cross-request coalescing): pin/fill/decode were paid
-  /// — and are charged — by the executing request, so this span carries
-  /// only queue wait and its own scatter.
-  bool coalesced = false;
   /// The fill absorbed read retries (re-issued preads or a checksum
   /// re-read): the block was served, but the medium misbehaved.
   bool retried = false;
@@ -76,7 +70,6 @@ struct BlockSpan {
   uint64_t pin_ns = 0;
   uint64_t fill_ns = 0;
   uint64_t decode_ns = 0;
-  uint64_t scatter_ns = 0;  // Copy-out from a coalesced merged gather.
   /// Touched columns as "index:scheme", comma-joined (e.g.
   /// "0:FOR,1:Corra-Diff") — which kernels served this block.
   std::string schemes;

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "encoding/scheme.h"
 #include "query/aggregate.h"
 #include "query/filter.h"
 #include "query/scan.h"
@@ -13,12 +14,30 @@
 
 namespace corra::serve {
 
+// One block's share of a request: `block` is the block to pin, and
+// `slot` indexes the request's per-unit outputs (the block itself for
+// Execute, the selection slice for Gather).
+struct ScanService::Unit {
+  size_t slot = 0;
+  size_t block = 0;
+};
+
+// What every unit of one request shares.
+struct ScanService::UnitWork {
+  uint64_t deadline_ns = 0;  // Absolute MonotonicNs; 0 = none.
+  std::span<const size_t> columns;  // Annotated on each unit's span.
+  std::span<Status> statuses;       // By slot.
+  std::span<obs::BlockSpan> spans;  // By slot; empty when not tracing.
+  // The request's work against one pinned block; returns the rows the
+  // block contributed to the request.
+  std::function<uint64_t(size_t slot, const Block& block)> run;
+};
+
 namespace {
 
 // Partial results of one block's share of a request; merged in block
 // order after the pool drains.
 struct BlockPartial {
-  Status status;
   uint64_t rows_scanned = 0;
   uint64_t rows_matched = 0;
   std::vector<uint64_t> positions;
@@ -28,9 +47,8 @@ struct BlockPartial {
   std::optional<int64_t> agg_max;
 };
 
-// Counts down one slot per block unit; the request thread blocks until
-// every one of its units is done — possibly served by another request's
-// batch executor (see Coalescer).
+// Counts down one slot per pooled unit; the request thread blocks until
+// every one of its units is done.
 struct Completion {
   Mutex mu;
   CondVar cv;
@@ -185,6 +203,23 @@ std::vector<size_t> TouchedColumns(const ScanRequest& request) {
   return cols;
 }
 
+// "index:scheme" comma-joined for `columns` of one block — the trace's
+// per-block kernel annotation. Schemes are per block (auto-selection
+// can differ block to block), so this runs against the pinned block.
+std::string SchemesAnnotation(const Block& block,
+                              std::span<const size_t> columns) {
+  std::string out;
+  for (size_t col : columns) {
+    if (!out.empty()) {
+      out += ',';
+    }
+    out += std::to_string(col);
+    out += ':';
+    out += enc::SchemeToString(block.column(col).scheme());
+  }
+  return out;
+}
+
 // First non-OK status across a request's block units, if any.
 Status FirstError(std::span<const Status> statuses) {
   for (const Status& status : statuses) {
@@ -214,8 +249,6 @@ ScanService::ScanService(Options options)
   metrics_.rejected = &reg.counter("serve.rejected");
   metrics_.deadline_missed = &reg.counter("serve.deadline_missed");
   metrics_.partial_results = &reg.counter("serve.partial_results");
-  metrics_.coalesced_requests = &reg.counter("serve.coalesced_requests");
-  metrics_.coalesced_batches = &reg.counter("serve.coalesced_batches");
   metrics_.prefetch_issued = &reg.counter("serve.prefetch_issued");
   metrics_.prefetch_skipped = &reg.counter("serve.prefetch_skipped");
   metrics_.queue_depth = &reg.gauge("serve.queue_depth");
@@ -229,10 +262,6 @@ ScanService::ScanService(Options options)
     metrics_.phase_us[p] =
         &reg.histogram(name, obs::LatencyBucketBoundsUs());
   }
-  coalescer_ = std::make_unique<Coalescer>(
-      options.coalescing,
-      Coalescer::Counters{metrics_.coalesced_batches,
-                          metrics_.coalesced_requests});
   workers_.reserve(options.num_threads);
   for (size_t t = 0; t < options.num_threads; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -246,16 +275,23 @@ ScanService::ScanService(Options options)
 void ScanService::FinishRequest(obs::RequestTrace trace, uint64_t start_ns,
                                 obs::RequestTrace* sink) {
   trace.total_ns = obs::MonotonicNs() - start_ns;
+  auto phase = [&trace](obs::Phase p) -> uint64_t& {
+    return trace.phase_ns[static_cast<size_t>(p)];
+  };
+  uint64_t pruned = 0;
+  for (const obs::BlockSpan& span : trace.blocks) {
+    phase(obs::Phase::kQueueWait) += span.queue_ns;
+    phase(obs::Phase::kCachePin) += span.pin_ns;
+    phase(obs::Phase::kMissFill) += span.fill_ns;
+    phase(obs::Phase::kDecodeFilter) += span.decode_ns;
+    pruned += span.pruned ? 1 : 0;
+  }
   metrics_.latency_us->Record(trace.total_ns / 1000);
   for (size_t p = 0; p < obs::kNumPhases; ++p) {
     metrics_.phase_us[p]->Record(trace.phase_ns[p] / 1000);
   }
   metrics_.rows_scanned->Add(trace.rows_scanned);
   metrics_.rows_matched->Add(trace.rows_matched);
-  uint64_t pruned = 0;
-  for (const obs::BlockSpan& span : trace.blocks) {
-    pruned += span.pruned ? 1 : 0;
-  }
   metrics_.blocks_pruned->Add(pruned);
   if (trace.total_ns >= slow_trace_ns_) {
     if (sink != nullptr) {
@@ -329,6 +365,76 @@ void ScanService::EnqueueTask(std::function<void()> task) {
   cv_.NotifyOne();
 }
 
+bool ScanService::RunUnit(const TableReader& reader, const Unit& unit,
+                          const UnitWork& work, uint64_t handoff_ns) {
+  obs::BlockSpan* span = work.spans.empty() ? nullptr : &work.spans[unit.slot];
+  const uint64_t t_start =
+      span != nullptr || work.deadline_ns != 0 ? obs::MonotonicNs() : 0;
+  if (span != nullptr) {
+    span->block = static_cast<uint32_t>(unit.block);
+    span->queue_ns = handoff_ns != 0 ? t_start - handoff_ns : 0;
+  }
+  if (work.deadline_ns != 0 && t_start > work.deadline_ns) {
+    work.statuses[unit.slot] =
+        Status::DeadlineExceeded("deadline expired before block scan");
+    return false;
+  }
+  BlockFetchStats fetch;
+  auto handle = reader.GetBlock(unit.block, span != nullptr ? &fetch : nullptr);
+  if (!handle.ok()) {
+    work.statuses[unit.slot] = handle.status();
+    return true;
+  }
+  const uint64_t t_pinned = span != nullptr ? obs::MonotonicNs() : 0;
+  const uint64_t rows = work.run(unit.slot, *handle.value());
+  if (span != nullptr) {
+    const uint64_t t_done = obs::MonotonicNs();
+    span->rows = rows;
+    span->cache_hit = !fetch.miss;
+    span->retried = fetch.retries > 0;
+    span->fill_ns = fetch.fill_ns;
+    const uint64_t pin_total = t_pinned - t_start;
+    span->pin_ns = pin_total > fetch.fill_ns ? pin_total - fetch.fill_ns : 0;
+    span->decode_ns = t_done - t_pinned;
+    span->schemes = SchemesAnnotation(*handle.value(), work.columns);
+  }
+  return true;
+}
+
+void ScanService::RunUnits(const TableReader& reader,
+                           std::span<const Unit> units,
+                           const UnitWork& work) {
+  if (workers_.empty()) {
+    for (const Unit& unit : units) {
+      if (!RunUnit(reader, unit, work, 0)) {
+        break;
+      }
+    }
+    return;
+  }
+  std::unique_ptr<ReadAhead::Session> session;
+  if (read_ahead_ != nullptr && units.size() > 1) {
+    std::vector<size_t> blocks;
+    blocks.reserve(units.size());
+    for (const Unit& unit : units) {
+      blocks.push_back(unit.block);
+    }
+    session = read_ahead_->Start(reader, std::move(blocks));
+  }
+  Completion completion(units.size());
+  for (const Unit& unit : units) {
+    // Queue wait starts at hand-off.
+    const uint64_t handoff_ns = work.spans.empty() ? 0 : obs::MonotonicNs();
+    EnqueueTask([&reader, &unit, &work, &completion, handoff_ns] {
+      RunUnit(reader, unit, work, handoff_ns);
+      // RunUnit has released the pin: a caller that sees its request
+      // complete also sees the block unpinned.
+      completion.Done();
+    });
+  }
+  completion.Wait();
+}
+
 Result<ScanResult> ScanService::Execute(const TableReader& reader,
                                         const ScanRequest& request) {
   CORRA_RETURN_NOT_OK(ValidateColumns(reader, request));
@@ -340,11 +446,11 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
 
   const size_t num_blocks = reader.num_blocks();
   std::vector<BlockPartial> partials(num_blocks);
+  std::vector<Status> statuses(num_blocks);
 
   // All telemetry below keys off this one gate: with observability off
   // the request takes zero clock reads and allocates no spans.
   const bool tracing = obs::Enabled();
-  const bool pooled = !workers_.empty();
   const uint64_t t_start = tracing ? obs::MonotonicNs() : 0;
   obs::RequestTrace trace;
   trace.op = "execute";
@@ -363,8 +469,8 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   const bool can_prune =
       request.filter_column.has_value() && info.has_column_stats;
   uint64_t blocks_skipped = 0;
-  std::vector<size_t> runnable;
-  runnable.reserve(num_blocks);
+  std::vector<Unit> units;
+  units.reserve(num_blocks);
   for (size_t b = 0; b < num_blocks; ++b) {
     if (can_prune) {
       const ColumnStats& stats = info.Stats(b, *request.filter_column);
@@ -379,86 +485,20 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
         continue;
       }
     }
-    runnable.push_back(b);
+    units.push_back({.slot = b, .block = b});
   }
   const uint64_t t_built = tracing ? obs::MonotonicNs() : 0;
 
-  if (!pooled) {
-    // Inline execution on the calling thread: no queue, no coalescing,
-    // no read-ahead — the front door only exists for pooled services.
-    // The deadline is still honored between blocks.
-    for (size_t b : runnable) {
-      if (request.deadline_ns != 0 &&
-          obs::MonotonicNs() > request.deadline_ns) {
-        partials[b].status =
-            Status::DeadlineExceeded("deadline expired during scan");
-        break;
-      }
-      obs::BlockSpan* span = tracing ? &spans[b] : nullptr;
-      const uint64_t t_task = tracing ? obs::MonotonicNs() : 0;
-      BlockFetchStats fetch;
-      auto handle = reader.GetBlock(b, span != nullptr ? &fetch : nullptr);
-      if (!handle.ok()) {
-        partials[b].status = handle.status();
-        continue;
-      }
-      const uint64_t t_pinned = tracing ? obs::MonotonicNs() : 0;
-      ScanOneBlock(*handle.value(), reader.block_row_offsets()[b], request,
-                   &partials[b]);
-      if (span != nullptr) {
-        const uint64_t t_done = obs::MonotonicNs();
-        span->block = static_cast<uint32_t>(b);
-        span->rows = partials[b].rows_scanned;
-        span->cache_hit = !fetch.miss;
-        span->retried = fetch.retries > 0;
-        span->queue_ns = 0;
-        span->fill_ns = fetch.fill_ns;
-        const uint64_t pin_total = t_pinned - t_task;
-        span->pin_ns = pin_total > fetch.fill_ns ? pin_total - fetch.fill_ns : 0;
-        span->decode_ns = t_done - t_pinned;
-        span->schemes = SchemesAnnotation(*handle.value(), touched);
-      }
-    }
-  } else {
-    // Pooled: every runnable block becomes one coalescer unit. Blocks
-    // this request leads get one executor task each; blocks another
-    // in-flight request already opened a batch for are served off that
-    // request's pin for free.
-    std::unique_ptr<ReadAhead::Session> session;
-    if (read_ahead_ != nullptr && runnable.size() > 1) {
-      session = read_ahead_->Start(reader, runnable);
-    }
-    auto completion = std::make_shared<Completion>(runnable.size());
-    for (size_t b : runnable) {
-      obs::BlockSpan* span = tracing ? &spans[b] : nullptr;
-      if (span != nullptr) {
-        // Identify the span even when the unit finishes without work
-        // (expired deadline or a failed pin never reaches the
-        // coalescer's charge path, which is what sets it otherwise).
-        span->block = static_cast<uint32_t>(b);
-      }
-      ScanUnit unit;
-      unit.enqueue_ns = t_start;
-      unit.deadline_ns = request.deadline_ns;
-      unit.status = &partials[b].status;
-      unit.span = span;
-      unit.done = [completion] { completion->Done(); };
-      unit.run = [&reader, &request, &touched, b, partial = &partials[b],
-                  span](const Block& block) {
-        ScanOneBlock(block, reader.block_row_offsets()[b], request, partial);
-        if (span != nullptr) {
-          span->rows = partial->rows_scanned;
-          span->schemes = SchemesAnnotation(block, touched);
-        }
-      };
-      if (coalescer_->SubmitScan(reader, b, std::move(unit))) {
-        EnqueueTask([this, reader_ptr = &reader, b] {
-          coalescer_->RunBatch(reader_ptr, b);
-        });
-      }
-    }
-    completion->Wait();
-  }
+  RunUnits(reader, units,
+           {.deadline_ns = request.deadline_ns,
+            .columns = touched,
+            .statuses = statuses,
+            .spans = spans,
+            .run = [&](size_t b, const Block& block) -> uint64_t {
+              ScanOneBlock(block, reader.block_row_offsets()[b], request,
+                           &partials[b]);
+              return partials[b].rows_scanned;
+            }});
   const uint64_t t_merge = tracing ? obs::MonotonicNs() : 0;
 
   // With allow_partial, per-block failures degrade the result instead
@@ -466,8 +506,8 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   // and the merge skips it. DeadlineExceeded is never downgraded.
   Status first_error;
   std::vector<ScanResult::BlockError> failed_blocks;
-  for (size_t b = 0; b < partials.size(); ++b) {
-    const Status& status = partials[b].status;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const Status& status = statuses[b];
     if (status.ok()) {
       continue;
     }
@@ -489,10 +529,11 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   result.blocks_skipped = blocks_skipped;
   result.columns.resize(request.project_columns.size());
   uint64_t agg_sum = 0;
-  for (BlockPartial& partial : partials) {
-    if (!partial.status.ok()) {
+  for (size_t b = 0; b < num_blocks; ++b) {
+    if (!statuses[b].ok()) {
       continue;  // Reported on failed_blocks; contributes nothing.
     }
+    BlockPartial& partial = partials[b];
     result.rows_scanned += partial.rows_scanned;
     result.rows_matched += partial.rows_matched;
     result.positions.insert(result.positions.end(),
@@ -525,32 +566,16 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   if (tracing) {
     trace.rows_scanned = result.rows_scanned;
     trace.rows_matched = result.rows_matched;
-    auto phase = [&trace](obs::Phase p) -> uint64_t& {
-      return trace.phase_ns[static_cast<size_t>(p)];
-    };
-    phase(obs::Phase::kBlockPrune) = t_built - t_start;
-    phase(obs::Phase::kMerge) = obs::MonotonicNs() - t_merge;
-    for (const obs::BlockSpan& span : spans) {
-      phase(obs::Phase::kQueueWait) += span.queue_ns;
-      phase(obs::Phase::kCachePin) += span.pin_ns;
-      phase(obs::Phase::kMissFill) += span.fill_ns;
-      phase(obs::Phase::kDecodeFilter) += span.decode_ns;
-      phase(obs::Phase::kScatter) += span.scatter_ns;
-    }
+    trace.phase_ns[static_cast<size_t>(obs::Phase::kBlockPrune)] =
+        t_built - t_start;
+    trace.phase_ns[static_cast<size_t>(obs::Phase::kMerge)] =
+        obs::MonotonicNs() - t_merge;
     trace.blocks = std::move(spans);
     metrics_.requests->Increment();
     FinishRequest(std::move(trace), t_start,
                   request.collect_trace ? &result.trace.emplace() : nullptr);
   }
   return result;
-}
-
-Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
-    const TableReader& reader, std::span<const size_t> columns,
-    std::span<const uint64_t> rows, obs::RequestTrace* trace_out) {
-  GatherOptions options;
-  options.trace = trace_out;
-  return Gather(reader, columns, rows, options);
 }
 
 Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
@@ -569,7 +594,6 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
   } slot{this};
 
   const bool tracing = obs::Enabled();
-  const bool pooled = !workers_.empty();
   const uint64_t t_start = tracing ? obs::MonotonicNs() : 0;
 
   CORRA_ASSIGN_OR_RETURN(
@@ -585,77 +609,25 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
   if (tracing) {
     spans.resize(slices.size());
   }
-
-  if (!pooled) {
-    for (size_t s = 0; s < slices.size(); ++s) {
-      if (options.deadline_ns != 0 &&
-          obs::MonotonicNs() > options.deadline_ns) {
-        statuses[s] = Status::DeadlineExceeded("deadline expired during gather");
-        break;
-      }
-      obs::BlockSpan* span = tracing ? &spans[s] : nullptr;
-      const query::SelectionSlice& slice = slices[s];
-      const uint64_t t_task = tracing ? obs::MonotonicNs() : 0;
-      BlockFetchStats fetch;
-      auto handle =
-          reader.GetBlock(slice.block, span != nullptr ? &fetch : nullptr);
-      if (!handle.ok()) {
-        statuses[s] = handle.status();
-        continue;
-      }
-      const uint64_t t_pinned = tracing ? obs::MonotonicNs() : 0;
-      for (size_t c = 0; c < columns.size(); ++c) {
-        query::ScanColumn(*handle.value(), columns[c], slice.local_rows,
-                          out[c].data() + slice.out_offset);
-      }
-      if (span != nullptr) {
-        const uint64_t t_done = obs::MonotonicNs();
-        span->block = static_cast<uint32_t>(slice.block);
-        span->rows = slice.local_rows.size();
-        span->cache_hit = !fetch.miss;
-        span->retried = fetch.retries > 0;
-        span->queue_ns = 0;
-        span->fill_ns = fetch.fill_ns;
-        const uint64_t pin_total = t_pinned - t_task;
-        span->pin_ns = pin_total > fetch.fill_ns ? pin_total - fetch.fill_ns : 0;
-        span->decode_ns = t_done - t_pinned;
-        span->schemes = SchemesAnnotation(*handle.value(), columns);
-      }
-    }
-  } else {
-    std::unique_ptr<ReadAhead::Session> session;
-    if (read_ahead_ != nullptr && slices.size() > 1) {
-      std::vector<size_t> blocks;
-      blocks.reserve(slices.size());
-      for (const query::SelectionSlice& slice : slices) {
-        blocks.push_back(slice.block);
-      }
-      session = read_ahead_->Start(reader, std::move(blocks));
-    }
-    auto completion = std::make_shared<Completion>(slices.size());
-    const std::vector<size_t> cols(columns.begin(), columns.end());
-    for (size_t s = 0; s < slices.size(); ++s) {
-      const query::SelectionSlice& slice = slices[s];
-      GatherUnit unit;
-      unit.columns = cols;
-      unit.rows = slice.local_rows;
-      unit.outs.reserve(cols.size());
-      for (size_t c = 0; c < cols.size(); ++c) {
-        unit.outs.push_back(out[c].data() + slice.out_offset);
-      }
-      unit.enqueue_ns = t_start;
-      unit.deadline_ns = options.deadline_ns;
-      unit.status = &statuses[s];
-      unit.span = tracing ? &spans[s] : nullptr;
-      unit.done = [completion] { completion->Done(); };
-      if (coalescer_->SubmitGather(reader, slice.block, std::move(unit))) {
-        EnqueueTask([this, reader_ptr = &reader, block = slice.block] {
-          coalescer_->RunBatch(reader_ptr, block);
-        });
-      }
-    }
-    completion->Wait();
+  std::vector<Unit> units;
+  units.reserve(slices.size());
+  for (size_t s = 0; s < slices.size(); ++s) {
+    units.push_back({.slot = s, .block = slices[s].block});
   }
+
+  RunUnits(reader, units,
+           {.deadline_ns = options.deadline_ns,
+            .columns = columns,
+            .statuses = statuses,
+            .spans = spans,
+            .run = [&](size_t s, const Block& block) -> uint64_t {
+              const query::SelectionSlice& slice = slices[s];
+              for (size_t c = 0; c < columns.size(); ++c) {
+                query::ScanColumn(block, columns[c], slice.local_rows,
+                                  out[c].data() + slice.out_offset);
+              }
+              return slice.local_rows.size();
+            }});
 
   const Status first_error = FirstError(statuses);
   if (!first_error.ok()) {
@@ -670,18 +642,6 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
     trace.op = "gather";
     trace.rows_scanned = rows.size();
     trace.rows_matched = rows.size();
-    for (const obs::BlockSpan& span : spans) {
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kQueueWait)] +=
-          span.queue_ns;
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kCachePin)] +=
-          span.pin_ns;
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kMissFill)] +=
-          span.fill_ns;
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kDecodeFilter)] +=
-          span.decode_ns;
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kScatter)] +=
-          span.scatter_ns;
-    }
     trace.blocks = std::move(spans);
     metrics_.gather_requests->Increment();
     metrics_.gather_rows->Add(rows.size());

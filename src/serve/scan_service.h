@@ -1,13 +1,17 @@
 // ScanService — concurrent out-of-core query execution over CORF files.
 //
-// A small shared worker pool executes scan requests block-by-block:
-// every block task pins its block through the reader's BlockCache, runs
-// the morsel-based query kernels (query::FilterToSelection, ranged
-// scans, aggregate pushdown) against the compressed representation, and
-// releases the pin. Per-block partial results are merged in block
-// order, so the output is byte-identical to materializing the whole
-// table and scanning it in memory — without ever holding more than
-// cache-capacity blocks resident.
+// Every request becomes a list of per-block units, and every unit runs
+// the same steps: check the deadline, pin its block through the
+// reader's BlockCache, run the request's kernels against the compressed
+// representation (query::FilterToSelection, ranged scans, aggregate
+// pushdown for Execute; one query::ScanColumn per column for Gather),
+// fill the unit's trace span, and release the pin. A service with
+// num_threads == 0 runs the units in order on the calling thread;
+// otherwise each unit is one task on a small shared worker pool.
+// Per-block partial results are merged in block order, so the output is
+// byte-identical to materializing the whole table and scanning it in
+// memory — without ever holding more than cache-capacity blocks
+// resident.
 //
 // Filtered requests prune first: a block whose persisted min/max range
 // (CORF v3 stats, checked against the directory without any payload
@@ -21,23 +25,19 @@
 // Requests must come from outside the pool: a block task must not
 // call back into Execute/Gather, or the pool can deadlock on itself.
 //
-// The front door (pooled services only; inline execution bypasses it):
-//  * Coalescing — concurrent requests whose row sets land in the same
-//    block batch into one shared pin and one merged, deduplicated
-//    gather per block (src/serve/coalescer.h); results stay
-//    byte-identical to independent execution. Disable per service with
-//    Options::coalescing = false (the A/B lever the closed-loop bench
-//    uses).
+// The front door:
 //  * Admission control — Options::max_inflight_requests bounds the
 //    requests in flight; arrivals past the bound are rejected with
 //    ResourceExhausted ("serve.rejected") instead of queueing without
-//    bound, and a request whose ScanRequest::deadline_ns has already
-//    passed is rejected with DeadlineExceeded ("serve.deadline_missed")
-//    before touching any block. Degrade, don't collapse.
-//  * Read-ahead — a prefetch thread (src/serve/read_ahead.h) issues the
-//    request's block fetches in scan order ahead of the workers, so for
-//    sequential scans miss_fill moves off the critical path and workers
-//    mostly pin resident blocks.
+//    bound, and a request whose deadline has already passed is rejected
+//    with DeadlineExceeded ("serve.deadline_missed") before touching any
+//    block; one that expires mid-flight stops scanning further blocks.
+//    Degrade, don't collapse.
+//  * Read-ahead (pooled services only) — a prefetch thread
+//    (src/serve/read_ahead.h) issues a multi-block request's block
+//    fetches in scan order ahead of the workers, so for sequential scans
+//    miss_fill moves off the critical path and workers mostly pin
+//    resident blocks.
 //
 // Telemetry (src/obs/): every request feeds the registry's serving
 // histograms (total latency plus per-phase queue wait / cache pin /
@@ -67,7 +67,6 @@
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/coalescer.h"
 #include "serve/read_ahead.h"
 #include "serve/table_reader.h"
 
@@ -186,11 +185,6 @@ class ScanService {
     /// Slow-trace ring capacity (last N retained).
     size_t slow_trace_capacity = 32;
 
-    /// Batch concurrent requests touching the same block into one pin +
-    /// one merged gather (pooled services only; inline execution never
-    /// coalesces). Results are byte-identical either way.
-    bool coalescing = true;
-
     /// Reject (ResourceExhausted) requests arriving while this many are
     /// already in flight; 0 means unbounded.
     size_t max_inflight_requests = 0;
@@ -221,20 +215,14 @@ class ScanService {
   /// CompressionPlan::workload = WorkloadHint::kPointServing: Delta
   /// columns then carry inline checkpoints, making each sparse access
   /// one contiguous window touch instead of checkpoint-array + stream.
-  /// Returns one value vector per requested column. With a non-null
-  /// `trace` (and observability enabled), fills it with the request's
-  /// full attribution, like ScanRequest::collect_trace does for
-  /// Execute.
+  /// Returns one value vector per requested column. `options` carries
+  /// the deadline and, with a non-null trace (and observability
+  /// enabled), the sink for the request's full attribution, like
+  /// ScanRequest::collect_trace does for Execute. Gather is strict: the
+  /// first failed block fails the request.
   Result<std::vector<std::vector<int64_t>>> Gather(
       const TableReader& reader, std::span<const size_t> columns,
-      std::span<const uint64_t> rows,
-      obs::RequestTrace* trace = nullptr);
-
-  /// Gather with per-call options (deadline + trace sink). The
-  /// trace-pointer overload above forwards here.
-  Result<std::vector<std::vector<int64_t>>> Gather(
-      const TableReader& reader, std::span<const size_t> columns,
-      std::span<const uint64_t> rows, const GatherOptions& options);
+      std::span<const uint64_t> rows, const GatherOptions& options = {});
 
   size_t num_threads() const { return workers_.size(); }
 
@@ -258,8 +246,6 @@ class ScanService {
     obs::Counter* deadline_missed;   // DeadlineExceeded returns.
     obs::Counter* partial_results;   // allow_partial scans that lost
                                      // at least one block.
-    obs::Counter* coalesced_requests;  // Units served by piggybacking.
-    obs::Counter* coalesced_batches;   // Batches with 2+ live units.
     obs::Counter* prefetch_issued;
     obs::Counter* prefetch_skipped;
     obs::Gauge* queue_depth;         // Tasks waiting for a worker.
@@ -268,8 +254,27 @@ class ScanService {
     std::array<obs::Histogram*, obs::kNumPhases> phase_us;
   };
 
-  // Records histograms/counters for a finished request and files the
-  // trace (slow ring, and the caller's sink when opted in).
+  // One block's share of a request, and what all of a request's units
+  // share (defined in scan_service.cc).
+  struct Unit;
+  struct UnitWork;
+
+  // Runs one unit: checks the deadline, pins the block, runs the
+  // request's work on it, and fills the unit's span. The pin is released
+  // before this returns. `handoff_ns` is when the unit was handed to the
+  // pool (0 inline). Returns false when the deadline had passed.
+  static bool RunUnit(const TableReader& reader, const Unit& unit,
+                      const UnitWork& work, uint64_t handoff_ns);
+
+  // Runs `units`: in order on the calling thread without a pool (an
+  // expired deadline stops the loop), otherwise one pool task per unit,
+  // returning once every unit is done.
+  void RunUnits(const TableReader& reader, std::span<const Unit> units,
+                const UnitWork& work);
+
+  // Sums the trace's block spans into its phases, records histograms and
+  // counters for the finished request, and files the trace (slow ring,
+  // and the caller's sink when opted in).
   void FinishRequest(obs::RequestTrace trace, uint64_t start_ns,
                      obs::RequestTrace* sink);
 
@@ -292,7 +297,6 @@ class ScanService {
   obs::TraceRing slow_traces_;
   size_t max_inflight_ = 0;
   std::atomic<size_t> inflight_{0};
-  std::unique_ptr<Coalescer> coalescer_;
   std::unique_ptr<ReadAhead> read_ahead_;  // Pooled + read_ahead only.
 };
 

@@ -1,7 +1,7 @@
-// Serving front door: cross-request block coalescing stays
-// byte-identical to independent execution across every encoding scheme,
-// admission control fast-rejects over-limit and expired requests, and
-// phase attribution never double-charges a piggybacked request.
+// Serving front door: concurrent pooled requests stay byte-identical to
+// the raw data across every encoding scheme, admission control
+// fast-rejects over-limit and expired requests, and read-ahead keeps
+// cold scans exact and single-flight.
 
 #include <gtest/gtest.h>
 
@@ -22,8 +22,8 @@ namespace corra::serve {
 namespace {
 
 // A 12-column table where every column is pinned (auto_vertical off) to
-// a distinct scheme, covering all 12: the coalescer's merged gather and
-// scatter must reproduce each scheme's independent decode exactly.
+// a distinct scheme, covering all 12: concurrent pooled gathers must
+// reproduce each scheme's decode exactly.
 class FrontDoorTest : public ::testing::Test {
  protected:
   static constexpr size_t kRows = 8000;
@@ -32,8 +32,8 @@ class FrontDoorTest : public ::testing::Test {
 
   void SetUp() override {
 #ifdef CORRA_OBS_OFF
-    // The counter/span assertions below (coalesced_requests, rejected,
-    // BlockSpan::coalesced) need live telemetry.
+    // The counter assertions below (rejected, deadline_missed,
+    // inflight_requests) need live telemetry.
     GTEST_SKIP() << "observability compiled out (CORRA_OBS_OFF)";
 #else
     obs::SetEnabled(true);
@@ -118,23 +118,18 @@ class FrontDoorTest : public ::testing::Test {
 };
 
 // Many concurrent gathers with overlapping row sets and mixed column
-// subsets: every result must be byte-identical to the raw vectors, and
-// coalescing must actually fire (batches with 2+ requests observed).
-TEST_F(FrontDoorTest, ConcurrentGathersAreByteIdenticalUnderCoalescing) {
-  obs::Registry registry;
-  auto cache = std::make_shared<BlockCache>(
-      BlockCacheOptions{.registry = &registry});
+// subsets: every result must be byte-identical to the raw vectors.
+TEST_F(FrontDoorTest, ConcurrentGathersAreByteIdenticalAcrossAllSchemes) {
+  auto cache = std::make_shared<BlockCache>();
   auto reader = TableReader::Open(path_, cache);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ScanService service({.num_threads = 4, .registry = &registry});
+  ScanService service({.num_threads = 4});
 
-  const obs::Counter& coalesced =
-      registry.counter("serve.coalesced_requests");
   constexpr size_t kThreads = 8;
-  constexpr size_t kMaxRounds = 50;
+  constexpr size_t kRounds = 3;
   std::atomic<size_t> failures{0};
 
-  for (size_t round = 0; round < kMaxRounds; ++round) {
+  for (size_t round = 0; round < kRounds; ++round) {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (size_t t = 0; t < kThreads; ++t) {
@@ -143,7 +138,7 @@ TEST_F(FrontDoorTest, ConcurrentGathersAreByteIdenticalUnderCoalescing) {
         for (size_t iter = 0; iter < 10; ++iter) {
           const std::vector<uint64_t> rows = RandomPositions(rng, 600);
           // A different column subset per caller, always non-empty, so
-          // merged batches carry heterogeneous column unions.
+          // concurrent requests touch heterogeneous column sets.
           std::vector<size_t> cols;
           for (size_t c = 0; c < kColumns; ++c) {
             if (rng.Bernoulli(0.4)) {
@@ -173,62 +168,12 @@ TEST_F(FrontDoorTest, ConcurrentGathersAreByteIdenticalUnderCoalescing) {
       thread.join();
     }
     ASSERT_EQ(failures.load(), 0u) << "mismatch or error in round " << round;
-    if (coalesced.Value() > 0) {
-      break;
-    }
   }
-  EXPECT_GT(coalesced.Value(), 0u)
-      << "coalescing never fired across " << kMaxRounds << " rounds";
-  EXPECT_GT(registry.counter("serve.coalesced_batches").Value(), 0u);
 }
 
-// The same workload with coalescing disabled must also be correct (the
-// A/B lever the closed-loop bench flips), and must never batch.
-TEST_F(FrontDoorTest, CoalescingDisabledStaysCorrectAndNeverBatches) {
-  obs::Registry registry;
-  auto cache = std::make_shared<BlockCache>(
-      BlockCacheOptions{.registry = &registry});
-  auto reader = TableReader::Open(path_, cache);
-  ASSERT_TRUE(reader.ok());
-  ScanService service(
-      {.num_threads = 4, .registry = &registry, .coalescing = false});
-
-  std::vector<std::thread> threads;
-  std::atomic<size_t> failures{0};
-  for (size_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(500 + t);
-      for (size_t iter = 0; iter < 10; ++iter) {
-        const std::vector<uint64_t> rows = RandomPositions(rng, 400);
-        const std::vector<size_t> cols = {t % kColumns,
-                                          (t + 5) % kColumns};
-        auto result = service.Gather(*reader.value(), cols, rows);
-        if (!result.ok()) {
-          failures.fetch_add(1);
-          return;
-        }
-        for (size_t c = 0; c < cols.size(); ++c) {
-          for (size_t i = 0; i < rows.size(); ++i) {
-            if (result.value()[c][i] != raw_[cols[c]][rows[i]]) {
-              failures.fetch_add(1);
-              return;
-            }
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(registry.counter("serve.coalesced_requests").Value(), 0u);
-  EXPECT_EQ(registry.counter("serve.coalesced_batches").Value(), 0u);
-}
-
-// Concurrent Execute requests (filter + projections) under coalescing:
-// scan units share pins but never merge decodes; results must match the
-// single-threaded inline service exactly.
+// Concurrent Execute requests (filter + projections) through the pool:
+// units of different requests share blocks in the cache; results must
+// match the single-threaded inline service exactly.
 TEST_F(FrontDoorTest, ConcurrentExecutesMatchInlineService) {
   auto cache = std::make_shared<BlockCache>();
   auto reader = TableReader::Open(path_, cache);
@@ -381,70 +326,6 @@ TEST_F(FrontDoorTest, FutureDeadlineIsHarmless) {
   for (size_t c = 0; c < cols.size(); ++c) {
     for (size_t i = 0; i < rows.size(); ++i) {
       EXPECT_EQ(gathered.value()[c][i], raw_[cols[c]][rows[i]]);
-    }
-  }
-}
-
-// Phase attribution under coalescing: a piggybacked gather's span is
-// marked coalesced and carries only queue wait + scatter — the shared
-// pin/fill/decode stay charged to the executing request, so summing
-// phases across concurrent requests never double-counts the block work.
-TEST_F(FrontDoorTest, PiggybackedGathersAreNotChargedForSharedWork) {
-  obs::Registry registry;
-  auto cache = std::make_shared<BlockCache>(
-      BlockCacheOptions{.registry = &registry});
-  auto reader = TableReader::Open(path_, cache);
-  ASSERT_TRUE(reader.ok());
-  // One worker: while it executes a batch, concurrent submissions pile
-  // into the next batch, so multi-unit batches form fast.
-  ScanService service({.num_threads = 1, .registry = &registry});
-
-  std::mutex mu;
-  std::vector<obs::RequestTrace> coalesced_traces;
-  constexpr size_t kMaxRounds = 200;
-  for (size_t round = 0; round < kMaxRounds; ++round) {
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t, round] {
-        Rng rng(3000 + round * 4 + t);
-        const std::vector<uint64_t> rows = RandomPositions(rng, 300);
-        const std::vector<size_t> cols = {t % kColumns, 8};
-        obs::RequestTrace trace;
-        GatherOptions options;
-        options.trace = &trace;
-        auto result = service.Gather(*reader.value(), cols, rows, options);
-        ASSERT_TRUE(result.ok());
-        for (const obs::BlockSpan& span : trace.blocks) {
-          if (span.coalesced) {
-            std::lock_guard<std::mutex> lock(mu);
-            coalesced_traces.push_back(trace);
-            return;
-          }
-        }
-      });
-    }
-    for (auto& thread : threads) {
-      thread.join();
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    if (!coalesced_traces.empty()) {
-      break;
-    }
-  }
-  ASSERT_FALSE(coalesced_traces.empty())
-      << "no piggybacked span observed in " << kMaxRounds << " rounds";
-  for (const obs::RequestTrace& trace : coalesced_traces) {
-    for (const obs::BlockSpan& span : trace.blocks) {
-      if (!span.coalesced) {
-        continue;
-      }
-      // Shared work is the leader's: a follower pays no pin, no fill,
-      // and no decode — only its wait and its own scatter.
-      EXPECT_EQ(span.pin_ns, 0u);
-      EXPECT_EQ(span.fill_ns, 0u);
-      EXPECT_EQ(span.decode_ns, 0u);
-      EXPECT_TRUE(span.cache_hit);
-      EXPECT_GT(span.queue_ns, 0u);
     }
   }
 }

@@ -1214,10 +1214,11 @@ TEST_F(PartialScanTest, DeadlineIsNeverDowngradedToPartial) {
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
 }
 
-TEST_F(PartialScanTest, PooledAndCoalescedRequestsAllSeeTheFailure) {
-  // Concurrent allow_partial scans through the pooled front door: the
-  // coalescer's leader eats the pin failure and must hand it to every
-  // follower; all requests degrade identically, none hang.
+TEST_F(PartialScanTest, ConcurrentPooledRequestsAllSeeTheFailure) {
+  // Concurrent allow_partial scans through the worker pool: every
+  // request's unit for the bad block fails its own pin (or hits the
+  // quarantine fast-fail) and reports it; all requests degrade
+  // identically, none hang.
   auto cache = std::make_shared<BlockCache>(
       BlockCacheOptions{.capacity_blocks = 8});
   auto reader =

@@ -219,7 +219,8 @@ TEST_F(TraceServeTest, GatherProducesTraceAndCounters) {
   const std::vector<uint64_t> rows = {5, 700, 2100, 2999};
   const std::vector<size_t> columns = {0, 1};
   obs::RequestTrace trace;
-  auto result = service.Gather(*reader.value(), columns, rows, &trace);
+  auto result = service.Gather(*reader.value(), columns, rows,
+                               GatherOptions{.trace = &trace});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(result.value()[0][i], ship_[rows[i]]);
