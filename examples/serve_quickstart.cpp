@@ -2,7 +2,7 @@
 //
 // Compresses a correlated table to disk, then serves filtered scans and
 // aggregates through the out-of-core stack — TableReader (lazy block
-// loads) + BlockCache (bounded memory) + ScanService (worker pool) —
+// loads) + BlockCache (bounded memory) + ScanService (helper pool) —
 // prints the cache behaviour along the way, demonstrates degraded
 // (allow_partial) serving around an injected block failure, and
 // finishes with the full telemetry snapshot every serving component
@@ -72,8 +72,8 @@ int main() {
               reader.value()->schema().ToString().c_str());
 
   // 3. A filtered scan with projection + aggregate, executed block by
-  //    block on the service's worker pool. collect_trace asks for a
-  //    per-request breakdown of where the latency went.
+  //    block by this thread and the service's helper pool. collect_trace
+  //    asks for a per-request breakdown of where the latency went.
   serve::ScanService service(serve::ScanService::Options{.num_threads = 2});
   serve::ScanRequest request;
   request.collect_trace = true;

@@ -5,11 +5,12 @@
 // wall latency, a fixed set of timed phases (queue wait, block prune,
 // cache pin, miss fill, decode/filter, merge), and one BlockSpan per
 // block touched (scheme annotations, rows, pruned/hit flags, per-block
-// timings). Phase times are *attributed* time summed across worker
-// threads: with a single-threaded (or inline, num_threads = 0) service
-// the phases partition the request's wall clock, so they sum to ~total;
-// with parallel workers the per-block phases can legitimately sum past
-// total because they overlap in real time.
+// timings). Phase times are *attributed* time summed across the threads
+// that ran the request's units. A request run wholly by its caller —
+// every single-block request, and every request on a num_threads = 0
+// service — has phases that partition its wall clock, so they sum to
+// ~total; when pool helpers join a multi-block request, the per-block
+// phases overlap in real time and can legitimately sum past total.
 //
 // Traces are opt-in on the request (ScanRequest::collect_trace →
 // ScanResult::trace) and cost a handful of steady_clock reads per block
@@ -45,7 +46,8 @@ inline uint64_t MonotonicNs() {
 
 /// The timed phases of one serving request, in execution order.
 enum class Phase : uint8_t {
-  kQueueWait = 0,  // Task enqueue -> worker pickup, summed over tasks.
+  kQueueWait = 0,  // Helper hand-off -> its first claim; 0 for the
+                   // caller's units and a helper's later ones.
   kBlockPrune,     // Min/max stats check across the directory.
   kCachePin,       // BlockCache lookup/pin, minus any miss fill.
   kMissFill,       // Loader time: disk read + deserialize (misses only).

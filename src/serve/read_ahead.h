@@ -1,13 +1,13 @@
 // ReadAhead — asynchronous cold reads for the serving front door.
 //
 // One background thread issues block fetches in scan order, ahead of
-// the pool workers consuming them. A prefetched block enters the
-// BlockCache through the same single-flight GetOrLoad as any other
-// load, so a worker arriving at a block the prefetcher is still filling
+// the request's caller and helpers consuming them. A prefetched block
+// enters the BlockCache through the same single-flight GetOrLoad as any
+// other load, so a unit arriving at a block the prefetcher is filling
 // waits on the cache's in-flight-load signal (attributed as cache_pin)
 // instead of running the loader itself (miss_fill) — for sequential
 // scans the disk time moves off the request's critical path entirely,
-// and workers mostly pin already-resident blocks.
+// and units mostly pin already-resident blocks.
 //
 // Requests open a Session naming the ordered blocks they will touch;
 // the prefetcher interleaves sessions FIFO. A session's destructor

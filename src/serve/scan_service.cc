@@ -1,6 +1,7 @@
 #include "serve/scan_service.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -33,10 +34,41 @@ struct ScanService::UnitWork {
   std::function<uint64_t(size_t slot, const Block& block)> run;
 };
 
+// A request's claim cursor, shared with its helper tasks. Refcounted: a
+// helper that starts after the request returned finds nothing to claim.
+struct ScanService::Claims {
+  const TableReader* reader;
+  std::span<const Unit> units;
+  const UnitWork* work;
+  Mutex mu;
+  CondVar cv;  // Signals the last unit done.
+  size_t next CORRA_GUARDED_BY(mu) = 0;  // Next unit to claim.
+  size_t done CORRA_GUARDED_BY(mu) = 0;  // Units run, pins released.
+
+  // Claims units in order and runs each, until none is left. Only the
+  // first claim waited in the queue (`handoff_ns`; 0 for the caller).
+  // The caller then waits out the helpers still running a unit.
+  void Run(uint64_t handoff_ns, bool caller) {
+    MutexLock lock(mu);
+    while (next < units.size()) {
+      const Unit& unit = units[next++];
+      lock.Unlock();
+      RunUnit(*reader, unit, *work, std::exchange(handoff_ns, 0));
+      lock.Lock();  // RunUnit released the pin before the unit is done.
+      if (++done == units.size()) {
+        cv.NotifyOne();  // Only the caller waits.
+      }
+    }
+    while (caller && done < units.size()) {
+      cv.Wait(mu);
+    }
+  }
+};
+
 namespace {
 
 // Partial results of one block's share of a request; merged in block
-// order after the pool drains.
+// order once every unit is done.
 struct BlockPartial {
   uint64_t rows_scanned = 0;
   uint64_t rows_matched = 0;
@@ -45,27 +77,6 @@ struct BlockPartial {
   uint64_t agg_sum = 0;  // Wrap-around, like query::SumColumn.
   std::optional<int64_t> agg_min;
   std::optional<int64_t> agg_max;
-};
-
-// Counts down one slot per pooled unit; the request thread blocks until
-// every one of its units is done.
-struct Completion {
-  Mutex mu;
-  CondVar cv;
-  size_t remaining CORRA_GUARDED_BY(mu);
-  explicit Completion(size_t n) : remaining(n) {}
-  void Done() {
-    MutexLock lock(mu);
-    if (--remaining == 0) {
-      cv.NotifyAll();
-    }
-  }
-  void Wait() {
-    MutexLock lock(mu);
-    while (remaining != 0) {
-      cv.Wait(mu);
-    }
-  }
 };
 
 Status ValidateColumns(const TableReader& reader,
@@ -339,33 +350,24 @@ ScanService::~ScanService() {
 
 void ScanService::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    Helper helper;
     {
       MutexLock lock(mu_);
-      while (!stop_ && tasks_.empty()) {
+      while (!stop_ && helpers_.empty()) {
         cv_.Wait(mu_);
       }
-      if (tasks_.empty()) {
+      if (helpers_.empty()) {
         return;  // stop_ set and queue drained.
       }
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
+      helper = std::move(helpers_.front());
+      helpers_.pop_front();
     }
     metrics_.queue_depth->Sub(1);
-    task();
+    helper.claims->Run(helper.handoff_ns, /*caller=*/false);
   }
 }
 
-void ScanService::EnqueueTask(std::function<void()> task) {
-  {
-    MutexLock lock(mu_);
-    tasks_.push_back(std::move(task));
-  }
-  metrics_.queue_depth->Add(1);
-  cv_.NotifyOne();
-}
-
-bool ScanService::RunUnit(const TableReader& reader, const Unit& unit,
+void ScanService::RunUnit(const TableReader& reader, const Unit& unit,
                           const UnitWork& work, uint64_t handoff_ns) {
   obs::BlockSpan* span = work.spans.empty() ? nullptr : &work.spans[unit.slot];
   const uint64_t t_start =
@@ -377,13 +379,13 @@ bool ScanService::RunUnit(const TableReader& reader, const Unit& unit,
   if (work.deadline_ns != 0 && t_start > work.deadline_ns) {
     work.statuses[unit.slot] =
         Status::DeadlineExceeded("deadline expired before block scan");
-    return false;
+    return;
   }
   BlockFetchStats fetch;
   auto handle = reader.GetBlock(unit.block, span != nullptr ? &fetch : nullptr);
   if (!handle.ok()) {
     work.statuses[unit.slot] = handle.status();
-    return true;
+    return;
   }
   const uint64_t t_pinned = span != nullptr ? obs::MonotonicNs() : 0;
   const uint64_t rows = work.run(unit.slot, *handle.value());
@@ -398,41 +400,32 @@ bool ScanService::RunUnit(const TableReader& reader, const Unit& unit,
     span->decode_ns = t_done - t_pinned;
     span->schemes = SchemesAnnotation(*handle.value(), work.columns);
   }
-  return true;
 }
 
 void ScanService::RunUnits(const TableReader& reader,
                            std::span<const Unit> units,
                            const UnitWork& work) {
-  if (workers_.empty()) {
-    for (const Unit& unit : units) {
-      if (!RunUnit(reader, unit, work, 0)) {
-        break;
-      }
-    }
-    return;
-  }
   std::unique_ptr<ReadAhead::Session> session;
   if (read_ahead_ != nullptr && units.size() > 1) {
-    std::vector<size_t> blocks;
-    blocks.reserve(units.size());
-    for (const Unit& unit : units) {
-      blocks.push_back(unit.block);
-    }
+    std::vector<size_t> blocks(units.size());
+    std::transform(units.begin(), units.end(), blocks.begin(),
+                   [](const Unit& unit) { return unit.block; });
     session = read_ahead_->Start(reader, std::move(blocks));
   }
-  Completion completion(units.size());
-  for (const Unit& unit : units) {
-    // Queue wait starts at hand-off.
+  auto claims = std::make_shared<Claims>(&reader, units, &work);
+  const size_t helpers =
+      units.size() > 1 ? std::min(workers_.size(), units.size() - 1) : 0;
+  if (helpers > 0) {
     const uint64_t handoff_ns = work.spans.empty() ? 0 : obs::MonotonicNs();
-    EnqueueTask([&reader, &unit, &work, &completion, handoff_ns] {
-      RunUnit(reader, unit, work, handoff_ns);
-      // RunUnit has released the pin: a caller that sees its request
-      // complete also sees the block unpinned.
-      completion.Done();
-    });
+    metrics_.queue_depth->Add(static_cast<int64_t>(helpers));
+    MutexLock lock(mu_);
+    helpers_.insert(helpers_.end(), helpers, Helper{claims, handoff_ns});
+    lock.Unlock();  // Before notifying, so a woken worker can take mu_.
+    for (size_t h = 0; h < helpers; ++h) {
+      cv_.NotifyOne();
+    }
   }
-  completion.Wait();
+  claims->Run(0, /*caller=*/true);
 }
 
 Result<ScanResult> ScanService::Execute(const TableReader& reader,
@@ -506,9 +499,11 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   // and the merge skips it. DeadlineExceeded is never downgraded.
   Status first_error;
   std::vector<ScanResult::BlockError> failed_blocks;
+  size_t matched = 0;  // Sizes the merged outputs.
   for (size_t b = 0; b < num_blocks; ++b) {
     const Status& status = statuses[b];
     if (status.ok()) {
+      matched += partials[b].rows_matched;
       continue;
     }
     if (status.IsDeadlineExceeded() || !request.allow_partial) {
@@ -524,10 +519,14 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
     return first_error;
   }
 
-  // Merge in block order.
+  // Merge in block order, into outputs sized once.
   ScanResult result;
   result.blocks_skipped = blocks_skipped;
+  result.positions.reserve(request.return_positions ? matched : 0);
   result.columns.resize(request.project_columns.size());
+  for (std::vector<int64_t>& column : result.columns) {
+    column.reserve(matched);
+  }
   uint64_t agg_sum = 0;
   for (size_t b = 0; b < num_blocks; ++b) {
     if (!statuses[b].ok()) {

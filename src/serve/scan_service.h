@@ -5,13 +5,16 @@
 // reader's BlockCache, run the request's kernels against the compressed
 // representation (query::FilterToSelection, ranged scans, aggregate
 // pushdown for Execute; one query::ScanColumn per column for Gather),
-// fill the unit's trace span, and release the pin. A service with
-// num_threads == 0 runs the units in order on the calling thread;
-// otherwise each unit is one task on a small shared worker pool.
-// Per-block partial results are merged in block order, so the output is
+// fill the unit's trace span, and release the pin. The caller claims
+// units in order from a per-request cursor and runs them; a multi-block
+// request also queues min(num_threads, units - 1) helpers that claim
+// from the same cursor. A single-block request never leaves its caller's
+// thread. Partial results are merged in block order, so the output is
 // byte-identical to materializing the whole table and scanning it in
-// memory — without ever holding more than cache-capacity blocks
-// resident.
+// memory. Each admitted caller and each helper pins one block at a time,
+// and a pinned block stays resident past the cache's capacity: at most
+// max_inflight_requests + num_threads blocks are pinned for decoding at
+// once, and nothing bounds them when max_inflight_requests is 0.
 //
 // Filtered requests prune first: a block whose persisted min/max range
 // (CORF v3 stats, checked against the directory without any payload
@@ -21,9 +24,7 @@
 //
 // One ScanService instance is meant to be shared by many concurrent
 // clients (Execute and Gather are thread-safe); all of them draw from
-// the same worker pool and, through their readers, the same cache.
-// Requests must come from outside the pool: a block task must not
-// call back into Execute/Gather, or the pool can deadlock on itself.
+// the same helper pool and, through their readers, the same cache.
 //
 // The front door:
 //  * Admission control — Options::max_inflight_requests bounds the
@@ -35,9 +36,9 @@
 //    Degrade, don't collapse.
 //  * Read-ahead (pooled services only) — a prefetch thread
 //    (src/serve/read_ahead.h) issues a multi-block request's block
-//    fetches in scan order ahead of the workers, so for sequential scans
-//    miss_fill moves off the critical path and workers mostly pin
-//    resident blocks.
+//    fetches in scan order ahead of the caller and its helpers, so for
+//    sequential scans miss_fill moves off the critical path and units
+//    mostly pin resident blocks.
 //
 // Telemetry (src/obs/): every request feeds the registry's serving
 // histograms (total latency plus per-phase queue wait / cache pin /
@@ -56,7 +57,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -170,8 +170,8 @@ struct ScanResult {
 class ScanService {
  public:
   struct Options {
-    /// Worker threads shared by all requests; 0 runs block tasks inline
-    /// on the calling thread.
+    /// Helper threads shared by all requests. The caller always runs
+    /// its own units; 0 means the caller runs them alone.
     size_t num_threads = 4;
 
     /// Registry receiving the serving histograms and counters
@@ -186,11 +186,14 @@ class ScanService {
     size_t slow_trace_capacity = 32;
 
     /// Reject (ResourceExhausted) requests arriving while this many are
-    /// already in flight; 0 means unbounded.
+    /// already in flight (0 = unbounded). Callers decode their own units,
+    /// so this plus num_threads bounds the threads decoding at once and
+    /// the blocks they pin (which may exceed the cache's capacity); with
+    /// 0, both grow with the number of concurrent callers.
     size_t max_inflight_requests = 0;
 
     /// Prefetch a request's blocks in scan order on a background thread
-    /// (pooled services only), so workers mostly pin resident blocks.
+    /// (pooled services only), so units mostly pin resident blocks.
     bool read_ahead = true;
   };
 
@@ -200,26 +203,21 @@ class ScanService {
   ScanService(const ScanService&) = delete;
   ScanService& operator=(const ScanService&) = delete;
 
-  /// Runs `request` over every block of `reader`, fanning blocks out to
-  /// the pool and merging partial results in block order.
+  /// Runs `request` over every block of `reader`, merging partial
+  /// results in block order.
   Result<ScanResult> Execute(const TableReader& reader,
                              const ScanRequest& request);
 
   /// Materializes `columns` at the sorted global positions `rows`,
-  /// touching (and caching) only the blocks that own selected rows.
-  /// Each block slice goes through query::ScanColumn's sparse/dense
-  /// strategy split — positioned GatherRange kernels below the
-  /// selectivity crossover, dense ranged decode above it — so gather
-  /// requests never round-trip through a per-row virtual Get. Tables
-  /// that serve mostly this path should be compressed with
-  /// CompressionPlan::workload = WorkloadHint::kPointServing: Delta
-  /// columns then carry inline checkpoints, making each sparse access
-  /// one contiguous window touch instead of checkpoint-array + stream.
-  /// Returns one value vector per requested column. `options` carries
-  /// the deadline and, with a non-null trace (and observability
-  /// enabled), the sink for the request's full attribution, like
-  /// ScanRequest::collect_trace does for Execute. Gather is strict: the
-  /// first failed block fails the request.
+  /// touching (and caching) only the blocks that own selected rows, and
+  /// returns one value vector per requested column. Each block slice
+  /// goes through query::ScanColumn: positioned GatherRange kernels, or
+  /// one ranged decode for a contiguous slice, never a per-row Get.
+  /// Tables that serve mostly this path should be compressed with
+  /// CompressionPlan::workload = WorkloadHint::kPointServing, whose Delta
+  /// columns carry inline checkpoints. `options` carries the deadline
+  /// and an optional trace sink (see ScanRequest::collect_trace). Gather
+  /// is strict: the first failed block fails the request.
   Result<std::vector<std::vector<int64_t>>> Gather(
       const TableReader& reader, std::span<const size_t> columns,
       std::span<const uint64_t> rows, const GatherOptions& options = {});
@@ -244,31 +242,35 @@ class ScanService {
     obs::Counter* blocks_pruned;
     obs::Counter* rejected;          // Admission-control fast rejects.
     obs::Counter* deadline_missed;   // DeadlineExceeded returns.
-    obs::Counter* partial_results;   // allow_partial scans that lost
-                                     // at least one block.
+    obs::Counter* partial_results;   // allow_partial scans missing blocks.
     obs::Counter* prefetch_issued;
     obs::Counter* prefetch_skipped;
-    obs::Gauge* queue_depth;         // Tasks waiting for a worker.
+    obs::Gauge* queue_depth;         // Helper tasks waiting for a worker.
     obs::Gauge* inflight;            // Admitted, not yet returned.
     obs::Histogram* latency_us;
     std::array<obs::Histogram*, obs::kNumPhases> phase_us;
   };
 
-  // One block's share of a request, and what all of a request's units
-  // share (defined in scan_service.cc).
+  // One block's share of a request, what all of a request's units
+  // share, and the request's claim cursor (defined in scan_service.cc).
   struct Unit;
   struct UnitWork;
+  struct Claims;
+  // A queued helper task: claims->Run(handoff_ns, false) on a worker.
+  struct Helper {
+    std::shared_ptr<Claims> claims;
+    uint64_t handoff_ns = 0;
+  };
 
   // Runs one unit: checks the deadline, pins the block, runs the
   // request's work on it, and fills the unit's span. The pin is released
-  // before this returns. `handoff_ns` is when the unit was handed to the
-  // pool (0 inline). Returns false when the deadline had passed.
-  static bool RunUnit(const TableReader& reader, const Unit& unit,
+  // before this returns. `handoff_ns` is when the helper running the
+  // unit was handed to the pool, for its first claim only (0 otherwise).
+  static void RunUnit(const TableReader& reader, const Unit& unit,
                       const UnitWork& work, uint64_t handoff_ns);
 
-  // Runs `units`: in order on the calling thread without a pool (an
-  // expired deadline stops the loop), otherwise one pool task per unit,
-  // returning once every unit is done.
+  // Runs `units` on the calling thread plus up to min(num_threads,
+  // units - 1) pool helpers; returns once every unit is done.
   void RunUnits(const TableReader& reader, std::span<const Unit> units,
                 const UnitWork& work);
 
@@ -284,12 +286,11 @@ class ScanService {
   Status Admit(uint64_t deadline_ns);
   void ReleaseSlot();
 
-  void EnqueueTask(std::function<void()> task);
   void WorkerLoop();
 
   Mutex mu_;
-  CondVar cv_;  // Signals new tasks and shutdown.
-  std::deque<std::function<void()>> tasks_ CORRA_GUARDED_BY(mu_);
+  CondVar cv_;  // Signals new helpers and shutdown.
+  std::deque<Helper> helpers_ CORRA_GUARDED_BY(mu_);
   bool stop_ CORRA_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;  // Written by the ctor only.
   Metrics metrics_{};

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
@@ -858,17 +859,23 @@ TEST_F(ServeTest, TinyCacheEvictsAndStaysCorrect) {
 
 // Acceptance (c): concurrent scan requests over one shared reader and a
 // small cache complete without races (run under ASan/UBSan in CI) and
-// all return correct results.
-TEST_F(ServeTest, ConcurrentScansShareOneReader) {
+// all return correct results. With one worker and eight clients, most
+// helper tasks start after the request that enqueued them has returned
+// (its caller ran every unit), so the 1-worker case runs more rounds: a
+// late helper that touched its dead request would be a use-after-free.
+class ServeWorkersTest : public ServeTest,
+                         public ::testing::WithParamInterface<size_t> {};
+
+TEST_P(ServeWorkersTest, ConcurrentScansShareOneReader) {
   auto cache = std::make_shared<BlockCache>(
       BlockCacheOptions{.capacity_blocks = 2, .capacity_bytes = 0,
                         .shards = 2});
   auto reader = TableReader::Open(path_, cache);
   ASSERT_TRUE(reader.ok());
-  ScanService service(ScanService::Options{.num_threads = 4});
+  ScanService service(ScanService::Options{.num_threads = GetParam()});
 
   constexpr int kClients = 8;
-  constexpr int kRounds = 5;
+  const int kRounds = GetParam() == 1 ? 40 : 5;
   std::vector<Expected> oracles;
   std::vector<ScanRequest> requests;
   for (int c = 0; c < kClients; ++c) {
@@ -903,6 +910,12 @@ TEST_F(ServeTest, ConcurrentScansShareOneReader) {
   EXPECT_GT(stats.hits + stats.misses, 0u);
   EXPECT_EQ(stats.pinned_blocks, 0u);  // All scans released their pins.
 }
+
+INSTANTIATE_TEST_SUITE_P(Workers, ServeWorkersTest,
+                         ::testing::Values(size_t{1}, size_t{4}),
+                         [](const ::testing::TestParamInfo<size_t>& p) {
+                           return std::to_string(p.param) + "Workers";
+                         });
 
 TEST_F(ServeTest, GatherMatchesTableScan) {
   auto cache = std::make_shared<BlockCache>();

@@ -253,6 +253,56 @@ TEST_F(TraceServeTest, GatherProducesTraceAndCounters) {
   EXPECT_EQ(gather_rows, rows.size());
 }
 
+// Queue wait is a helper's wait for a pool worker, from hand-off to its
+// first claim. The caller runs its own units, so on a pooled service a
+// single-block request waits for nothing and its phases still partition
+// its wall clock, and a multi-block request charges queue wait to at
+// most one unit per helper.
+TEST_F(TraceServeTest, QueueWaitIsChargedOnlyToHelperHandOffs) {
+  obs::Registry registry;
+  auto cache = std::make_shared<BlockCache>(
+      BlockCacheOptions{.registry = &registry});
+  auto reader = TableReader::Open(path_, cache);
+  ASSERT_TRUE(reader.ok());
+  ScanService service({.num_threads = 2, .registry = &registry});
+
+  const std::vector<uint64_t> rows = {1000, 1500, 1999};  // Block 1 only.
+  const std::vector<size_t> columns = {0, 1};
+  obs::RequestTrace gather;
+  auto gathered = service.Gather(*reader.value(), columns, rows,
+                                 GatherOptions{.trace = &gather});
+  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(gathered.value()[0][i], ship_[rows[i]]);
+    EXPECT_EQ(gathered.value()[1][i], receipt_[rows[i]]);
+  }
+  ASSERT_EQ(gather.blocks.size(), 1u);
+  EXPECT_EQ(gather.phase(obs::Phase::kQueueWait), 0u) << gather.ToJson();
+  EXPECT_LE(gather.PhaseTotalNs(), gather.total_ns) << gather.ToJson();
+
+  // A cold 4-block scan: min(2 workers, 4 - 1) = 2 helpers join the
+  // caller, so at most 2 spans carry queue wait.
+  auto cold_cache = std::make_shared<BlockCache>(
+      BlockCacheOptions{.registry = &registry});
+  auto cold_reader = TableReader::Open(path_, cold_cache);
+  ASSERT_TRUE(cold_reader.ok());
+  ScanRequest request;
+  request.project_columns = {0, 1};
+  request.collect_trace = true;
+  auto result = service.Execute(*cold_reader.value(), request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().columns[0], ship_);
+  EXPECT_EQ(result.value().columns[1], receipt_);
+  ASSERT_TRUE(result.value().trace.has_value());
+  const obs::RequestTrace& trace = *result.value().trace;
+  ASSERT_EQ(trace.blocks.size(), 4u);
+  size_t queued = 0;
+  for (const obs::BlockSpan& span : trace.blocks) {
+    queued += span.queue_ns > 0 ? 1 : 0;
+  }
+  EXPECT_LE(queued, 2u) << trace.ToJson();
+}
+
 TEST_F(TraceServeTest, DisabledObservabilityYieldsNoTrace) {
   obs::Registry registry;
   auto cache = std::make_shared<BlockCache>(
