@@ -15,10 +15,12 @@
 #include "common/random.h"
 #include "core/diff_encoding.h"
 #include "core/hierarchical_encoding.h"
+#include "encoding/bitpack.h"
 #include "encoding/delta.h"
 #include "encoding/dictionary.h"
 #include "encoding/for.h"
 #include "encoding/rle.h"
+#include "encoding/selector.h"
 #include "query/aggregate.h"
 #include "query/filter.h"
 #include "query/latency.h"
@@ -129,11 +131,45 @@ void RunAll(const bench::Flags& flags) {
   std::vector<int64_t> out(rows);
   int64_t sink = 0;
 
-  // Encode.
+  // Encode: the write side, per scheme and through the auto selector on
+  // a high-cardinality column (FOR wins; Dict's distinct count stops
+  // early) and a low-cardinality one with a wide range (Dict wins).
+  Rng card_rng(12);
+  std::vector<int64_t> high_card(rows);
+  std::vector<int64_t> low_card(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    high_card[i] = card_rng.Uniform(0, (int64_t{1} << 30) - 1);
+    low_card[i] = card_rng.Uniform(0, 15) * (int64_t{1} << 40);
+  }
   RunBench(&reporter, "encode/for", rows, reps, [&] {
     sink += static_cast<int64_t>(enc::ForColumn::Encode(reference)
                                      .value()
                                      ->SizeBytes());
+  });
+  RunBench(&reporter, "encode/bitpack", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        enc::BitPackColumn::Encode(reference).value()->SizeBytes());
+  });
+  RunBench(&reporter, "encode/dict", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        enc::DictColumn::Encode(low_card).value()->SizeBytes());
+  });
+  RunBench(&reporter, "encode/diff", rows, reps, [&] {
+    sink += static_cast<int64_t>(DiffEncodedColumn::Encode(target, reference, 0)
+                                     .value()
+                                     ->SizeBytes());
+  });
+  RunBench(&reporter, "encode/hierarchical", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        HierarchicalColumn::Encode(zip, city, 0).value()->SizeBytes());
+  });
+  RunBench(&reporter, "select/auto_high_card", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        enc::SelectBestScheme(high_card).value()->SizeBytes());
+  });
+  RunBench(&reporter, "select/auto_low_card", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        enc::SelectBestScheme(low_card).value()->SizeBytes());
   });
 
   // Full decode (DecodeAll == one DecodeRange over the column).

@@ -5,45 +5,43 @@
 
 namespace corra {
 
-BitWriter::BitWriter(int bit_width) : bit_width_(bit_width) {}
-
-void BitWriter::Append(uint64_t value) {
-  ++count_;
-  if (bit_width_ == 0) {
+void PackBits(const uint64_t* values, size_t count, int bit_width,
+              uint8_t* out) {
+  if (bit_width == 0 || count == 0) {
     return;
   }
-  pending_ |= value << pending_bits_;
-  pending_bits_ += bit_width_;
-  if (pending_bits_ >= 64) {
-    // Flush a full 64-bit word; carry the overflow bits.
-    uint64_t word = pending_;
-    const size_t old = bytes_.size();
-    bytes_.resize(old + 8);
-    std::memcpy(bytes_.data() + old, &word, 8);
-    pending_bits_ -= 64;
-    const int consumed = bit_width_ - pending_bits_;
-    pending_ = consumed >= 64 ? 0 : value >> consumed;
+  if (bit_width == 64) {
+    std::memcpy(out, values, count * sizeof(uint64_t));
+    return;
   }
-}
-
-void BitWriter::AppendAll(std::span<const uint64_t> values) {
-  for (uint64_t v : values) {
-    Append(v);
-  }
-}
-
-std::vector<uint8_t> BitWriter::Finish() && {
-  if (bit_width_ > 0) {
-    while (pending_bits_ > 0) {
-      bytes_.push_back(static_cast<uint8_t>(pending_ & 0xFF));
-      pending_ >>= 8;
-      pending_bits_ -= 8;
+  // Word accumulator: OR each value in at the fill position; when a word
+  // is full, store it and carry the value's overflow bits into the next.
+  uint64_t word = 0;
+  int filled = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t v = values[i];
+    word |= v << filled;
+    filled += bit_width;
+    if (filled >= 64) {
+      std::memcpy(out, &word, sizeof(word));
+      out += sizeof(word);
+      filled -= 64;
+      // The bits of v that did not fit; 0 when it ended the word exactly
+      // (v < 2^bit_width, and bit_width < 64 here).
+      word = v >> (bit_width - filled);
     }
   }
-  // Pad so BitReader::Get can always issue a full 64-bit load.
-  const size_t padded = bit_util::PackedBytes(count_, bit_width_);
-  bytes_.resize(padded, 0);
-  return std::move(bytes_);
+  if (filled > 0) {
+    std::memcpy(out, &word, sizeof(word));
+  }
+}
+
+std::vector<uint8_t> PackValues(std::span<const uint64_t> values,
+                                int bit_width) {
+  std::vector<uint8_t> bytes(bit_util::PackedBytes(values.size(), bit_width),
+                             0);
+  PackBits(values.data(), values.size(), bit_width, bytes.data());
+  return bytes;
 }
 
 void BitReader::DecodeAll(uint64_t* out) const {

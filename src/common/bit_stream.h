@@ -8,40 +8,75 @@
 #ifndef CORRA_COMMON_BIT_STREAM_H_
 #define CORRA_COMMON_BIT_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
 
+#include "common/bit_util.h"
+
 namespace corra {
 
-/// Append-only writer of fixed-width values into a byte vector.
+/// Packs `count` values of `bit_width` bits (0..64), each fitting in that
+/// width, back to back from bit 0 of `out`, the layout BitReader reads:
+/// the library's one packing routine. Stores whole 64-bit words, so `out`
+/// needs CeilDiv(count * bit_width, 64) * 8 bytes (a PackedBytes buffer
+/// has them). A stream may be packed in several calls if all but the last
+/// pack a multiple of 64 values; the call starting at value `first`
+/// writes to byte first / 8 * bit_width.
+void PackBits(const uint64_t* values, size_t count, int bit_width,
+              uint8_t* out);
+
+inline constexpr size_t kPackChunk = 1024;
+
+/// Packs `count` codes computed on the fly into a new decodable buffer:
+/// `codes(begin, len, out)` writes the codes of [begin, begin + len) to
+/// `out`, called in order on chunks of at most kPackChunk positions.
+template <typename CodeFn>
+std::vector<uint8_t> PackCodes(size_t count, int bit_width, CodeFn&& codes) {
+  static_assert(kPackChunk % 64 == 0, "chunks must end on a word boundary");
+  std::vector<uint8_t> bytes(bit_util::PackedBytes(count, bit_width), 0);
+  uint64_t chunk[kPackChunk];
+  for (size_t begin = 0; begin < count; begin += kPackChunk) {
+    const size_t len = std::min(kPackChunk, count - begin);
+    codes(begin, len, chunk);
+    PackBits(chunk, len, bit_width,
+             bytes.data() + begin / 8 * static_cast<size_t>(bit_width));
+  }
+  return bytes;
+}
+
+/// Packs `values` into a new decodable buffer.
+std::vector<uint8_t> PackValues(std::span<const uint64_t> values,
+                                int bit_width);
+
+/// Append-only writer of fixed-width values into a byte vector: stages
+/// the values and packs them through PackBits on Finish.
 class BitWriter {
  public:
   /// Creates a writer producing values of `bit_width` bits (0..64).
   /// With bit_width == 0 the writer stores nothing (all values are zero).
-  explicit BitWriter(int bit_width);
+  explicit BitWriter(int bit_width) : bit_width_(bit_width) {}
 
   /// Appends `value`; the top bits beyond `bit_width` must be zero.
-  void Append(uint64_t value);
+  void Append(uint64_t value) { values_.push_back(value); }
 
   /// Appends every element of `values`.
-  void AppendAll(std::span<const uint64_t> values);
+  void AppendAll(std::span<const uint64_t> values) {
+    values_.insert(values_.end(), values.begin(), values.end());
+  }
 
   /// Number of values appended so far.
-  size_t size() const { return count_; }
+  size_t size() const { return values_.size(); }
   int bit_width() const { return bit_width_; }
 
   /// Finalizes and returns the packed bytes (padded for unaligned reads).
-  /// The writer is left in a moved-from state.
-  std::vector<uint8_t> Finish() &&;
+  std::vector<uint8_t> Finish() && { return PackValues(values_, bit_width_); }
 
  private:
   int bit_width_;
-  size_t count_ = 0;
-  uint64_t pending_ = 0;  // Bits not yet flushed to bytes_.
-  int pending_bits_ = 0;
-  std::vector<uint8_t> bytes_;
+  std::vector<uint64_t> values_;
 };
 
 /// Random-access reader over bytes produced by BitWriter (or any

@@ -4,23 +4,6 @@
 
 namespace corra::bit_util {
 
-int MaxZigZagBitWidth(std::span<const int64_t> values) {
-  uint64_t max_zz = 0;
-  for (int64_t v : values) {
-    max_zz = std::max(max_zz, ZigZagEncode(v));
-  }
-  return BitWidth(max_zz);
-}
-
-int MaxForBitWidth(std::span<const int64_t> values, int64_t base) {
-  uint64_t max_delta = 0;
-  for (int64_t v : values) {
-    max_delta = std::max(
-        max_delta, static_cast<uint64_t>(v) - static_cast<uint64_t>(base));
-  }
-  return BitWidth(max_delta);
-}
-
 MinMax ComputeMinMax(std::span<const int64_t> values) {
   MinMax mm{values.empty() ? 0 : values[0], values.empty() ? 0 : values[0]};
   for (int64_t v : values) {

@@ -57,20 +57,25 @@ constexpr size_t PackedBytes(size_t count, int bit_width) {
   return PackedDataBytes(count, bit_width) + kDecodePadBytes;
 }
 
-/// Number of bits needed after zig-zag for the most negative/positive value
-/// in `values` (0 for an empty or all-zero span).
-int MaxZigZagBitWidth(std::span<const int64_t> values);
-
-/// Bit width of the largest value in `values` after subtracting `base`
-/// (frame-of-reference width). All values must be >= base.
-int MaxForBitWidth(std::span<const int64_t> values, int64_t base);
-
 /// Minimum and maximum of a non-empty span in a single pass.
 struct MinMax {
   int64_t min;
   int64_t max;
 };
 MinMax ComputeMinMax(std::span<const int64_t> values);
+
+/// Bits needed after zig-zag for every value in [range.min, range.max]:
+/// ZigZag grows with |v| on either side of 0, so the extremes bound it.
+constexpr int MaxZigZagBitWidth(MinMax range) {
+  return BitWidth(ZigZagEncode(range.min) | ZigZagEncode(range.max));
+}
+
+/// Frame-of-reference width: bits of the largest offset from range.min,
+/// taken in uint64 space so that any int64 range fits (at most 64 bits).
+constexpr int MaxForBitWidth(MinMax range) {
+  return BitWidth(static_cast<uint64_t>(range.max) -
+                  static_cast<uint64_t>(range.min));
+}
 
 }  // namespace corra::bit_util
 

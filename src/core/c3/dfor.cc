@@ -4,37 +4,13 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/bit_stream.h"
 #include "common/bit_util.h"
 #include "common/simd/simd.h"
 
 namespace corra::c3 {
 
 namespace {
-
-// Appends `width` low bits of `value` at bit position `cursor`.
-void AppendBits(std::vector<uint8_t>* bytes, uint64_t* cursor, uint64_t value,
-                int width) {
-  if (width == 0) {
-    return;
-  }
-  const size_t needed = (*cursor + width + 7) / 8 + 8;
-  if (bytes->size() < needed) {
-    bytes->resize(needed, 0);
-  }
-  size_t byte = *cursor >> 3;
-  int shift = static_cast<int>(*cursor & 7);
-  uint64_t word;
-  std::memcpy(&word, bytes->data() + byte, sizeof(word));
-  word |= value << shift;
-  std::memcpy(bytes->data() + byte, &word, sizeof(word));
-  if (shift + width > 64) {
-    uint64_t spill = value >> (64 - shift);
-    std::memcpy(&word, bytes->data() + byte + 8, sizeof(word));
-    word |= spill;
-    std::memcpy(bytes->data() + byte + 8, &word, sizeof(word));
-  }
-  *cursor += width;
-}
 
 uint64_t ReadBits(const uint8_t* bytes, uint64_t bit_pos, int width) {
   if (width == 0) {
@@ -82,25 +58,32 @@ Result<std::unique_ptr<DforColumn>> DforColumn::Encode(
   std::vector<int64_t> bases(frames);
   std::vector<uint8_t> widths(frames);
   std::vector<uint64_t> starts(frames);
-  std::vector<uint8_t> payload;
   uint64_t cursor = 0;
   for (size_t f = 0; f < frames; ++f) {
     const size_t begin = f * kFrameSize;
     const size_t end = std::min(begin + kFrameSize, diffs.size());
-    const auto frame =
-        std::span<const int64_t>(diffs).subspan(begin, end - begin);
-    const auto mm = bit_util::ComputeMinMax(frame);
+    const auto mm = bit_util::ComputeMinMax(
+        std::span<const int64_t>(diffs).subspan(begin, end - begin));
     bases[f] = mm.min;
-    widths[f] = static_cast<uint8_t>(bit_util::BitWidth(
-        static_cast<uint64_t>(mm.max) - static_cast<uint64_t>(mm.min)));
+    widths[f] = static_cast<uint8_t>(bit_util::MaxForBitWidth(mm));
     starts[f] = cursor;
-    for (int64_t d : frame) {
-      AppendBits(&payload, &cursor,
-                 static_cast<uint64_t>(d) - static_cast<uint64_t>(mm.min),
-                 widths[f]);
-    }
+    cursor += (end - begin) * widths[f];
   }
-  payload.resize((cursor + 7) / 8 + bit_util::kDecodePadBytes, 0);
+  // kFrameSize is a multiple of 64, so every frame starts on a word and
+  // packs as its own stream.
+  static_assert(kFrameSize % 64 == 0, "frames must start on a word");
+  std::vector<uint8_t> payload((cursor + 7) / 8 + bit_util::kDecodePadBytes,
+                               0);
+  uint64_t offsets[kFrameSize];
+  for (size_t f = 0; f < frames; ++f) {
+    const size_t begin = f * kFrameSize;
+    const size_t end = std::min(begin + kFrameSize, diffs.size());
+    for (size_t i = begin; i < end; ++i) {
+      offsets[i - begin] = static_cast<uint64_t>(diffs[i]) -
+                           static_cast<uint64_t>(bases[f]);
+    }
+    PackBits(offsets, end - begin, widths[f], payload.data() + starts[f] / 8);
+  }
   return std::unique_ptr<DforColumn>(
       new DforColumn(ref_index, std::move(bases), std::move(widths),
                      std::move(starts), std::move(payload), target.size()));

@@ -74,15 +74,16 @@ Result<std::unique_ptr<NumericalColumn>> NumericalColumn::Encode(
         static_cast<uint64_t>(PredictWith(slope, reference[i])));
   }
   const auto mm = bit_util::ComputeMinMax(residuals);
-  const int width = bit_util::BitWidth(static_cast<uint64_t>(mm.max) -
-                                       static_cast<uint64_t>(mm.min));
-  BitWriter writer(width);
-  for (int64_t r : residuals) {
-    writer.Append(static_cast<uint64_t>(r) - static_cast<uint64_t>(mm.min));
-  }
-  return std::unique_ptr<NumericalColumn>(
-      new NumericalColumn(ref_index, slope, mm.min, std::move(writer).Finish(),
-                          width, target.size()));
+  const int width = bit_util::MaxForBitWidth(mm);
+  const uint64_t base = static_cast<uint64_t>(mm.min);
+  std::vector<uint8_t> bytes = PackCodes(
+      residuals.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
+        for (size_t i = 0; i < len; ++i) {
+          codes[i] = static_cast<uint64_t>(residuals[begin + i]) - base;
+        }
+      });
+  return std::unique_ptr<NumericalColumn>(new NumericalColumn(
+      ref_index, slope, mm.min, std::move(bytes), width, target.size()));
 }
 
 size_t NumericalColumn::EstimateSizeBytes(std::span<const int64_t> target,

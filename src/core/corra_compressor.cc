@@ -80,17 +80,18 @@ Status ValidatePlan(const Table& table, const CompressionPlan& plan) {
 // layout), mirroring what the auto selector does.
 Result<std::unique_ptr<enc::EncodedColumn>> EncodeVertical(
     enc::Scheme scheme, std::span<const int64_t> values,
-    enc::WorkloadHint workload) {
+    bit_util::MinMax range, enc::WorkloadHint workload) {
   switch (scheme) {
     case enc::Scheme::kPlain:
       return std::unique_ptr<enc::EncodedColumn>(
           enc::PlainColumn::Encode(values));
     case enc::Scheme::kBitPack: {
-      CORRA_ASSIGN_OR_RETURN(auto col, enc::BitPackColumn::Encode(values));
+      CORRA_ASSIGN_OR_RETURN(auto col,
+                             enc::BitPackColumn::Encode(values, range));
       return std::unique_ptr<enc::EncodedColumn>(std::move(col));
     }
     case enc::Scheme::kFor: {
-      CORRA_ASSIGN_OR_RETURN(auto col, enc::ForColumn::Encode(values));
+      CORRA_ASSIGN_OR_RETURN(auto col, enc::ForColumn::Encode(values, range));
       return std::unique_ptr<enc::EncodedColumn>(std::move(col));
     }
     case enc::Scheme::kDict: {
@@ -131,12 +132,17 @@ Result<Block> CompressOneBlock(const Table& table,
     const auto slice = table.column(i).values().subspan(begin, len);
     BlockColumn& out = block_columns[i];
     out.dict = table.column(i).dictionary();
+    // The column's one statistics pass: the block's min/max stats, and
+    // the selector's and FOR/BitPack's range (blocks are never empty).
+    const bit_util::MinMax range = bit_util::ComputeMinMax(slice);
+    out.range = range;
 
     if (cp.auto_vertical) {
       CORRA_ASSIGN_OR_RETURN(
           out.encoded,
           enc::SelectBestScheme(
-              slice, enc::SelectionOptions{.workload = plan.workload}));
+              slice, range,
+              enc::SelectionOptions{.workload = plan.workload}));
       continue;
     }
     switch (cp.scheme) {
@@ -201,7 +207,8 @@ Result<Block> CompressOneBlock(const Table& table,
       }
       default: {
         CORRA_ASSIGN_OR_RETURN(
-            out.encoded, EncodeVertical(cp.scheme, slice, plan.workload));
+            out.encoded,
+            EncodeVertical(cp.scheme, slice, range, plan.workload));
         break;
       }
     }

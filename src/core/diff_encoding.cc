@@ -32,7 +32,7 @@ DiffLayout PlainLayout(std::span<const int64_t> diffs) {
     layout.bit_width = bit_util::BitWidth(static_cast<uint64_t>(mm.max));
   } else {
     layout.mode = DiffMode::kZigZag;
-    layout.bit_width = bit_util::MaxZigZagBitWidth(diffs);
+    layout.bit_width = bit_util::MaxZigZagBitWidth(mm);
   }
   layout.cost_bytes = bit_util::CeilDiv(diffs.size() * layout.bit_width, 8);
   return layout;
@@ -109,19 +109,22 @@ Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Encode(
   }
   const DiffLayout layout = SelectLayout(diffs, options);
 
-  BitWriter writer(layout.bit_width);
   std::vector<uint32_t> outlier_rows;
   std::vector<int64_t> outlier_values;
+  std::vector<uint8_t> bytes;
   switch (layout.mode) {
     case DiffMode::kRaw:
-      for (int64_t d : diffs) {
-        writer.Append(static_cast<uint64_t>(d));
-      }
+      bytes = PackValues({reinterpret_cast<const uint64_t*>(diffs.data()),
+                          diffs.size()},
+                         layout.bit_width);
       break;
     case DiffMode::kZigZag:
-      for (int64_t d : diffs) {
-        writer.Append(bit_util::ZigZagEncode(d));
-      }
+      bytes = PackCodes(diffs.size(), layout.bit_width,
+                        [&](size_t begin, size_t len, uint64_t* codes) {
+                          for (size_t i = 0; i < len; ++i) {
+                            codes[i] = bit_util::ZigZagEncode(diffs[begin + i]);
+                          }
+                        });
       break;
     case DiffMode::kWindow: {
       // Out-of-window rows store 0 (any in-window code works — the outlier
@@ -129,24 +132,28 @@ Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Encode(
       const uint64_t limit = layout.bit_width >= 64
                                  ? ~uint64_t{0}
                                  : (uint64_t{1} << layout.bit_width) - 1;
-      for (size_t i = 0; i < diffs.size(); ++i) {
-        const uint64_t offset = static_cast<uint64_t>(diffs[i]) -
-                                static_cast<uint64_t>(layout.base);
-        if (offset > limit) {
-          outlier_rows.push_back(static_cast<uint32_t>(i));
-          outlier_values.push_back(target[i]);
-          writer.Append(0);
-        } else {
-          writer.Append(offset);
-        }
-      }
+      bytes = PackCodes(
+          diffs.size(), layout.bit_width,
+          [&](size_t begin, size_t len, uint64_t* codes) {
+            for (size_t i = begin; i < begin + len; ++i) {
+              const uint64_t offset = static_cast<uint64_t>(diffs[i]) -
+                                      static_cast<uint64_t>(layout.base);
+              if (offset > limit) {
+                outlier_rows.push_back(static_cast<uint32_t>(i));
+                outlier_values.push_back(target[i]);
+                codes[i - begin] = 0;
+              } else {
+                codes[i - begin] = offset;
+              }
+            }
+          });
       break;
     }
   }
   CORRA_ASSIGN_OR_RETURN(OutlierStore store,
                          OutlierStore::Build(outlier_rows, outlier_values));
   return std::unique_ptr<DiffEncodedColumn>(new DiffEncodedColumn(
-      ref_index, layout.mode, layout.base, std::move(writer).Finish(),
+      ref_index, layout.mode, layout.base, std::move(bytes),
       layout.bit_width, target.size(), std::move(store)));
 }
 

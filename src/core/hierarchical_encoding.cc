@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "common/bit_util.h"
+#include "common/flat_hash.h"
 #include "common/simd/simd.h"
 
 namespace corra {
@@ -15,6 +15,59 @@ namespace {
 // distinct codes than this is not "hierarchical" in any useful sense, and
 // the offsets metadata would dwarf the savings.
 constexpr int64_t kMaxRefCardinality = int64_t{1} << 26;
+
+// The per-reference local dictionaries, in first-seen order (the paper
+// builds them "on the fly" with a hashtable during compression): one flat
+// hash numbers the distinct (reference code, value) pairs, and each new
+// pair takes the next local code of its reference.
+struct LocalDictionaries {
+  size_t cardinality = 0;                // Reference codes: max code + 1.
+  std::vector<RefValueKey> pairs;        // Distinct pairs, first-seen.
+  std::vector<uint32_t> local_of_pair;   // Local code of each pair.
+  std::vector<uint32_t> local_count;     // Dictionary size per reference.
+  uint32_t max_local = 0;
+};
+
+// Builds the local dictionaries of `target` under the dense reference
+// codes `ref_codes`; with `row_codes`, also stores every row's local code
+// there (target.size() entries). InvalidArgument for a non-dense
+// reference.
+Result<LocalDictionaries> BuildLocalDictionaries(
+    std::span<const int64_t> target, std::span<const int64_t> ref_codes,
+    uint32_t* row_codes) {
+  if (target.size() != ref_codes.size()) {
+    return Status::InvalidArgument("target/reference length mismatch");
+  }
+  int64_t max_code = -1;
+  for (int64_t c : ref_codes) {
+    if (c < 0) {
+      return Status::InvalidArgument(
+          "hierarchical reference codes must be non-negative");
+    }
+    max_code = std::max(max_code, c);
+  }
+  if (max_code >= kMaxRefCardinality) {
+    return Status::InvalidArgument("reference cardinality too large");
+  }
+  LocalDictionaries dicts;
+  dicts.cardinality = static_cast<size_t>(max_code + 1);
+  dicts.local_count.assign(dicts.cardinality, 0);
+  FlatIdMap<RefValueKey> ids(std::min(target.size(), dicts.cardinality));
+  for (size_t i = 0; i < target.size(); ++i) {
+    const RefValueKey key{ref_codes[i], target[i]};
+    const uint32_t id = ids.Insert(key);
+    if (id == dicts.local_of_pair.size()) {
+      const uint32_t local = dicts.local_count[static_cast<size_t>(key.ref)]++;
+      dicts.local_of_pair.push_back(local);
+      dicts.max_local = std::max(dicts.max_local, local);
+    }
+    if (row_codes != nullptr) {
+      row_codes[i] = dicts.local_of_pair[id];
+    }
+  }
+  dicts.pairs = ids.keys();
+  return dicts;
+}
 
 }  // namespace
 
@@ -32,96 +85,44 @@ HierarchicalColumn::HierarchicalColumn(uint32_t ref_index,
 Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Encode(
     std::span<const int64_t> target, std::span<const int64_t> ref_codes,
     uint32_t ref_index) {
-  if (target.size() != ref_codes.size()) {
-    return Status::InvalidArgument("target/reference length mismatch");
-  }
-  int64_t max_code = -1;
-  for (int64_t c : ref_codes) {
-    if (c < 0) {
-      return Status::InvalidArgument(
-          "hierarchical reference codes must be non-negative");
-    }
-    max_code = std::max(max_code, c);
-  }
-  if (max_code >= kMaxRefCardinality) {
-    return Status::InvalidArgument("reference cardinality too large");
-  }
-  const size_t cardinality = static_cast<size_t>(max_code + 1);
-
-  // Per-reference local dictionaries, in first-seen order (the paper builds
-  // them "on the fly" with a hashtable during compression).
-  std::vector<std::vector<int64_t>> local_values(cardinality);
-  std::vector<std::unordered_map<int64_t, uint32_t>> local_index(cardinality);
   std::vector<uint32_t> local_codes(target.size());
-  uint32_t max_local = 0;
-  for (size_t i = 0; i < target.size(); ++i) {
-    const size_t ref = static_cast<size_t>(ref_codes[i]);
-    auto& index = local_index[ref];
-    auto [it, inserted] =
-        index.emplace(target[i], static_cast<uint32_t>(index.size()));
-    if (inserted) {
-      local_values[ref].push_back(target[i]);
-    }
-    local_codes[i] = it->second;
-    max_local = std::max(max_local, it->second);
-  }
+  CORRA_ASSIGN_OR_RETURN(
+      const LocalDictionaries dicts,
+      BuildLocalDictionaries(target, ref_codes, local_codes.data()));
 
   // Flatten into the paper's (values, offsets) metadata.
+  const size_t cardinality = dicts.cardinality;
   std::vector<uint32_t> offsets(cardinality + 1, 0);
-  size_t total = 0;
   for (size_t c = 0; c < cardinality; ++c) {
-    offsets[c] = static_cast<uint32_t>(total);
-    total += local_values[c].size();
+    offsets[c + 1] = offsets[c] + dicts.local_count[c];
   }
-  offsets[cardinality] = static_cast<uint32_t>(total);
-  std::vector<int64_t> values;
-  values.reserve(total);
-  for (auto& lv : local_values) {
-    values.insert(values.end(), lv.begin(), lv.end());
+  std::vector<int64_t> values(dicts.pairs.size());
+  for (size_t p = 0; p < dicts.pairs.size(); ++p) {
+    const RefValueKey& pair = dicts.pairs[p];
+    values[offsets[static_cast<size_t>(pair.ref)] + dicts.local_of_pair[p]] =
+        pair.value;
   }
 
-  const int width = bit_util::BitWidth(max_local);
-  BitWriter writer(width);
-  for (uint32_t code : local_codes) {
-    writer.Append(code);
-  }
+  const int width = bit_util::BitWidth(dicts.max_local);
+  std::vector<uint8_t> bytes = PackCodes(
+      target.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
+        std::copy_n(local_codes.data() + begin, len, codes);
+      });
   return std::unique_ptr<HierarchicalColumn>(new HierarchicalColumn(
-      ref_index, std::move(values), std::move(offsets),
-      std::move(writer).Finish(), width, target.size()));
+      ref_index, std::move(values), std::move(offsets), std::move(bytes),
+      width, target.size()));
 }
 
 size_t HierarchicalColumn::EstimateSizeBytes(
     std::span<const int64_t> target, std::span<const int64_t> ref_codes) {
-  if (target.size() != ref_codes.size()) {
+  const auto dicts = BuildLocalDictionaries(target, ref_codes, nullptr);
+  if (!dicts.ok()) {
     return SIZE_MAX;
   }
-  int64_t max_code = -1;
-  for (int64_t c : ref_codes) {
-    if (c < 0) {
-      return SIZE_MAX;
-    }
-    max_code = std::max(max_code, c);
-  }
-  if (max_code >= kMaxRefCardinality) {
-    return SIZE_MAX;
-  }
-  const size_t cardinality = static_cast<size_t>(max_code + 1);
-  std::vector<std::unordered_map<int64_t, uint32_t>> local_index(cardinality);
-  uint32_t max_local = 0;
-  size_t total_values = 0;
-  for (size_t i = 0; i < target.size(); ++i) {
-    auto& index = local_index[static_cast<size_t>(ref_codes[i])];
-    auto [it, inserted] =
-        index.emplace(target[i], static_cast<uint32_t>(index.size()));
-    if (inserted) {
-      ++total_values;
-    }
-    max_local = std::max(max_local, it->second);
-  }
-  const int width = bit_util::BitWidth(max_local);
+  const int width = bit_util::BitWidth(dicts.value().max_local);
   return bit_util::CeilDiv(target.size() * width, 8) +
-         total_values * sizeof(int64_t) +
-         (cardinality + 1) * sizeof(uint32_t);
+         dicts.value().pairs.size() * sizeof(int64_t) +
+         (dicts.value().cardinality + 1) * sizeof(uint32_t);
 }
 
 Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Deserialize(

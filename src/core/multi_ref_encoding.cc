@@ -36,20 +36,21 @@ Status FormulaTable::Validate() const {
 
 namespace {
 
-// Materializes, per group, the per-row sum of its member columns.
+// Materializes, per group, the sum of its member columns over the first
+// `sum_rows` rows. Every member must span all `row_count` rows.
 Result<std::vector<std::vector<int64_t>>> ComputeGroupSums(
-    size_t row_count, const ColumnResolver& resolver,
+    size_t row_count, size_t sum_rows, const ColumnResolver& resolver,
     const std::vector<std::vector<uint32_t>>& groups) {
   std::vector<std::vector<int64_t>> sums(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
-    sums[g].assign(row_count, 0);
+    sums[g].assign(sum_rows, 0);
     for (uint32_t col : groups[g]) {
       const std::span<const int64_t> values = resolver(col);
       if (values.size() != row_count) {
         return Status::InvalidArgument(
             "reference column length mismatch in group");
       }
-      for (size_t i = 0; i < row_count; ++i) {
+      for (size_t i = 0; i < sum_rows; ++i) {
         sums[g][i] += values[i];
       }
     }
@@ -73,36 +74,39 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
   if (target.size() > UINT32_MAX) {
     return Status::InvalidArgument("block too large for multi-ref encoding");
   }
-  CORRA_ASSIGN_OR_RETURN(
-      auto group_sums,
-      ComputeGroupSums(target.size(), resolver, table.groups));
+  CORRA_ASSIGN_OR_RETURN(auto group_sums,
+                         ComputeGroupSums(target.size(), target.size(),
+                                          resolver, table.groups));
 
-  BitWriter writer(table.code_bits);
   std::vector<uint32_t> outlier_rows;
   std::vector<int64_t> outlier_values;
-  for (size_t i = 0; i < target.size(); ++i) {
-    int matched_code = -1;
-    for (size_t c = 0; c < table.formulas.size(); ++c) {
-      const uint8_t mask = table.formulas[c];
-      int64_t sum = 0;
-      for (size_t g = 0; g < table.groups.size(); ++g) {
-        if (mask & (1u << g)) {
-          sum += group_sums[g][i];
+  std::vector<uint8_t> bytes = PackCodes(
+      target.size(), table.code_bits,
+      [&](size_t begin, size_t len, uint64_t* codes) {
+        for (size_t i = begin; i < begin + len; ++i) {
+          int matched_code = -1;
+          for (size_t c = 0; c < table.formulas.size(); ++c) {
+            const uint8_t mask = table.formulas[c];
+            int64_t sum = 0;
+            for (size_t g = 0; g < table.groups.size(); ++g) {
+              if (mask & (1u << g)) {
+                sum += group_sums[g][i];
+              }
+            }
+            if (sum == target[i]) {
+              matched_code = static_cast<int>(c);
+              break;
+            }
+          }
+          if (matched_code < 0) {
+            outlier_rows.push_back(static_cast<uint32_t>(i));
+            outlier_values.push_back(target[i]);
+            codes[i - begin] = 0;  // Placeholder; outlier indices disambiguate.
+          } else {
+            codes[i - begin] = static_cast<uint64_t>(matched_code);
+          }
         }
-      }
-      if (sum == target[i]) {
-        matched_code = static_cast<int>(c);
-        break;
-      }
-    }
-    if (matched_code < 0) {
-      outlier_rows.push_back(static_cast<uint32_t>(i));
-      outlier_values.push_back(target[i]);
-      writer.Append(0);  // Placeholder; outlier indices disambiguate.
-    } else {
-      writer.Append(static_cast<uint64_t>(matched_code));
-    }
-  }
+      });
   if (!target.empty() &&
       static_cast<double>(outlier_rows.size()) /
               static_cast<double>(target.size()) >
@@ -113,7 +117,7 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
   CORRA_ASSIGN_OR_RETURN(OutlierStore store,
                          OutlierStore::Build(outlier_rows, outlier_values));
   return std::unique_ptr<MultiRefColumn>(new MultiRefColumn(
-      table, std::move(writer).Finish(), target.size(), std::move(store)));
+      table, std::move(bytes), target.size(), std::move(store)));
 }
 
 Result<FormulaTable> MultiRefColumn::DeriveFormulas(
@@ -128,8 +132,9 @@ Result<FormulaTable> MultiRefColumn::DeriveFormulas(
 
   const size_t sample =
       std::min(target.size(), std::max<size_t>(sample_limit, 1));
-  CORRA_ASSIGN_OR_RETURN(auto group_sums,
-                         ComputeGroupSums(target.size(), resolver, groups));
+  CORRA_ASSIGN_OR_RETURN(
+      auto group_sums,
+      ComputeGroupSums(target.size(), sample, resolver, groups));
 
   const size_t mask_count = size_t{1} << groups.size();
   std::vector<size_t> hits(mask_count, 0);

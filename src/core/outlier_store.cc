@@ -18,15 +18,16 @@ Result<OutlierStore> OutlierStore::Build(std::span<const uint32_t> rows,
   }
   OutlierStore store;
   store.rows_.assign(rows.begin(), rows.end());
-  const auto mm = bit_util::ComputeMinMax(values);
-  store.base_ = values.empty() ? 0 : mm.min;
-  const int width = bit_util::MaxForBitWidth(values, store.base_);
-  BitWriter writer(width);
-  for (int64_t v : values) {
-    writer.Append(static_cast<uint64_t>(v) -
-                  static_cast<uint64_t>(store.base_));
-  }
-  store.value_bytes_ = std::move(writer).Finish();
+  const auto mm = bit_util::ComputeMinMax(values);  // {0, 0} when empty.
+  store.base_ = mm.min;
+  const uint64_t base = static_cast<uint64_t>(mm.min);
+  const int width = bit_util::MaxForBitWidth(mm);
+  store.value_bytes_ = PackCodes(
+      values.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
+        for (size_t i = 0; i < len; ++i) {
+          codes[i] = static_cast<uint64_t>(values[begin + i]) - base;
+        }
+      });
   store.values_ = BitReader(store.value_bytes_.data(), width, values.size());
   return store;
 }

@@ -1,7 +1,5 @@
 #include "encoding/bitpack.h"
 
-#include <algorithm>
-
 #include "common/bit_util.h"
 #include "common/simd/simd.h"
 
@@ -14,33 +12,35 @@ BitPackColumn::BitPackColumn(std::vector<uint8_t> bytes, int bit_width,
 
 Result<std::unique_ptr<BitPackColumn>> BitPackColumn::Encode(
     std::span<const int64_t> values) {
-  uint64_t max_value = 0;
-  for (int64_t v : values) {
-    if (v < 0) {
-      return Status::InvalidArgument(
-          "BitPack requires non-negative values; use FOR instead");
-    }
-    max_value = std::max(max_value, static_cast<uint64_t>(v));
+  return Encode(values, bit_util::ComputeMinMax(values));
+}
+
+Result<std::unique_ptr<BitPackColumn>> BitPackColumn::Encode(
+    std::span<const int64_t> values, bit_util::MinMax range) {
+  if (range.min < 0) {
+    return Status::InvalidArgument(
+        "BitPack requires non-negative values; use FOR instead");
   }
-  const int width = bit_util::BitWidth(max_value);
-  BitWriter writer(width);
-  for (int64_t v : values) {
-    writer.Append(static_cast<uint64_t>(v));
-  }
-  return std::unique_ptr<BitPackColumn>(
-      new BitPackColumn(std::move(writer).Finish(), width, values.size()));
+  // Non-negative values are their own codes.
+  const int width = bit_util::BitWidth(static_cast<uint64_t>(range.max));
+  return std::unique_ptr<BitPackColumn>(new BitPackColumn(
+      PackValues({reinterpret_cast<const uint64_t*>(values.data()),
+                  values.size()},
+                 width),
+      width, values.size()));
 }
 
 size_t BitPackColumn::EstimateSizeBytes(std::span<const int64_t> values) {
-  uint64_t max_value = 0;
-  for (int64_t v : values) {
-    if (v < 0) {
-      return SIZE_MAX;
-    }
-    max_value = std::max(max_value, static_cast<uint64_t>(v));
+  return EstimateSizeBytes(values.size(), bit_util::ComputeMinMax(values));
+}
+
+size_t BitPackColumn::EstimateSizeBytes(size_t count,
+                                        bit_util::MinMax range) {
+  if (range.min < 0) {
+    return SIZE_MAX;
   }
-  const int width = bit_util::BitWidth(max_value);
-  return bit_util::CeilDiv(values.size() * width, 8);
+  const int width = bit_util::BitWidth(static_cast<uint64_t>(range.max));
+  return bit_util::CeilDiv(count * width, 8);
 }
 
 Result<std::unique_ptr<BitPackColumn>> BitPackColumn::Deserialize(

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/bit_stream.h"
+#include "common/bit_util.h"
 #include "encoding/encoded_column.h"
 
 namespace corra::enc {
@@ -22,10 +23,15 @@ class BitPackColumn final : public EncodedColumn {
   /// Packs `values`; fails with InvalidArgument if any value is negative.
   static Result<std::unique_ptr<BitPackColumn>> Encode(
       std::span<const int64_t> values);
+  /// Same, given the values' min and max (a statistics pass already made).
+  static Result<std::unique_ptr<BitPackColumn>> Encode(
+      std::span<const int64_t> values, bit_util::MinMax range);
 
   /// Compressed size `values` would have, without encoding them.
   /// Returns SIZE_MAX when the scheme is inapplicable (negative values).
   static size_t EstimateSizeBytes(std::span<const int64_t> values);
+  /// Same, from the row count and the values' min and max.
+  static size_t EstimateSizeBytes(size_t count, bit_util::MinMax range);
 
   static Result<std::unique_ptr<BitPackColumn>> Deserialize(
       BufferReader* reader);

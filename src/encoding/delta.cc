@@ -71,37 +71,21 @@ std::vector<uint8_t> BuildInlineWindows(std::span<const int64_t> values,
   const size_t windows = NumWindows(n, interval);
   const size_t stride = WindowStrideBytes(interval, width);
   std::vector<uint8_t> bytes(windows * stride + bit_util::kDecodePadBytes, 0);
-  // OR-composed 8-byte read-modify-writes: a slot's word write may cover
-  // bytes of the following checkpoint, but it writes those bytes back
-  // unchanged, so window order does not matter.
-  const auto put_bits = [width](uint8_t* base, size_t bit_pos, uint64_t v) {
-    const size_t byte = bit_pos >> 3;
-    const int shift = static_cast<int>(bit_pos & 7);
-    uint64_t word;
-    std::memcpy(&word, base + byte, sizeof(word));
-    word |= v << shift;
-    std::memcpy(base + byte, &word, sizeof(word));
-    if (shift + width > 64) {
-      base[byte + 8] = static_cast<uint8_t>(base[byte + 8] |
-                                            (v >> (64 - shift)));
-    }
-  };
-  const size_t w = static_cast<size_t>(width);
+  // Each window's slots start byte-aligned and span whole words (see
+  // WindowStrideBytes), so PackBits fills them without touching the next
+  // checkpoint.
+  uint64_t slots[DeltaColumn::kMaxCheckpointInterval];
   for (size_t k = 0; k < windows; ++k) {
     const size_t first = k * interval;
     uint8_t* window = bytes.data() + k * stride;
     std::memcpy(window, &values[first], sizeof(int64_t));
-    if (width == 0) {
-      continue;
-    }
     const size_t last = std::min(first + interval, n - 1);
     for (size_t row = first + 1; row <= last; ++row) {
-      const int64_t delta = static_cast<int64_t>(
+      slots[row - first - 1] = bit_util::ZigZagEncode(static_cast<int64_t>(
           static_cast<uint64_t>(values[row]) -
-          static_cast<uint64_t>(values[row - 1]));
-      put_bits(window + 8, (row - first - 1) * w,
-               bit_util::ZigZagEncode(delta));
+          static_cast<uint64_t>(values[row - 1])));
     }
+    PackBits(slots, last - first, width, window + 8);
   }
   return bytes;
 }
@@ -151,21 +135,24 @@ Result<std::unique_ptr<DeltaColumn>> DeltaColumn::Encode(
 
   std::vector<int64_t> checkpoints;
   checkpoints.reserve(values.size() / checkpoint_interval + 1);
-  BitWriter writer(width);
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i % checkpoint_interval == 0) {
-      checkpoints.push_back(values[i]);
-    }
-    const int64_t prev = i == 0 ? 0 : values[i - 1];
-    const int64_t delta = static_cast<int64_t>(
-        static_cast<uint64_t>(values[i]) - static_cast<uint64_t>(prev));
-    // Row 0's delta slot is unused (the checkpoint covers it); store 0 to
-    // keep positions aligned.
-    writer.Append(i == 0 ? 0 : bit_util::ZigZagEncode(delta));
+  for (size_t i = 0; i < values.size(); i += checkpoint_interval) {
+    checkpoints.push_back(values[i]);
   }
+  // Row 0's delta slot is unused (the checkpoint covers it); store 0 to
+  // keep positions aligned.
+  std::vector<uint8_t> bytes = PackCodes(
+      values.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
+        for (size_t i = begin; i < begin + len; ++i) {
+          codes[i - begin] =
+              i == 0 ? 0
+                     : bit_util::ZigZagEncode(static_cast<int64_t>(
+                           static_cast<uint64_t>(values[i]) -
+                           static_cast<uint64_t>(values[i - 1])));
+        }
+      });
   return std::unique_ptr<DeltaColumn>(
-      new DeltaColumn(std::move(checkpoints), std::move(writer).Finish(),
-                      width, values.size(), checkpoint_interval, layout));
+      new DeltaColumn(std::move(checkpoints), std::move(bytes), width,
+                      values.size(), checkpoint_interval, layout));
 }
 
 size_t DeltaColumn::EstimateSizeBytes(std::span<const int64_t> values,

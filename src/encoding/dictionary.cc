@@ -1,8 +1,6 @@
 #include "encoding/dictionary.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/bit_util.h"
 #include "common/simd/simd.h"
@@ -15,35 +13,66 @@ DictColumn::DictColumn(std::vector<int64_t> dict, std::vector<uint8_t> bytes,
       bytes_(std::move(bytes)),
       reader_(bytes_.data(), bit_width, count) {}
 
+size_t DictSizeBytes(size_t rows, size_t distinct) {
+  const int width = bit_util::BitWidth(distinct == 0 ? 0 : distinct - 1);
+  return bit_util::CeilDiv(rows * width, 8) + distinct * sizeof(int64_t);
+}
+
+DistinctValues::DistinctValues(std::span<const int64_t> values,
+                               size_t stop_bytes)
+    : values_(values),
+      ids_(std::min(values.size(), stop_bytes / sizeof(int64_t) + 1)) {
+  const size_t n = values.size();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t before = ids_.size();
+    ids_.Insert(values[i]);
+    if (ids_.size() != before &&
+        enc::DictSizeBytes(n, ids_.size()) >= stop_bytes) {
+      complete_ = i + 1 == n;
+      return;
+    }
+  }
+}
+
 Result<std::unique_ptr<DictColumn>> DictColumn::Encode(
     std::span<const int64_t> values) {
-  std::vector<int64_t> dict(values.begin(), values.end());
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+  return Encode(DistinctValues(values));
+}
 
-  std::unordered_map<int64_t, uint64_t> code_of;
-  code_of.reserve(dict.size());
-  for (size_t i = 0; i < dict.size(); ++i) {
-    code_of.emplace(dict[i], i);
+std::unique_ptr<DictColumn> DictColumn::Encode(
+    const DistinctValues& distinct) {
+  if (!distinct.complete_) {
+    return Encode(DistinctValues(distinct.values_));
+  }
+  // Codes are the ranks of the sorted distinct values: sort (value, id)
+  // pairs, then map each first-seen id to its rank.
+  const std::vector<int64_t>& seen = distinct.ids_.keys();
+  std::vector<std::pair<int64_t, uint32_t>> sorted(seen.size());
+  for (size_t id = 0; id < seen.size(); ++id) {
+    sorted[id] = {seen[id], static_cast<uint32_t>(id)};
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int64_t> dict(sorted.size());
+  std::vector<uint32_t> rank_of_id(sorted.size());
+  for (size_t r = 0; r < sorted.size(); ++r) {
+    dict[r] = sorted[r].first;
+    rank_of_id[sorted[r].second] = static_cast<uint32_t>(r);
   }
 
-  const int width =
-      bit_util::BitWidth(dict.empty() ? 0 : dict.size() - 1);
-  BitWriter writer(width);
-  for (int64_t v : values) {
-    writer.Append(code_of.find(v)->second);
-  }
-  return std::unique_ptr<DictColumn>(new DictColumn(
-      std::move(dict), std::move(writer).Finish(), width, values.size()));
+  const std::span<const int64_t> values = distinct.values_;
+  const int width = bit_util::BitWidth(dict.empty() ? 0 : dict.size() - 1);
+  std::vector<uint8_t> bytes = PackCodes(
+      values.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
+        for (size_t i = 0; i < len; ++i) {
+          codes[i] = rank_of_id[distinct.ids_.Find(values[begin + i])];
+        }
+      });
+  return std::unique_ptr<DictColumn>(
+      new DictColumn(std::move(dict), std::move(bytes), width, values.size()));
 }
 
 size_t DictColumn::EstimateSizeBytes(std::span<const int64_t> values) {
-  std::unordered_set<int64_t> distinct(values.begin(), values.end());
-  const size_t cardinality = distinct.size();
-  const int width =
-      bit_util::BitWidth(cardinality == 0 ? 0 : cardinality - 1);
-  return bit_util::CeilDiv(values.size() * width, 8) +
-         cardinality * sizeof(int64_t);
+  return DistinctValues(values).DictSizeBytes();
 }
 
 Result<std::unique_ptr<DictColumn>> DictColumn::Deserialize(

@@ -11,9 +11,41 @@
 #include <vector>
 
 #include "common/bit_stream.h"
+#include "common/flat_hash.h"
 #include "encoding/encoded_column.h"
 
 namespace corra::enc {
+
+/// Dict's size for `rows` codes over `distinct` dictionary entries:
+/// CeilDiv(rows * BitWidth(distinct - 1), 8) + 8 * distinct. It never
+/// decreases as `distinct` grows.
+size_t DictSizeBytes(size_t rows, size_t distinct);
+
+/// The distinct values of a column slice, numbered in first-seen order in
+/// a flat hash: the one pass that both sizes a dictionary and builds it.
+class DistinctValues {
+ public:
+  /// Counts the distinct values of `values`, which must outlive this
+  /// object. Stops as soon as the Dict size of the values counted so far
+  /// reaches `stop_bytes` (Dict can then no longer come in under it). The
+  /// table is sized for min(rows, stop_bytes / 8 + 1) keys, the most an
+  /// early stop lets in.
+  explicit DistinctValues(std::span<const int64_t> values,
+                          size_t stop_bytes = SIZE_MAX);
+
+  /// DictSizeBytes of the values counted: exact when every value was
+  /// counted; after an early stop, a lower bound that is >= stop_bytes.
+  size_t DictSizeBytes() const {
+    return enc::DictSizeBytes(values_.size(), ids_.size());
+  }
+
+ private:
+  friend class DictColumn;
+
+  std::span<const int64_t> values_;
+  FlatIdMap<int64_t> ids_;
+  bool complete_ = true;
+};
 
 class DictColumn final : public EncodedColumn {
  public:
@@ -21,8 +53,13 @@ class DictColumn final : public EncodedColumn {
   static Result<std::unique_ptr<DictColumn>> Encode(
       std::span<const int64_t> values);
 
+  /// Encodes the values `distinct` counted (the selector's pass): sorts
+  /// only the distinct values and codes every row through the same hash.
+  /// A count that stopped early is first redone in full.
+  static std::unique_ptr<DictColumn> Encode(const DistinctValues& distinct);
+
   /// Compressed size `values` would have (codes + dictionary), without
-  /// encoding them. Performs a distinct-count pass.
+  /// encoding them: an exact, unbounded distinct count.
   static size_t EstimateSizeBytes(std::span<const int64_t> values);
 
   static Result<std::unique_ptr<DictColumn>> Deserialize(

@@ -5,19 +5,6 @@
 
 namespace corra::enc {
 
-namespace {
-// Range check: the unsigned delta max-min must be representable.
-bool RangeRepresentable(int64_t min, int64_t max) {
-  // Deltas are computed in uint64 space, which wraps correctly for any
-  // int64 pair, so the only unrepresentable case does not exist; but a
-  // range of exactly 2^64-1 would need width 64 which is supported. Keep
-  // the helper for clarity and future narrowing.
-  (void)min;
-  (void)max;
-  return true;
-}
-}  // namespace
-
 ForColumn::ForColumn(int64_t base, std::vector<uint8_t> bytes, int bit_width,
                      size_t count)
     : base_(base), bytes_(std::move(bytes)),
@@ -25,24 +12,30 @@ ForColumn::ForColumn(int64_t base, std::vector<uint8_t> bytes, int bit_width,
 
 Result<std::unique_ptr<ForColumn>> ForColumn::Encode(
     std::span<const int64_t> values) {
-  const auto mm = bit_util::ComputeMinMax(values);
-  if (!RangeRepresentable(mm.min, mm.max)) {
-    return Status::InvalidArgument("FOR range too wide");
-  }
-  const int width = bit_util::MaxForBitWidth(values, mm.min);
-  BitWriter writer(width);
-  for (int64_t v : values) {
-    writer.Append(static_cast<uint64_t>(v) - static_cast<uint64_t>(mm.min));
-  }
-  return std::unique_ptr<ForColumn>(new ForColumn(
-      mm.min, std::move(writer).Finish(), width, values.size()));
+  return Encode(values, bit_util::ComputeMinMax(values));
+}
+
+Result<std::unique_ptr<ForColumn>> ForColumn::Encode(
+    std::span<const int64_t> values, bit_util::MinMax range) {
+  const uint64_t base = static_cast<uint64_t>(range.min);
+  const int width = bit_util::MaxForBitWidth(range);
+  std::vector<uint8_t> bytes = PackCodes(
+      values.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
+        for (size_t i = 0; i < len; ++i) {
+          codes[i] = static_cast<uint64_t>(values[begin + i]) - base;
+        }
+      });
+  return std::unique_ptr<ForColumn>(
+      new ForColumn(range.min, std::move(bytes), width, values.size()));
 }
 
 size_t ForColumn::EstimateSizeBytes(std::span<const int64_t> values) {
-  const auto mm = bit_util::ComputeMinMax(values);
-  const int width = bit_util::BitWidth(static_cast<uint64_t>(mm.max) -
-                                       static_cast<uint64_t>(mm.min));
-  return bit_util::CeilDiv(values.size() * width, 8) + sizeof(int64_t);
+  return EstimateSizeBytes(values.size(), bit_util::ComputeMinMax(values));
+}
+
+size_t ForColumn::EstimateSizeBytes(size_t count, bit_util::MinMax range) {
+  return bit_util::CeilDiv(count * bit_util::MaxForBitWidth(range), 8) +
+         sizeof(int64_t);
 }
 
 Result<std::unique_ptr<ForColumn>> ForColumn::Deserialize(

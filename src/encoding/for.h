@@ -11,21 +11,27 @@
 #include <vector>
 
 #include "common/bit_stream.h"
+#include "common/bit_util.h"
 #include "encoding/encoded_column.h"
 
 namespace corra::enc {
 
 class ForColumn final : public EncodedColumn {
  public:
-  /// Encodes `values` relative to their minimum. Fails only when the value
-  /// range does not fit in an unsigned 64-bit delta (e.g. INT64_MIN mixed
-  /// with INT64_MAX).
+  /// Encodes `values` relative to their minimum. Never fails: offsets are
+  /// taken in uint64 space, so any int64 range fits (at most 64 bits). The
+  /// Result matches the other encoders' factories.
   static Result<std::unique_ptr<ForColumn>> Encode(
       std::span<const int64_t> values);
+  /// Same, given the values' min and max (a statistics pass already made).
+  static Result<std::unique_ptr<ForColumn>> Encode(
+      std::span<const int64_t> values, bit_util::MinMax range);
 
   /// Compressed size `values` would have (payload + base), without
-  /// encoding. SIZE_MAX when inapplicable.
+  /// encoding.
   static size_t EstimateSizeBytes(std::span<const int64_t> values);
+  /// Same, from the row count and the values' min and max.
+  static size_t EstimateSizeBytes(size_t count, bit_util::MinMax range);
 
   static Result<std::unique_ptr<ForColumn>> Deserialize(BufferReader* reader);
 
@@ -33,7 +39,9 @@ class ForColumn final : public EncodedColumn {
   size_t size() const override { return reader_.size(); }
   size_t SizeBytes() const override;
   int64_t Get(size_t row) const override {
-    return base_ + static_cast<int64_t>(reader_.Get(row));
+    // Wrap-around add in uint64 space, as Encode subtracted.
+    return static_cast<int64_t>(static_cast<uint64_t>(base_) +
+                                reader_.Get(row));
   }
   void GatherRange(std::span<const uint32_t> rows,
                    int64_t* out) const override;

@@ -1,6 +1,7 @@
 #include "encoding/selector.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "encoding/bitpack.h"
 #include "encoding/delta.h"
@@ -18,28 +19,41 @@ DeltaLayout DeltaLayoutFor(WorkloadHint workload) {
                                                  : DeltaLayout::kPacked;
 }
 
-}  // namespace
-
-std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,
-                                            const SelectionOptions& options) {
-  std::vector<SchemeEstimate> estimates;
-  estimates.push_back(
-      {Scheme::kPlain, values.size() * sizeof(int64_t)});
-  estimates.push_back(
-      {Scheme::kBitPack, BitPackColumn::EstimateSizeBytes(values)});
-  estimates.push_back({Scheme::kFor, ForColumn::EstimateSizeBytes(values)});
-  estimates.push_back(
-      {Scheme::kDict, DictColumn::EstimateSizeBytes(values)});
+// The estimates from one min/max pass (`range`) for Plain, BitPack and
+// FOR, then Dict's distinct count into `distinct`, stopped once Dict can
+// no longer come in strictly under the smallest of the three (see
+// SchemeEstimate).
+std::vector<SchemeEstimate> Estimate(std::span<const int64_t> values,
+                                     bit_util::MinMax range,
+                                     const SelectionOptions& options,
+                                     std::optional<DistinctValues>* distinct) {
+  std::vector<SchemeEstimate> estimates = {
+      {Scheme::kPlain, values.size() * sizeof(int64_t)},
+      {Scheme::kBitPack,
+       BitPackColumn::EstimateSizeBytes(values.size(), range)},
+      {Scheme::kFor, ForColumn::EstimateSizeBytes(values.size(), range)}};
+  distinct->emplace(values, std::min({estimates[0].size_bytes,
+                                      estimates[1].size_bytes,
+                                      estimates[2].size_bytes}));
+  estimates.push_back({Scheme::kDict, (*distinct)->DictSizeBytes()});
   if (options.policy == SelectionPolicy::kAllowCheckpointedSchemes) {
     const DeltaLayout layout = DeltaLayoutFor(options.workload);
     estimates.push_back(
         {Scheme::kDelta,
          DeltaColumn::EstimateSizeBytes(
              values, DeltaColumn::DefaultIntervalFor(layout), layout)});
-    estimates.push_back(
-        {Scheme::kRle, RleColumn::EstimateSizeBytes(values)});
+    estimates.push_back({Scheme::kRle, RleColumn::EstimateSizeBytes(values)});
   }
   return estimates;
+}
+
+}  // namespace
+
+std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,
+                                            const SelectionOptions& options) {
+  std::optional<DistinctValues> distinct;
+  return Estimate(values, bit_util::ComputeMinMax(values), options,
+                  &distinct);
 }
 
 std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,
@@ -49,7 +63,14 @@ std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,
 
 Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
     std::span<const int64_t> values, const SelectionOptions& options) {
-  const auto estimates = EstimateSchemes(values, options);
+  return SelectBestScheme(values, bit_util::ComputeMinMax(values), options);
+}
+
+Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
+    std::span<const int64_t> values, bit_util::MinMax range,
+    const SelectionOptions& options) {
+  std::optional<DistinctValues> distinct;
+  const auto estimates = Estimate(values, range, options, &distinct);
   const auto best = std::min_element(
       estimates.begin(), estimates.end(),
       [](const SchemeEstimate& a, const SchemeEstimate& b) {
@@ -59,17 +80,17 @@ Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
     case Scheme::kPlain:
       return std::unique_ptr<EncodedColumn>(PlainColumn::Encode(values));
     case Scheme::kBitPack: {
-      CORRA_ASSIGN_OR_RETURN(auto col, BitPackColumn::Encode(values));
+      CORRA_ASSIGN_OR_RETURN(auto col, BitPackColumn::Encode(values, range));
       return std::unique_ptr<EncodedColumn>(std::move(col));
     }
     case Scheme::kFor: {
-      CORRA_ASSIGN_OR_RETURN(auto col, ForColumn::Encode(values));
+      CORRA_ASSIGN_OR_RETURN(auto col, ForColumn::Encode(values, range));
       return std::unique_ptr<EncodedColumn>(std::move(col));
     }
-    case Scheme::kDict: {
-      CORRA_ASSIGN_OR_RETURN(auto col, DictColumn::Encode(values));
-      return std::unique_ptr<EncodedColumn>(std::move(col));
-    }
+    case Scheme::kDict:
+      // Dict won, so it was strictly under the stop size: the count ran
+      // to completion.
+      return std::unique_ptr<EncodedColumn>(DictColumn::Encode(*distinct));
     case Scheme::kDelta: {
       const DeltaLayout layout = DeltaLayoutFor(options.workload);
       CORRA_ASSIGN_OR_RETURN(

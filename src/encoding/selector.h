@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bit_util.h"
 #include "encoding/encoded_column.h"
 
 namespace corra::enc {
@@ -53,6 +54,14 @@ struct SelectionOptions {
 };
 
 /// Estimated compressed footprint of one candidate scheme.
+///
+/// Dict's distinct count stops as soon as Dict's size reaches the smallest
+/// of the Plain, BitPack and FOR estimates: Dict follows them in the
+/// first-minimum order, so it wins only when strictly smaller, and its
+/// size never decreases as the count grows. Dict's entry is therefore
+/// exact whenever Dict is the minimum; otherwise it may be a lower bound
+/// that is still >= the winning estimate. Use only the list's minimum
+/// (every in-repo caller does); DictColumn::EstimateSizeBytes is exact.
 struct SchemeEstimate {
   Scheme scheme;
   size_t size_bytes;  // SIZE_MAX if the scheme is inapplicable.
@@ -66,12 +75,18 @@ std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,
 std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,
                                             SelectionPolicy policy);
 
-/// Encodes `values` with the smallest applicable scheme under `options`.
+/// Encodes `values` with the smallest applicable scheme under `options`
+/// (the first on ties), reusing the estimates' min/max and Dict's hash.
 Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
     std::span<const int64_t> values, const SelectionOptions& options);
 Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
     std::span<const int64_t> values,
     SelectionPolicy policy = SelectionPolicy::kConstantTimeAccessOnly);
+/// Same, given the values' min and max (the compressor's per-column
+/// statistics pass).
+Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
+    std::span<const int64_t> values, bit_util::MinMax range,
+    const SelectionOptions& options);
 
 }  // namespace corra::enc
 

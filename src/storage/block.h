@@ -13,8 +13,10 @@
 #define CORRA_STORAGE_BLOCK_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "common/bit_util.h"
 #include "encoding/encoded_column.h"
 #include "encoding/string_dict.h"
 
@@ -27,6 +29,9 @@ inline constexpr size_t kDefaultBlockRows = 1'000'000;
 struct BlockColumn {
   std::unique_ptr<enc::EncodedColumn> encoded;
   std::shared_ptr<const enc::StringDictionary> dict;  // Null if not string.
+  /// Min and max of the column's values, recorded by the compressor from
+  /// the raw slice; unset for a block that came from Deserialize.
+  std::optional<bit_util::MinMax> range;
 };
 
 class Block {
@@ -51,6 +56,11 @@ class Block {
   }
   const enc::StringDictionary* dictionary(size_t i) const {
     return columns_[i].dict.get();
+  }
+  /// Min and max of column `i`'s values when the compressor recorded
+  /// them (see BlockColumn::range).
+  const std::optional<bit_util::MinMax>& range(size_t i) const {
+    return columns_[i].range;
   }
 
   /// Compressed footprint of column `i` (encoding + its string

@@ -373,9 +373,9 @@ Status WriteCompressedTable(const CompressedTable& table,
     return Status::InvalidArgument("cannot create file: " + path);
   }
   // Serialize blocks first to learn their lengths and checksums, and
-  // compute the per-block per-column min/max the v3 stats section
-  // persists (aggregate pushdown runs on the compressed columns, so
-  // this pass never materializes a block).
+  // collect the per-block per-column min/max the v3 stats section
+  // persists: the compressor's, or, for a block read back from a file,
+  // aggregate pushdown's over the compressed column.
   std::vector<std::vector<uint8_t>> payloads;
   payloads.reserve(table.num_blocks());
   std::vector<uint64_t> rows(table.num_blocks());
@@ -386,11 +386,16 @@ Status WriteCompressedTable(const CompressedTable& table,
     payloads.push_back(table.block(b).Serialize());
     rows[b] = table.block(b).rows();
     checksums[b] = Fnv1a64(payloads.back());
-    for (size_t c = 0; c < table.block(b).num_columns(); ++c) {
-      const auto mm = query::MinMaxColumn(table.block(b).column(c));
+    const Block& block = table.block(b);
+    for (size_t c = 0; c < block.num_columns(); ++c) {
       // An empty block stores the empty range; every filter prunes it.
-      stats.push_back(mm ? ColumnStats{mm->min, mm->max}
-                         : ColumnStats{INT64_MAX, INT64_MIN});
+      ColumnStats column_stats{INT64_MAX, INT64_MIN};
+      if (const auto& range = block.range(c)) {
+        column_stats = {range->min, range->max};
+      } else if (const auto mm = query::MinMaxColumn(block.column(c))) {
+        column_stats = {mm->min, mm->max};
+      }
+      stats.push_back(column_stats);
     }
   }
   std::vector<uint64_t> offsets(payloads.size());

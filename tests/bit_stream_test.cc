@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -117,6 +119,72 @@ TEST(BitStreamTest, InterleavedPattern) {
   BitReader reader(bytes.data(), kWidth, 500);
   for (size_t i = 0; i < 500; ++i) {
     ASSERT_EQ(reader.Get(i), i % 2 == 0 ? kOnes : 0u);
+  }
+}
+
+// The per-value appender the encoders used before bulk packing: one
+// shift-or per value into a 64-bit pending word, flushed word by word,
+// then the pending bytes and zero slack. The bulk routines must
+// reproduce its bytes exactly.
+std::vector<uint8_t> PackOneByOne(const std::vector<uint64_t>& values,
+                                  int width) {
+  std::vector<uint8_t> bytes;
+  uint64_t pending = 0;
+  int pending_bits = 0;
+  for (uint64_t value : values) {
+    if (width == 0) {
+      continue;
+    }
+    pending |= value << pending_bits;
+    pending_bits += width;
+    if (pending_bits >= 64) {
+      const size_t old = bytes.size();
+      bytes.resize(old + 8);
+      std::memcpy(bytes.data() + old, &pending, 8);
+      pending_bits -= 64;
+      const int consumed = width - pending_bits;
+      pending = consumed >= 64 ? 0 : value >> consumed;
+    }
+  }
+  for (; width > 0 && pending_bits > 0; pending_bits -= 8) {
+    bytes.push_back(static_cast<uint8_t>(pending & 0xFF));
+    pending >>= 8;
+  }
+  bytes.resize(bit_util::PackedBytes(values.size(), width), 0);
+  return bytes;
+}
+
+TEST(BitStreamTest, BulkPackMatchesPerValueAppend) {
+  for (int width = 0; width <= 64; ++width) {
+    for (size_t count : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                         size_t{65}, size_t{1000}, size_t{4097}}) {
+      const auto values = RandomValues(count, width, 101 * width + count);
+      const std::vector<uint8_t> expected = PackOneByOne(values, width);
+
+      EXPECT_EQ(PackValues(values, width), expected)
+          << "PackValues width " << width << " count " << count;
+
+      BitWriter writer(width);
+      for (uint64_t v : values) {
+        writer.Append(v);
+      }
+      EXPECT_EQ(std::move(writer).Finish(), expected)
+          << "BitWriter width " << width << " count " << count;
+
+      // Chunked on-the-fly codes: 4097 values span five chunks and a
+      // one-value tail.
+      size_t next = 0;
+      const auto chunked = PackCodes(
+          count, width, [&](size_t begin, size_t len, uint64_t* codes) {
+            EXPECT_EQ(begin, next);
+            EXPECT_LE(len, kPackChunk);
+            std::copy_n(values.data() + begin, len, codes);
+            next = begin + len;
+          });
+      EXPECT_EQ(next, count);
+      EXPECT_EQ(chunked, expected)
+          << "PackCodes width " << width << " count " << count;
+    }
   }
 }
 

@@ -83,23 +83,41 @@ TEST(PackedBytesTest, IncludesSlack) {
 }
 
 TEST(MaxZigZagBitWidthTest, Empty) {
-  EXPECT_EQ(MaxZigZagBitWidth({}), 0);
+  EXPECT_EQ(MaxZigZagBitWidth(ComputeMinMax({})), 0);
 }
 
 TEST(MaxZigZagBitWidthTest, Mixed) {
   const std::vector<int64_t> values = {-3, 0, 2};
   // zigzag(-3) = 5 -> 3 bits; zigzag(2) = 4 -> 3 bits.
-  EXPECT_EQ(MaxZigZagBitWidth(values), 3);
+  EXPECT_EQ(MaxZigZagBitWidth(ComputeMinMax(values)), 3);
+}
+
+TEST(MaxZigZagBitWidthTest, EitherExtremeCanSetTheWidth) {
+  // zigzag(-5) = 9 -> 4 bits beats zigzag(2) = 4 -> 3 bits.
+  const std::vector<int64_t> negative_wider = {-5, 0, 2};
+  EXPECT_EQ(MaxZigZagBitWidth(ComputeMinMax(negative_wider)), 4);
+  // zigzag(5) = 10 -> 4 bits beats zigzag(-1) = 1 -> 1 bit.
+  const std::vector<int64_t> positive_wider = {-1, 0, 5};
+  EXPECT_EQ(MaxZigZagBitWidth(ComputeMinMax(positive_wider)), 4);
+  const std::vector<int64_t> extremes = {std::numeric_limits<int64_t>::min(),
+                                         std::numeric_limits<int64_t>::max()};
+  EXPECT_EQ(MaxZigZagBitWidth(ComputeMinMax(extremes)), 64);
 }
 
 TEST(MaxForBitWidthTest, AllEqual) {
   const std::vector<int64_t> values = {5, 5, 5};
-  EXPECT_EQ(MaxForBitWidth(values, 5), 0);
+  EXPECT_EQ(MaxForBitWidth(ComputeMinMax(values)), 0);
 }
 
 TEST(MaxForBitWidthTest, Range) {
   const std::vector<int64_t> values = {10, 14, 17};
-  EXPECT_EQ(MaxForBitWidth(values, 10), 3);  // max delta 7 -> 3 bits
+  EXPECT_EQ(MaxForBitWidth(ComputeMinMax(values)), 3);  // max delta 7
+}
+
+TEST(MaxForBitWidthTest, FullInt64RangeTakes64Bits) {
+  const std::vector<int64_t> values = {std::numeric_limits<int64_t>::min(),
+                                       std::numeric_limits<int64_t>::max()};
+  EXPECT_EQ(MaxForBitWidth(ComputeMinMax(values)), 64);
 }
 
 TEST(ComputeMinMaxTest, Empty) {

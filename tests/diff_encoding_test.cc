@@ -303,6 +303,23 @@ TEST(DiffEncodingTest, ModeSelectionMatchesPaper) {
   EXPECT_EQ(backward.value()->bit_width(), 6);
 }
 
+TEST(DiffEncodingTest, ZigZagWidthComesFromTheWiderExtreme) {
+  // Mixed-sign diffs are zig-zag coded; whichever extreme zig-zags wider
+  // sets the width.
+  const std::vector<int64_t> reference = {100, 200, 300};
+  const std::vector<int64_t> negative_wider = {95, 200, 302};  // {-5,0,2}
+  auto negative = DiffEncodedColumn::Encode(negative_wider, reference, 0);
+  ASSERT_TRUE(negative.ok());
+  EXPECT_EQ(negative.value()->mode(), DiffMode::kZigZag);
+  EXPECT_EQ(negative.value()->bit_width(), 4);  // zigzag(-5) = 9
+
+  const std::vector<int64_t> positive_wider = {99, 200, 305};  // {-1,0,5}
+  auto positive = DiffEncodedColumn::Encode(positive_wider, reference, 0);
+  ASSERT_TRUE(positive.ok());
+  EXPECT_EQ(positive.value()->mode(), DiffMode::kZigZag);
+  EXPECT_EQ(positive.value()->bit_width(), 4);  // zigzag(5) = 10
+}
+
 TEST(DiffEncodingTest, UnknownSchemeByteRejected) {
   const std::vector<int64_t> values = {1, 2, 3};
   auto diff = DiffEncodedColumn::Encode(values, values, 0);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "common/bit_util.h"
@@ -152,6 +153,25 @@ TEST(ForTest, EstimateMatchesActual) {
   }
 }
 
+TEST(ForTest, RangeOverloadsTakeTheWidthFromTheRange) {
+  const std::vector<int64_t> equal = {5, 5, 5};
+  const auto equal_range = bit_util::ComputeMinMax(equal);
+  auto flat = ForColumn::Encode(equal, equal_range);
+  ASSERT_TRUE(flat.ok());
+  EXPECT_EQ(flat.value()->bit_width(), 0);
+  EXPECT_EQ(ForColumn::EstimateSizeBytes(equal.size(), equal_range),
+            sizeof(int64_t));
+
+  const std::vector<int64_t> spread = {10, 14, 17};
+  const auto spread_range = bit_util::ComputeMinMax(spread);
+  auto packed = ForColumn::Encode(spread, spread_range);
+  ASSERT_TRUE(packed.ok());
+  EXPECT_EQ(packed.value()->bit_width(), 3);  // max offset 7
+  EXPECT_EQ(ForColumn::EstimateSizeBytes(spread.size(), spread_range),
+            packed.value()->SizeBytes());
+  ExpectColumnMatches(*packed.value(), spread);
+}
+
 TEST(DictTest, DictionaryIsSortedUnique) {
   const std::vector<int64_t> values = {5, 3, 5, 9, 3, 3};
   auto result = DictColumn::Encode(values);
@@ -178,6 +198,39 @@ TEST(DictTest, EstimateMatchesActual) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(DictColumn::EstimateSizeBytes(values),
             result.value()->SizeBytes());
+}
+
+TEST(DictTest, ExtremeAndHighBitKeys) {
+  // Every int64 is a valid key: the extremes, zero, and keys that differ
+  // only in their high bits (multiples of 2^40 share all low 40 bits).
+  std::vector<int64_t> distinct = {INT64_MIN, INT64_MAX, 0, -1, 1};
+  for (int64_t k = -40; k <= 40; ++k) {
+    distinct.push_back(k * (int64_t{1} << 40));
+  }
+  std::vector<int64_t> values;
+  Rng rng(21);
+  for (int i = 0; i < 5000; ++i) {
+    values.push_back(distinct[rng.Uniform(0, distinct.size() - 1)]);
+  }
+  values.insert(values.end(), distinct.begin(), distinct.end());
+  auto result = DictColumn::Encode(values);
+  ASSERT_TRUE(result.ok());
+  const auto& col = *result.value();
+  ExpectColumnMatches(col, values);
+
+  std::vector<int64_t> sorted = distinct;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  const auto dict = col.dictionary();
+  ASSERT_EQ(std::vector<int64_t>(dict.begin(), dict.end()), sorted);
+  // Codes are the ranks of the sorted distinct values.
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(col.GetCode(i),
+              static_cast<uint64_t>(
+                  std::lower_bound(sorted.begin(), sorted.end(), values[i]) -
+                  sorted.begin()));
+  }
+  EXPECT_EQ(DictColumn::EstimateSizeBytes(values), col.SizeBytes());
 }
 
 TEST(DictTest, CorruptCodeRejectedOnDeserialize) {

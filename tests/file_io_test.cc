@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 
 #include "common/buffer.h"
@@ -535,6 +537,87 @@ TEST_F(FileIoTest, StringDictionariesSurviveFile) {
   EXPECT_EQ((*dict)[0], "NY");
   EXPECT_EQ((*dict)[1], "CA");
   EXPECT_EQ((*dict)[2], "TX");
+}
+
+// A 3-block table over several schemes and a string column: ship (FOR),
+// receipt (Diff), a wide low-cardinality column (Dict), a negative one
+// (FOR below zero) and dictionary-coded states.
+CompressedTable MakeMixedTable() {
+  Rng rng(9);
+  constexpr size_t kRows = 2500;
+  std::vector<int64_t> ship(kRows);
+  std::vector<int64_t> receipt(kRows);
+  std::vector<int64_t> wide(kRows);
+  std::vector<int64_t> negative(kRows);
+  std::vector<std::string> state(kRows);
+  const std::string states[] = {"NY", "CA", "TX", "WA"};
+  for (size_t i = 0; i < kRows; ++i) {
+    ship[i] = rng.Uniform(8035, 10591);
+    receipt[i] = ship[i] + rng.Uniform(1, 30);
+    wide[i] = rng.Uniform(0, 9) * (int64_t{1} << 40) - 7;
+    negative[i] = rng.Uniform(-5000, -4000);
+    state[i] = states[rng.Uniform(0, 3)];
+  }
+  Table table;
+  EXPECT_TRUE(table.AddColumn(Column::Date("ship", ship)).ok());
+  EXPECT_TRUE(table.AddColumn(Column::Date("receipt", receipt)).ok());
+  EXPECT_TRUE(table.AddColumn(Column::Int64("wide", wide)).ok());
+  EXPECT_TRUE(table.AddColumn(Column::Int64("negative", negative)).ok());
+  EXPECT_TRUE(table.AddColumn(Column::String("state", state)).ok());
+  CompressionPlan plan = CompressionPlan::AllAuto(5);
+  plan.block_rows = 1000;
+  plan.columns[1].auto_vertical = false;
+  plan.columns[1].scheme = enc::Scheme::kDiff;
+  plan.columns[1].reference = 0;
+  return CorraCompressor::Compress(table, plan).value();
+}
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+TEST_F(FileIoTest, RewritingAReadTableIsByteIdentical) {
+  // The compressor records every column's min/max, so the first write
+  // decodes nothing for the stats section; a table read back from the
+  // file has no recorded ranges, so the second write computes them from
+  // the encoded columns. Both must produce the same file.
+  const CompressedTable table = MakeMixedTable();
+  for (size_t b = 0; b < table.num_blocks(); ++b) {
+    for (size_t c = 0; c < table.schema().num_fields(); ++c) {
+      ASSERT_TRUE(table.block(b).range(c).has_value());
+    }
+  }
+  ASSERT_TRUE(WriteCompressedTable(table, path_).ok());
+  auto reloaded = ReadCompressedTable(path_, /*verify=*/true);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  for (size_t b = 0; b < reloaded.value().num_blocks(); ++b) {
+    for (size_t c = 0; c < reloaded.value().schema().num_fields(); ++c) {
+      ASSERT_FALSE(reloaded.value().block(b).range(c).has_value());
+    }
+  }
+  const std::string second = path_ + ".rewritten";
+  ASSERT_TRUE(WriteCompressedTable(reloaded.value(), second).ok());
+  EXPECT_EQ(FileBytes(second), FileBytes(path_));
+  std::remove(second.c_str());
+}
+
+TEST_F(FileIoTest, CorfFileStatsEqualMinMaxColumn) {
+  const CompressedTable table = MakeMixedTable();
+  ASSERT_TRUE(WriteCompressedTable(table, path_).ok());
+  auto file = CorfFile::Open(path_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const FileInfo& info = file.value().info();
+  ASSERT_TRUE(info.has_column_stats);
+  for (size_t b = 0; b < table.num_blocks(); ++b) {
+    for (size_t c = 0; c < table.schema().num_fields(); ++c) {
+      const auto mm = query::MinMaxColumn(table.block(b).column(c));
+      ASSERT_TRUE(mm.has_value());
+      EXPECT_EQ(info.Stats(b, c).min, mm->min) << "block " << b << " col " << c;
+      EXPECT_EQ(info.Stats(b, c).max, mm->max) << "block " << b << " col " << c;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "common/bit_util.h"
 #include "common/random.h"
 #include "encoding/dictionary.h"
@@ -213,6 +215,72 @@ TEST(HierarchicalTest, VerifyCatchesOutOfRangeRefCode) {
   const enc::EncodedColumn* refs[] = {bad_ref.value().get()};
   ASSERT_TRUE(hier.value()->BindReferences(refs).ok());
   EXPECT_FALSE(hier.value()->VerifyWithReference().ok());
+}
+
+TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
+  // Reference encoder with std::unordered_map: each reference code's
+  // local dictionary in first-seen order. The serialized column must
+  // carry exactly its values, offsets and packed local codes. Targets
+  // include the int64 extremes and keys differing only in high bits.
+  Rng rng(33);
+  constexpr size_t kRows = 20000;
+  constexpr int64_t kRefs = 40;
+  std::vector<int64_t> city(kRows);
+  std::vector<int64_t> target(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    city[i] = rng.Uniform(0, kRefs - 1);
+    switch (rng.Uniform(0, 3)) {
+      case 0:
+        target[i] = rng.Bernoulli(0.5) ? INT64_MIN : INT64_MAX;
+        break;
+      case 1:
+        target[i] = rng.Uniform(-20, 20) * (int64_t{1} << 40);
+        break;
+      default:
+        target[i] = city[i] * 100 + rng.Uniform(0, 30);
+    }
+  }
+  std::vector<std::unordered_map<int64_t, uint32_t>> index(kRefs);
+  std::vector<std::vector<int64_t>> local_values(kRefs);
+  std::vector<uint64_t> local_codes(kRows);
+  uint64_t max_local = 0;
+  for (size_t i = 0; i < kRows; ++i) {
+    auto& map = index[city[i]];
+    const auto [it, inserted] =
+        map.emplace(target[i], static_cast<uint32_t>(map.size()));
+    if (inserted) {
+      local_values[city[i]].push_back(target[i]);
+    }
+    local_codes[i] = it->second;
+    max_local = std::max<uint64_t>(max_local, it->second);
+  }
+  std::vector<int64_t> values;
+  std::vector<uint32_t> offsets = {0};
+  for (const auto& lv : local_values) {
+    values.insert(values.end(), lv.begin(), lv.end());
+    offsets.push_back(static_cast<uint32_t>(values.size()));
+  }
+  const int width = bit_util::BitWidth(max_local);
+  BitWriter codes(width);
+  codes.AppendAll(local_codes);
+  BufferWriter expected;
+  expected.Write<uint8_t>(static_cast<uint8_t>(enc::Scheme::kHierarchical));
+  expected.Write<uint32_t>(7);
+  expected.WriteInt64Array(values);
+  expected.WriteUint32Array(offsets);
+  expected.Write<uint8_t>(static_cast<uint8_t>(width));
+  expected.Write<uint64_t>(kRows);
+  expected.WriteBytes(std::move(codes).Finish());
+
+  auto hier = HierarchicalColumn::Encode(target, city, 7);
+  ASSERT_TRUE(hier.ok()) << hier.status().ToString();
+  BufferWriter actual;
+  hier.value()->Serialize(&actual);
+  EXPECT_EQ(std::move(actual).Finish(), std::move(expected).Finish());
+  EXPECT_EQ(HierarchicalColumn::EstimateSizeBytes(target, city),
+            hier.value()->SizeBytes());
+  auto b = MakeBound(target, city);
+  test::ExpectColumnMatches(*b.hier, target);
 }
 
 // Property sweep: hierarchical reconstruction is exact for random

@@ -245,6 +245,42 @@ TEST(MultiRefTest, DeriveThenEncodeRoundTrips) {
   test::ExpectColumnMatches(*b.column, data.target);
 }
 
+TEST(MultiRefTest, DeriveReadsOnlyTheSampledPrefix) {
+  // A 200k-row target derives the same table from its first 1000 rows
+  // as the 1000-row prefix on its own: the rows past the sample are
+  // never summed, but every reference must still span the whole target.
+  const MiniTaxi data = MakeMiniTaxi(200'000, 0.003, 14);
+  auto full = MultiRefColumn::DeriveFormulas(
+      data.target, ResolverFor(data), {{0, 1}, {2}, {3}}, /*code_bits=*/2,
+      /*sample_limit=*/1000);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  MiniTaxi prefix;
+  for (const auto& column : data.columns) {
+    prefix.columns.emplace_back(column.begin(), column.begin() + 1000);
+  }
+  prefix.target.assign(data.target.begin(), data.target.begin() + 1000);
+  auto sampled = MultiRefColumn::DeriveFormulas(
+      prefix.target, ResolverFor(prefix), {{0, 1}, {2}, {3}},
+      /*code_bits=*/2, /*sample_limit=*/1000);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  EXPECT_EQ(full.value().groups, sampled.value().groups);
+  EXPECT_EQ(full.value().formulas, sampled.value().formulas);
+  EXPECT_EQ(full.value().code_bits, sampled.value().code_bits);
+
+  // A reference shorter than the target is still rejected.
+  std::vector<int64_t> short_column(data.columns[0].begin(),
+                                    data.columns[0].begin() + 1000);
+  const auto short_resolver =
+      [&](uint32_t col) -> std::span<const int64_t> {
+    return col == 2 ? std::span<const int64_t>(short_column)
+                    : std::span<const int64_t>(data.columns[col]);
+  };
+  EXPECT_FALSE(MultiRefColumn::DeriveFormulas(data.target, short_resolver,
+                                              {{0, 1}, {2}, {3}}, 2, 1000)
+                   .ok());
+}
+
 TEST(MultiRefTest, DeriveFailsWhenNothingMatches) {
   MiniTaxi data = MakeMiniTaxi(1000, 0.0, 12);
   for (auto& t : data.target) {

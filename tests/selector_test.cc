@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "encoding/bitpack.h"
 #include "encoding/delta.h"
 #include "encoding/dictionary.h"
 #include "encoding/for.h"
+#include "encoding/plain.h"
+#include "encoding/rle.h"
 #include "test_util.h"
 
 namespace corra::enc {
@@ -172,6 +178,161 @@ TEST(SelectorTest, EmptyColumn) {
   auto result = SelectBestScheme(std::span<const int64_t>{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value()->size(), 0u);
+}
+
+// --- Equivalence with the exact per-scheme estimates -------------------
+
+std::vector<uint8_t> SerializedBytes(const EncodedColumn& column) {
+  BufferWriter writer;
+  column.Serialize(&writer);
+  return std::move(writer).Finish();
+}
+
+// Encodes `values` with `scheme` directly, as the selector would.
+std::unique_ptr<EncodedColumn> EncodeDirectly(Scheme scheme,
+                                              std::span<const int64_t> values,
+                                              const SelectionOptions& options) {
+  const DeltaLayout layout = options.workload == WorkloadHint::kPointServing
+                                 ? DeltaLayout::kInline
+                                 : DeltaLayout::kPacked;
+  switch (scheme) {
+    case Scheme::kPlain:
+      return PlainColumn::Encode(values);
+    case Scheme::kBitPack:
+      return BitPackColumn::Encode(values).value();
+    case Scheme::kFor:
+      return ForColumn::Encode(values).value();
+    case Scheme::kDict:
+      return DictColumn::Encode(values).value();
+    case Scheme::kDelta:
+      return DeltaColumn::Encode(values,
+                                 DeltaColumn::DefaultIntervalFor(layout),
+                                 layout)
+          .value();
+    case Scheme::kRle:
+      return RleColumn::Encode(values).value();
+    default:
+      return nullptr;
+  }
+}
+
+// SelectBestScheme must pick the first minimum of the exact per-scheme
+// estimates and produce the same bytes as encoding with that scheme
+// directly; EstimateSchemes must be exact except for Dict after an early
+// stop, where it stays between the winning estimate and Dict's size.
+void ExpectSelectsFirstExactMinimum(const std::vector<int64_t>& values,
+                                    const std::string& label) {
+  for (SelectionPolicy policy : {SelectionPolicy::kConstantTimeAccessOnly,
+                                 SelectionPolicy::kAllowCheckpointedSchemes}) {
+    for (WorkloadHint workload :
+         {WorkloadHint::kAnalytic, WorkloadHint::kPointServing}) {
+      const SelectionOptions options{.policy = policy, .workload = workload};
+      const DeltaLayout layout = workload == WorkloadHint::kPointServing
+                                     ? DeltaLayout::kInline
+                                     : DeltaLayout::kPacked;
+      std::vector<SchemeEstimate> exact = {
+          {Scheme::kPlain, values.size() * sizeof(int64_t)},
+          {Scheme::kBitPack, BitPackColumn::EstimateSizeBytes(values)},
+          {Scheme::kFor, ForColumn::EstimateSizeBytes(values)},
+          {Scheme::kDict, DictColumn::EstimateSizeBytes(values)}};
+      if (policy == SelectionPolicy::kAllowCheckpointedSchemes) {
+        exact.push_back({Scheme::kDelta,
+                         DeltaColumn::EstimateSizeBytes(
+                             values, DeltaColumn::DefaultIntervalFor(layout),
+                             layout)});
+        exact.push_back({Scheme::kRle, RleColumn::EstimateSizeBytes(values)});
+      }
+      size_t best = 0;
+      for (size_t i = 1; i < exact.size(); ++i) {
+        if (exact[i].size_bytes < exact[best].size_bytes) {
+          best = i;
+        }
+      }
+      const std::string where = label + " policy " +
+                                std::to_string(static_cast<int>(policy)) +
+                                " workload " +
+                                std::to_string(static_cast<int>(workload));
+
+      const auto estimates = EstimateSchemes(values, options);
+      ASSERT_EQ(estimates.size(), exact.size()) << where;
+      for (size_t i = 0; i < exact.size(); ++i) {
+        ASSERT_EQ(estimates[i].scheme, exact[i].scheme) << where;
+        if (exact[i].scheme == Scheme::kDict && best != i) {
+          EXPECT_LE(estimates[i].size_bytes, exact[i].size_bytes) << where;
+          EXPECT_GE(estimates[i].size_bytes, exact[best].size_bytes) << where;
+        } else {
+          EXPECT_EQ(estimates[i].size_bytes, exact[i].size_bytes)
+              << where << " " << SchemeToString(exact[i].scheme);
+        }
+      }
+
+      auto selected = SelectBestScheme(values, options);
+      ASSERT_TRUE(selected.ok()) << where;
+      ASSERT_EQ(selected.value()->scheme(), exact[best].scheme)
+          << where << " picked " << SchemeToString(selected.value()->scheme());
+      const auto direct = EncodeDirectly(exact[best].scheme, values, options);
+      ASSERT_NE(direct, nullptr) << where;
+      EXPECT_EQ(SerializedBytes(*selected.value()), SerializedBytes(*direct))
+          << where;
+    }
+  }
+}
+
+TEST(SelectorTest, PicksFirstExactMinimumForEveryDistribution) {
+  for (Dist d :
+       {Dist::kConstant, Dist::kSmallRange, Dist::kWideRange,
+        Dist::kNegative, Dist::kLowCard, Dist::kSorted, Dist::kRunHeavy,
+        Dist::kExtremes}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2000}, size_t{70000}}) {
+      const auto values = MakeValues(d, n, 40 + n);
+      ExpectSelectsFirstExactMinimum(
+          values, test::DistName(d) + " n " + std::to_string(n));
+    }
+  }
+}
+
+// `distinct` values spread over a 20-bit range starting at `low` (its
+// ends included), repeated cyclically over `rows` rows.
+std::vector<int64_t> SpreadValues(size_t rows, size_t distinct, int64_t low) {
+  constexpr int64_t kSpan = (int64_t{1} << 20) - 1;
+  std::vector<int64_t> values(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    const auto k = static_cast<int64_t>(i % distinct);
+    values[i] = low + k * kSpan / static_cast<int64_t>(distinct - 1);
+  }
+  return values;
+}
+
+TEST(SelectorTest, PicksFirstExactMinimumAtTheDictCrossover) {
+  // Dict's size grows with the distinct count while BitPack's and FOR's
+  // depend only on the 20-bit range. Find the count where Dict ties the
+  // best of them; one below it Dict wins, at and above it Dict loses
+  // (ties go to the earlier scheme).
+  constexpr size_t kRows = 2048;
+  for (int64_t low : {int64_t{0}, -(int64_t{1} << 19)}) {
+    const auto wide = SpreadValues(kRows, 2, low);
+    const size_t best_other =
+        std::min(BitPackColumn::EstimateSizeBytes(wide),
+                 ForColumn::EstimateSizeBytes(wide));
+    size_t tie = 0;
+    for (size_t d = 2; d <= kRows && tie == 0; ++d) {
+      if (DictSizeBytes(kRows, d) == best_other) {
+        tie = d;
+      }
+    }
+    ASSERT_NE(tie, 0u) << "low " << low;
+    for (size_t d : {tie - 1, tie, tie + 1}) {
+      const auto values = SpreadValues(kRows, d, low);
+      ASSERT_EQ(DictColumn::EstimateSizeBytes(values),
+                DictSizeBytes(kRows, d));
+      ExpectSelectsFirstExactMinimum(
+          values, "low " + std::to_string(low) + " d " + std::to_string(d));
+      auto selected = SelectBestScheme(values);
+      ASSERT_TRUE(selected.ok());
+      EXPECT_EQ(selected.value()->scheme() == Scheme::kDict, d < tie)
+          << "low " << low << " d " << d;
+    }
+  }
 }
 
 }  // namespace

@@ -1,0 +1,243 @@
+// Golden bytes for the write side: compresses fixed-seed tables under
+// fixed plans, writes each as a CORF file in 8,192-row blocks (several
+// blocks and a short tail), and checks every file's FNV-1a digest
+// against a constant. Any change to a chosen scheme, a code, a layout
+// or a stats entry changes a digest, so the write path's optimizations
+// must reproduce the files byte for byte.
+//
+// Covered: lineitem, taxi, DMV and LDBC at ~20k rows, each under its
+// Table 2 plan (bench/bench_table2_compression.cc), under AllAuto and
+// under AllAuto with WorkloadHint::kPointServing; plus one table whose
+// plan names every scheme (both Delta layouts through the two hints,
+// every Diff mode including the outlier window, RLE, MultiRef with
+// outliers and the three C3 schemes).
+//
+// The constants were recorded with the encoders that preceded the
+// single-pass write path. If a deliberate format change moves them,
+// the failure message prints the new digest.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "core/corra_compressor.h"
+#include "datagen/dmv.h"
+#include "datagen/ldbc.h"
+#include "datagen/taxi.h"
+#include "datagen/tpch.h"
+#include "storage/file_io.h"
+
+namespace corra {
+namespace {
+
+constexpr size_t kBlockRows = 8192;
+
+uint64_t FileDigest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+  return buf;
+}
+
+// Compresses `table` under `plan` (block size forced to kBlockRows),
+// writes it, and returns the file's digest.
+uint64_t WriteAndDigest(const Table& table, CompressionPlan plan,
+                        const std::string& name) {
+  plan.block_rows = kBlockRows;
+  auto compressed = CorraCompressor::Compress(table, plan);
+  EXPECT_TRUE(compressed.ok()) << name << ": "
+                               << compressed.status().ToString();
+  if (!compressed.ok()) {
+    return 0;
+  }
+  EXPECT_GE(compressed.value().num_blocks(), 3u) << name;
+  const std::string path =
+      ::testing::TempDir() + "corra_write_golden_" + name + ".corf";
+  EXPECT_TRUE(WriteCompressedTable(compressed.value(), path).ok()) << name;
+  const uint64_t digest = FileDigest(path);
+  std::remove(path.c_str());
+  return digest;
+}
+
+// Checks the three plans of one dataset: its Table 2 plan, AllAuto, and
+// AllAuto under the point-serving hint.
+void CheckDataset(const Table& table, const CompressionPlan& table2_plan,
+                  const std::string& name, uint64_t table2_digest,
+                  uint64_t auto_digest, uint64_t auto_point_digest) {
+  const uint64_t table2 = WriteAndDigest(table, table2_plan, name + "_table2");
+  EXPECT_EQ(Hex(table2), Hex(table2_digest)) << name << " Table 2 plan";
+
+  CompressionPlan all_auto = CompressionPlan::AllAuto(table.num_columns());
+  const uint64_t automatic = WriteAndDigest(table, all_auto, name + "_auto");
+  EXPECT_EQ(Hex(automatic), Hex(auto_digest)) << name << " AllAuto";
+
+  all_auto.workload = enc::WorkloadHint::kPointServing;
+  const uint64_t point = WriteAndDigest(table, all_auto, name + "_point");
+  EXPECT_EQ(Hex(point), Hex(auto_point_digest))
+      << name << " AllAuto + kPointServing";
+}
+
+TEST(WriteGoldenTest, Lineitem) {
+  auto table = datagen::MakeLineitemTable(20'000, 11);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  CompressionPlan plan = CompressionPlan::AllAuto(4);
+  for (size_t target : {size_t{2}, size_t{3}}) {  // commit, receipt
+    plan.columns[target].auto_vertical = false;
+    plan.columns[target].scheme = enc::Scheme::kDiff;
+    plan.columns[target].reference = 1;  // l_shipdate
+  }
+  CheckDataset(table.value(), plan, "lineitem", 0xb7cbcb9428e33bed,
+               0xcde4b2134f15ca0a, 0xcde4b2134f15ca0a);
+}
+
+TEST(WriteGoldenTest, Taxi) {
+  auto table = datagen::MakeTaxiTable(20'000, 12);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  using C = datagen::TaxiColumns;
+  CompressionPlan plan = CompressionPlan::AllAuto(11);
+  plan.columns[C::kDropoff].auto_vertical = false;
+  plan.columns[C::kDropoff].scheme = enc::Scheme::kDiff;
+  plan.columns[C::kDropoff].reference = C::kPickup;
+  auto& total = plan.columns[C::kTotalAmount];
+  total.auto_vertical = false;
+  total.scheme = enc::Scheme::kMultiRef;
+  total.formulas.groups = {
+      {C::kMtaTax, C::kFareAmount, C::kImprovementSurcharge, C::kExtra,
+       C::kTipAmount, C::kTollsAmount},
+      {C::kCongestionSurcharge},
+      {C::kAirportFee}};
+  total.formulas.formulas = {0b001, 0b011, 0b101, 0b111};
+  total.formulas.code_bits = 2;
+  total.max_outlier_fraction = 0.02;
+  CheckDataset(table.value(), plan, "taxi", 0xcd08b56f5cb585f8,
+               0x7db78402699f1c50, 0x7db78402699f1c50);
+}
+
+TEST(WriteGoldenTest, Dmv) {
+  auto table = datagen::MakeDmvTableFromCodes(20'000, 13);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  CompressionPlan plan = CompressionPlan::AllAuto(3);
+  plan.columns[1].auto_vertical = false;  // city w.r.t. state
+  plan.columns[1].scheme = enc::Scheme::kHierarchical;
+  plan.columns[1].reference = 0;
+  plan.columns[2].auto_vertical = false;  // zip w.r.t. city
+  plan.columns[2].scheme = enc::Scheme::kHierarchical;
+  plan.columns[2].reference = 1;
+  CheckDataset(table.value(), plan, "dmv", 0x2e7515a65703e273,
+               0xe5e2772bb61eb29f, 0xe5e2772bb61eb29f);
+}
+
+TEST(WriteGoldenTest, Ldbc) {
+  auto table = datagen::MakeLdbcTable(20'000, 14);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  CompressionPlan plan = CompressionPlan::AllAuto(2);
+  plan.columns[1].auto_vertical = false;  // ip w.r.t. countryid
+  plan.columns[1].scheme = enc::Scheme::kHierarchical;
+  plan.columns[1].reference = 0;
+  CheckDataset(table.value(), plan, "ldbc", 0x5db63f5350c00968,
+               0x29c61c089ccce0e9, 0x29c61c089ccce0e9);
+}
+
+// One column per scheme, shaped so the pinned scheme encodes it, as in
+// serve_oracle_test; the three Diff columns cover the raw, zig-zag and
+// outlier-window modes.
+TEST(WriteGoldenTest, EveryScheme) {
+  constexpr size_t kRows = 20'000;
+  constexpr size_t kColumns = 14;
+  Rng rng(15);
+  std::vector<std::vector<int64_t>> raw(kColumns,
+                                        std::vector<int64_t>(kRows));
+  for (size_t i = 0; i < kRows; ++i) {
+    const int64_t ship = rng.Uniform(8035, 10591);
+    const int64_t city = rng.Uniform(0, 49);
+    const int64_t a = rng.Uniform(100, 999);
+    raw[0][i] = ship;                                     // kFor
+    raw[1][i] = ship + rng.Uniform(1, 30);                // kDiff raw
+    raw[2][i] = city;                                     // kDict
+    raw[3][i] = 10000 + city * 37 + rng.Uniform(0, 10);   // kHierarchical
+    raw[4][i] = a;                                        // kPlain
+    raw[5][i] = i % 3000 < 2000 ? 250 : 7;                // kRle
+    // kMultiRef: a, a + rle, or (rarely) neither.
+    raw[6][i] = rng.Bernoulli(0.01) ? -a
+                                    : (rng.Bernoulli(0.5) ? a : a + raw[5][i]);
+    raw[7][i] = static_cast<int64_t>(i) * 3 + rng.Uniform(0, 2);  // kDelta
+    raw[8][i] = rng.Uniform(100, 25000);                  // kBitPack
+    raw[9][i] = rng.Bernoulli(0.02) ? 5 : city * 1000 + 17;  // kC3OneToOne
+    raw[10][i] = ship + rng.Uniform(1, 30);               // kC3Dfor
+    raw[11][i] = ship * 2 + rng.Uniform(-40, 40);         // kC3Numerical
+    raw[12][i] = ship + rng.Uniform(-15, 15);             // kDiff zig-zag
+    raw[13][i] = ship + (rng.Bernoulli(0.004) ? rng.Uniform(100000, 200000)
+                                              : rng.Uniform(1, 30));
+  }
+  Table table;
+  for (size_t c = 0; c < kColumns; ++c) {
+    ASSERT_TRUE(
+        table.AddColumn(Column::Int64("c" + std::to_string(c), raw[c])).ok());
+  }
+  const enc::Scheme schemes[kColumns] = {
+      enc::Scheme::kFor,      enc::Scheme::kDiff,
+      enc::Scheme::kDict,     enc::Scheme::kHierarchical,
+      enc::Scheme::kPlain,    enc::Scheme::kRle,
+      enc::Scheme::kMultiRef, enc::Scheme::kDelta,
+      enc::Scheme::kBitPack,  enc::Scheme::kC3OneToOne,
+      enc::Scheme::kC3Dfor,   enc::Scheme::kC3Numerical,
+      enc::Scheme::kDiff,     enc::Scheme::kDiff};
+  CompressionPlan plan = CompressionPlan::AllAuto(kColumns);
+  for (size_t c = 0; c < kColumns; ++c) {
+    plan.columns[c].auto_vertical = false;
+    plan.columns[c].scheme = schemes[c];
+  }
+  plan.columns[1].reference = 0;
+  plan.columns[3].reference = 2;
+  plan.columns[6].formulas.groups = {{4}, {5}};
+  plan.columns[6].formulas.formulas = {0b01, 0b11};
+  plan.columns[6].formulas.code_bits = 1;
+  plan.columns[9].reference = 2;
+  plan.columns[10].reference = 0;
+  plan.columns[11].reference = 0;
+  plan.columns[12].reference = 0;
+  plan.columns[13].reference = 0;
+  plan.columns[13].diff_options.use_outliers = true;
+
+  // The fixture reaches every Diff mode and stores MultiRef outliers.
+  plan.block_rows = kBlockRows;
+  auto compressed = CorraCompressor::Compress(table, plan);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  const Block& block = compressed.value().block(0);
+  const auto diff_mode = [&block](size_t c) {
+    return static_cast<const DiffEncodedColumn&>(block.column(c)).mode();
+  };
+  EXPECT_EQ(diff_mode(1), DiffMode::kRaw);
+  EXPECT_EQ(diff_mode(12), DiffMode::kZigZag);
+  EXPECT_EQ(diff_mode(13), DiffMode::kWindow);
+  EXPECT_FALSE(
+      static_cast<const MultiRefColumn&>(block.column(6)).outliers().empty());
+
+  const uint64_t analytic = WriteAndDigest(table, plan, "every_analytic");
+  EXPECT_EQ(Hex(analytic), Hex(0x206935e404e4515d))
+      << "every scheme, kAnalytic";
+  plan.workload = enc::WorkloadHint::kPointServing;
+  const uint64_t point = WriteAndDigest(table, plan, "every_point");
+  EXPECT_EQ(Hex(point), Hex(0x084c7e58f87232ba))
+      << "every scheme, kPointServing";
+}
+
+}  // namespace
+}  // namespace corra
