@@ -21,9 +21,9 @@
 #include "encoding/for.h"
 #include "encoding/rle.h"
 #include "encoding/selector.h"
+#include "obs/trace.h"
 #include "query/aggregate.h"
 #include "query/filter.h"
-#include "query/latency.h"
 #include "query/morsel.h"
 #include "query/selection_vector.h"
 
@@ -36,13 +36,13 @@ template <typename Fn>
 void RunBench(bench::Reporter* reporter, const std::string& name,
               size_t rows, size_t min_reps, Fn&& fn) {
   fn();  // Warm-up (first-touch pages, caches).
-  query::Stopwatch watch;
+  const uint64_t begin_ns = obs::MonotonicNs();
   size_t reps = 0;
   double elapsed = 0;
   do {
     fn();
     ++reps;
-    elapsed = watch.ElapsedSeconds();
+    elapsed = obs::SecondsSince(begin_ns);
   } while (elapsed < 0.25 || reps < min_reps);
   reporter->Add(name, rows, elapsed, reps);
 }

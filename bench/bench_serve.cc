@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -33,6 +32,7 @@
 #include "common/random.h"
 #include "core/corra_compressor.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/scan_service.h"
 #include "serve/table_reader.h"
 #include "storage/file_io.h"
@@ -40,13 +40,8 @@
 namespace {
 
 using namespace corra;
-using Clock = std::chrono::steady_clock;
 
 constexpr size_t kBlockRows = 250000;
-
-double Seconds(Clock::time_point begin, Clock::time_point end) {
-  return std::chrono::duration<double>(end - begin).count();
-}
 
 struct RunStats {
   double seconds = 0;
@@ -93,7 +88,7 @@ RunStats RunConfig(const std::string& path, size_t capacity_blocks,
     }
   };
 
-  const auto begin = Clock::now();
+  const uint64_t begin_ns = obs::MonotonicNs();
   if (clients <= 1) {
     run_client(0);
   } else {
@@ -107,7 +102,7 @@ RunStats RunConfig(const std::string& path, size_t capacity_blocks,
     }
   }
   RunStats stats;
-  stats.seconds = Seconds(begin, Clock::now());
+  stats.seconds = obs::SecondsSince(begin_ns);
   for (size_t c = 0; c < clients; ++c) {
     stats.rows_scanned += scanned[c];
     stats.rows_matched += matched[c];
@@ -223,14 +218,11 @@ ClosedLoopStats RunClosedLoopConfig(const std::string& path, size_t rows,
         positions[i] =
             std::min<uint64_t>(start + i * kWindowStride, rows - 1);
       }
-      const auto op_begin = Clock::now();
+      const uint64_t op_begin_ns = obs::MonotonicNs();
       auto result = service.Gather(*reader.value(), cols, positions);
-      const auto op_end = Clock::now();
+      const uint64_t op_ns = obs::MonotonicNs() - op_begin_ns;
       if (result.ok()) {
-        latencies[client].push_back(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(op_end -
-                                                                 op_begin)
-                .count()));
+        latencies[client].push_back(op_ns);
       } else if (result.status().IsResourceExhausted()) {
         ++rejected[client];
       } else {

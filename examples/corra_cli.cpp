@@ -18,8 +18,8 @@
 #include "datagen/ldbc.h"
 #include "datagen/taxi.h"
 #include "datagen/tpch.h"
+#include "obs/trace.h"
 #include "query/filter.h"
-#include "query/latency.h"
 #include "query/selection_vector.h"
 #include "query/table_scan.h"
 #include "storage/file_io.h"
@@ -94,15 +94,15 @@ Result<CompressedTable> BuildDataset(const std::string& name, size_t rows) {
 
 int CmdGen(const std::string& dataset, size_t rows,
            const std::string& path) {
-  query::Stopwatch watch;
+  const uint64_t gen_begin_ns = obs::MonotonicNs();
   auto compressed = BuildDataset(dataset, rows);
   if (!compressed.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  compressed.status().ToString().c_str());
     return 1;
   }
-  const double gen_seconds = watch.ElapsedSeconds();
-  watch.Reset();
+  const double gen_seconds = obs::SecondsSince(gen_begin_ns);
+  const uint64_t write_begin_ns = obs::MonotonicNs();
   const Status written = WriteCompressedTable(compressed.value(), path);
   if (!written.ok()) {
     std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
@@ -113,7 +113,7 @@ int CmdGen(const std::string& dataset, size_t rows,
               path.c_str(), compressed.value().num_rows(),
               compressed.value().num_blocks(),
               static_cast<double>(compressed.value().TotalSizeBytes()) / 1e6,
-              gen_seconds, watch.ElapsedSeconds());
+              gen_seconds, obs::SecondsSince(write_begin_ns));
   return 0;
 }
 
@@ -159,9 +159,9 @@ int CmdQuery(const std::string& path, const std::string& column,
   Rng rng(42);
   const auto rows = query::GenerateSelectionVector(
       table.value().num_rows(), selectivity, &rng);
-  query::Stopwatch watch;
+  const uint64_t begin_ns = obs::MonotonicNs();
   auto out = query::ScanTableColumn(table.value(), col.value(), rows);
-  const double seconds = watch.ElapsedSeconds();
+  const double seconds = obs::SecondsSince(begin_ns);
   if (!out.ok()) {
     std::fprintf(stderr, "error: %s\n", out.status().ToString().c_str());
     return 1;
@@ -190,7 +190,7 @@ int CmdFilter(const std::string& path, const std::string& column,
     std::fprintf(stderr, "error: %s\n", col.status().ToString().c_str());
     return 1;
   }
-  query::Stopwatch watch;
+  const uint64_t begin_ns = obs::MonotonicNs();
   size_t count = 0;
   for (size_t b = 0; b < table.value().num_blocks(); ++b) {
     count += query::CountInRange(table.value().block(b).column(col.value()),
@@ -198,7 +198,7 @@ int CmdFilter(const std::string& path, const std::string& column,
   }
   std::printf("%zu of %zu rows in [%lld, %lld] (%.3f ms)\n", count,
               table.value().num_rows(), static_cast<long long>(lo),
-              static_cast<long long>(hi), watch.ElapsedSeconds() * 1e3);
+              static_cast<long long>(hi), obs::SecondsSince(begin_ns) * 1e3);
   return 0;
 }
 

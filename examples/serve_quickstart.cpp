@@ -131,7 +131,7 @@ int main() {
   //    allow_partial gets the rows from every healthy block plus a
   //    manifest naming the blocks that failed and why. Here a failpoint
   //    stands in for the bad medium (see README, "Failure model").
-  if (fail::CompiledIn()) {
+  {
     fail::ScopedFailpoint storm("cache.load_error", "times:1");
     serve::ScanRequest degraded = request;
     degraded.collect_trace = false;

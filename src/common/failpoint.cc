@@ -8,24 +8,6 @@
 
 namespace corra::fail {
 
-#ifdef CORRA_FAILPOINTS_OFF
-
-// Compiled out: arming is an explicit error (so a test that forgot to
-// gate on CompiledIn() fails loudly instead of silently never firing),
-// everything else is inert.
-Status Configure(std::string_view, std::string_view) {
-  return Status::NotImplemented("failpoints compiled out");
-}
-Status ConfigureFromString(std::string_view) {
-  return Status::NotImplemented("failpoints compiled out");
-}
-void Clear(std::string_view) {}
-void ClearAll() {}
-uint64_t Evaluations(std::string_view) { return 0; }
-uint64_t Fires(std::string_view) { return 0; }
-
-#else
-
 namespace {
 
 enum class Mode { kOff, kProb, kEvery, kTimes };
@@ -249,7 +231,5 @@ uint64_t Fires(std::string_view site) {
   auto it = table.sites.find(site);
   return it == table.sites.end() ? 0 : it->second.fires;
 }
-
-#endif  // CORRA_FAILPOINTS_OFF
 
 }  // namespace corra::fail

@@ -5,8 +5,7 @@
 // `CORRA_FAILPOINT("corf.pread.eio")` at the site and injects its fault
 // (a synthetic errno, a flipped byte, an early error return) only when
 // the site fires. With nothing armed, a site costs one relaxed atomic
-// load; with `-DCORRA_FAILPOINTS_OFF=ON` every site folds to a
-// compile-time `false` and the framework compiles out entirely.
+// load.
 //
 // Trigger specs (string grammar, used by Configure and the env):
 //   "off"             never fires (parks the site but keeps its stats)
@@ -43,17 +42,6 @@
 
 namespace corra::fail {
 
-/// False when the framework was compiled out (-DCORRA_FAILPOINTS_OFF);
-/// tests that need live sites skip themselves on this.
-constexpr bool CompiledIn() {
-#ifdef CORRA_FAILPOINTS_OFF
-  return false;
-#else
-  return true;
-#endif
-}
-
-#ifndef CORRA_FAILPOINTS_OFF
 namespace internal {
 /// Number of armed sites; -1 until CORRA_FAILPOINTS has been parsed.
 /// One relaxed load of this gates every site in the process.
@@ -62,27 +50,20 @@ extern std::atomic<int> g_armed;
 /// against the armed table (exact schedules, under a mutex).
 bool EvaluateSlow(const char* site);
 }  // namespace internal
-#endif
 
 /// Evaluates the site: true when the site is armed and its trigger
 /// fires this evaluation. Production code calls this through
-/// CORRA_FAILPOINT so the whole expression disappears when the
-/// framework is compiled out.
+/// CORRA_FAILPOINT.
 [[nodiscard]] inline bool Triggered(const char* site) {
-#ifdef CORRA_FAILPOINTS_OFF
-  (void)site;
-  return false;
-#else
   if (internal::g_armed.load(std::memory_order_relaxed) == 0) {
     return false;  // Nothing armed anywhere: the common (release) case.
   }
   return internal::EvaluateSlow(site);
-#endif
 }
 
 /// Arms `site` with trigger `spec` (grammar above), replacing any prior
 /// trigger and resetting the site's counters. InvalidArgument on a
-/// malformed spec; NotImplemented when the framework is compiled out.
+/// malformed spec.
 Status Configure(std::string_view site, std::string_view spec);
 
 /// Arms every "site=spec" pair in `config` (';'-separated, the
@@ -119,10 +100,6 @@ class ScopedFailpoint {
 
 /// Site check for production code. Reads as a condition:
 ///   if (CORRA_FAILPOINT("corf.pread.eio")) { inject EIO; }
-#ifdef CORRA_FAILPOINTS_OFF
-#define CORRA_FAILPOINT(site) (false)
-#else
 #define CORRA_FAILPOINT(site) (::corra::fail::Triggered(site))
-#endif
 
 #endif  // CORRA_COMMON_FAILPOINT_H_

@@ -1,9 +1,8 @@
 // Internal dispatch table of the SIMD kernel layer (see simd.h).
 //
 // One KernelTable per backend: simd_scalar.cc always provides one,
-// simd_avx2.cc provides one unless compiled out (CORRA_FORCE_SCALAR
-// build option or a non-x86 target). simd.cc picks the active table
-// once per process.
+// simd_avx2.cc provides one on x86-64 targets. simd.cc picks the active
+// table once per process.
 
 #ifndef CORRA_COMMON_SIMD_KERNEL_TABLE_H_
 #define CORRA_COMMON_SIMD_KERNEL_TABLE_H_
@@ -63,7 +62,7 @@ struct KernelTable {
 /// The always-available unrolled scalar table.
 const KernelTable& ScalarTable();
 
-/// The AVX2 table, or nullptr when compiled out.
+/// The AVX2 table, or nullptr on a non-x86 target.
 const KernelTable* Avx2Table();
 
 /// The table runtime dispatch selected (CPU probe + CORRA_FORCE_SCALAR).

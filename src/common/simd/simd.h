@@ -20,9 +20,8 @@
 //
 // Dispatch: the first call probes the CPU once. The environment variable
 // CORRA_FORCE_SCALAR (any value but "0") forces the scalar table at run
-// time; building with -DCORRA_FORCE_SCALAR=ON compiles the AVX2 table
-// out entirely. Every kernel also has a *Scalar twin so tests can prove
-// the two paths agree bit-for-bit in a single process.
+// time. Every kernel also has a *Scalar twin so tests can prove the two
+// paths agree bit-for-bit in a single process.
 //
 // Alignment contract: packed buffers must carry bit_util::kDecodePadBytes
 // (32) readable bytes past the payload — BitWriter::Finish and every

@@ -1,7 +1,7 @@
 // AVX2 backend of the SIMD kernel layer. Compiled with -mavx2 (per-file
 // compile flag in CMakeLists.txt); never executed unless runtime
-// dispatch confirmed AVX2 support, and compiled out entirely under
-// -DCORRA_FORCE_SCALAR=ON.
+// dispatch confirmed AVX2 support (and CORRA_FORCE_SCALAR is unset), and
+// compiled out on non-x86 targets.
 //
 // Unpack kernels: a 64-value block of width W occupies exactly 8*W bytes
 // starting byte-aligned, so all byte offsets, dword permutation indices,
@@ -23,7 +23,7 @@
 // compare + blend pair (and the unsigned variants flip the sign bit to
 // reuse the signed compare).
 
-#if !defined(CORRA_FORCE_SCALAR) && defined(__x86_64__)
+#if defined(__x86_64__)
 
 #include <immintrin.h>
 
@@ -861,7 +861,7 @@ const KernelTable* Avx2Table() { return &kAvx2Table; }
 
 }  // namespace corra::simd::internal
 
-#else  // CORRA_FORCE_SCALAR or non-x86 target: no AVX2 table.
+#else  // Non-x86 target: no AVX2 table.
 
 #include "common/simd/kernel_table.h"
 

@@ -11,8 +11,6 @@ namespace corra::obs {
 
 namespace internal {
 
-#ifndef CORRA_OBS_OFF
-
 std::atomic<int> g_enabled{0};
 
 bool InitEnabledFromEnv() {
@@ -26,8 +24,6 @@ bool InitEnabledFromEnv() {
   return g_enabled.load(std::memory_order_relaxed) > 0;
 }
 
-#endif  // CORRA_OBS_OFF
-
 size_t AssignThreadSlot() {
   static std::atomic<size_t> next{0};
   return next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
@@ -35,11 +31,9 @@ size_t AssignThreadSlot() {
 
 }  // namespace internal
 
-#ifndef CORRA_OBS_OFF
 void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled ? 1 : -1, std::memory_order_relaxed);
 }
-#endif
 
 // --- Latency buckets --------------------------------------------------------
 

@@ -27,15 +27,12 @@
 // racing a recorder can be mid-update across *metrics* but every
 // counter is monotone and a quiesced registry snapshots exactly.
 //
-// Escape hatch: the whole layer obeys CORRA_OBS_OFF.
-//   * compile time  -DCORRA_OBS_OFF=ON (CMake) makes Enabled() a
-//                   constant false, so instrumentation folds away;
-//   * run time      the CORRA_OBS_OFF environment variable (any value
-//                   but "0"), read once; SetEnabled() overrides it
-//                   (used by the A/B overhead bench and tests).
-// Disabled means Add/Set/Record are no-ops and instrumented code paths
-// skip their clock reads; the bench-verified bound is <= 2% overhead on
-// dense scans with observability ON (see bench/bench_obs_overhead.cc).
+// Escape hatch: the CORRA_OBS_OFF environment variable (any value but
+// "0"), read once, switches the whole layer off; SetEnabled() overrides
+// it (used by the A/B overhead bench and tests). Disabled means
+// Add/Set/Record are no-ops and instrumented code paths skip their
+// clock reads; the bench-verified bound is <= 2% overhead on dense
+// scans with observability ON (see bench/bench_overhead.cc).
 
 #ifndef CORRA_OBS_METRICS_H_
 #define CORRA_OBS_METRICS_H_
@@ -56,13 +53,6 @@ namespace corra::obs {
 
 // --- Enable/disable ---------------------------------------------------------
 
-#ifdef CORRA_OBS_OFF
-
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-
-#else
-
 namespace internal {
 // 0 = uninitialized (consult the environment), 1 = on, -1 = off.
 extern std::atomic<int> g_enabled;
@@ -79,10 +69,8 @@ inline bool Enabled() {
   return e > 0;
 }
 
-/// Runtime override, strongest of the gates below the compile-time one.
+/// Runtime override; wins over the environment.
 void SetEnabled(bool enabled);
-
-#endif  // CORRA_OBS_OFF
 
 // --- Thread shards ----------------------------------------------------------
 

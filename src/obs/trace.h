@@ -36,12 +36,19 @@
 
 namespace corra::obs {
 
-/// Monotonic nanoseconds (steady_clock). Callers gate on Enabled().
+/// Monotonic nanoseconds (steady_clock): the repository's one clock.
+/// Request telemetry reads it only when Enabled(); deadlines, quarantine
+/// TTLs and the benchmarks read it unconditionally.
 inline uint64_t MonotonicNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Seconds elapsed since `begin_ns`, an earlier MonotonicNs() reading.
+inline double SecondsSince(uint64_t begin_ns) {
+  return static_cast<double>(MonotonicNs() - begin_ns) * 1e-9;
 }
 
 /// The timed phases of one serving request, in execution order.

@@ -1,5 +1,7 @@
 #include "query/latency.h"
 
+#include "obs/trace.h"
+
 namespace corra::query {
 
 std::vector<double> PaperSelectivitySweep() {
@@ -22,11 +24,11 @@ double MeanRunSeconds(
   if (selection_vectors.empty()) {
     return 0;
   }
-  Stopwatch watch;
+  const uint64_t begin = obs::MonotonicNs();
   for (const auto& rows : selection_vectors) {
     body(rows);
   }
-  return watch.ElapsedSeconds() /
+  return obs::SecondsSince(begin) /
          static_cast<double>(selection_vectors.size());
 }
 

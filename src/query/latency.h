@@ -1,33 +1,17 @@
-// Timing utilities for the latency experiments (Fig. 5-8): a monotonic
-// stopwatch and repeated-measurement helpers reporting the mean over the
-// paper's 10 selection vectors per selectivity.
+// Timing utilities for the latency experiments (Fig. 5-8): the paper's
+// selectivity sweeps and a repeated-measurement helper reporting the
+// mean over its 10 selection vectors per selectivity. Time comes from
+// obs::MonotonicNs, the one clock of the repository.
 
 #ifndef CORRA_QUERY_LATENCY_H_
 #define CORRA_QUERY_LATENCY_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
 
-#include "storage/block.h"
-
 namespace corra::query {
-
-/// Monotonic wall-clock stopwatch.
-class Stopwatch {
- public:
-  Stopwatch() : start_(Clock::now()) {}
-  void Reset() { start_ = Clock::now(); }
-  double ElapsedSeconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
- private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start_;
-};
 
 /// The selectivities of the paper's Fig. 5/8 sweep:
 /// {0.001, 0.002, ..., 0.009, 0.01, 0.02, ..., 0.09, 0.1, 0.2, ..., 0.9, 1.0}.
@@ -44,18 +28,6 @@ inline std::vector<double> ZoomSelectivities() {
 double MeanRunSeconds(
     std::span<const std::vector<uint32_t>> selection_vectors,
     const std::function<void(std::span<const uint32_t>)>& body);
-
-/// One row of a latency-vs-selectivity experiment.
-struct LatencyPoint {
-  double selectivity = 0;
-  double baseline_seconds = 0;  // single-column compression
-  double corra_seconds = 0;
-  double uncompressed_seconds = 0;
-
-  double RatioOverBaseline() const {
-    return baseline_seconds > 0 ? corra_seconds / baseline_seconds : 0;
-  }
-};
 
 }  // namespace corra::query
 

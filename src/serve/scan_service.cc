@@ -260,8 +260,6 @@ ScanService::ScanService(Options options)
   metrics_.rejected = &reg.counter("serve.rejected");
   metrics_.deadline_missed = &reg.counter("serve.deadline_missed");
   metrics_.partial_results = &reg.counter("serve.partial_results");
-  metrics_.prefetch_issued = &reg.counter("serve.prefetch_issued");
-  metrics_.prefetch_skipped = &reg.counter("serve.prefetch_skipped");
   metrics_.queue_depth = &reg.gauge("serve.queue_depth");
   metrics_.inflight = &reg.gauge("serve.inflight_requests");
   metrics_.latency_us =
@@ -276,10 +274,6 @@ ScanService::ScanService(Options options)
   workers_.reserve(options.num_threads);
   for (size_t t = 0; t < options.num_threads; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  if (!workers_.empty() && options.read_ahead) {
-    read_ahead_ = std::make_unique<ReadAhead>(ReadAhead::Counters{
-        metrics_.prefetch_issued, metrics_.prefetch_skipped});
   }
 }
 
@@ -405,13 +399,6 @@ void ScanService::RunUnit(const TableReader& reader, const Unit& unit,
 void ScanService::RunUnits(const TableReader& reader,
                            std::span<const Unit> units,
                            const UnitWork& work) {
-  std::unique_ptr<ReadAhead::Session> session;
-  if (read_ahead_ != nullptr && units.size() > 1) {
-    std::vector<size_t> blocks(units.size());
-    std::transform(units.begin(), units.end(), blocks.begin(),
-                   [](const Unit& unit) { return unit.block; });
-    session = read_ahead_->Start(reader, std::move(blocks));
-  }
   auto claims = std::make_shared<Claims>(&reader, units, &work);
   const size_t helpers =
       units.size() > 1 ? std::min(workers_.size(), units.size() - 1) : 0;

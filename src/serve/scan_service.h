@@ -34,11 +34,11 @@
 //    with DeadlineExceeded ("serve.deadline_missed") before touching any
 //    block; one that expires mid-flight stops scanning further blocks.
 //    Degrade, don't collapse.
-//  * Read-ahead (pooled services only) — a prefetch thread
-//    (src/serve/read_ahead.h) issues a multi-block request's block
-//    fetches in scan order ahead of the caller and its helpers, so for
-//    sequential scans miss_fill moves off the critical path and units
-//    mostly pin resident blocks.
+//
+// There is no read-ahead: each unit reads its own block on a miss
+// (miss_fill). A prefetcher ran past a cache smaller than the scan and
+// evicted blocks before their units pinned them (README, "Why there is
+// no read-ahead").
 //
 // Telemetry (src/obs/): every request feeds the registry's serving
 // histograms (total latency plus per-phase queue wait / cache pin /
@@ -49,7 +49,7 @@
 // and any request slower than Options::slow_trace_ns is retained in a
 // last-N ring (DrainSlowTraces) whether or not it opted in. All of it
 // is inert — no clock reads, no traces — when obs::Enabled() is false
-// (env CORRA_OBS_OFF, or compiled out).
+// (env CORRA_OBS_OFF, or obs::SetEnabled(false)).
 
 #ifndef CORRA_SERVE_SCAN_SERVICE_H_
 #define CORRA_SERVE_SCAN_SERVICE_H_
@@ -67,7 +67,6 @@
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/read_ahead.h"
 #include "serve/table_reader.h"
 
 namespace corra::serve {
@@ -192,8 +191,8 @@ class ScanService {
     /// 0, both grow with the number of concurrent callers.
     size_t max_inflight_requests = 0;
 
-    /// Prefetch a request's blocks in scan order on a background thread
-    /// (pooled services only), so units mostly pin resident blocks.
+    /// Has no effect: read-ahead was removed. Kept only so callers that
+    /// still assign it compile.
     bool read_ahead = true;
   };
 
@@ -243,8 +242,6 @@ class ScanService {
     obs::Counter* rejected;          // Admission-control fast rejects.
     obs::Counter* deadline_missed;   // DeadlineExceeded returns.
     obs::Counter* partial_results;   // allow_partial scans missing blocks.
-    obs::Counter* prefetch_issued;
-    obs::Counter* prefetch_skipped;
     obs::Gauge* queue_depth;         // Helper tasks waiting for a worker.
     obs::Gauge* inflight;            // Admitted, not yet returned.
     obs::Histogram* latency_us;
@@ -298,7 +295,6 @@ class ScanService {
   obs::TraceRing slow_traces_;
   size_t max_inflight_ = 0;
   std::atomic<size_t> inflight_{0};
-  std::unique_ptr<ReadAhead> read_ahead_;  // Pooled + read_ahead only.
 };
 
 }  // namespace corra::serve

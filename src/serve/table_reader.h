@@ -86,8 +86,6 @@ class TableReader {
   Result<BlockCache::Handle> GetBlock(
       size_t index, BlockFetchStats* fetch = nullptr) const;
 
-  const std::shared_ptr<BlockCache>& cache() const { return cache_; }
-
  private:
   TableReader(CorfFile file, std::shared_ptr<BlockCache> cache,
               uint64_t file_id, TableReaderOptions options);

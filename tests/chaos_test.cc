@@ -55,9 +55,6 @@ constexpr Shape kShapes[] = {
 class ChaosTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    if (!fail::CompiledIn()) {
-      GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
-    }
     fail::ClearAll();
     path_ = ::testing::TempDir() + "corra_chaos_test.corf";
     Rng rng(21);

@@ -1,5 +1,5 @@
-// Failpoint framework: trigger grammar, firing schedules, env-style
-// configuration, and the compiled-out escape hatch.
+// Failpoint framework: trigger grammar, firing schedules, and env-style
+// configuration.
 
 #include "common/failpoint.h"
 
@@ -15,12 +15,7 @@ namespace {
 
 class FailpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!CompiledIn()) {
-      GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
-    }
-    ClearAll();
-  }
+  void SetUp() override { ClearAll(); }
   void TearDown() override { ClearAll(); }
 };
 
@@ -161,14 +156,6 @@ TEST_F(FailpointTest, SchedulesStayExactUnderConcurrency) {
   EXPECT_EQ(fires.load(), 8000u / 5u);
   EXPECT_EQ(Evaluations("test.mt"), 8000u);
   EXPECT_EQ(Fires("test.mt"), 8000u / 5u);
-}
-
-TEST(FailpointCompiledOutTest, ConfigureReportsNotImplemented) {
-  if (CompiledIn()) {
-    GTEST_SKIP() << "framework compiled in";
-  }
-  EXPECT_TRUE(Configure("x", "every:1").IsNotImplemented());
-  EXPECT_FALSE(CORRA_FAILPOINT("x"));
 }
 
 }  // namespace

@@ -370,9 +370,6 @@ class FileIoFaultTest : public FileIoTest {
  protected:
   void SetUp() override {
     FileIoTest::SetUp();
-    if (!fail::CompiledIn()) {
-      GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
-    }
     fail::ClearAll();
     ASSERT_TRUE(WriteCompressedTable(MakeTable(), path_).ok());
   }

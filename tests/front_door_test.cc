@@ -1,13 +1,14 @@
 // Serving front door: concurrent pooled requests stay byte-identical to
 // the raw data across every encoding scheme, admission control
-// fast-rejects over-limit and expired requests, and read-ahead keeps
-// cold scans exact and single-flight.
+// fast-rejects over-limit and expired requests, and a cold pooled scan
+// reads each block once, even through a cache smaller than the table.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,13 +32,9 @@ class FrontDoorTest : public ::testing::Test {
   static constexpr size_t kColumns = 12;
 
   void SetUp() override {
-#ifdef CORRA_OBS_OFF
     // The counter assertions below (rejected, deadline_missed,
-    // inflight_requests) need live telemetry.
-    GTEST_SKIP() << "observability compiled out (CORRA_OBS_OFF)";
-#else
+    // inflight_requests, storage.block_reads) need live telemetry.
     obs::SetEnabled(true);
-#endif
     path_ = ::testing::TempDir() + "corra_front_door_test.corf";
     Rng rng(77);
     raw_.assign(kColumns, std::vector<int64_t>(kRows));
@@ -330,38 +327,82 @@ TEST_F(FrontDoorTest, FutureDeadlineIsHarmless) {
   }
 }
 
-// Read-ahead keeps results identical on a cold cache and reports its
-// prefetches; single-flight means no double loads (ledger intact).
-TEST_F(FrontDoorTest, ReadAheadColdScanStaysExactAndSingleFlight) {
+// Runs one cold pooled scan of `columns` over the table at `path` (a
+// service with 2 helpers, a fresh cache built from `cache_options`) and
+// checks that every value matches `raw` and that each of the file's
+// `num_blocks` blocks was read from storage exactly once.
+void ExpectColdScanReadsEachBlockOnce(
+    const std::string& path, const std::vector<std::vector<int64_t>>& raw,
+    const std::vector<size_t>& columns, size_t num_blocks,
+    BlockCacheOptions cache_options) {
   obs::Registry registry;
-  auto cache = std::make_shared<BlockCache>(
-      BlockCacheOptions{.registry = &registry});
-  auto reader = TableReader::Open(path_, cache);
-  ASSERT_TRUE(reader.ok());
+  cache_options.registry = &registry;
+  auto cache = std::make_shared<BlockCache>(cache_options);
+  auto reader = TableReader::Open(path, cache);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ScanService service({.num_threads = 2, .registry = &registry});
 
   ScanRequest request;
-  request.project_columns = {0, 3, 7};
-  request.return_positions = false;
+  request.project_columns = columns;
+  obs::Counter& block_reads =
+      obs::Registry::Default().counter("storage.block_reads");
+  const uint64_t reads_before = block_reads.Value();
   auto result = service.Execute(*reader.value(), request);
+  const uint64_t reads = block_reads.Value() - reads_before;
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().rows_scanned, kRows);
-  for (size_t c = 0; c < request.project_columns.size(); ++c) {
-    ASSERT_EQ(result.value().columns[c].size(), kRows);
-    for (size_t i = 0; i < kRows; ++i) {
-      ASSERT_EQ(result.value().columns[c][i],
-                raw_[request.project_columns[c]][i]);
+  const size_t rows = raw[columns[0]].size();
+  EXPECT_EQ(result.value().rows_scanned, rows);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    ASSERT_EQ(result.value().columns[c].size(), rows);
+    for (size_t i = 0; i < rows; ++i) {
+      ASSERT_EQ(result.value().columns[c][i], raw[columns[c]][i])
+          << "column " << columns[c] << " row " << i;
     }
   }
 
-  // Every block was loaded exactly once, whether the prefetcher or a
-  // worker won the race (single-flight absorbs the loser as a wait).
   const BlockCacheStats stats = cache->GetStats();
-  EXPECT_EQ(stats.misses, kRows / kBlockRows);
+  EXPECT_EQ(stats.misses, num_blocks);
+  EXPECT_EQ(reads, num_blocks);
   EXPECT_EQ(stats.failed_loads, 0u);
   EXPECT_EQ(stats.misses,
             stats.cached_blocks + stats.loading_blocks + stats.evictions +
                 stats.failed_loads + stats.erased_blocks);
+}
+
+// A cold pooled scan reads each block once and stays exact: on the
+// fixture's table through a cache that holds it all, and on 16 blocks
+// of 50,000 rows through a 2-block cache, where a block fetched ahead of
+// the unit that pins it would be evicted first and read twice.
+TEST_F(FrontDoorTest, ColdPooledScanReadsEachBlockOnce) {
+  ExpectColdScanReadsEachBlockOnce(path_, raw_, {0, 3, 7},
+                                   kRows / kBlockRows, BlockCacheOptions{});
+
+  constexpr size_t kBigBlocks = 16;
+  constexpr size_t kBigBlockRows = 50'000;
+  constexpr size_t kBigRows = kBigBlocks * kBigBlockRows;
+  Rng rng(78);
+  std::vector<std::vector<int64_t>> raw(2, std::vector<int64_t>(kBigRows));
+  for (size_t i = 0; i < kBigRows; ++i) {
+    raw[0][i] = rng.Uniform(8035, 10591);
+    raw[1][i] = raw[0][i] + rng.Uniform(1, 30);
+  }
+  Table table;
+  ASSERT_TRUE(table.AddColumn(Column::Date("ship", raw[0])).ok());
+  ASSERT_TRUE(table.AddColumn(Column::Date("receipt", raw[1])).ok());
+  CompressionPlan plan = CompressionPlan::AllAuto(2);
+  plan.block_rows = kBigBlockRows;
+  plan.columns[1].auto_vertical = false;
+  plan.columns[1].scheme = enc::Scheme::kDiff;
+  plan.columns[1].reference = 0;
+  auto compressed = CorraCompressor::Compress(table, plan);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  ASSERT_EQ(compressed.value().num_blocks(), kBigBlocks);
+  const std::string path =
+      ::testing::TempDir() + "corra_front_door_cold_test.corf";
+  ASSERT_TRUE(WriteCompressedTable(compressed.value(), path).ok());
+  ExpectColdScanReadsEachBlockOnce(path, raw, {0, 1}, kBigBlocks,
+                                   BlockCacheOptions{.capacity_blocks = 2});
+  std::remove(path.c_str());
 }
 
 }  // namespace

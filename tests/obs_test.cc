@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,15 +22,8 @@
 namespace corra::obs {
 namespace {
 
-#ifdef CORRA_OBS_OFF
-#define SKIP_IF_COMPILED_OUT() \
-  GTEST_SKIP() << "observability compiled out (CORRA_OBS_OFF)"
-#else
-#define SKIP_IF_COMPILED_OUT() SetEnabled(true)
-#endif
-
 TEST(EnabledTest, SetEnabledGatesRecording) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Counter counter;
   Gauge gauge;
   Histogram histogram(LatencyBucketBoundsUs());
@@ -51,8 +45,36 @@ TEST(EnabledTest, SetEnabledGatesRecording) {
   EXPECT_EQ(histogram.Snapshot().count, 1u);
 }
 
+// The environment switch: read on the first Enabled() after the gate is
+// reset to "uninitialized"; any value but "0" turns the layer off, and
+// SetEnabled() still wins afterwards.
+TEST(EnabledTest, EnvCorraObsOffSwitchesLayerOff) {
+  const auto enabled_with_env = [](const char* value) {
+    if (value == nullptr) {
+      unsetenv("CORRA_OBS_OFF");
+    } else {
+      setenv("CORRA_OBS_OFF", value, /*overwrite=*/1);
+    }
+    internal::g_enabled.store(0, std::memory_order_relaxed);
+    return Enabled();
+  };
+  EXPECT_FALSE(enabled_with_env("1"));
+  EXPECT_FALSE(enabled_with_env(""));
+  EXPECT_TRUE(enabled_with_env("0"));
+  EXPECT_TRUE(enabled_with_env(nullptr));
+
+  EXPECT_FALSE(enabled_with_env("1"));
+  Counter counter;
+  counter.Add(3);
+  EXPECT_EQ(counter.Value(), 0u);
+  SetEnabled(true);
+  counter.Add(3);
+  EXPECT_EQ(counter.Value(), 3u);
+  unsetenv("CORRA_OBS_OFF");
+}
+
 TEST(CounterTest, AddsAccumulateAcrossThreads) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Counter counter;
   constexpr int kThreads = 8;
   constexpr int kIters = 10000;
@@ -75,7 +97,7 @@ TEST(CounterTest, AddsAccumulateAcrossThreads) {
 }
 
 TEST(GaugeTest, MovesBothWays) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Gauge gauge;
   gauge.Add(100);
   gauge.Sub(30);
@@ -85,7 +107,7 @@ TEST(GaugeTest, MovesBothWays) {
 }
 
 TEST(HistogramTest, ZeroSamples) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Histogram histogram(LatencyBucketBoundsUs());
   const HistogramSnapshot snap = histogram.Snapshot();
   EXPECT_EQ(snap.count, 0u);
@@ -97,7 +119,7 @@ TEST(HistogramTest, ZeroSamples) {
 }
 
 TEST(HistogramTest, SingleSampleReportsItselfAtEveryQuantile) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Histogram histogram(LatencyBucketBoundsUs());
   histogram.Record(137);
   const HistogramSnapshot snap = histogram.Snapshot();
@@ -112,7 +134,7 @@ TEST(HistogramTest, SingleSampleReportsItselfAtEveryQuantile) {
 }
 
 TEST(HistogramTest, BeyondLastBucketLandsInOverflow) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   const uint64_t bounds[] = {10, 100};
   Histogram histogram(bounds);
   histogram.Record(5);
@@ -129,7 +151,7 @@ TEST(HistogramTest, BeyondLastBucketLandsInOverflow) {
 }
 
 TEST(HistogramTest, BoundaryValuesBinIntoInclusiveUpperBound) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   const uint64_t bounds[] = {10, 100};
   Histogram histogram(bounds);
   histogram.Record(10);   // == first bound: first bucket.
@@ -143,7 +165,7 @@ TEST(HistogramTest, BoundaryValuesBinIntoInclusiveUpperBound) {
 }
 
 TEST(HistogramTest, ConcurrentRecordsAllCounted) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Histogram histogram(LatencyBucketBoundsUs());
   constexpr int kThreads = 8;
   constexpr int kIters = 5000;
@@ -170,7 +192,7 @@ TEST(HistogramTest, ConcurrentRecordsAllCounted) {
 }
 
 TEST(HistogramTest, SnapshotDuringRecordingIsCoherentEnough) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   // A snapshot racing recorders may be mid-update across shards, but
   // every value it reads is a real committed value: bucket totals never
   // exceed the number of records started, and never shrink.
@@ -193,7 +215,7 @@ TEST(HistogramTest, SnapshotDuringRecordingIsCoherentEnough) {
 }
 
 TEST(RegistryTest, LookupIsIdempotentAndStable) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Registry registry;
   Counter& a = registry.counter("x.count");
   Counter& b = registry.counter("x.count");
@@ -206,7 +228,7 @@ TEST(RegistryTest, LookupIsIdempotentAndStable) {
 }
 
 TEST(RegistryTest, ResetZeroesButKeepsRegistrations) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Registry registry;
   Counter& c = registry.counter("c");
   Gauge& g = registry.gauge("g");
@@ -225,7 +247,7 @@ TEST(RegistryTest, ResetZeroesButKeepsRegistrations) {
 }
 
 TEST(RegistryTest, JsonExportShape) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Registry registry;
   registry.counter("serve.requests").Add(2);
   registry.gauge("cache.cached_bytes").Set(4096);
@@ -244,7 +266,7 @@ TEST(RegistryTest, JsonExportShape) {
 }
 
 TEST(RegistryTest, PrometheusExportShape) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   Registry registry;
   registry.counter("query.decode_rows{scheme=\"FOR\"}").Add(128);
   registry.gauge("cache.pinned_blocks").Set(3);
@@ -276,7 +298,7 @@ TEST(RegistryTest, PrometheusExportShape) {
 }
 
 TEST(TraceRingTest, RetainsLastNOldestFirst) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   TraceRing ring(3);
   for (uint64_t i = 1; i <= 5; ++i) {
     RequestTrace trace;
@@ -297,7 +319,7 @@ TEST(TraceRingTest, RetainsLastNOldestFirst) {
 }
 
 TEST(TraceTest, ToJsonNamesPhasesAndBlocks) {
-  SKIP_IF_COMPILED_OUT();
+  SetEnabled(true);
   RequestTrace trace;
   trace.op = "execute";
   trace.total_ns = 1000;

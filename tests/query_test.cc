@@ -303,20 +303,6 @@ TEST_F(ScanDeathTest, UnsortedSelectionAssertsInDebugIsDefinedInRelease) {
 #endif
 }
 
-TEST(LatencyTest, StopwatchAdvances) {
-  Stopwatch watch;
-  double t1 = watch.ElapsedSeconds();
-  // Burn a little CPU.
-  volatile uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) {
-    sink = sink + static_cast<uint64_t>(i);
-  }
-  double t2 = watch.ElapsedSeconds();
-  EXPECT_GE(t2, t1);
-  watch.Reset();
-  EXPECT_LE(watch.ElapsedSeconds(), t2);
-}
-
 TEST(LatencyTest, MeanRunSecondsAveragesBodies) {
   std::vector<std::vector<uint32_t>> vectors(4, std::vector<uint32_t>{0});
   size_t calls = 0;

@@ -121,9 +121,6 @@ TEST(BlockCacheTest, HandleOutlivingCacheUnwindsGaugesExactly) {
   // must do so under each shard's lock — the destructor can run on
   // whichever thread drops the last Handle, which is not necessarily
   // the thread that last mutated the shard.
-#ifdef CORRA_OBS_OFF
-  GTEST_SKIP() << "observability compiled out (CORRA_OBS_OFF)";
-#else
   obs::Registry registry;
   obs::SetEnabled(true);
   std::atomic<int> loads{0};
@@ -152,7 +149,6 @@ TEST(BlockCacheTest, HandleOutlivingCacheUnwindsGaugesExactly) {
   EXPECT_EQ(registry.gauge("cache.cached_bytes").Value(), 0);
   EXPECT_EQ(registry.gauge("cache.pinned_blocks").Value(), 0);
   EXPECT_EQ(registry.gauge("cache.pinned_bytes").Value(), 0);
-#endif  // CORRA_OBS_OFF
 }
 
 TEST(BlockCacheTest, AllPinnedPastCapacityAccountingStaysConsistent) {

@@ -30,11 +30,7 @@ class TraceServeTest : public ::testing::Test {
   static constexpr size_t kBlockRows = 1000;
 
   void SetUp() override {
-#ifdef CORRA_OBS_OFF
-    GTEST_SKIP() << "observability compiled out (CORRA_OBS_OFF)";
-#else
     obs::SetEnabled(true);
-#endif
     path_ = ::testing::TempDir() + "corra_trace_serve_test.corf";
     Rng rng(97);
     ship_.resize(kRows);
