@@ -7,7 +7,10 @@
 //
 // Flags: --rows N (default 1M), --runs N (min repetitions), --json.
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "common/random.h"
 #include "core/diff_encoding.h"
 #include "core/hierarchical_encoding.h"
+#include "core/multi_ref_encoding.h"
 #include "encoding/bitpack.h"
 #include "encoding/delta.h"
 #include "encoding/dictionary.h"
@@ -82,6 +86,63 @@ std::vector<int64_t> RunLengthValues(size_t n) {
   return values;
 }
 
+// Taxi's total_amount shape (paper Sec. 2.3, Table 1): group A is six
+// FOR/Dict columns, groups B and C one Dict column each, and 2-bit codes
+// select A, A+B, A+C or A+B+C at the paper's shares, with 0.32% outliers.
+struct MultiRefFixture {
+  std::vector<std::unique_ptr<enc::EncodedColumn>> references;
+  std::unique_ptr<MultiRefColumn> column;
+};
+
+MultiRefFixture MakeMultiRef(size_t n) {
+  Rng rng(13);
+  std::vector<std::vector<int64_t>> columns(8, std::vector<int64_t>(n));
+  std::vector<int64_t> target(n);
+  for (size_t i = 0; i < n; ++i) {
+    columns[0][i] = 50;                             // mta_tax
+    columns[1][i] = rng.Uniform(250, 9000);         // fare_amount
+    columns[2][i] = rng.Bernoulli(0.9) ? 30 : 0;    // improvement_surcharge
+    columns[3][i] = rng.Uniform(0, 2) * 50;         // extra
+    columns[4][i] = rng.Uniform(0, 2500);           // tip_amount
+    columns[5][i] = rng.Bernoulli(0.05) ? 655 : 0;  // tolls_amount
+    columns[6][i] = 250;                            // congestion_surcharge
+    columns[7][i] = rng.Bernoulli(0.5) ? 175 : 125;  // airport_fee
+    int64_t a = 0;
+    for (size_t c = 0; c < 6; ++c) {
+      a += columns[c][i];
+    }
+    const double u = rng.NextDouble();
+    target[i] = u < 0.3119   ? a
+                : u < 0.9363 ? a + columns[6][i]
+                : u < 0.9632 ? a + columns[7][i]
+                : u < 0.9968 ? a + columns[6][i] + columns[7][i]
+                             : a + 100000;
+  }
+  FormulaTable table;
+  table.groups = {{0, 1, 2, 3, 4, 5}, {6}, {7}};
+  table.formulas = {0b001, 0b011, 0b101, 0b111};
+  MultiRefFixture fixture;
+  fixture.column = MultiRefColumn::Encode(
+                       target,
+                       [&](uint32_t col) -> std::span<const int64_t> {
+                         return columns[col];
+                       },
+                       table)
+                       .value();
+  std::vector<const enc::EncodedColumn*> refs;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (c == 1 || c == 4) {
+      fixture.references.push_back(enc::ForColumn::Encode(columns[c]).value());
+    } else {
+      fixture.references.push_back(
+          enc::DictColumn::Encode(columns[c]).value());
+    }
+    refs.push_back(fixture.references.back().get());
+  }
+  (void)fixture.column->BindReferences(refs);
+  return fixture;
+}
+
 // Sweeps the whole column through DecodeRange in morsel-sized windows —
 // the access pattern of every generic query kernel.
 void DecodeRangeSweep(const enc::EncodedColumn& column, int64_t* sink) {
@@ -127,6 +188,7 @@ void RunAll(const bench::Flags& flags) {
   auto hier_column = HierarchicalColumn::Encode(zip, city, 0).value();
   const enc::EncodedColumn* hier_refs[] = {city_column.get()};
   (void)hier_column->BindReferences(hier_refs);
+  const MultiRefFixture multiref = MakeMultiRef(rows);
 
   std::vector<int64_t> out(rows);
   int64_t sink = 0;
@@ -203,6 +265,8 @@ void RunAll(const bench::Flags& flags) {
            [&] { DecodeRangeSweep(*diff_column, &sink); });
   RunBench(&reporter, "decode_range/hierarchical", rows, reps,
            [&] { DecodeRangeSweep(*hier_column, &sink); });
+  RunBench(&reporter, "decode_range/multiref", rows, reps,
+           [&] { DecodeRangeSweep(*multiref.column, &sink); });
 
   // Point access: FOR is O(1); Delta pays its checkpoint scan — the
   // paper's argument for restricting the baseline to FOR/Dict.
@@ -267,6 +331,8 @@ void RunAll(const bench::Flags& flags) {
              });
     RunBench(&reporter, "gather_0.1/hierarchical", selection.size(), reps,
              [&] { hier_column->Gather(selection, gathered.data()); });
+    RunBench(&reporter, "gather_0.1/multiref", selection.size(), reps,
+             [&] { multiref.column->Gather(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.1/delta", selection.size(), reps,
              [&] { delta_column->Gather(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.1_inline/delta", selection.size(), reps,
@@ -291,6 +357,38 @@ void RunAll(const bench::Flags& flags) {
     RunBench(&reporter, "gather_0.01_inline/delta", selection.size(), reps,
              [&] {
                delta_inline_column->Gather(selection, gathered.data());
+             });
+  }
+
+  // Point gathers the way serving issues them: 128 sorted distinct rows
+  // inside a 4,096-row window, 64 windows per repetition.
+  constexpr size_t kWindowRows = 4096;
+  if (rows >= kWindowRows) {
+    constexpr size_t kPointRows = 128;
+    Rng rng(14);
+    std::vector<std::vector<uint32_t>> ops(64);
+    std::vector<uint32_t> slots(kWindowRows);
+    for (auto& op : ops) {
+      const auto start = static_cast<uint32_t>(
+          rng.Uniform(0, static_cast<int64_t>(rows - kWindowRows)));
+      for (size_t j = 0; j < kWindowRows; ++j) {
+        slots[j] = static_cast<uint32_t>(j);
+      }
+      for (size_t j = 0; j < kPointRows; ++j) {
+        std::swap(slots[j],
+                  slots[static_cast<size_t>(rng.Uniform(
+                      static_cast<int64_t>(j),
+                      static_cast<int64_t>(kWindowRows) - 1))]);
+        op.push_back(start + slots[j]);
+      }
+      std::sort(op.begin(), op.end());
+    }
+    std::vector<int64_t> gathered(kPointRows);
+    RunBench(&reporter, "gather_128/multiref", ops.size() * kPointRows, reps,
+             [&] {
+               for (const auto& op : ops) {
+                 multiref.column->Gather(op, gathered.data());
+               }
              });
   }
 

@@ -58,6 +58,32 @@ Result<std::vector<std::vector<int64_t>>> ComputeGroupSums(
   return sums;
 }
 
+// The morsel kernel of GatherRange and DecodeRange, with stack scratch
+// only. On entry `codes` holds a morsel's `len` formula codes; they are
+// turned into group masks in place. `out` is zeroed, then every bound
+// reference column is added into it where the row's mask has the
+// column's group bit. `fetch(col, values)` materializes `col` at the
+// morsel's rows.
+template <typename Fetch>
+void FoldReferences(
+    const std::vector<uint8_t>& formulas,
+    const std::vector<std::vector<const enc::EncodedColumn*>>& groups,
+    uint64_t* codes, size_t len, Fetch&& fetch, int64_t* out) {
+  for (size_t i = 0; i < len; ++i) {
+    codes[i] = formulas[codes[i]];
+  }
+  std::fill_n(out, len, 0);
+  int64_t values[enc::kMorselRows];
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (const enc::EncodedColumn* col : groups[g]) {
+      fetch(*col, values);
+      for (size_t i = 0; i < len; ++i) {
+        out[i] += values[i] & -static_cast<int64_t>((codes[i] >> g) & 1);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 MultiRefColumn::MultiRefColumn(FormulaTable table, std::vector<uint8_t> bytes,
@@ -280,43 +306,24 @@ int64_t MultiRefColumn::Get(size_t row) const {
 void MultiRefColumn::GatherRange(std::span<const uint32_t> rows,
                                  int64_t* out) const {
   assert(!bound_groups_.empty() && "references not bound");
-  // Column-at-a-time in cache-sized chunks: one positioned GatherRange
-  // per reference column per chunk (each scheme's sparse fast path),
-  // instead of one virtual Get per (row, column) pair. The formula codes
-  // are gathered from the packed stream in bulk too; group sums are
-  // accumulated per chunk, then combined per row through the mask.
-  constexpr size_t kChunk = 4096;
-  const size_t num_groups = bound_groups_.size();
-  std::vector<std::vector<int64_t>> group_sums(num_groups);
-  for (auto& sums : group_sums) {
-    sums.resize(kChunk);
-  }
-  std::vector<int64_t> scratch(kChunk);
-  std::vector<uint64_t> codes(kChunk);
-  for (size_t begin = 0; begin < rows.size(); begin += kChunk) {
-    const size_t len = std::min(kChunk, rows.size() - begin);
-    const auto chunk = rows.subspan(begin, len);
-    for (size_t g = 0; g < num_groups; ++g) {
-      std::fill_n(group_sums[g].data(), len, 0);
-      for (const enc::EncodedColumn* col : bound_groups_[g]) {
-        col->GatherRange(chunk, scratch.data());
-        for (size_t i = 0; i < len; ++i) {
-          group_sums[g][i] += scratch[i];
-        }
-      }
-    }
+  // Morsel-at-a-time with stack scratch only: the codes are gathered
+  // from the packed stream in bulk, then each reference column
+  // contributes one positioned GatherRange (its own sparse fast path)
+  // instead of one virtual Get per (row, column) pair.
+  uint64_t codes[enc::kMorselRows];
+  size_t done = 0;
+  while (done < rows.size()) {
+    const size_t len = std::min(rows.size() - done, enc::kMorselRows);
+    const auto chunk = rows.subspan(done, len);
     simd::GatherBits(bytes_.data(), codes_.bit_width(), chunk.data(), len,
-                     codes.data());
-    for (size_t i = 0; i < len; ++i) {
-      const uint8_t mask = table_.formulas[codes[i]];
-      int64_t sum = 0;
-      for (size_t g = 0; g < num_groups; ++g) {
-        if (mask & (1u << g)) {
-          sum += group_sums[g][i];
-        }
-      }
-      out[begin + i] = sum;
-    }
+                     codes);
+    FoldReferences(
+        table_.formulas, bound_groups_, codes, len,
+        [chunk](const enc::EncodedColumn& col, int64_t* values) {
+          col.GatherRange(chunk, values);
+        },
+        out + done);
+    done += len;
   }
   outliers_.Patch(rows, out);
 }
@@ -325,36 +332,17 @@ void MultiRefColumn::DecodeRange(size_t row_begin, size_t count,
                                  int64_t* out) const {
   assert(!bound_groups_.empty() && "references not bound");
   // Morsel-at-a-time: each reference column contributes one ranged
-  // decode per morsel (so the whole working set stays cache-resident),
-  // group sums are accumulated per morsel, then combined per row via the
-  // formula mask.
-  const size_t num_groups = bound_groups_.size();
-  std::vector<int64_t> group_sums(num_groups * enc::kMorselRows);
-  std::vector<int64_t> scratch(enc::kMorselRows);
-  std::vector<uint64_t> codes(enc::kMorselRows);
+  // decode per morsel, so the whole working set stays cache-resident.
+  uint64_t codes[enc::kMorselRows];
   while (count > 0) {
-    const size_t len = count < enc::kMorselRows ? count : enc::kMorselRows;
-    for (size_t g = 0; g < num_groups; ++g) {
-      int64_t* sums = group_sums.data() + g * enc::kMorselRows;
-      std::fill_n(sums, len, 0);
-      for (const enc::EncodedColumn* col : bound_groups_[g]) {
-        col->DecodeRange(row_begin, len, scratch.data());
-        for (size_t i = 0; i < len; ++i) {
-          sums[i] += scratch[i];
-        }
-      }
-    }
-    codes_.DecodeRange(row_begin, len, codes.data());
-    for (size_t i = 0; i < len; ++i) {
-      const uint8_t mask = table_.formulas[codes[i]];
-      int64_t sum = 0;
-      for (size_t g = 0; g < num_groups; ++g) {
-        if (mask & (1u << g)) {
-          sum += group_sums[g * enc::kMorselRows + i];
-        }
-      }
-      out[i] = sum;
-    }
+    const size_t len = std::min(count, enc::kMorselRows);
+    codes_.DecodeRange(row_begin, len, codes);
+    FoldReferences(
+        table_.formulas, bound_groups_, codes, len,
+        [row_begin, len](const enc::EncodedColumn& col, int64_t* values) {
+          col.DecodeRange(row_begin, len, values);
+        },
+        out);
     outliers_.PatchRange(row_begin, len, out);
     row_begin += len;
     out += len;

@@ -85,6 +85,8 @@ void OutlierStore::Patch(std::span<const uint32_t> rows, int64_t* out) const {
     return;
   }
   // Both sequences are sorted: advance through the outlier list once.
+  // A matched outlier stays current, so a repeated position is patched
+  // at every copy.
   size_t o = std::lower_bound(rows_.begin(), rows_.end(), rows.front()) -
              rows_.begin();
   for (size_t i = 0; i < rows.size() && o < rows_.size(); ++i) {
@@ -93,7 +95,6 @@ void OutlierStore::Patch(std::span<const uint32_t> rows, int64_t* out) const {
     }
     if (o < rows_.size() && rows_[o] == rows[i]) {
       out[i] = value(o);
-      ++o;
     }
   }
 }

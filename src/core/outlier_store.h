@@ -48,8 +48,9 @@ class OutlierStore {
   /// True iff `row` is an outlier.
   bool Contains(uint32_t row) const { return Find(row).has_value(); }
 
-  /// Patches `out` (values for the sorted row positions `rows`) with any
-  /// outlier values, using a linear merge over both sorted sequences.
+  /// Patches `out` (values for the non-decreasing row positions `rows`,
+  /// duplicates allowed) with any outlier values, using a linear merge
+  /// over both sorted sequences.
   void Patch(std::span<const uint32_t> rows, int64_t* out) const;
 
   /// Patches `out` (values for the dense row range [row_begin,

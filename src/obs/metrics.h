@@ -195,7 +195,9 @@ class Histogram {
   std::span<const uint64_t> bounds() const { return bounds_; }
 
  private:
-  struct Shard {
+  // Cache-line aligned like Counter::Slot, so adjacent thread slots do
+  // not contend on sum and max.
+  struct alignas(64) Shard {
     std::unique_ptr<std::atomic<uint64_t>[]> counts;  // bounds + overflow.
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> max{0};

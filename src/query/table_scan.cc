@@ -1,5 +1,7 @@
 #include "query/table_scan.h"
 
+#include <algorithm>
+
 #include "query/scan.h"
 
 namespace corra::query {
@@ -29,15 +31,21 @@ Result<std::vector<SelectionSlice>> SplitImpl(
     if (block >= num_blocks) {
       return Status::OutOfRange("selection position beyond table");
     }
+    // The slice ends at the first position past the block: one binary
+    // search sizes its local rows once.
+    const uint64_t begin = row_offsets[block];
+    const size_t stop = static_cast<size_t>(
+        std::lower_bound(rows.begin() + static_cast<std::ptrdiff_t>(i),
+                         rows.end(), row_offsets[block + 1]) -
+        rows.begin());
     SelectionSlice slice;
     slice.block = block;
     slice.out_offset = i;
-    const uint64_t begin = row_offsets[block];
-    const uint64_t end = row_offsets[block + 1];
-    while (i < rows.size() && rows[i] < end) {
-      slice.local_rows.push_back(static_cast<uint32_t>(rows[i] - begin));
-      ++i;
+    slice.local_rows.resize(stop - i);
+    for (size_t k = 0; k < slice.local_rows.size(); ++k) {
+      slice.local_rows[k] = static_cast<uint32_t>(rows[i + k] - begin);
     }
+    i = stop;
     slices.push_back(std::move(slice));
   }
   return slices;

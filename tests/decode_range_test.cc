@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/buffer.h"
@@ -76,11 +78,14 @@ void ExpectDecodeRangeMatchesGet(const enc::EncodedColumn& column,
 
 // Checks GatherRange (and the Gather alias every query path uses)
 // against the Get oracle over deterministic edge selections — empty,
-// single row, full column, contiguous runs, boundary-straddling pairs —
-// plus randomized sorted selections at several densities, so both sides
-// of each scheme's internal sparse/dense split are exercised.
+// single row, full column, contiguous runs, boundary-straddling pairs,
+// repeated positions — plus randomized sorted selections at several
+// densities, so both sides of each scheme's internal sparse/dense split
+// are exercised. `outlier_rows` (ascending) are the column's outlier-store
+// rows, which the repeated-position selection lists twice each.
 void ExpectGatherRangeMatchesGet(const enc::EncodedColumn& column,
-                                 uint64_t seed) {
+                                 uint64_t seed,
+                                 std::span<const uint32_t> outlier_rows) {
   const size_t n = column.size();
   ASSERT_GT(n, 0u);
   std::vector<std::vector<uint32_t>> selections;
@@ -108,6 +113,15 @@ void ExpectGatherRangeMatchesGet(const enc::EncodedColumn& column,
     }
   }
   selections.push_back(boundaries);
+  // Repeated positions, which every gather caller allows: the first and
+  // last row, every boundary row and every outlier row, each twice.
+  std::vector<uint32_t> once = {0, static_cast<uint32_t>(n - 1)};
+  once.insert(once.end(), boundaries.begin(), boundaries.end());
+  once.insert(once.end(), outlier_rows.begin(), outlier_rows.end());
+  std::vector<uint32_t> repeated = once;
+  repeated.insert(repeated.end(), once.begin(), once.end());
+  std::sort(repeated.begin(), repeated.end());
+  selections.push_back(std::move(repeated));
   // Randomized sorted selections at sparse, medium, and dense rates (the
   // density thresholds sit between these).
   Rng rng(seed);
@@ -137,9 +151,20 @@ void ExpectGatherRangeMatchesGet(const enc::EncodedColumn& column,
 
 // Both ranged-kernel equivalences in one call.
 void ExpectRangedKernelsMatchGet(const enc::EncodedColumn& column,
-                                 uint64_t seed) {
+                                 uint64_t seed,
+                                 std::span<const uint32_t> outlier_rows = {}) {
   ExpectDecodeRangeMatchesGet(column, seed);
-  ExpectGatherRangeMatchesGet(column, seed ^ 0x9E3779B97F4A7C15ull);
+  ExpectGatherRangeMatchesGet(column, seed ^ 0x9E3779B97F4A7C15ull,
+                              outlier_rows);
+}
+
+// The row indices of `store`, ascending.
+std::vector<uint32_t> OutlierRows(const OutlierStore& store) {
+  std::vector<uint32_t> rows(store.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = store.row(i);
+  }
+  return rows;
 }
 
 constexpr size_t kRows = 5000;  // > 2 morsels, > 4 DFOR frames.
@@ -443,7 +468,8 @@ TEST(DecodeRangeTest, DiffAllModes) {
       static_cast<const DiffEncodedColumn&>(*window.target);
   EXPECT_EQ(window_diff.mode(), DiffMode::kWindow);
   EXPECT_GT(window_diff.outliers().size(), 0u);
-  ExpectRangedKernelsMatchGet(*window.target, 13);
+  ExpectRangedKernelsMatchGet(*window.target, 13,
+                              OutlierRows(window_diff.outliers()));
 }
 
 TEST(DecodeRangeTest, HierarchicalAndC3Schemes) {
@@ -482,14 +508,50 @@ TEST(DecodeRangeTest, HierarchicalAndC3Schemes) {
   auto one_to_one = MakeBoundPair(city, mapped, [](auto t, auto r) {
     return c3::OneToOneColumn::Encode(t, r, 0).value();
   });
-  EXPECT_GT(static_cast<const c3::OneToOneColumn&>(*one_to_one.target)
-                .outliers()
-                .size(),
-            0u);
-  ExpectRangedKernelsMatchGet(*one_to_one.target, 17);
+  const OutlierStore& one_to_one_outliers =
+      static_cast<const c3::OneToOneColumn&>(*one_to_one.target).outliers();
+  EXPECT_GT(one_to_one_outliers.size(), 0u);
+  ExpectRangedKernelsMatchGet(*one_to_one.target, 17,
+                              OutlierRows(one_to_one_outliers));
 }
 
-TEST(DecodeRangeTest, MultiRef) {
+// A MultiRef column and the reference columns it is bound to, which are
+// declared first so they outlive it.
+struct BoundMultiRef {
+  std::vector<std::unique_ptr<enc::EncodedColumn>> references;
+  std::unique_ptr<MultiRefColumn> column;
+};
+
+// Encodes `target` under `table` over `columns` and binds the references:
+// Dict for the columns listed in `dict_columns`, FOR for the rest.
+BoundMultiRef MakeMultiRef(const std::vector<std::vector<int64_t>>& columns,
+                           const std::vector<int64_t>& target,
+                           const FormulaTable& table,
+                           const std::vector<size_t>& dict_columns = {}) {
+  BoundMultiRef bound;
+  bound.column = MultiRefColumn::Encode(
+                     target,
+                     [&](uint32_t col) -> std::span<const int64_t> {
+                       return columns[col];
+                     },
+                     table)
+                     .value();
+  std::vector<const enc::EncodedColumn*> refs;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (std::find(dict_columns.begin(), dict_columns.end(), c) !=
+        dict_columns.end()) {
+      bound.references.push_back(enc::DictColumn::Encode(columns[c]).value());
+    } else {
+      bound.references.push_back(enc::ForColumn::Encode(columns[c]).value());
+    }
+    refs.push_back(bound.references.back().get());
+  }
+  EXPECT_TRUE(bound.column->BindReferences(refs).ok());
+  return bound;
+}
+
+// Three one-column groups and 2-bit codes.
+BoundMultiRef MakeThreeGroupMultiRef() {
   Rng rng(43);
   std::vector<std::vector<int64_t>> columns(3, std::vector<int64_t>(kRows));
   std::vector<int64_t> target(kRows);
@@ -512,22 +574,102 @@ TEST(DecodeRangeTest, MultiRef) {
   table.groups = {{0}, {1}, {2}};
   table.formulas = {0b001, 0b011, 0b111};
   table.code_bits = 2;
-  auto column = MultiRefColumn::Encode(
-                    target,
-                    [&](uint32_t col) -> std::span<const int64_t> {
-                      return columns[col];
-                    },
-                    table)
-                    .value();
-  std::vector<std::unique_ptr<enc::ForColumn>> refs;
-  std::vector<const enc::EncodedColumn*> bound;
-  for (const auto& values : columns) {
-    refs.push_back(enc::ForColumn::Encode(values).value());
-    bound.push_back(refs.back().get());
+  return MakeMultiRef(columns, target, table);
+}
+
+// Taxi's shape, widened: a six-column group A of FOR and Dict members
+// (taxi's total_amount group), four one-column groups, 3-bit codes, two
+// formulas that omit group 0, and 1% outliers.
+BoundMultiRef MakeTaxiShapedMultiRef() {
+  Rng rng(47);
+  std::vector<std::vector<int64_t>> columns(10, std::vector<int64_t>(kRows));
+  FormulaTable table;
+  table.groups = {{0, 1, 2, 3, 4, 5}, {6}, {7}, {8}, {9}};
+  table.formulas = {0b00001, 0b00011, 0b00101, 0b00111,
+                    0b00010, 0b11001, 0b11110, 0b01001};
+  table.code_bits = 3;
+  std::vector<int64_t> target(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    columns[0][i] = rng.Uniform(250, 9000);         // fare_amount
+    columns[1][i] = 50;                             // mta_tax
+    columns[2][i] = rng.Uniform(0, 1) * 30;         // improvement_surcharge
+    columns[3][i] = rng.Uniform(0, 2) * 50;         // extra
+    columns[4][i] = rng.Uniform(0, 2500);           // tip_amount
+    columns[5][i] = rng.Bernoulli(0.05) ? 655 : 0;  // tolls_amount
+    columns[6][i] = rng.Bernoulli(0.7) ? 250 : 0;   // congestion_surcharge
+    columns[7][i] = rng.Bernoulli(0.1) ? 175 : 0;   // airport_fee
+    columns[8][i] = rng.Uniform(1, 400);
+    columns[9][i] = rng.Uniform(-300, 300);
+    const uint8_t mask = table.formulas[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(table.formulas.size()) - 1))];
+    int64_t sum = 0;
+    for (size_t g = 0; g < table.groups.size(); ++g) {
+      if (mask & (1u << g)) {
+        for (uint32_t col : table.groups[g]) {
+          sum += columns[col][i];
+        }
+      }
+    }
+    target[i] = rng.Bernoulli(0.01) ? sum + 1000000 : sum;
   }
-  ASSERT_TRUE(column->BindReferences(bound).ok());
-  EXPECT_GT(column->outliers().size(), 0u);
-  ExpectRangedKernelsMatchGet(*column, 18);
+  return MakeMultiRef(columns, target, table, {1, 2, 3, 5, 6, 7});
+}
+
+// Gathers `size` sorted distinct rows and decodes a `size`-row window,
+// both checked against Get.
+void ExpectSizedKernelsMatchGet(const enc::EncodedColumn& column,
+                                size_t size, Rng* rng) {
+  SCOPED_TRACE("size " + std::to_string(size));
+  const size_t n = column.size();
+  std::vector<uint32_t> all(n);
+  for (size_t i = 0; i < n; ++i) {
+    all[i] = static_cast<uint32_t>(i);
+  }
+  for (size_t j = 0; j < size; ++j) {  // Partial Fisher-Yates shuffle.
+    std::swap(all[j], all[static_cast<size_t>(rng->Uniform(
+                          static_cast<int64_t>(j),
+                          static_cast<int64_t>(n) - 1))]);
+  }
+  std::vector<uint32_t> rows(all.begin(),
+                             all.begin() + static_cast<std::ptrdiff_t>(size));
+  std::sort(rows.begin(), rows.end());
+  std::vector<int64_t> gathered(size + 1, INT64_MIN);
+  column.GatherRange(rows, gathered.data());
+  for (size_t i = 0; i < size; ++i) {
+    ASSERT_EQ(gathered[i], column.Get(rows[i])) << "row " << rows[i];
+  }
+  ASSERT_EQ(gathered[size], INT64_MIN) << "GatherRange wrote past its output";
+
+  const size_t begin =
+      static_cast<size_t>(rng->Uniform(0, static_cast<int64_t>(n - size)));
+  std::vector<int64_t> decoded(size + 1, INT64_MIN);
+  column.DecodeRange(begin, size, decoded.data());
+  for (size_t i = 0; i < size; ++i) {
+    ASSERT_EQ(decoded[i], column.Get(begin + i)) << "row " << begin + i;
+  }
+  ASSERT_EQ(decoded[size], INT64_MIN) << "DecodeRange wrote past its window";
+}
+
+TEST(DecodeRangeTest, MultiRef) {
+  {
+    SCOPED_TRACE("three one-column groups");
+    const BoundMultiRef bound = MakeThreeGroupMultiRef();
+    ASSERT_GT(bound.column->outliers().size(), 0u);
+    ExpectRangedKernelsMatchGet(*bound.column, 18,
+                                OutlierRows(bound.column->outliers()));
+  }
+  SCOPED_TRACE("taxi-shaped");
+  const BoundMultiRef bound = MakeTaxiShapedMultiRef();
+  ASSERT_GT(bound.column->outliers().size(), 0u);
+  ExpectRangedKernelsMatchGet(*bound.column, 19,
+                              OutlierRows(bound.column->outliers()));
+  // One row, point_hot's 128, exactly one 2,048-row morsel, and just
+  // past one and two morsels.
+  Rng rng(53);
+  for (const size_t size : {size_t{1}, size_t{128}, size_t{2048},
+                            size_t{2049}, size_t{4097}}) {
+    ExpectSizedKernelsMatchGet(*bound.column, size, &rng);
+  }
 }
 
 }  // namespace

@@ -56,10 +56,11 @@ TEST(OutlierStoreTest, PatchOverwritesOnlyOutlierPositions) {
   ASSERT_TRUE(result.ok());
   auto& store = result.value();
 
-  const std::vector<uint32_t> selection = {0, 2, 3, 6, 8};
-  std::vector<int64_t> out = {10, 20, 30, 40, 50};
+  // Repeated positions are patched at every copy.
+  const std::vector<uint32_t> selection = {0, 2, 2, 3, 6, 6, 6, 8};
+  std::vector<int64_t> out = {10, 20, 21, 30, 40, 41, 42, 50};
   store.Patch(selection, out.data());
-  EXPECT_EQ(out, (std::vector<int64_t>{10, -1, 30, -2, 50}));
+  EXPECT_EQ(out, (std::vector<int64_t>{10, -1, -1, 30, -2, -2, -2, 50}));
 }
 
 TEST(OutlierStoreTest, PatchWithEmptySelectionOrStore) {

@@ -15,9 +15,11 @@ namespace corra::query {
 namespace {
 
 TEST(SplitSelectionTest, RoutesGlobalRowsToBlocks) {
-  // Three blocks of 1000 / 1000 / 500 rows.
+  // Three blocks of 1000 / 1000 / 500 rows; repeated positions on both
+  // sides of each block edge stay in their own block.
   const std::vector<uint64_t> offsets = {0, 1000, 2000, 2500};
-  const std::vector<uint64_t> rows = {0, 999, 1000, 1500, 2400, 2499};
+  const std::vector<uint64_t> rows = {0,    999,  999,  1000, 1000,
+                                      1500, 2400, 2499, 2499};
   auto slices = SplitSelectionByBlocks(offsets, rows);
   ASSERT_TRUE(slices.ok()) << slices.status().ToString();
   ASSERT_EQ(slices.value().size(), 3u);
@@ -25,17 +27,17 @@ TEST(SplitSelectionTest, RoutesGlobalRowsToBlocks) {
   EXPECT_EQ(slices.value()[0].block, 0u);
   EXPECT_EQ(slices.value()[0].out_offset, 0u);
   EXPECT_EQ(slices.value()[0].local_rows,
-            (std::vector<uint32_t>{0, 999}));
+            (std::vector<uint32_t>{0, 999, 999}));
 
   EXPECT_EQ(slices.value()[1].block, 1u);
-  EXPECT_EQ(slices.value()[1].out_offset, 2u);
+  EXPECT_EQ(slices.value()[1].out_offset, 3u);
   EXPECT_EQ(slices.value()[1].local_rows,
-            (std::vector<uint32_t>{0, 500}));
+            (std::vector<uint32_t>{0, 0, 500}));
 
   EXPECT_EQ(slices.value()[2].block, 2u);
-  EXPECT_EQ(slices.value()[2].out_offset, 4u);
+  EXPECT_EQ(slices.value()[2].out_offset, 6u);
   EXPECT_EQ(slices.value()[2].local_rows,
-            (std::vector<uint32_t>{400, 499}));
+            (std::vector<uint32_t>{400, 499, 499}));
 }
 
 TEST(SplitSelectionTest, SkipsBlocksWithoutSelectedRows) {

@@ -3,10 +3,12 @@
 // field-for-field identical from
 //   * an inline service (num_threads = 0),
 //   * a pooled service driven by 4 concurrent client threads over a
-//     small cache (evictions, read-ahead and shared blocks under load),
+//     small cache (evictions and shared blocks under load),
 //   * naive row-by-row evaluation over CorraCompressor::Decompress.
 // Every seed runs under both WorkloadHints, so the Delta column is read
-// in both DeltaLayouts.
+// in both DeltaLayouts. The Diff, MultiRef and C3 1-to-1 columns carry
+// about 1% outlier rows in every block, so gathers that repeat a row
+// reach the outlier patch.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/c3/one_to_one.h"
 #include "core/corra_compressor.h"
+#include "core/diff_encoding.h"
+#include "core/multi_ref_encoding.h"
 #include "encoding/delta.h"
 #include "serve/block_cache.h"
 #include "serve/scan_service.h"
@@ -35,6 +40,7 @@ constexpr size_t kColumns = 12;
 constexpr size_t kClients = 4;
 constexpr size_t kExecutes = 200;
 constexpr size_t kGathers = 200;
+constexpr double kOutlierRate = 0.01;  // Per outlier-capable column.
 
 using Param = std::tuple<uint64_t, enc::WorkloadHint>;
 
@@ -73,6 +79,17 @@ class ServeOracleTest : public ::testing::TestWithParam<Param> {
       raw[9][i] = city * 1000 + 17;                         // kC3OneToOne
       raw[10][i] = ship + rng_.Uniform(1, 30);              // kC3Dfor
       raw[11][i] = ship + rng_.Uniform(1, 30);              // kC3Numerical
+      // Outliers: a diff far outside the window, a sum that matches no
+      // formula, and a value off its city's dominant mapping.
+      if (rng_.Bernoulli(kOutlierRate)) {
+        raw[1][i] += rng_.Uniform(100000, 200000);
+      }
+      if (rng_.Bernoulli(kOutlierRate)) {
+        raw[6][i] = a + rng_.Uniform(1000, 5000);
+      }
+      if (rng_.Bernoulli(kOutlierRate)) {
+        raw[9][i] += rng_.Uniform(1, 500);
+      }
     }
     Table table;
     for (size_t c = 0; c < kColumns; ++c) {
@@ -96,6 +113,8 @@ class ServeOracleTest : public ::testing::TestWithParam<Param> {
       plan.columns[c].scheme = schemes[c];
     }
     plan.columns[1].reference = 0;
+    plan.columns[1].diff_options.use_outliers = true;
+    plan.columns[1].diff_options.max_outlier_fraction = 0.05;
     plan.columns[3].reference = 2;
     plan.columns[6].formulas.groups = {{4}, {5}};
     plan.columns[6].formulas.formulas = {0b01, 0b11};
@@ -118,6 +137,21 @@ class ServeOracleTest : public ::testing::TestWithParam<Param> {
       }
       ASSERT_EQ(static_cast<const enc::DeltaColumn&>(block.column(7)).layout(),
                 layout)
+          << "block " << b;
+      ASSERT_GT(static_cast<const DiffEncodedColumn&>(block.column(1))
+                    .outliers()
+                    .size(),
+                0u)
+          << "block " << b;
+      ASSERT_GT(static_cast<const MultiRefColumn&>(block.column(6))
+                    .outliers()
+                    .size(),
+                0u)
+          << "block " << b;
+      ASSERT_GT(static_cast<const c3::OneToOneColumn&>(block.column(9))
+                    .outliers()
+                    .size(),
+                0u)
           << "block " << b;
     }
     ASSERT_TRUE(WriteCompressedTable(compressed.value(), path_).ok());
