@@ -167,11 +167,6 @@ void RunAll(const bench::Flags& flags) {
   auto for_column = enc::ForColumn::Encode(reference).value();
   auto dict_column = enc::DictColumn::Encode(reference).value();
   auto delta_column = enc::DeltaColumn::Encode(reference).value();
-  auto delta_inline_column =
-      enc::DeltaColumn::Encode(
-          reference, enc::DeltaColumn::kDefaultInlineCheckpointInterval,
-          enc::DeltaLayout::kInline)
-          .value();
   auto rle_column = enc::RleColumn::Encode(runs_data).value();
   auto diff_column = DiffEncodedColumn::Encode(target, reference, 0).value();
   const enc::EncodedColumn* diff_refs[] = {for_column.get()};
@@ -255,10 +250,6 @@ void RunAll(const bench::Flags& flags) {
            [&] { DecodeRangeSweep(*dict_column, &sink); });
   RunBench(&reporter, "decode_range/delta", rows, reps,
            [&] { DecodeRangeSweep(*delta_column, &sink); });
-  // The inline layout's dense-decode cost (one re-anchor per interval):
-  // the price point-heavy workloads pay for single-window point access.
-  RunBench(&reporter, "decode_range_inline/delta", rows, reps,
-           [&] { DecodeRangeSweep(*delta_inline_column, &sink); });
   RunBench(&reporter, "decode_range/rle", rows, reps,
            [&] { DecodeRangeSweep(*rle_column, &sink); });
   RunBench(&reporter, "decode_range/diff", rows, reps,
@@ -290,14 +281,6 @@ void RunAll(const bench::Flags& flags) {
       }
       sink += acc;
     });
-    RunBench(&reporter, "point_access_inline/delta", points.size(), reps,
-             [&] {
-               int64_t acc = 0;
-               for (uint32_t p : points) {
-                 acc += delta_inline_column->Get(p);
-               }
-               sink += acc;
-             });
     RunBench(&reporter, "point_access/rle", points.size(), reps, [&] {
       int64_t acc = 0;
       for (uint32_t p : points) {
@@ -315,30 +298,26 @@ void RunAll(const bench::Flags& flags) {
         query::GenerateSelectionVector(rows, 0.1, &rng);
     std::vector<int64_t> gathered(selection.size());
     std::vector<int64_t> ref_values(selection.size());
-    for_column->Gather(selection, ref_values.data());
+    for_column->GatherRange(selection, ref_values.data());
     RunBench(&reporter, "gather_0.1/for", selection.size(), reps,
-             [&] { for_column->Gather(selection, gathered.data()); });
+             [&] { for_column->GatherRange(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.1/dict", selection.size(), reps,
-             [&] { dict_column->Gather(selection, gathered.data()); });
+             [&] { dict_column->GatherRange(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.1/rle", selection.size(), reps,
-             [&] { rle_column->Gather(selection, gathered.data()); });
+             [&] { rle_column->GatherRange(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.1/diff", selection.size(), reps,
-             [&] { diff_column->Gather(selection, gathered.data()); });
+             [&] { diff_column->GatherRange(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.1/diff_with_ref", selection.size(), reps,
              [&] {
                diff_column->GatherWithReference(selection, ref_values.data(),
                                                 gathered.data());
              });
     RunBench(&reporter, "gather_0.1/hierarchical", selection.size(), reps,
-             [&] { hier_column->Gather(selection, gathered.data()); });
+             [&] { hier_column->GatherRange(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.1/multiref", selection.size(), reps,
-             [&] { multiref.column->Gather(selection, gathered.data()); });
+             [&] { multiref.column->GatherRange(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.1/delta", selection.size(), reps,
-             [&] { delta_column->Gather(selection, gathered.data()); });
-    RunBench(&reporter, "gather_0.1_inline/delta", selection.size(), reps,
-             [&] {
-               delta_inline_column->Gather(selection, gathered.data());
-             });
+             [&] { delta_column->GatherRange(selection, gathered.data()); });
   }
 
   // Sparse gather at 1% — positioned kernels with long gaps (Delta takes
@@ -349,15 +328,11 @@ void RunAll(const bench::Flags& flags) {
         query::GenerateSelectionVector(rows, 0.01, &rng);
     std::vector<int64_t> gathered(selection.size());
     RunBench(&reporter, "gather_0.01/for", selection.size(), reps,
-             [&] { for_column->Gather(selection, gathered.data()); });
+             [&] { for_column->GatherRange(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.01/diff", selection.size(), reps,
-             [&] { diff_column->Gather(selection, gathered.data()); });
+             [&] { diff_column->GatherRange(selection, gathered.data()); });
     RunBench(&reporter, "gather_0.01/delta", selection.size(), reps,
-             [&] { delta_column->Gather(selection, gathered.data()); });
-    RunBench(&reporter, "gather_0.01_inline/delta", selection.size(), reps,
-             [&] {
-               delta_inline_column->Gather(selection, gathered.data());
-             });
+             [&] { delta_column->GatherRange(selection, gathered.data()); });
   }
 
   // Point gathers the way serving issues them: 128 sorted distinct rows
@@ -387,7 +362,7 @@ void RunAll(const bench::Flags& flags) {
     RunBench(&reporter, "gather_128/multiref", ops.size() * kPointRows, reps,
              [&] {
                for (const auto& op : ops) {
-                 multiref.column->Gather(op, gathered.data());
+                 multiref.column->GatherRange(op, gathered.data());
                }
              });
   }

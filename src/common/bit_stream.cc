@@ -44,10 +44,6 @@ std::vector<uint8_t> PackValues(std::span<const uint64_t> values,
   return bytes;
 }
 
-void BitReader::DecodeAll(uint64_t* out) const {
-  DecodeRange(0, count_, out);
-}
-
 void BitReader::DecodeRange(size_t begin, size_t count,
                             uint64_t* out) const {
   // Thin wrapper over the SIMD kernel layer: per-bit-width specialized

@@ -51,44 +51,16 @@ std::vector<uint8_t> PackCodes(size_t count, int bit_width, CodeFn&& codes) {
 std::vector<uint8_t> PackValues(std::span<const uint64_t> values,
                                 int bit_width);
 
-/// Append-only writer of fixed-width values into a byte vector: stages
-/// the values and packs them through PackBits on Finish.
-class BitWriter {
- public:
-  /// Creates a writer producing values of `bit_width` bits (0..64).
-  /// With bit_width == 0 the writer stores nothing (all values are zero).
-  explicit BitWriter(int bit_width) : bit_width_(bit_width) {}
-
-  /// Appends `value`; the top bits beyond `bit_width` must be zero.
-  void Append(uint64_t value) { values_.push_back(value); }
-
-  /// Appends every element of `values`.
-  void AppendAll(std::span<const uint64_t> values) {
-    values_.insert(values_.end(), values.begin(), values.end());
-  }
-
-  /// Number of values appended so far.
-  size_t size() const { return values_.size(); }
-  int bit_width() const { return bit_width_; }
-
-  /// Finalizes and returns the packed bytes (padded for unaligned reads).
-  std::vector<uint8_t> Finish() && { return PackValues(values_, bit_width_); }
-
- private:
-  int bit_width_;
-  std::vector<uint64_t> values_;
-};
-
-/// Random-access reader over bytes produced by BitWriter (or any
-/// identically laid out buffer). Does not own the bytes.
+/// Random-access reader over bytes packed by PackBits (PackValues,
+/// PackCodes). Does not own the bytes.
 class BitReader {
  public:
   BitReader() = default;
 
   /// `data` must stay alive while the reader is used and must include
-  /// the bit_util::kDecodePadBytes of readable slack that
-  /// BitWriter::Finish appends (the SIMD unpack kernels behind
-  /// DecodeRange issue full 32-byte loads near the payload end).
+  /// the bit_util::kDecodePadBytes of readable slack that PackValues and
+  /// PackCodes allocate (the SIMD unpack kernels behind DecodeRange
+  /// issue full 32-byte loads near the payload end).
   BitReader(const uint8_t* data, int bit_width, size_t count)
       : data_(data), bit_width_(bit_width), count_(count) {}
 
@@ -113,15 +85,13 @@ class BitReader {
     return v & mask();
   }
 
-  /// Decodes all values into `out` (must have room for size() values).
-  void DecodeAll(uint64_t* out) const;
-
   /// Decodes the `count` values starting at position `begin` into `out`
   /// (must have room for `count` values; begin + count <= size()). The
   /// ranged building block of the morsel decode pipeline: a thin wrapper
   /// over the SIMD kernel layer's per-bit-width unpackers (see
   /// common/simd/simd.h). `data` must carry bit_util::kDecodePadBytes of
-  /// readable slack, as BitWriter::Finish and every Deserialize ensure.
+  /// readable slack, as PackValues, PackCodes and every Deserialize
+  /// ensure.
   void DecodeRange(size_t begin, size_t count, uint64_t* out) const;
 
   size_t size() const { return count_; }

@@ -48,10 +48,6 @@ struct KernelTable {
                          size_t);
   void (*delta_gather)(const uint8_t*, int, const int64_t*, int, size_t,
                        const uint32_t*, size_t, int64_t*);
-  int64_t (*delta_point_inline)(const uint8_t*, int, int, size_t, size_t,
-                                size_t);
-  void (*delta_gather_inline)(const uint8_t*, int, int, size_t, size_t,
-                              const uint32_t*, size_t, int64_t*);
   void (*expand_runs)(const int64_t*, const uint32_t*, size_t, size_t,
                       size_t, int64_t*);
   void (*gather_bits)(const uint8_t*, int, const uint32_t*, size_t,

@@ -219,42 +219,6 @@ void DeltaGatherPackedScalar(const uint8_t* data, int bit_width,
                              column_rows, rows, count, out);
 }
 
-DeltaPointInlineFn ResolveDeltaPointInlineKernel() {
-  return ActiveTable().delta_point_inline;
-}
-
-int64_t DeltaPointInline(const uint8_t* data, int bit_width,
-                         int interval_shift, size_t window_stride,
-                         size_t column_rows, size_t row) {
-  return ActiveTable().delta_point_inline(data, bit_width, interval_shift,
-                                          window_stride, column_rows, row);
-}
-
-int64_t DeltaPointInlineScalar(const uint8_t* data, int bit_width,
-                               int interval_shift, size_t window_stride,
-                               size_t column_rows, size_t row) {
-  return ScalarTable().delta_point_inline(data, bit_width, interval_shift,
-                                          window_stride, column_rows, row);
-}
-
-void DeltaGatherInline(const uint8_t* data, int bit_width,
-                       int interval_shift, size_t window_stride,
-                       size_t column_rows, const uint32_t* rows, size_t count,
-                       int64_t* out) {
-  ActiveTable().delta_gather_inline(data, bit_width, interval_shift,
-                                    window_stride, column_rows, rows, count,
-                                    out);
-}
-
-void DeltaGatherInlineScalar(const uint8_t* data, int bit_width,
-                             int interval_shift, size_t window_stride,
-                             size_t column_rows, const uint32_t* rows,
-                             size_t count, int64_t* out) {
-  ScalarTable().delta_gather_inline(data, bit_width, interval_shift,
-                                    window_stride, column_rows, rows, count,
-                                    out);
-}
-
 void ExpandRuns(const int64_t* run_values, const uint32_t* run_ends,
                 size_t run_begin, size_t row_begin, size_t count,
                 int64_t* out) {

@@ -24,7 +24,7 @@
 // paths agree bit-for-bit in a single process.
 //
 // Alignment contract: packed buffers must carry bit_util::kDecodePadBytes
-// (32) readable bytes past the payload — BitWriter::Finish and every
+// (32) readable bytes past the payload — PackValues/PackCodes and every
 // Deserialize allocate them — because the AVX2 unpackers issue full
 // 32-byte loads whose tails may cross the last packed byte.
 
@@ -52,7 +52,7 @@ const char* BackendName();
 
 /// Unpacks `count` fixed-width values starting at value index `begin`
 /// from the bit-packed stream `data` (width 0..64, values laid out back
-/// to back from bit 0, as written by BitWriter). `data` must include
+/// to back from bit 0, as written by PackBits). `data` must include
 /// bit_util::kDecodePadBytes of readable slack past the payload.
 void UnpackRange(const uint8_t* data, int bit_width, size_t begin,
                  size_t count, uint64_t* out);
@@ -211,67 +211,6 @@ void DeltaGatherPacked(const uint8_t* data, int bit_width,
                        int64_t* out);
 void DeltaGatherPackedScalar(const uint8_t* data, int bit_width,
                              const int64_t* checkpoints, int interval_shift,
-                             size_t column_rows, const uint32_t* rows,
-                             size_t count, int64_t* out);
-
-// --- Inline-checkpoint Delta kernels ----------------------------------------
-//
-// Wire/memory layout shared by the kernels below (the DeltaColumn
-// "inline" layout): the stream is an array of fixed-stride windows, one
-// per checkpoint interval. Window k starts at byte k * window_stride and
-// holds
-//
-//   [ 8-byte little-endian absolute value of row k << interval_shift ]
-//   [ interval zig-zag delta slots, bit-packed from bit 0: slot j is
-//     the delta of row (k << interval_shift) + 1 + j ]
-//
-// window_stride = 8 + RoundUpPow2(CeilDiv(interval * bit_width, 8), 8),
-// so every window's checkpoint load is 8-byte aligned relative to the
-// stream base and the whole window (checkpoint + expected replay) sits
-// in one contiguous cache line for typical widths at interval 32. The
-// last slot of window k is the delta *into* row (k+1) << interval_shift,
-// so a backward seek folds entirely inside window k and anchors on the
-// next window's head — one contiguous touch either direction, where the
-// out-of-band layout pays two dependent lines (checkpoint array +
-// packed stream). Every window, including a partial last one, occupies
-// the full stride (unused slots are zero), and the stream must carry
-// bit_util::kDecodePadBytes of readable slack past the last window.
-
-/// Signature of the per-backend inline-layout Delta point kernel.
-using DeltaPointInlineFn = int64_t (*)(const uint8_t* data, int bit_width,
-                                       int interval_shift,
-                                       size_t window_stride,
-                                       size_t column_rows, size_t row);
-
-/// The active backend's inline-layout point kernel (same caching
-/// rationale as ResolveDeltaPointKernel).
-DeltaPointInlineFn ResolveDeltaPointInlineKernel();
-
-/// Single-row point access on the inline-checkpoint layout: one window
-/// address computation, one in-window checkpoint load, one fused masked
-/// fold over at most interval/2 delta slots — no out-of-band metadata is
-/// ever touched.
-int64_t DeltaPointInline(const uint8_t* data, int bit_width,
-                         int interval_shift, size_t window_stride,
-                         size_t column_rows, size_t row);
-int64_t DeltaPointInlineScalar(const uint8_t* data, int bit_width,
-                               int interval_shift, size_t window_stride,
-                               size_t column_rows, size_t row);
-
-/// Batched sparse gather on the inline-checkpoint layout: out[i] = the
-/// reconstructed value at rows[i], each position one independent
-/// single-window fold through the nearest inline checkpoint (forward or
-/// backward). No cursor state: the fold is already bounded by
-/// interval/2 in-window slots, a reuse-or-reanchor branch would
-/// mispredict at mid densities, and independent folds pipeline across
-/// positions. Order-immune (out-of-order and duplicate positions cost
-/// nothing extra).
-void DeltaGatherInline(const uint8_t* data, int bit_width,
-                       int interval_shift, size_t window_stride,
-                       size_t column_rows, const uint32_t* rows, size_t count,
-                       int64_t* out);
-void DeltaGatherInlineScalar(const uint8_t* data, int bit_width,
-                             int interval_shift, size_t window_stride,
                              size_t column_rows, const uint32_t* rows,
                              size_t count, int64_t* out);
 

@@ -574,10 +574,9 @@ int64_t MaskedZigZagFoldUnrolledAvx2(const uint8_t* data, int bit_width,
 
 int64_t MaskedZigZagFoldAvx2(const uint8_t* data, int bit_width,
                              size_t begin, size_t count, size_t fixed) {
-  // The default intervals' folds (16 and 32 slots, plus the inline
-  // layout's 8-slot half-window) are fully unrolled with compile-time
-  // lane indices; other fixed sizes take the generic loop (still a
-  // constant trip count per column).
+  // The folds of intervals 16, 32 and 64 (8, 16 and 32 slots) are
+  // fully unrolled with compile-time lane indices; other fixed sizes
+  // take the generic loop (still a constant trip count per column).
   if (fixed == 8) {
     return MaskedZigZagFoldUnrolledAvx2<2>(data, bit_width, begin, count);
   }
@@ -653,59 +652,6 @@ int64_t DeltaPointAvx2(const uint8_t* data, int bit_width,
   // Negate the fold for a backward seek: value = next_checkpoint - sum.
   const uint64_t sign = 0 - static_cast<uint64_t>(backward);
   return static_cast<int64_t>(anchor + ((sum ^ sign) - sign));
-}
-
-int64_t DeltaPointInlineAvx2(const uint8_t* data, int bit_width,
-                             int interval_shift, size_t window_stride,
-                             size_t column_rows, size_t row) {
-  // Inline-checkpoint layout (see simd.h): the anchor and the replay
-  // slots live in one fixed-stride window, so the whole access is one
-  // contiguous touch. Direction is picked by the same arithmetic select
-  // as DeltaPointAvx2 (a data-dependent branch here is 50/50 on uniform
-  // accesses and costs more than the fold).
-  const size_t interval = size_t{1} << interval_shift;
-  const size_t k = row >> interval_shift;
-  const uint8_t* window = data + k * window_stride;
-  const size_t forward = row - (k << interval_shift);
-  const size_t next_first = (k + 1) << interval_shift;
-  const size_t backward =
-      static_cast<size_t>(static_cast<size_t>(forward > interval / 2) &
-                          static_cast<size_t>(next_first < column_rows));
-  const size_t begin = backward * forward;
-  const size_t count = forward + backward * (interval - 2 * forward);
-  uint64_t anchor;
-  std::memcpy(&anchor, window + backward * window_stride, sizeof(anchor));
-  const size_t fixed = interval / 2;
-  uint64_t sum;
-  // The masked fixed-trip fold may read up to begin + fixed slots; every
-  // window (including the last) occupies its full stride and a backward
-  // seek implies a successor window, so those reads stay inside the
-  // allocation for any begin the select can produce.
-  if (bit_width >= 1 && bit_width <= 14 && count <= fixed) [[likely]] {
-    sum = static_cast<uint64_t>(
-        MaskedZigZagFoldAvx2(window + 8, bit_width, begin, count, fixed));
-  } else {
-    sum = static_cast<uint64_t>(
-        ZigZagSumPackedAvx2(window + 8, bit_width, begin, count));
-  }
-  const uint64_t sign = 0 - static_cast<uint64_t>(backward);
-  return static_cast<int64_t>(anchor + ((sum ^ sign) - sign));
-}
-
-void DeltaGatherInlineAvx2(const uint8_t* data, int bit_width,
-                           int interval_shift, size_t window_stride,
-                           size_t column_rows, const uint32_t* rows,
-                           size_t count, int64_t* out) {
-  // Every position is one independent single-window fold (inlined — no
-  // dispatch inside the loop). A running cursor buys nothing on this
-  // layout: the fold is already bounded by interval/2 in-window slots,
-  // and the cursor's reuse-or-reanchor branch mispredicts ~50/50 at mid
-  // densities (measured ~18 vs ~6 ns/row at 10% selectivity). The
-  // branch-free independent folds also pipeline across positions.
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = DeltaPointInlineAvx2(data, bit_width, interval_shift,
-                                  window_stride, column_rows, rows[i]);
-  }
 }
 
 void DeltaGatherAvx2(const uint8_t* data, int bit_width,
@@ -845,8 +791,6 @@ constexpr KernelTable MakeAvx2Table() {
   table.delta_decode = &DeltaDecodeAvx2;
   table.delta_point = &DeltaPointAvx2;
   table.delta_gather = &DeltaGatherAvx2;
-  table.delta_point_inline = &DeltaPointInlineAvx2;
-  table.delta_gather_inline = &DeltaGatherInlineAvx2;
   table.expand_runs = &ExpandRunsAvx2;
   table.gather_bits = &GatherBitsAvx2;
   table.name = "avx2";

@@ -303,52 +303,6 @@ void DeltaGatherScalarImpl(const uint8_t* data, int bit_width,
   }
 }
 
-// Inline-checkpoint layout (see simd.h): window k = 8-byte absolute
-// value of row k << shift, then `interval` bit-packed zig-zag delta
-// slots; slot j covers row (k << shift) + 1 + j, so the last slot is the
-// delta into the *next* window's checkpoint row and a backward seek
-// never leaves the window's delta region.
-int64_t DeltaPointInlineScalarImpl(const uint8_t* data, int bit_width,
-                                   int interval_shift, size_t window_stride,
-                                   size_t column_rows, size_t row) {
-  const size_t interval = size_t{1} << interval_shift;
-  const size_t k = row >> interval_shift;
-  const uint8_t* window = data + k * window_stride;
-  const size_t forward = row - (k << interval_shift);
-  const size_t next_first = (k + 1) << interval_shift;
-  const bool backward = forward > interval / 2 && next_first < column_rows;
-  if (backward) {
-    // Anchor on the next window's inline checkpoint (directly after this
-    // window's delta region) and fold the remaining slots backward.
-    uint64_t anchor;
-    std::memcpy(&anchor, window + window_stride, sizeof(anchor));
-    const uint64_t sum = static_cast<uint64_t>(ZigZagSumPackedScalarImpl(
-        window + 8, bit_width, forward, interval - forward));
-    return static_cast<int64_t>(anchor - sum);
-  }
-  uint64_t anchor;
-  std::memcpy(&anchor, window, sizeof(anchor));
-  const uint64_t sum = static_cast<uint64_t>(
-      ZigZagSumPackedScalarImpl(window + 8, bit_width, 0, forward));
-  return static_cast<int64_t>(anchor + sum);
-}
-
-void DeltaGatherInlineScalarImpl(const uint8_t* data, int bit_width,
-                                 int interval_shift, size_t window_stride,
-                                 size_t column_rows, const uint32_t* rows,
-                                 size_t count, int64_t* out) {
-  // Every position is one independent single-window fold. A running
-  // cursor (as in the out-of-band gather) buys nothing here: the fold
-  // is already bounded by interval/2 slots inside one window, and the
-  // cursor's reuse-or-reanchor branch is data-dependent — at mid
-  // densities it mispredicts ~50/50 and costs more than the fold it
-  // skips (measured). Independent folds also pipeline across positions.
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = DeltaPointInlineScalarImpl(data, bit_width, interval_shift,
-                                        window_stride, column_rows, rows[i]);
-  }
-}
-
 void ExpandRunsScalarImpl(const int64_t* run_values, const uint32_t* run_ends,
                           size_t run_begin, size_t row_begin, size_t count,
                           int64_t* out) {
@@ -429,8 +383,6 @@ constexpr KernelTable MakeScalarTable() {
   table.delta_decode = &DeltaDecodeScalarImpl;
   table.delta_point = &DeltaPointScalarImpl;
   table.delta_gather = &DeltaGatherScalarImpl;
-  table.delta_point_inline = &DeltaPointInlineScalarImpl;
-  table.delta_gather_inline = &DeltaGatherInlineScalarImpl;
   table.expand_runs = &ExpandRunsScalarImpl;
   table.gather_bits = &GatherBitsScalarImpl;
   table.name = "scalar";

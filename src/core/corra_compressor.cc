@@ -75,12 +75,10 @@ Status ValidatePlan(const Table& table, const CompressionPlan& plan) {
   return Status::OK();
 }
 
-// Encodes one column slice under an explicit vertical scheme. The
-// workload hint steers physical-layout choices (Delta's checkpoint
-// layout), mirroring what the auto selector does.
+// Encodes one column slice under an explicit vertical scheme.
 Result<std::unique_ptr<enc::EncodedColumn>> EncodeVertical(
     enc::Scheme scheme, std::span<const int64_t> values,
-    bit_util::MinMax range, enc::WorkloadHint workload) {
+    bit_util::MinMax range) {
   switch (scheme) {
     case enc::Scheme::kPlain:
       return std::unique_ptr<enc::EncodedColumn>(
@@ -99,14 +97,7 @@ Result<std::unique_ptr<enc::EncodedColumn>> EncodeVertical(
       return std::unique_ptr<enc::EncodedColumn>(std::move(col));
     }
     case enc::Scheme::kDelta: {
-      const enc::DeltaLayout layout =
-          workload == enc::WorkloadHint::kPointServing
-              ? enc::DeltaLayout::kInline
-              : enc::DeltaLayout::kPacked;
-      CORRA_ASSIGN_OR_RETURN(
-          auto col,
-          enc::DeltaColumn::Encode(
-              values, enc::DeltaColumn::DefaultIntervalFor(layout), layout));
+      CORRA_ASSIGN_OR_RETURN(auto col, enc::DeltaColumn::Encode(values));
       return std::unique_ptr<enc::EncodedColumn>(std::move(col));
     }
     case enc::Scheme::kRle: {
@@ -140,9 +131,7 @@ Result<Block> CompressOneBlock(const Table& table,
     if (cp.auto_vertical) {
       CORRA_ASSIGN_OR_RETURN(
           out.encoded,
-          enc::SelectBestScheme(
-              slice, range,
-              enc::SelectionOptions{.workload = plan.workload}));
+          enc::SelectBestScheme(slice, range, enc::SelectionOptions{}));
       continue;
     }
     switch (cp.scheme) {
@@ -208,7 +197,7 @@ Result<Block> CompressOneBlock(const Table& table,
       default: {
         CORRA_ASSIGN_OR_RETURN(
             out.encoded,
-            EncodeVertical(cp.scheme, slice, range, plan.workload));
+            EncodeVertical(cp.scheme, slice, range));
         break;
       }
     }

@@ -61,11 +61,8 @@ struct CompressionPlan {
   /// independent, so the output is identical for any thread count).
   size_t num_threads = 1;
 
-  /// Expected access pattern, steering physical-layout choices inside a
-  /// scheme (auto-selected *and* explicit): kPointServing encodes Delta
-  /// columns with the inline-checkpoint layout so ScanService point and
-  /// gather requests touch one contiguous window per access, while the
-  /// default kAnalytic keeps the packed layout dense scans want.
+  /// Has no effect: every scheme has one layout. Kept only so callers
+  /// that still assign it compile.
   enc::WorkloadHint workload = enc::WorkloadHint::kAnalytic;
 
   /// Every column auto-selected vertical (the paper's baseline).

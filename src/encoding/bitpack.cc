@@ -74,10 +74,6 @@ void BitPackColumn::GatherRange(std::span<const uint32_t> rows,
                    rows.size(), reinterpret_cast<uint64_t*>(out));
 }
 
-void BitPackColumn::DecodeAll(int64_t* out) const {
-  reader_.DecodeAll(reinterpret_cast<uint64_t*>(out));
-}
-
 void BitPackColumn::DecodeRange(size_t row_begin, size_t count,
                                 int64_t* out) const {
   reader_.DecodeRange(row_begin, count, reinterpret_cast<uint64_t*>(out));

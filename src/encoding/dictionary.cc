@@ -127,10 +127,6 @@ void DictColumn::GatherRange(std::span<const uint32_t> rows,
   }
 }
 
-void DictColumn::DecodeAll(int64_t* out) const {
-  DecodeRange(0, reader_.size(), out);
-}
-
 void DictColumn::DecodeRange(size_t row_begin, size_t count,
                              int64_t* out) const {
   // Unpack the codes of one morsel-sized chunk into a stack buffer, then

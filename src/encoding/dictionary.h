@@ -73,7 +73,6 @@ class DictColumn final : public EncodedColumn {
   }
   void GatherRange(std::span<const uint32_t> rows,
                    int64_t* out) const override;
-  void DecodeAll(int64_t* out) const override;
   void DecodeRange(size_t row_begin, size_t count,
                    int64_t* out) const override;
   void Serialize(BufferWriter* writer) const override;

@@ -39,10 +39,6 @@ void EncodedColumn::GatherRange(std::span<const uint32_t> rows,
   }
 }
 
-void EncodedColumn::DecodeAll(int64_t* out) const {
-  DecodeRange(0, size(), out);
-}
-
 void EncodedColumn::DecodeRange(size_t row_begin, size_t count,
                                 int64_t* out) const {
   for (size_t i = 0; i < count; ++i) {

@@ -1,9 +1,10 @@
 // EncodedColumn: the common interface of every compressed column.
 //
 // An encoded column answers point lookups (Get), batched selective
-// materialization (Gather), and full decompression (DecodeAll), reports its
-// compressed footprint (SizeBytes — the quantity in the paper's Table 2),
-// and serializes itself into the self-contained block format.
+// materialization (GatherRange), and ranged decompression (DecodeRange),
+// reports its compressed footprint (SizeBytes — the quantity in the
+// paper's Table 2), and serializes itself into the self-contained block
+// format.
 //
 // Horizontal (correlation-aware) columns additionally declare which sibling
 // columns they reference; the owning Block resolves those references after
@@ -51,13 +52,6 @@ class EncodedColumn {
   /// The logical value at `row` (precondition: row < size()).
   virtual int64_t Get(size_t row) const = 0;
 
-  /// Materializes the values at the given sorted row positions into `out`
-  /// (which must hold rows.size() values). Compatibility spelling of
-  /// GatherRange — one indirect dispatch, then the scheme's sparse path.
-  void Gather(std::span<const uint32_t> rows, int64_t* out) const {
-    GatherRange(rows, out);
-  }
-
   /// The selection-driven sparse-decode kernel: materializes the values
   /// at the sorted row positions `rows` into `out` (rows.size() values)
   /// *without* densifying the rows in between. Every scheme overrides
@@ -71,8 +65,7 @@ class EncodedColumn {
                            int64_t* out) const;
 
   /// Decompresses the whole column into `out` (size() values).
-  /// Default: one DecodeRange over the full row span.
-  virtual void DecodeAll(int64_t* out) const;
+  void DecodeAll(int64_t* out) const { DecodeRange(0, size(), out); }
 
   /// Decompresses the dense row range [row_begin, row_begin + count) into
   /// `out` (count values; row_begin + count <= size()). This is the

@@ -74,10 +74,6 @@ void ForColumn::GatherRange(std::span<const uint32_t> rows,
   simd::AddConst(out, rows.size(), base_);
 }
 
-void ForColumn::DecodeAll(int64_t* out) const {
-  DecodeRange(0, reader_.size(), out);
-}
-
 void ForColumn::DecodeRange(size_t row_begin, size_t count,
                             int64_t* out) const {
   // Unpack the offsets with the SIMD kernels, then rebase in a second

@@ -25,10 +25,6 @@ void PlainColumn::GatherRange(std::span<const uint32_t> rows,
   }
 }
 
-void PlainColumn::DecodeAll(int64_t* out) const {
-  std::memcpy(out, values_.data(), values_.size() * sizeof(int64_t));
-}
-
 void PlainColumn::DecodeRange(size_t row_begin, size_t count,
                               int64_t* out) const {
   std::memcpy(out, values_.data() + row_begin, count * sizeof(int64_t));

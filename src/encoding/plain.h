@@ -31,7 +31,6 @@ class PlainColumn final : public EncodedColumn {
   int64_t Get(size_t row) const override { return values_[row]; }
   void GatherRange(std::span<const uint32_t> rows,
                    int64_t* out) const override;
-  void DecodeAll(int64_t* out) const override;
   void DecodeRange(size_t row_begin, size_t count,
                    int64_t* out) const override;
   void Serialize(BufferWriter* writer) const override;

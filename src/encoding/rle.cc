@@ -189,10 +189,6 @@ void RleColumn::GatherRange(std::span<const uint32_t> rows,
   }
 }
 
-void RleColumn::DecodeAll(int64_t* out) const {
-  DecodeRange(0, count_, out);
-}
-
 void RleColumn::DecodeRange(size_t row_begin, size_t count,
                             int64_t* out) const {
   if (count == 0) {

@@ -14,11 +14,6 @@ namespace corra::enc {
 
 namespace {
 
-DeltaLayout DeltaLayoutFor(WorkloadHint workload) {
-  return workload == WorkloadHint::kPointServing ? DeltaLayout::kInline
-                                                 : DeltaLayout::kPacked;
-}
-
 // The estimates from one min/max pass (`range`) for Plain, BitPack and
 // FOR, then Dict's distinct count into `distinct`, stopped once Dict can
 // no longer come in strictly under the smallest of the three (see
@@ -37,11 +32,8 @@ std::vector<SchemeEstimate> Estimate(std::span<const int64_t> values,
                                       estimates[2].size_bytes}));
   estimates.push_back({Scheme::kDict, (*distinct)->DictSizeBytes()});
   if (options.policy == SelectionPolicy::kAllowCheckpointedSchemes) {
-    const DeltaLayout layout = DeltaLayoutFor(options.workload);
     estimates.push_back(
-        {Scheme::kDelta,
-         DeltaColumn::EstimateSizeBytes(
-             values, DeltaColumn::DefaultIntervalFor(layout), layout)});
+        {Scheme::kDelta, DeltaColumn::EstimateSizeBytes(values)});
     estimates.push_back({Scheme::kRle, RleColumn::EstimateSizeBytes(values)});
   }
   return estimates;
@@ -92,11 +84,7 @@ Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
       // to completion.
       return std::unique_ptr<EncodedColumn>(DictColumn::Encode(*distinct));
     case Scheme::kDelta: {
-      const DeltaLayout layout = DeltaLayoutFor(options.workload);
-      CORRA_ASSIGN_OR_RETURN(
-          auto col,
-          DeltaColumn::Encode(values, DeltaColumn::DefaultIntervalFor(layout),
-                              layout));
+      CORRA_ASSIGN_OR_RETURN(auto col, DeltaColumn::Encode(values));
       return std::unique_ptr<EncodedColumn>(std::move(col));
     }
     case Scheme::kRle: {

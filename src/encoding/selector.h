@@ -35,21 +35,17 @@ enum class SelectionPolicy {
   kAllowCheckpointedSchemes,
 };
 
-/// Expected access pattern of the encoded column. Does not change which
-/// schemes compete — only physical-layout choices within a scheme
-/// (currently: Delta's checkpoint layout).
+/// Has no effect: every scheme has one layout. Kept only so callers
+/// that still assign it compile.
 enum class WorkloadHint {
-  /// Dense scans dominate (default): layouts optimize DecodeRange.
   kAnalytic,
-  /// Point lookups / sparse gathers dominate (the ScanService Gather and
-  /// point-request path): Delta uses the inline-checkpoint layout, whose
-  /// windows make every point access one contiguous touch.
   kPointServing,
 };
 
 /// Knobs for SelectBestScheme beyond the candidate pool policy.
 struct SelectionOptions {
   SelectionPolicy policy = SelectionPolicy::kConstantTimeAccessOnly;
+  /// Has no effect (see WorkloadHint).
   WorkloadHint workload = WorkloadHint::kAnalytic;
 };
 
@@ -67,9 +63,7 @@ struct SchemeEstimate {
   size_t size_bytes;  // SIZE_MAX if the scheme is inapplicable.
 };
 
-/// Estimates all candidate sizes for `values` without encoding. Delta is
-/// estimated under the layout the workload hint would encode with, so
-/// the size comparison stays honest.
+/// Estimates all candidate sizes for `values` without encoding.
 std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,
                                             const SelectionOptions& options);
 std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,

@@ -379,8 +379,8 @@ Result<BlockCache::Handle> BlockCache::GetOrLoad(const BlockKey& key,
       state_->metrics->hits->Increment();
       if (waited) {
         // Single-flight in action: this caller's miss was absorbed by a
-        // concurrent load (e.g. the read-ahead thread's) — it paid a
-        // wait, not a fill.
+        // concurrent load (another request's) — it paid a wait, not a
+        // fill.
         ++shard.load_waits;
         state_->metrics->load_waits->Increment();
       }

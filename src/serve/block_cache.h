@@ -113,9 +113,9 @@ struct BlockCacheStats {
   /// failures, kept separate so the ledger invariant stays exact.
   uint64_t erased_blocks = 0;
   /// Hits that first waited out another caller's in-flight load of the
-  /// same block (single-flight absorption — e.g. a scan arriving while
-  /// the read-ahead thread is still filling the block). A subset of
-  /// hits; not part of the ledger invariant.
+  /// same block (single-flight absorption — e.g. a request arriving
+  /// while another request's thread is still filling the block). A
+  /// subset of hits; not part of the ledger invariant.
   uint64_t load_waits = 0;
   /// Requests failed fast by the quarantine with the original load
   /// error (no loader run, no entry created).

@@ -212,11 +212,9 @@ class ScanService {
   /// returns one value vector per requested column. Each block slice
   /// goes through query::ScanColumn: positioned GatherRange kernels, or
   /// one ranged decode for a contiguous slice, never a per-row Get.
-  /// Tables that serve mostly this path should be compressed with
-  /// CompressionPlan::workload = WorkloadHint::kPointServing, whose Delta
-  /// columns carry inline checkpoints. `options` carries the deadline
-  /// and an optional trace sink (see ScanRequest::collect_trace). Gather
-  /// is strict: the first failed block fails the request.
+  /// `options` carries the deadline and an optional trace sink (see
+  /// ScanRequest::collect_trace). Gather is strict: the first failed
+  /// block fails the request.
   Result<std::vector<std::vector<int64_t>>> Gather(
       const TableReader& reader, std::span<const size_t> columns,
       std::span<const uint64_t> rows, const GatherOptions& options = {});

@@ -25,25 +25,22 @@ std::vector<uint64_t> RandomValues(size_t count, int width, uint64_t seed) {
 }
 
 TEST(BitStreamTest, EmptyStream) {
-  BitWriter writer(13);
-  auto bytes = std::move(writer).Finish();
+  auto bytes = PackValues({}, 13);
+  EXPECT_EQ(bytes.size(), bit_util::kDecodePadBytes);
   BitReader reader(bytes.data(), 13, 0);
   EXPECT_EQ(reader.size(), 0u);
 }
 
-TEST(BitStreamTest, WidthZeroStoresNothingButCounts) {
-  BitWriter writer(0);
-  for (int i = 0; i < 100; ++i) {
-    writer.Append(0);
-  }
-  EXPECT_EQ(writer.size(), 100u);
-  auto bytes = std::move(writer).Finish();
+TEST(BitStreamTest, WidthZeroStoresNothing) {
+  const std::vector<uint64_t> zeros(100, 0);
+  auto bytes = PackValues(zeros, 0);
+  EXPECT_EQ(bytes.size(), bit_util::kDecodePadBytes);
   BitReader reader(bytes.data(), 0, 100);
   for (size_t i = 0; i < 100; ++i) {
     EXPECT_EQ(reader.Get(i), 0u);
   }
   std::vector<uint64_t> decoded(100, 123);
-  reader.DecodeAll(decoded.data());
+  reader.DecodeRange(0, 100, decoded.data());
   for (uint64_t v : decoded) {
     EXPECT_EQ(v, 0u);
   }
@@ -57,9 +54,7 @@ class BitStreamRoundTrip
 TEST_P(BitStreamRoundTrip, GetMatches) {
   const auto [width, count] = GetParam();
   const auto values = RandomValues(count, width, 17 * width + count);
-  BitWriter writer(width);
-  writer.AppendAll(values);
-  auto bytes = std::move(writer).Finish();
+  auto bytes = PackValues(values, width);
   ASSERT_GE(bytes.size(), bit_util::PackedBytes(count, width));
   BitReader reader(bytes.data(), width, count);
   for (size_t i = 0; i < count; ++i) {
@@ -67,15 +62,13 @@ TEST_P(BitStreamRoundTrip, GetMatches) {
   }
 }
 
-TEST_P(BitStreamRoundTrip, DecodeAllMatches) {
+TEST_P(BitStreamRoundTrip, DecodeRangeMatches) {
   const auto [width, count] = GetParam();
   const auto values = RandomValues(count, width, 31 * width + count);
-  BitWriter writer(width);
-  writer.AppendAll(values);
-  auto bytes = std::move(writer).Finish();
+  auto bytes = PackValues(values, width);
   BitReader reader(bytes.data(), width, count);
   std::vector<uint64_t> decoded(count);
-  reader.DecodeAll(decoded.data());
+  reader.DecodeRange(0, count, decoded.data());
   EXPECT_EQ(decoded, values);
 }
 
@@ -95,11 +88,7 @@ TEST(BitStreamTest, MaxValuesAtEveryWidth) {
   for (int width = 1; width <= 64; ++width) {
     const uint64_t max =
         width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-    BitWriter writer(width);
-    for (int i = 0; i < 9; ++i) {
-      writer.Append(max);
-    }
-    auto bytes = std::move(writer).Finish();
+    auto bytes = PackValues(std::vector<uint64_t>(9, max), width);
     BitReader reader(bytes.data(), width, 9);
     for (size_t i = 0; i < 9; ++i) {
       ASSERT_EQ(reader.Get(i), max) << "width " << width;
@@ -111,11 +100,11 @@ TEST(BitStreamTest, InterleavedPattern) {
   // Alternating all-ones / all-zeros detects cross-value bit bleed.
   constexpr int kWidth = 11;
   constexpr uint64_t kOnes = (uint64_t{1} << kWidth) - 1;
-  BitWriter writer(kWidth);
-  for (int i = 0; i < 500; ++i) {
-    writer.Append(i % 2 == 0 ? kOnes : 0);
+  std::vector<uint64_t> values(500);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = i % 2 == 0 ? kOnes : 0;
   }
-  auto bytes = std::move(writer).Finish();
+  auto bytes = PackValues(values, kWidth);
   BitReader reader(bytes.data(), kWidth, 500);
   for (size_t i = 0; i < 500; ++i) {
     ASSERT_EQ(reader.Get(i), i % 2 == 0 ? kOnes : 0u);
@@ -163,13 +152,6 @@ TEST(BitStreamTest, BulkPackMatchesPerValueAppend) {
 
       EXPECT_EQ(PackValues(values, width), expected)
           << "PackValues width " << width << " count " << count;
-
-      BitWriter writer(width);
-      for (uint64_t v : values) {
-        writer.Append(v);
-      }
-      EXPECT_EQ(std::move(writer).Finish(), expected)
-          << "BitWriter width " << width << " count " << count;
 
       // Chunked on-the-fly codes: 4097 values span five chunks and a
       // one-value tail.

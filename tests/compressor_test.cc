@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "datagen/tpch.h"
-#include "encoding/delta.h"
 
 namespace corra {
 namespace {
@@ -39,48 +38,6 @@ TEST(CompressorTest, AllAutoMatchesBaselineSelector) {
   EXPECT_EQ(compressed.value().DecodeColumn(1),
             std::vector<int64_t>(table.column(1).values().begin(),
                                  table.column(1).values().end()));
-}
-
-TEST(CompressorTest, PointServingWorkloadEncodesInlineDeltaEndToEnd) {
-  // A sorted column that the checkpointed-scheme plan encodes as Delta:
-  // under the point-serving workload hint the compressor must produce
-  // the inline-checkpoint layout, and the compressed table must still
-  // decompress to exactly the input (and round-trip its wire form).
-  Rng rng(23);
-  std::vector<int64_t> sorted(5000);
-  int64_t acc = 0;
-  for (auto& v : sorted) {
-    acc += rng.Uniform(100000, 100007);
-    v = acc;
-  }
-  Table table;
-  ASSERT_TRUE(table.AddColumn(Column::Int64("seq", sorted)).ok());
-  CompressionPlan plan = CompressionPlan::AllAuto(1);
-  plan.columns[0].auto_vertical = false;
-  plan.columns[0].scheme = enc::Scheme::kDelta;
-  plan.workload = enc::WorkloadHint::kPointServing;
-  auto compressed = CorraCompressor::Compress(table, plan);
-  ASSERT_TRUE(compressed.ok());
-  const auto& column = compressed.value().block(0).column(0);
-  ASSERT_EQ(column.scheme(), enc::Scheme::kDelta);
-  EXPECT_EQ(static_cast<const enc::DeltaColumn&>(column).layout(),
-            enc::DeltaLayout::kInline);
-
-  auto decompressed = CorraCompressor::Decompress(compressed.value());
-  ASSERT_TRUE(decompressed.ok());
-  EXPECT_EQ(decompressed.value().column(0).values().size(), sorted.size());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    ASSERT_EQ(decompressed.value().column(0).values()[i], sorted[i]);
-  }
-
-  auto reloaded = Block::Deserialize(compressed.value().block(0).Serialize());
-  ASSERT_TRUE(reloaded.ok());
-  const auto& restored = reloaded.value().column(0);
-  EXPECT_EQ(static_cast<const enc::DeltaColumn&>(restored).layout(),
-            enc::DeltaLayout::kInline);
-  for (size_t i = 0; i < sorted.size(); i += 97) {
-    ASSERT_EQ(restored.Get(i), sorted[i]);
-  }
 }
 
 TEST(CompressorTest, AllPlainIsUncompressed) {

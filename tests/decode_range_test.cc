@@ -210,11 +210,11 @@ TEST(DecodeRangeTest, DeltaRleSortedGatherMatchesGet) {
       }
     }
     std::vector<int64_t> out(rows.size());
-    delta->Gather(rows, out.data());
+    delta->GatherRange(rows, out.data());
     for (size_t i = 0; i < rows.size(); ++i) {
       ASSERT_EQ(out[i], values[rows[i]]) << "delta row " << rows[i];
     }
-    rle->Gather(rows, out.data());
+    rle->GatherRange(rows, out.data());
     for (size_t i = 0; i < rows.size(); ++i) {
       ASSERT_EQ(out[i], values[rows[i]]) << "rle row " << rows[i];
     }
@@ -229,11 +229,11 @@ TEST(DecodeRangeTest, DeltaRleGatherReseeksOnBackwardPositions) {
   const auto rle = enc::RleColumn::Encode(values).value();
   const std::vector<uint32_t> rows = {4000, 10, 4000, 3999, 0, 130, 129};
   std::vector<int64_t> out(rows.size());
-  delta->Gather(rows, out.data());
+  delta->GatherRange(rows, out.data());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(out[i], values[rows[i]]) << "delta row " << rows[i];
   }
-  rle->Gather(rows, out.data());
+  rle->GatherRange(rows, out.data());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(out[i], values[rows[i]]) << "rle row " << rows[i];
   }
@@ -274,19 +274,19 @@ TEST(DecodeRangeTest, DeltaCheckpointIntervalSweep) {
       EXPECT_EQ(restored->Get(row), values[row]) << "row " << row;
     }
   }
-  // Invalid intervals are rejected up front (16 became valid alongside
-  // the inline layout; 8 and non-powers-of-two stay rejected).
+  // Invalid intervals are rejected up front (16 is valid; 8, 4096 and
+  // non-powers-of-two are not).
   EXPECT_FALSE(enc::DeltaColumn::Encode(values, 48).ok());
   EXPECT_FALSE(enc::DeltaColumn::Encode(values, 8).ok());
   EXPECT_FALSE(enc::DeltaColumn::Encode(values, 4096).ok());
   EXPECT_TRUE(enc::DeltaColumn::Encode(values, 16).ok());
 }
 
-TEST(DecodeRangeTest, DeltaInlineLayoutMatchesPackedEverywhere) {
-  // The inline-checkpoint layout must be observationally identical to
-  // the packed layout: Get, DecodeRange, and GatherRange (all three
-  // densities of the internal sparse/dense split) agree row for row,
-  // across distributions and checkpoint intervals.
+TEST(DecodeRangeTest, DeltaInlineWireFormMatchesPackedEverywhere) {
+  // A column read from the inline-checkpoint wire form must be
+  // observationally identical to the packed encoder's: Get, DecodeRange,
+  // and GatherRange (all three densities of the internal sparse/dense
+  // split) agree row for row, across distributions and intervals.
   for (const test::Dist dist :
        {test::Dist::kSmallRange, test::Dist::kSorted, test::Dist::kRunHeavy,
         test::Dist::kExtremes}) {
@@ -295,25 +295,18 @@ TEST(DecodeRangeTest, DeltaInlineLayoutMatchesPackedEverywhere) {
     for (const size_t interval :
          {size_t{16}, size_t{32}, size_t{256}, size_t{2048}}) {
       SCOPED_TRACE("interval=" + std::to_string(interval));
-      const auto packed =
-          enc::DeltaColumn::Encode(values, interval,
-                                   enc::DeltaLayout::kPacked)
-              .value();
-      const auto inline_col =
-          enc::DeltaColumn::Encode(values, interval,
-                                   enc::DeltaLayout::kInline)
-              .value();
-      EXPECT_EQ(packed->layout(), enc::DeltaLayout::kPacked);
-      EXPECT_EQ(inline_col->layout(), enc::DeltaLayout::kInline);
-      ExpectRangedKernelsMatchGet(*inline_col, 700 + interval);
+      const auto packed = enc::DeltaColumn::Encode(values, interval).value();
+      const auto converted =
+          test::ReadColumn(test::SerializeDeltaInline(values, interval));
+      ASSERT_NE(converted, nullptr);
+      ExpectRangedKernelsMatchGet(*converted, 700 + interval);
 
-      // Direct cross-layout comparison on top of the Get oracle.
       Rng rng(703 + interval);
       for (int probe = 0; probe < 100; ++probe) {
         const size_t row = static_cast<size_t>(
             rng.Uniform(0, static_cast<int64_t>(kRows) - 1));
-        ASSERT_EQ(inline_col->Get(row), packed->Get(row)) << "row " << row;
-        ASSERT_EQ(inline_col->Get(row), values[row]) << "row " << row;
+        ASSERT_EQ(converted->Get(row), packed->Get(row)) << "row " << row;
+        ASSERT_EQ(converted->Get(row), values[row]) << "row " << row;
       }
       for (const double rate : {0.005, 0.1, 0.7}) {
         std::vector<uint32_t> rows;
@@ -322,94 +315,47 @@ TEST(DecodeRangeTest, DeltaInlineLayoutMatchesPackedEverywhere) {
             rows.push_back(static_cast<uint32_t>(i));
           }
         }
-        std::vector<int64_t> from_inline(rows.size());
+        std::vector<int64_t> from_converted(rows.size());
         std::vector<int64_t> from_packed(rows.size());
-        inline_col->GatherRange(rows, from_inline.data());
+        converted->GatherRange(rows, from_converted.data());
         packed->GatherRange(rows, from_packed.data());
-        ASSERT_EQ(from_inline, from_packed) << "rate " << rate;
+        ASSERT_EQ(from_converted, from_packed) << "rate " << rate;
       }
     }
   }
 }
 
-TEST(DecodeRangeTest, DeltaInlineLayoutWireRoundTripBothDirections) {
-  // Serialization round-trips preserve the physical layout in both
-  // directions, the inline wire format re-serializes byte-identically,
-  // and the two layouts' wire images are distinguishable by their sniff
-  // markers.
+TEST(DecodeRangeTest, DeltaWireFormsSniffAndWritePackedBytes) {
+  // The three wire forms are told apart by their first u64 (legacy
+  // checkpoint count, interval marker, inline marker), and a column read
+  // from any of them writes the packed encoder's bytes again.
   const auto values = test::MakeValues(test::Dist::kSorted, kRows, 79);
+  const auto first_u64 = [](const std::vector<uint8_t>& bytes) {
+    uint64_t first = 0;
+    std::memcpy(&first, bytes.data() + 1, sizeof(first));
+    return first;
+  };
   for (const size_t interval : {size_t{16}, size_t{128}, size_t{1024}}) {
     SCOPED_TRACE("interval=" + std::to_string(interval));
-    for (const enc::DeltaLayout layout :
-         {enc::DeltaLayout::kPacked, enc::DeltaLayout::kInline}) {
-      auto column = enc::DeltaColumn::Encode(values, interval, layout).value();
-      BufferWriter writer;
-      column->Serialize(&writer);
-      const auto bytes = std::move(writer).Finish();
+    const auto packed_bytes = test::SerializedBytes(
+        *enc::DeltaColumn::Encode(values, interval).value());
+    const auto inline_bytes = test::SerializeDeltaInline(values, interval);
+    EXPECT_EQ(first_u64(packed_bytes),
+              interval == 128 ? (kRows - 1) / interval + 1 : ~uint64_t{0});
+    EXPECT_EQ(first_u64(inline_bytes), ~uint64_t{0} - 1);
 
-      uint64_t first = 0;
-      std::memcpy(&first, bytes.data() + 1, sizeof(first));
-      if (layout == enc::DeltaLayout::kInline) {
-        EXPECT_EQ(first, ~uint64_t{0} - 1);  // Inline marker.
-      } else if (interval == 128) {
-        EXPECT_EQ(first, (kRows - 1) / interval + 1);  // Legacy layout.
-      } else {
-        EXPECT_EQ(first, ~uint64_t{0});  // Interval marker.
-      }
-
-      BufferReader reader(bytes);
-      auto restored = DeserializeEncodedColumn(&reader).value();
-      auto& delta = static_cast<enc::DeltaColumn&>(*restored);
-      EXPECT_EQ(delta.layout(), layout);
+    for (const auto* bytes : {&packed_bytes, &inline_bytes}) {
+      const auto restored = test::ReadColumn(*bytes);
+      ASSERT_NE(restored, nullptr);
+      const auto& delta = static_cast<const enc::DeltaColumn&>(*restored);
       EXPECT_EQ(delta.checkpoint_interval(), interval);
       EXPECT_EQ(delta.size(), values.size());
       for (size_t row = 0; row < values.size(); ++row) {
         ASSERT_EQ(delta.Get(row), values[row]) << "row " << row;
       }
-
-      // Re-serializing the restored column reproduces the wire image.
-      BufferWriter again;
-      delta.Serialize(&again);
-      EXPECT_EQ(std::move(again).Finish(), bytes);
+      EXPECT_EQ(test::SerializedBytes(delta), packed_bytes);
     }
   }
-
-  // A truncated inline window stream is rejected, not mis-decoded.
-  auto column = enc::DeltaColumn::Encode(values, 32,
-                                         enc::DeltaLayout::kInline)
-                    .value();
-  BufferWriter writer;
-  column->Serialize(&writer);
-  auto bytes = std::move(writer).Finish();
-  // Shrink the length-prefixed payload: halve the byte-count prefix that
-  // precedes the window stream (the last length field in the image).
-  const size_t count_offset = 1 + 8 + 8 + 1;  // scheme, marker, interval, w.
-  uint64_t rows64 = 0;
-  std::memcpy(&rows64, bytes.data() + count_offset, sizeof(rows64));
-  ASSERT_EQ(rows64, kRows);
-  const size_t len_offset = count_offset + 8;
-  uint64_t payload_len = 0;
-  std::memcpy(&payload_len, bytes.data() + len_offset, sizeof(payload_len));
-  const uint64_t truncated = payload_len / 2;
-  std::memcpy(bytes.data() + len_offset, &truncated, sizeof(truncated));
-  bytes.resize(len_offset + 8 + truncated);
-  {
-    BufferReader reader(bytes);
-    EXPECT_FALSE(DeserializeEncodedColumn(&reader).ok());
-  }
-
-  // Regression: a corrupt row count near 2^64 used to make the
-  // windows-times-stride size check wrap around and pass, building a
-  // column whose row count vastly exceeded its buffer (out-of-bounds
-  // reads on first access). The division-based check must reject it.
-  BufferWriter overflow_writer;
-  column->Serialize(&overflow_writer);
-  auto overflow_bytes = std::move(overflow_writer).Finish();
-  const uint64_t absurd_count = ~uint64_t{0} - 7;
-  std::memcpy(overflow_bytes.data() + count_offset, &absurd_count,
-              sizeof(absurd_count));
-  BufferReader overflow_reader(overflow_bytes);
-  EXPECT_FALSE(DeserializeEncodedColumn(&overflow_reader).ok());
 }
 
 // Reference + correlated target, bound through a FOR reference column.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
+#include "common/bit_util.h"
 #include "encoding/delta.h"
 #include "encoding/rle.h"
 #include "test_util.h"
@@ -12,6 +16,9 @@ namespace {
 using test::Dist;
 using test::ExpectColumnMatches;
 using test::MakeValues;
+using test::ReadColumn;
+using test::SerializeDeltaInline;
+using test::SerializedBytes;
 using test::SerializeRoundTrip;
 
 class CheckpointedSchemeTest
@@ -34,18 +41,17 @@ TEST_P(CheckpointedSchemeTest, DeltaRoundTrip) {
   ExpectColumnMatches(*reloaded, values);
 }
 
-TEST_P(CheckpointedSchemeTest, DeltaInlineRoundTrip) {
+TEST_P(CheckpointedSchemeTest, DeltaInlineWireFormReadsAsPacked) {
   const auto values = Values();
-  auto result = DeltaColumn::Encode(
-      values, DeltaColumn::kDefaultCheckpointInterval, DeltaLayout::kInline);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value()->layout(), DeltaLayout::kInline);
-  ExpectColumnMatches(*result.value(), values);
-  auto reloaded = SerializeRoundTrip(*result.value());
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(static_cast<const DeltaColumn&>(*reloaded).layout(),
-            DeltaLayout::kInline);
-  ExpectColumnMatches(*reloaded, values);
+  for (const size_t interval :
+       {size_t{16}, DeltaColumn::kDefaultCheckpointInterval}) {
+    SCOPED_TRACE("interval " + std::to_string(interval));
+    auto column = ReadColumn(SerializeDeltaInline(values, interval));
+    ASSERT_NE(column, nullptr);
+    ExpectColumnMatches(*column, values);
+    EXPECT_EQ(SerializedBytes(*column),
+              SerializedBytes(*DeltaColumn::Encode(values, interval).value()));
+  }
 }
 
 TEST_P(CheckpointedSchemeTest, RleRoundTrip) {
@@ -99,10 +105,10 @@ TEST(DeltaTest, CheckpointShiftDerivedFromIntervalOnEveryPath) {
   // one without the other would map rows to the wrong checkpoint for
   // any non-32 interval — off by entire checkpoint windows, and only
   // for rows past the first interval. Exercise every construction path
-  // (Encode at non-default intervals, both layouts, and the legacy
-  // 128-interval wire sniff) and check Get exactly at, just before, and
-  // just after several checkpoint boundaries, where a stale shift is
-  // guaranteed to pick the wrong anchor.
+  // (Encode at non-default intervals, the inline wire form, and the
+  // legacy 128-interval wire sniff) and check Get exactly at, just
+  // before, and just after several checkpoint boundaries, where a stale
+  // shift is guaranteed to pick the wrong anchor.
   const auto values = MakeValues(Dist::kSorted, 5000, 13);
   const auto check_boundaries = [&](const EncodedColumn& column,
                                     size_t interval) {
@@ -116,12 +122,13 @@ TEST(DeltaTest, CheckpointShiftDerivedFromIntervalOnEveryPath) {
     }
   };
   for (const size_t interval :
-       {size_t{32}, size_t{64}, size_t{256}, size_t{2048}}) {
-    for (const DeltaLayout layout :
-         {DeltaLayout::kPacked, DeltaLayout::kInline}) {
-      auto column = DeltaColumn::Encode(values, interval, layout).value();
-      check_boundaries(*column, interval);
-      auto reloaded = SerializeRoundTrip(*column);
+       {size_t{16}, size_t{32}, size_t{64}, size_t{256}, size_t{2048}}) {
+    auto column = DeltaColumn::Encode(values, interval).value();
+    check_boundaries(*column, interval);
+    const std::unique_ptr<EncodedColumn> reloaded_columns[] = {
+        SerializeRoundTrip(*column),
+        ReadColumn(SerializeDeltaInline(values, interval))};
+    for (const auto& reloaded : reloaded_columns) {
       ASSERT_NE(reloaded, nullptr);
       EXPECT_EQ(static_cast<const DeltaColumn&>(*reloaded)
                     .checkpoint_interval(),
@@ -138,6 +145,104 @@ TEST(DeltaTest, CheckpointShiftDerivedFromIntervalOnEveryPath) {
   EXPECT_EQ(static_cast<const DeltaColumn&>(*reloaded).checkpoint_interval(),
             128u);
   check_boundaries(*reloaded, 128);
+}
+
+TEST(DeltaTest, InlineWriterMatchesRecordedEncoderBytes) {
+  // SerializeDeltaInline must write exactly what the deleted inline
+  // encoder wrote: these digests are FNV-1a 64 of that encoder's
+  // serialized bytes at interval 16 (widths 0, 4, 64 and 32; every
+  // fixture ends in a partial window).
+  struct Fixture {
+    Dist dist;
+    size_t rows;
+    uint64_t digest;
+  };
+  for (const Fixture& f : {Fixture{Dist::kConstant, 100, 0x6597ee7030c2e91e},
+                           Fixture{Dist::kSorted, 1000, 0x086cc9f46c378354},
+                           Fixture{Dist::kExtremes, 333, 0x1e770a97732c0595},
+                           Fixture{Dist::kWideRange, 517,
+                                   0x40c1f98ae9bea951}}) {
+    SCOPED_TRACE(test::DistName(f.dist));
+    const auto values = MakeValues(f.dist, f.rows, 0x1D);
+    const auto bytes = SerializeDeltaInline(values, 16);
+    EXPECT_EQ(test::Fnv1a64(bytes), f.digest);
+    auto column = ReadColumn(bytes);
+    ASSERT_NE(column, nullptr);
+    ExpectColumnMatches(*column, values);
+    EXPECT_EQ(SerializedBytes(*column),
+              SerializedBytes(*DeltaColumn::Encode(values, 16).value()));
+  }
+}
+
+TEST(DeltaTest, InlineWireFormConvertsToPackedBytesAtEveryWidthAndInterval) {
+  // Every delta width 0..64 (the first delta is the widest) at every
+  // interval, with row counts that leave the last window empty, full,
+  // or partial: the converted column re-serializes to exactly the bytes
+  // the packed encoder writes for the same values and interval.
+  for (int width = 0; width <= 64; ++width) {
+    const uint64_t mask = width == 0    ? 0
+                          : width == 64 ? ~uint64_t{0}
+                                        : (uint64_t{1} << width) - 1;
+    for (size_t interval = DeltaColumn::kMinCheckpointInterval;
+         interval <= DeltaColumn::kMaxCheckpointInterval; interval *= 2) {
+      for (const size_t rows : {size_t{0}, size_t{1}, size_t{2}, interval,
+                                interval + 1, 2 * interval + 7}) {
+        SCOPED_TRACE("width " + std::to_string(width) + " interval " +
+                     std::to_string(interval) + " rows " +
+                     std::to_string(rows));
+        std::mt19937_64 rng(static_cast<uint64_t>(width) * 100003 +
+                            interval * 7 + rows);
+        std::vector<int64_t> values(rows);
+        uint64_t acc = rng();
+        for (size_t i = 0; i < rows; ++i) {
+          if (i > 0) {
+            acc += static_cast<uint64_t>(
+                bit_util::ZigZagDecode(i == 1 ? mask : rng() & mask));
+          }
+          values[i] = static_cast<int64_t>(acc);
+        }
+        auto packed = DeltaColumn::Encode(values, interval).value();
+        ASSERT_EQ(packed->bit_width(), rows > 1 ? width : 0);
+        auto column = ReadColumn(SerializeDeltaInline(values, interval));
+        ASSERT_NE(column, nullptr);
+        ASSERT_EQ(SerializedBytes(*column), SerializedBytes(*packed));
+        if (rows > 0) {
+          ASSERT_EQ(column->Get(rows - 1), values[rows - 1]);
+        }
+      }
+    }
+  }
+}
+
+TEST(DeltaTest, InlineWireFormTruncatedOrOverflowingCountRejected) {
+  const auto values = MakeValues(Dist::kSorted, 5000, 79);
+  const auto bytes = SerializeDeltaInline(values, 32);
+  const size_t count_offset = 1 + 8 + 8 + 1;  // scheme, marker, interval, w.
+  const size_t len_offset = count_offset + 8;
+  uint64_t rows64 = 0;
+  std::memcpy(&rows64, bytes.data() + count_offset, sizeof(rows64));
+  ASSERT_EQ(rows64, values.size());
+
+  // Halve the window stream's byte-count prefix and drop the rest.
+  auto truncated = bytes;
+  uint64_t stream_len = 0;
+  std::memcpy(&stream_len, truncated.data() + len_offset, sizeof(stream_len));
+  const uint64_t half = stream_len / 2;
+  std::memcpy(truncated.data() + len_offset, &half, sizeof(half));
+  truncated.resize(len_offset + 8 + half);
+  BufferReader truncated_reader(truncated);
+  EXPECT_FALSE(DeserializeEncodedColumn(&truncated_reader).ok());
+
+  // Regression: a row count near 2^64 used to make the windows-times-
+  // stride size check wrap around and pass, building a column whose row
+  // count vastly exceeded its buffer. The division-based check rejects
+  // it.
+  auto overflow = bytes;
+  const uint64_t absurd_count = ~uint64_t{0} - 7;
+  std::memcpy(overflow.data() + count_offset, &absurd_count,
+              sizeof(absurd_count));
+  BufferReader overflow_reader(overflow);
+  EXPECT_FALSE(DeserializeEncodedColumn(&overflow_reader).ok());
 }
 
 TEST(DeltaTest, CheckpointCountMismatchRejected) {

@@ -125,11 +125,11 @@ TEST(DiffEncodingTest, GatherWithReferenceMatchesGather) {
     rows.push_back(i);
   }
   std::vector<int64_t> ref_values(rows.size());
-  b.ref->Gather(rows, ref_values.data());
+  b.ref->GatherRange(rows, ref_values.data());
   std::vector<int64_t> via_ref(rows.size());
   b.diff->GatherWithReference(rows, ref_values.data(), via_ref.data());
   std::vector<int64_t> direct(rows.size());
-  b.diff->Gather(rows, direct.data());
+  b.diff->GatherRange(rows, direct.data());
   EXPECT_EQ(via_ref, direct);
 }
 
@@ -224,7 +224,7 @@ TEST(DiffOutlierTest, GatherPatchesOutliers) {
     rows[i] = i;
   }
   std::vector<int64_t> out(rows.size());
-  b.diff->Gather(rows, out.data());
+  b.diff->GatherRange(rows, out.data());
   EXPECT_EQ(out, p.target);
 }
 
@@ -258,7 +258,7 @@ TEST(DiffEncodingTest, GatherConsistentAcrossReferenceTypes) {
     const enc::EncodedColumn* bound[] = {refs[r].get()};
     ASSERT_TRUE(diff.value()->BindReferences(bound).ok());
     std::vector<int64_t> out(rows.size());
-    diff.value()->Gather(rows, out.data());
+    diff.value()->GatherRange(rows, out.data());
     if (r == 0) {
       expected = out;
       for (size_t i = 0; i < rows.size(); ++i) {

@@ -6,6 +6,7 @@
 
 #include <unordered_map>
 
+#include "common/bit_stream.h"
 #include "common/bit_util.h"
 #include "common/random.h"
 #include "encoding/dictionary.h"
@@ -180,11 +181,11 @@ TEST(HierarchicalTest, GatherWithReferenceMatchesGather) {
     rows.push_back(i);
   }
   std::vector<int64_t> ref_values(rows.size());
-  b.ref->Gather(rows, ref_values.data());
+  b.ref->GatherRange(rows, ref_values.data());
   std::vector<int64_t> via_ref(rows.size());
   b.hier->GatherWithReference(rows, ref_values.data(), via_ref.data());
   std::vector<int64_t> direct(rows.size());
-  b.hier->Gather(rows, direct.data());
+  b.hier->GatherRange(rows, direct.data());
   EXPECT_EQ(via_ref, direct);
 }
 
@@ -261,8 +262,6 @@ TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
     offsets.push_back(static_cast<uint32_t>(values.size()));
   }
   const int width = bit_util::BitWidth(max_local);
-  BitWriter codes(width);
-  codes.AppendAll(local_codes);
   BufferWriter expected;
   expected.Write<uint8_t>(static_cast<uint8_t>(enc::Scheme::kHierarchical));
   expected.Write<uint32_t>(7);
@@ -270,7 +269,7 @@ TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
   expected.WriteUint32Array(offsets);
   expected.Write<uint8_t>(static_cast<uint8_t>(width));
   expected.Write<uint64_t>(kRows);
-  expected.WriteBytes(std::move(codes).Finish());
+  expected.WriteBytes(PackValues(local_codes, width));
 
   auto hier = HierarchicalColumn::Encode(target, city, 7);
   ASSERT_TRUE(hier.ok()) << hier.status().ToString();

@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/random.h"
 #include "core/corra_compressor.h"
 #include "datagen/taxi.h"
+#include "encoding/delta.h"
 #include "storage/block.h"
+#include "storage/serde.h"
+#include "test_util.h"
 
 namespace corra {
 namespace {
@@ -169,6 +175,81 @@ TEST(RobustnessTest, TaxiBlockSurvivesOutlierRegionMutations) {
     }
   }
   SUCCEED();
+}
+
+// One Delta column in each wire form Deserialize accepts: legacy (no
+// marker, implied interval 128), interval marker, and inline checkpoints
+// (which Deserialize re-packs).
+std::vector<std::pair<std::string, std::vector<uint8_t>>> DeltaWireForms() {
+  const auto values = test::MakeValues(test::Dist::kSorted, 1000, 17);
+  return {{"legacy", test::SerializedBytes(
+                         *enc::DeltaColumn::Encode(values, 128).value())},
+          {"interval_marker",
+           test::SerializedBytes(*enc::DeltaColumn::Encode(values).value())},
+          {"inline", test::SerializeDeltaInline(values, 16)}};
+}
+
+// Deserializes `bytes` as one column; a column that comes back is read
+// through every path (its values may be wrong, its reads must be safe).
+// Returns whether the column was accepted.
+bool DeserializeAndReadColumn(const std::vector<uint8_t>& bytes) {
+  BufferReader reader(bytes);
+  auto column = DeserializeEncodedColumn(&reader);
+  if (!column.ok()) {
+    return false;
+  }
+  const enc::EncodedColumn& c = *column.value();
+  std::vector<int64_t> out(c.size());
+  c.DecodeAll(out.data());
+  // A dense and a sparse selection reach both gather strategies.
+  for (const size_t step : {size_t{3}, size_t{97}}) {
+    std::vector<uint32_t> rows;
+    for (size_t row = 0; row < c.size(); row += step) {
+      rows.push_back(static_cast<uint32_t>(row));
+    }
+    c.GatherRange(rows, out.data());
+  }
+  for (size_t row = 0; row < c.size(); row += 13) {
+    out[row] = c.Get(row);
+  }
+  return true;
+}
+
+TEST(RobustnessTest, DeltaWireFormsSurviveByteMutations) {
+  for (const auto& [form, bytes] : DeltaWireForms()) {
+    SCOPED_TRACE(form);
+    BufferReader pristine(bytes);
+    ASSERT_TRUE(DeserializeEncodedColumn(&pristine).ok());
+    Rng rng(19);
+    size_t accepted = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::vector<uint8_t> mutated = bytes;
+      // Half the trials flip one byte, half rewrite up to 8 bytes.
+      const int edits =
+          trial % 2 == 0 ? 1 : static_cast<int>(rng.Uniform(2, 8));
+      for (int e = 0; e < edits; ++e) {
+        const size_t pos = static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(mutated.size()) - 1));
+        mutated[pos] ^= static_cast<uint8_t>(rng.Uniform(1, 255));
+      }
+      accepted += DeserializeAndReadColumn(mutated) ? 1 : 0;
+    }
+    // Payload-only damage keeps the structure valid, so some mutated
+    // columns reach the read paths.
+    EXPECT_GT(accepted, 0u);
+  }
+}
+
+TEST(RobustnessTest, DeltaWireFormsRejectEveryTruncation) {
+  for (const auto& [form, bytes] : DeltaWireForms()) {
+    SCOPED_TRACE(form);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      const std::vector<uint8_t> truncated(
+          bytes.begin(), bytes.begin() + static_cast<long>(cut));
+      BufferReader reader(truncated);
+      ASSERT_FALSE(DeserializeEncodedColumn(&reader).ok()) << "cut " << cut;
+    }
+  }
 }
 
 }  // namespace

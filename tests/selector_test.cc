@@ -23,6 +23,7 @@ namespace {
 using test::Dist;
 using test::ExpectColumnMatches;
 using test::MakeValues;
+using test::SerializedBytes;
 
 TEST(SelectorTest, DenseRangePicksForOrBitPack) {
   // Uniform dense values: dictionary wins nothing; FOR/BitPack is minimal.
@@ -79,48 +80,6 @@ TEST(SelectorTest, CheckpointedPolicyPicksDeltaForSorted) {
       values, SelectionPolicy::kAllowCheckpointedSchemes);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value()->scheme(), Scheme::kDelta);
-}
-
-TEST(SelectorTest, PointServingWorkloadPicksInlineDeltaLayout) {
-  // Same delta-friendly data as above: the analytic hint (default)
-  // keeps the packed layout; the point-serving hint encodes Delta with
-  // inline checkpoints — and its estimate reflects the inline layout's
-  // slightly larger footprint, so the comparison stays honest.
-  std::vector<int64_t> values;
-  int64_t acc = 0;
-  Rng rng(5);
-  for (int i = 0; i < 8192; ++i) {
-    acc += rng.Uniform(100000, 100007);
-    values.push_back(acc);
-  }
-  SelectionOptions serving{
-      .policy = SelectionPolicy::kAllowCheckpointedSchemes,
-      .workload = WorkloadHint::kPointServing};
-  auto result = SelectBestScheme(values, serving);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value()->scheme(), Scheme::kDelta);
-  EXPECT_EQ(static_cast<const DeltaColumn&>(*result.value()).layout(),
-            DeltaLayout::kInline);
-
-  auto analytic = SelectBestScheme(
-      values, SelectionPolicy::kAllowCheckpointedSchemes);
-  ASSERT_TRUE(analytic.ok());
-  ASSERT_EQ(analytic.value()->scheme(), Scheme::kDelta);
-  EXPECT_EQ(static_cast<const DeltaColumn&>(*analytic.value()).layout(),
-            DeltaLayout::kPacked);
-
-  const auto serving_estimates = EstimateSchemes(values, serving);
-  const auto analytic_estimates = EstimateSchemes(
-      values, SelectionPolicy::kAllowCheckpointedSchemes);
-  size_t serving_delta = 0;
-  size_t analytic_delta = 0;
-  for (const auto& e : serving_estimates) {
-    if (e.scheme == Scheme::kDelta) serving_delta = e.size_bytes;
-  }
-  for (const auto& e : analytic_estimates) {
-    if (e.scheme == Scheme::kDelta) analytic_delta = e.size_bytes;
-  }
-  EXPECT_GE(serving_delta, analytic_delta);
 }
 
 TEST(SelectorTest, SelectionNeverWorseThanPlain) {
@@ -182,19 +141,9 @@ TEST(SelectorTest, EmptyColumn) {
 
 // --- Equivalence with the exact per-scheme estimates -------------------
 
-std::vector<uint8_t> SerializedBytes(const EncodedColumn& column) {
-  BufferWriter writer;
-  column.Serialize(&writer);
-  return std::move(writer).Finish();
-}
-
 // Encodes `values` with `scheme` directly, as the selector would.
-std::unique_ptr<EncodedColumn> EncodeDirectly(Scheme scheme,
-                                              std::span<const int64_t> values,
-                                              const SelectionOptions& options) {
-  const DeltaLayout layout = options.workload == WorkloadHint::kPointServing
-                                 ? DeltaLayout::kInline
-                                 : DeltaLayout::kPacked;
+std::unique_ptr<EncodedColumn> EncodeDirectly(
+    Scheme scheme, std::span<const int64_t> values) {
   switch (scheme) {
     case Scheme::kPlain:
       return PlainColumn::Encode(values);
@@ -205,10 +154,7 @@ std::unique_ptr<EncodedColumn> EncodeDirectly(Scheme scheme,
     case Scheme::kDict:
       return DictColumn::Encode(values).value();
     case Scheme::kDelta:
-      return DeltaColumn::Encode(values,
-                                 DeltaColumn::DefaultIntervalFor(layout),
-                                 layout)
-          .value();
+      return DeltaColumn::Encode(values).value();
     case Scheme::kRle:
       return RleColumn::Encode(values).value();
     default:
@@ -224,57 +170,46 @@ void ExpectSelectsFirstExactMinimum(const std::vector<int64_t>& values,
                                     const std::string& label) {
   for (SelectionPolicy policy : {SelectionPolicy::kConstantTimeAccessOnly,
                                  SelectionPolicy::kAllowCheckpointedSchemes}) {
-    for (WorkloadHint workload :
-         {WorkloadHint::kAnalytic, WorkloadHint::kPointServing}) {
-      const SelectionOptions options{.policy = policy, .workload = workload};
-      const DeltaLayout layout = workload == WorkloadHint::kPointServing
-                                     ? DeltaLayout::kInline
-                                     : DeltaLayout::kPacked;
-      std::vector<SchemeEstimate> exact = {
-          {Scheme::kPlain, values.size() * sizeof(int64_t)},
-          {Scheme::kBitPack, BitPackColumn::EstimateSizeBytes(values)},
-          {Scheme::kFor, ForColumn::EstimateSizeBytes(values)},
-          {Scheme::kDict, DictColumn::EstimateSizeBytes(values)}};
-      if (policy == SelectionPolicy::kAllowCheckpointedSchemes) {
-        exact.push_back({Scheme::kDelta,
-                         DeltaColumn::EstimateSizeBytes(
-                             values, DeltaColumn::DefaultIntervalFor(layout),
-                             layout)});
-        exact.push_back({Scheme::kRle, RleColumn::EstimateSizeBytes(values)});
-      }
-      size_t best = 0;
-      for (size_t i = 1; i < exact.size(); ++i) {
-        if (exact[i].size_bytes < exact[best].size_bytes) {
-          best = i;
-        }
-      }
-      const std::string where = label + " policy " +
-                                std::to_string(static_cast<int>(policy)) +
-                                " workload " +
-                                std::to_string(static_cast<int>(workload));
-
-      const auto estimates = EstimateSchemes(values, options);
-      ASSERT_EQ(estimates.size(), exact.size()) << where;
-      for (size_t i = 0; i < exact.size(); ++i) {
-        ASSERT_EQ(estimates[i].scheme, exact[i].scheme) << where;
-        if (exact[i].scheme == Scheme::kDict && best != i) {
-          EXPECT_LE(estimates[i].size_bytes, exact[i].size_bytes) << where;
-          EXPECT_GE(estimates[i].size_bytes, exact[best].size_bytes) << where;
-        } else {
-          EXPECT_EQ(estimates[i].size_bytes, exact[i].size_bytes)
-              << where << " " << SchemeToString(exact[i].scheme);
-        }
-      }
-
-      auto selected = SelectBestScheme(values, options);
-      ASSERT_TRUE(selected.ok()) << where;
-      ASSERT_EQ(selected.value()->scheme(), exact[best].scheme)
-          << where << " picked " << SchemeToString(selected.value()->scheme());
-      const auto direct = EncodeDirectly(exact[best].scheme, values, options);
-      ASSERT_NE(direct, nullptr) << where;
-      EXPECT_EQ(SerializedBytes(*selected.value()), SerializedBytes(*direct))
-          << where;
+    const SelectionOptions options{.policy = policy};
+    std::vector<SchemeEstimate> exact = {
+        {Scheme::kPlain, values.size() * sizeof(int64_t)},
+        {Scheme::kBitPack, BitPackColumn::EstimateSizeBytes(values)},
+        {Scheme::kFor, ForColumn::EstimateSizeBytes(values)},
+        {Scheme::kDict, DictColumn::EstimateSizeBytes(values)}};
+    if (policy == SelectionPolicy::kAllowCheckpointedSchemes) {
+      exact.push_back({Scheme::kDelta, DeltaColumn::EstimateSizeBytes(values)});
+      exact.push_back({Scheme::kRle, RleColumn::EstimateSizeBytes(values)});
     }
+    size_t best = 0;
+    for (size_t i = 1; i < exact.size(); ++i) {
+      if (exact[i].size_bytes < exact[best].size_bytes) {
+        best = i;
+      }
+    }
+    const std::string where =
+        label + " policy " + std::to_string(static_cast<int>(policy));
+
+    const auto estimates = EstimateSchemes(values, options);
+    ASSERT_EQ(estimates.size(), exact.size()) << where;
+    for (size_t i = 0; i < exact.size(); ++i) {
+      ASSERT_EQ(estimates[i].scheme, exact[i].scheme) << where;
+      if (exact[i].scheme == Scheme::kDict && best != i) {
+        EXPECT_LE(estimates[i].size_bytes, exact[i].size_bytes) << where;
+        EXPECT_GE(estimates[i].size_bytes, exact[best].size_bytes) << where;
+      } else {
+        EXPECT_EQ(estimates[i].size_bytes, exact[i].size_bytes)
+            << where << " " << SchemeToString(exact[i].scheme);
+      }
+    }
+
+    auto selected = SelectBestScheme(values, options);
+    ASSERT_TRUE(selected.ok()) << where;
+    ASSERT_EQ(selected.value()->scheme(), exact[best].scheme)
+        << where << " picked " << SchemeToString(selected.value()->scheme());
+    const auto direct = EncodeDirectly(exact[best].scheme, values);
+    ASSERT_NE(direct, nullptr) << where;
+    EXPECT_EQ(SerializedBytes(*selected.value()), SerializedBytes(*direct))
+        << where;
   }
 }
 

@@ -5,10 +5,8 @@
 //   * a pooled service driven by 4 concurrent client threads over a
 //     small cache (evictions and shared blocks under load),
 //   * naive row-by-row evaluation over CorraCompressor::Decompress.
-// Every seed runs under both WorkloadHints, so the Delta column is read
-// in both DeltaLayouts. The Diff, MultiRef and C3 1-to-1 columns carry
-// about 1% outlier rows in every block, so gathers that repeat a row
-// reach the outlier patch.
+// The Diff, MultiRef and C3 1-to-1 columns carry about 1% outlier rows
+// in every block, so gathers that repeat a row reach the outlier patch.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +15,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -25,7 +22,6 @@
 #include "core/corra_compressor.h"
 #include "core/diff_encoding.h"
 #include "core/multi_ref_encoding.h"
-#include "encoding/delta.h"
 #include "serve/block_cache.h"
 #include "serve/scan_service.h"
 #include "serve/table_reader.h"
@@ -42,8 +38,6 @@ constexpr size_t kExecutes = 200;
 constexpr size_t kGathers = 200;
 constexpr double kOutlierRate = 0.01;  // Per outlier-capable column.
 
-using Param = std::tuple<uint64_t, enc::WorkloadHint>;
-
 struct GatherCase {
   std::vector<size_t> columns;
   std::vector<uint64_t> rows;
@@ -51,14 +45,13 @@ struct GatherCase {
 
 using Gathered = std::vector<std::vector<int64_t>>;
 
-class ServeOracleTest : public ::testing::TestWithParam<Param> {
+class ServeOracleTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    const auto [seed, workload] = GetParam();
+    const uint64_t seed = GetParam();
     rng_ = Rng(seed);
     path_ = ::testing::TempDir() + "corra_serve_oracle_" +
-            std::to_string(seed) + "_" +
-            std::to_string(static_cast<int>(workload)) + ".corf";
+            std::to_string(seed) + ".corf";
 
     // One column per scheme, shaped so the pinned scheme encodes it.
     std::vector<std::vector<int64_t>> raw(kColumns,
@@ -100,7 +93,6 @@ class ServeOracleTest : public ::testing::TestWithParam<Param> {
 
     CompressionPlan plan = CompressionPlan::AllAuto(kColumns);
     plan.block_rows = kBlockRows;
-    plan.workload = workload;
     const enc::Scheme schemes[kColumns] = {
         enc::Scheme::kFor,      enc::Scheme::kDiff,
         enc::Scheme::kDict,     enc::Scheme::kHierarchical,
@@ -126,18 +118,12 @@ class ServeOracleTest : public ::testing::TestWithParam<Param> {
     auto compressed = CorraCompressor::Compress(table, plan);
     ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
     ASSERT_EQ(compressed.value().num_blocks(), 8u);
-    const enc::DeltaLayout layout = workload == enc::WorkloadHint::kPointServing
-                                        ? enc::DeltaLayout::kInline
-                                        : enc::DeltaLayout::kPacked;
     for (size_t b = 0; b < compressed.value().num_blocks(); ++b) {
       const Block& block = compressed.value().block(b);
       for (size_t c = 0; c < kColumns; ++c) {
         ASSERT_EQ(block.column(c).scheme(), schemes[c])
             << "block " << b << " column " << c;
       }
-      ASSERT_EQ(static_cast<const enc::DeltaColumn&>(block.column(7)).layout(),
-                layout)
-          << "block " << b;
       ASSERT_GT(static_cast<const DiffEncodedColumn&>(block.column(1))
                     .outliers()
                     .size(),
@@ -488,16 +474,10 @@ TEST_P(ServeOracleTest, InlinePooledAndNaiveAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsAndWorkloads, ServeOracleTest,
-    ::testing::Combine(::testing::Values(uint64_t{7}, uint64_t{1234},
-                                         uint64_t{987654321}),
-                       ::testing::Values(enc::WorkloadHint::kAnalytic,
-                                         enc::WorkloadHint::kPointServing)),
-    [](const ::testing::TestParamInfo<Param>& param_info) {
-      return "seed" + std::to_string(std::get<0>(param_info.param)) +
-             (std::get<1>(param_info.param) == enc::WorkloadHint::kAnalytic
-                  ? "_Analytic"
-                  : "_PointServing");
+    Seeds, ServeOracleTest,
+    ::testing::Values(uint64_t{7}, uint64_t{1234}, uint64_t{987654321}),
+    [](const ::testing::TestParamInfo<uint64_t>& param_info) {
+      return "seed" + std::to_string(param_info.param);
     });
 
 }  // namespace

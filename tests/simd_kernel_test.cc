@@ -62,9 +62,7 @@ TEST(UnpackEquivalenceTest, ExhaustiveWidthsOffsetsAndLengths) {
     SCOPED_TRACE("width=" + std::to_string(width));
     const auto values =
         RandomValues(width, kSweepCount, 1000 + static_cast<uint64_t>(width));
-    BitWriter writer(width);
-    writer.AppendAll(values);
-    const auto bytes = std::move(writer).Finish();
+    const auto bytes = PackValues(values, width);
     ASSERT_GE(bytes.size(), bit_util::PackedBytes(kSweepCount, width));
 
     std::vector<uint64_t> dispatched(kSweepCount + 1, 0xDEADBEEF);
@@ -103,9 +101,7 @@ TEST(UnpackEquivalenceTest, BitReaderDecodeRangeMatchesGet) {
     SCOPED_TRACE("width=" + std::to_string(width));
     const auto values =
         RandomValues(width, kSweepCount, 77 + static_cast<uint64_t>(width));
-    BitWriter writer(width);
-    writer.AppendAll(values);
-    const auto bytes = std::move(writer).Finish();
+    const auto bytes = PackValues(values, width);
     BitReader reader(bytes.data(), width, kSweepCount);
     std::vector<uint64_t> out(kSweepCount);
     reader.DecodeRange(5, kSweepCount - 5, out.data());
@@ -360,9 +356,7 @@ TEST(SparseDecodeKernelTest, ZigZagSumPackedAndDeltaDecodeAllWidths) {
     SCOPED_TRACE("width=" + std::to_string(width));
     const auto values =
         RandomValues(width, kSweepCount, 300 + static_cast<uint64_t>(width));
-    BitWriter writer(width);
-    writer.AppendAll(values);
-    const auto bytes = std::move(writer).Finish();
+    const auto bytes = PackValues(values, width);
     for (size_t begin : begins) {
       for (size_t len : lengths) {
         if (begin + len > kSweepCount) {
@@ -410,23 +404,20 @@ TEST(SparseDecodeKernelTest, DeltaPointAndGatherMatchPrefixModel) {
       const size_t interval = size_t{1} << shift;
       SCOPED_TRACE("width=" + std::to_string(width) +
                    " interval=" + std::to_string(interval));
-      const auto deltas =
+      auto deltas =
           RandomValues(width, kRows, 900 + static_cast<uint64_t>(width));
-      BitWriter writer(width);
+      deltas[0] = 0;
       std::vector<int64_t> model(kRows);
       std::vector<int64_t> checkpoints;
       uint64_t acc = 0;
       for (size_t i = 0; i < kRows; ++i) {
-        if (i > 0) {
-          acc += static_cast<uint64_t>(bit_util::ZigZagDecode(deltas[i]));
-        }
+        acc += static_cast<uint64_t>(bit_util::ZigZagDecode(deltas[i]));
         model[i] = static_cast<int64_t>(acc);
         if (i % interval == 0) {
           checkpoints.push_back(model[i]);
         }
-        writer.Append(i == 0 ? 0 : deltas[i]);
       }
-      const auto bytes = std::move(writer).Finish();
+      const auto bytes = PackValues(deltas, width);
 
       std::mt19937_64 rng(55);
       for (int probe = 0; probe < 200; ++probe) {
@@ -465,99 +456,6 @@ TEST(SparseDecodeKernelTest, DeltaPointAndGatherMatchPrefixModel) {
                                       checkpoints.data(), shift, kRows,
                                       selection.data(), selection.size(),
                                       scalar.data());
-        for (size_t i = 0; i < selection.size(); ++i) {
-          ASSERT_EQ(got[i], model[selection[i]]) << "i=" << i;
-          ASSERT_EQ(scalar[i], model[selection[i]]) << "i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(SparseDecodeKernelTest, DeltaInlinePointAndGatherMatchPrefixModel) {
-  // An inline-checkpoint window stream built by an independent reference
-  // packer (the layout contract in simd.h): window k starts at byte
-  // k * stride and holds the 8-byte absolute value of row k * interval
-  // followed by `interval` zig-zag delta slots packed from bit 0, slot j
-  // covering row k * interval + 1 + j. Every window (incl. the partial
-  // last one) occupies the full stride.
-  constexpr size_t kRows = 64 * 40 + 17;
-  for (int width : {0, 1, 5, 11, 13, 14, 15, 23, 28, 29, 40, 58, 64}) {
-    for (const int shift : {4, 5, 6, 7}) {
-      const size_t interval = size_t{1} << shift;
-      SCOPED_TRACE("width=" + std::to_string(width) +
-                   " interval=" + std::to_string(interval));
-      const auto deltas =
-          RandomValues(width, kRows, 1700 + static_cast<uint64_t>(width) +
-                                         static_cast<uint64_t>(shift));
-      // (distinct per-shift seed: interval 16 exercises the 8-slot
-      // unrolled masked fold.)
-      std::vector<int64_t> model(kRows);
-      uint64_t acc = 0;
-      for (size_t i = 0; i < kRows; ++i) {
-        if (i > 0) {
-          acc += static_cast<uint64_t>(bit_util::ZigZagDecode(deltas[i]));
-        }
-        model[i] = static_cast<int64_t>(acc);
-      }
-      const size_t stride =
-          8 + bit_util::RoundUpPow2(
-                  bit_util::CeilDiv(interval * static_cast<size_t>(width), 8),
-                  8);
-      const size_t windows = (kRows - 1) / interval + 1;
-      std::vector<uint8_t> stream(windows * stride + bit_util::kDecodePadBytes,
-                                  0);
-      for (size_t k = 0; k < windows; ++k) {
-        const size_t first = k * interval;
-        std::memcpy(stream.data() + k * stride, &model[first],
-                    sizeof(int64_t));
-        // Pack the window's slots with BitWriter (independently tested)
-        // and splice the payload into the window's delta region.
-        BitWriter slots(width);
-        const size_t last = std::min(first + interval, kRows - 1);
-        for (size_t row = first + 1; row <= last; ++row) {
-          slots.Append(deltas[row]);
-        }
-        const size_t payload =
-            bit_util::PackedDataBytes(last - first, width);
-        const auto packed = std::move(slots).Finish();
-        std::memcpy(stream.data() + k * stride + 8, packed.data(), payload);
-      }
-
-      std::mt19937_64 rng(56);
-      for (int probe = 0; probe < 200; ++probe) {
-        const size_t row = rng() % kRows;
-        ASSERT_EQ(simd::DeltaPointInline(stream.data(), width, shift, stride,
-                                         kRows, row),
-                  model[row])
-            << "row=" << row;
-        ASSERT_EQ(simd::DeltaPointInlineScalar(stream.data(), width, shift,
-                                               stride, kRows, row),
-                  model[row])
-            << "row=" << row;
-      }
-
-      // Sorted, unsorted, empty, and single-row selections through the
-      // batched gather kernel.
-      std::vector<uint32_t> rows;
-      for (size_t i = 0; i < kRows; ++i) {
-        if (rng() % 7 == 0) {
-          rows.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      const std::vector<uint32_t> unsorted = {
-          static_cast<uint32_t>(kRows - 1), 3, 700, 699, 0, 64, 63};
-      for (const auto& selection :
-           {rows, unsorted, std::vector<uint32_t>{},
-            std::vector<uint32_t>{static_cast<uint32_t>(kRows / 2)}}) {
-        std::vector<int64_t> got(selection.size() + 1, -1);
-        std::vector<int64_t> scalar(selection.size() + 1, -2);
-        simd::DeltaGatherInline(stream.data(), width, shift, stride, kRows,
-                                selection.data(), selection.size(),
-                                got.data());
-        simd::DeltaGatherInlineScalar(stream.data(), width, shift, stride,
-                                      kRows, selection.data(),
-                                      selection.size(), scalar.data());
         for (size_t i = 0; i < selection.size(); ++i) {
           ASSERT_EQ(got[i], model[selection[i]]) << "i=" << i;
           ASSERT_EQ(scalar[i], model[selection[i]]) << "i=" << i;
@@ -613,9 +511,7 @@ TEST(SparseDecodeKernelTest, GatherBitsAllWidthsAndPositions) {
     SCOPED_TRACE("width=" + std::to_string(width));
     const auto values =
         RandomValues(width, kSweepCount, 500 + static_cast<uint64_t>(width));
-    BitWriter writer(width);
-    writer.AppendAll(values);
-    const auto bytes = std::move(writer).Finish();
+    const auto bytes = PackValues(values, width);
     std::mt19937_64 rng(77);
     std::vector<uint32_t> rows;
     for (int i = 0; i < 100; ++i) {

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/bit_stream.h"
+#include "common/bit_util.h"
 #include "common/buffer.h"
 #include "common/random.h"
 #include "encoding/encoded_column.h"
@@ -125,7 +130,7 @@ inline std::vector<int64_t> MakeValues(Dist dist, size_t n, uint64_t seed) {
   return values;
 }
 
-/// Asserts Get / DecodeAll / Gather all reproduce `expected`.
+/// Asserts Get / DecodeAll / GatherRange all reproduce `expected`.
 inline void ExpectColumnMatches(const enc::EncodedColumn& column,
                                 const std::vector<int64_t>& expected) {
   ASSERT_EQ(column.size(), expected.size());
@@ -141,10 +146,20 @@ inline void ExpectColumnMatches(const enc::EncodedColumn& column,
     rows.push_back(static_cast<uint32_t>(i));
   }
   std::vector<int64_t> gathered(rows.size());
-  column.Gather(rows, gathered.data());
+  column.GatherRange(rows, gathered.data());
   for (size_t i = 0; i < rows.size(); ++i) {
     ASSERT_EQ(gathered[i], expected[rows[i]]) << "Gather at " << rows[i];
   }
+}
+
+/// FNV-1a 64 of `bytes` (the digest the golden-bytes tests pin).
+inline uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
 }
 
 /// Writes `table` in the legacy CORF v2 layout (directory without the
@@ -152,14 +167,6 @@ inline void ExpectColumnMatches(const enc::EncodedColumn& column,
 /// fixture for readers, which must treat such files as stats-less.
 inline void WriteCompressedTableV2(const CompressedTable& table,
                                    const std::string& path) {
-  auto fnv1a64 = [](const std::vector<uint8_t>& bytes) {
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (uint8_t b : bytes) {
-      hash ^= b;
-      hash *= 0x100000001b3ull;
-    }
-    return hash;
-  };
   std::vector<std::vector<uint8_t>> payloads;
   for (size_t b = 0; b < table.num_blocks(); ++b) {
     payloads.push_back(table.block(b).Serialize());
@@ -178,7 +185,7 @@ inline void WriteCompressedTableV2(const CompressedTable& table,
       writer.Write<uint64_t>(offsets[b]);
       writer.Write<uint64_t>(payloads[b].size());
       writer.Write<uint64_t>(table.block(b).rows());
-      writer.Write<uint64_t>(fnv1a64(payloads[b]));
+      writer.Write<uint64_t>(Fnv1a64(payloads[b]));
     }
     return std::move(writer).Finish();
   };
@@ -200,13 +207,65 @@ inline void WriteCompressedTableV2(const CompressedTable& table,
   ASSERT_EQ(std::fclose(file), 0);
 }
 
-/// Serializes `column` and reads it back through the scheme dispatcher.
-inline std::unique_ptr<enc::EncodedColumn> SerializeRoundTrip(
-    const enc::EncodedColumn& column) {
+/// Serializes `values` as a Delta column in the inline-checkpoint wire
+/// form that older writers produced and DeltaColumn::Deserialize still
+/// reads: the scheme byte, the inline marker (UINT64_MAX - 1), the
+/// interval, the delta width and the row count, then one length-prefixed
+/// window stream. Window k, 8 + RoundUp8(CeilDiv(interval * width, 8))
+/// bytes long, holds the absolute value of row k * interval and then
+/// `interval` zig-zag delta slots packed from bit 0, slot j holding the
+/// delta of row k * interval + 1 + j; slots past the last row stay zero.
+inline std::vector<uint8_t> SerializeDeltaInline(
+    std::span<const int64_t> values, size_t interval) {
+  const auto zigzag_delta = [&](size_t row) {
+    return bit_util::ZigZagEncode(
+        static_cast<int64_t>(static_cast<uint64_t>(values[row]) -
+                             static_cast<uint64_t>(values[row - 1])));
+  };
+  uint64_t widest = 0;
+  for (size_t row = 1; row < values.size(); ++row) {
+    widest = std::max(widest, zigzag_delta(row));
+  }
+  const int width = bit_util::BitWidth(widest);
+  const size_t stride =
+      8 + bit_util::RoundUpPow2(
+              bit_util::CeilDiv(interval * static_cast<size_t>(width), 8), 8);
+  const size_t windows =
+      values.empty() ? 0 : (values.size() - 1) / interval + 1;
+  std::vector<uint8_t> stream(windows * stride, 0);
+  for (size_t k = 0; k < windows; ++k) {
+    const size_t first = k * interval;
+    uint8_t* window = stream.data() + k * stride;
+    std::memcpy(window, &values[first], sizeof(int64_t));
+    std::vector<uint64_t> slots;
+    for (size_t row = first + 1;
+         row <= std::min(first + interval, values.size() - 1); ++row) {
+      slots.push_back(zigzag_delta(row));
+    }
+    std::memcpy(window + 8, PackValues(slots, width).data(),
+                bit_util::PackedDataBytes(slots.size(), width));
+  }
+  BufferWriter writer;
+  writer.Write<uint8_t>(static_cast<uint8_t>(enc::Scheme::kDelta));
+  writer.Write<uint64_t>(~uint64_t{0} - 1);
+  writer.Write<uint64_t>(interval);
+  writer.Write<uint8_t>(static_cast<uint8_t>(width));
+  writer.Write<uint64_t>(values.size());
+  writer.WriteBytes(stream);
+  return std::move(writer).Finish();
+}
+
+/// The wire representation of `column` (scheme byte first).
+inline std::vector<uint8_t> SerializedBytes(const enc::EncodedColumn& column) {
   BufferWriter writer;
   column.Serialize(&writer);
-  static thread_local std::vector<uint8_t> bytes;
-  bytes = std::move(writer).Finish();
+  return std::move(writer).Finish();
+}
+
+/// Reads one serialized column through the scheme dispatcher, expecting
+/// success with no trailing bytes.
+inline std::unique_ptr<enc::EncodedColumn> ReadColumn(
+    std::span<const uint8_t> bytes) {
   BufferReader reader(bytes);
   auto result = DeserializeEncodedColumn(&reader);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -215,6 +274,14 @@ inline std::unique_ptr<enc::EncodedColumn> SerializeRoundTrip(
   }
   EXPECT_TRUE(reader.exhausted()) << "trailing bytes after deserialize";
   return std::move(result).value();
+}
+
+/// Serializes `column` and reads it back through the scheme dispatcher.
+inline std::unique_ptr<enc::EncodedColumn> SerializeRoundTrip(
+    const enc::EncodedColumn& column) {
+  static thread_local std::vector<uint8_t> bytes;
+  bytes = SerializedBytes(column);
+  return ReadColumn(bytes);
 }
 
 }  // namespace corra::test
