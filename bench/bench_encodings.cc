@@ -388,7 +388,7 @@ void RunAll(const bench::Flags& flags) {
   RunBench(&reporter, "sum/diff", rows, reps,
            [&] { sink += query::SumColumn(*diff_column); });
   RunBench(&reporter, "min/diff", rows, reps, [&] {
-    sink += query::MinColumn(*diff_column).value_or(0);
+    sink += query::MinMaxColumn(*diff_column).value_or(bit_util::MinMax{}).min;
   });
 
   reporter.Finish();

@@ -1,8 +1,9 @@
 // Internal dispatch table of the SIMD kernel layer (see simd.h).
 //
 // One KernelTable per backend: simd_scalar.cc always provides one,
-// simd_avx2.cc provides one on x86-64 targets. simd.cc picks the active
-// table once per process.
+// simd_avx2.cc provides one on x86-64 CPUs that run AVX2. simd.cc picks
+// the active table once per process; the kernel tests run every table
+// this CPU can run.
 
 #ifndef CORRA_COMMON_SIMD_KERNEL_TABLE_H_
 #define CORRA_COMMON_SIMD_KERNEL_TABLE_H_
@@ -33,15 +34,11 @@ struct KernelTable {
   size_t (*filter_u64)(const uint64_t*, size_t, uint64_t, uint64_t, uint32_t,
                        uint32_t*);
   uint64_t (*sum_u64)(const uint64_t*, size_t);
-  void (*minmax_i64)(const int64_t*, size_t, int64_t*, int64_t*);
-  void (*minmax_u64)(const uint64_t*, size_t, uint64_t*, uint64_t*);
   void (*translate_codes)(const int64_t*, const uint64_t*, size_t, int64_t*);
   void (*add_const)(int64_t*, size_t, int64_t);
   void (*add_ref_base)(const int64_t*, const uint64_t*, int64_t, size_t,
                        int64_t*);
   void (*add_ref_zigzag)(const int64_t*, const uint64_t*, size_t, int64_t*);
-  void (*zigzag_prefix_sum)(const uint64_t*, size_t, int64_t, int64_t*);
-  int64_t (*zigzag_sum_packed)(const uint8_t*, int, size_t, size_t);
   void (*delta_decode)(const uint8_t*, int, size_t, size_t, int64_t,
                        int64_t*);
   int64_t (*delta_point)(const uint8_t*, int, const int64_t*, int, size_t,
@@ -52,22 +49,24 @@ struct KernelTable {
                       size_t, int64_t*);
   void (*gather_bits)(const uint8_t*, int, const uint32_t*, size_t,
                       uint64_t*);
-  const char* name;
 };
 
 /// The always-available unrolled scalar table.
 const KernelTable& ScalarTable();
 
-/// The AVX2 table, or nullptr on a non-x86 target.
+/// The AVX2 table, or nullptr unless this CPU runs AVX2 (always nullptr
+/// on a non-x86 target). This is the one CPU probe: dispatch and the
+/// kernel tests both ask here.
 const KernelTable* Avx2Table();
 
 /// The table runtime dispatch selected (CPU probe + CORRA_FORCE_SCALAR).
 const KernelTable& ActiveTable();
 
-/// Shared driver: scalar head until the next 64-value boundary, then the
-/// table's specialized kernel per full block, then a scalar tail. Widths
-/// outside [1, kMaxKernelWidth] take the generic path.
-void UnpackRangeWith(const KernelTable& table, const uint8_t* data,
+/// Shared driver: scalar head until the next 64-value boundary, then
+/// `unpack64[bit_width]` (a table's kernels) per full block, then a
+/// scalar tail. Widths outside [1, kMaxKernelWidth] take the generic
+/// path.
+void UnpackRangeWith(const Unpack64Fn* unpack64, const uint8_t* data,
                      int bit_width, size_t begin, size_t count,
                      uint64_t* out);
 

@@ -1,7 +1,7 @@
 // The SIMD kernel layer: the branchless building blocks every morsel of
 // the batch decode pipeline bottoms out in.
 //
-// Three kernel families, each with an AVX2 implementation selected by
+// Four kernel families, each with an AVX2 implementation selected by
 // runtime CPU dispatch and an unrolled scalar fallback:
 //
 //   * Unpack kernels  — per-bit-width specialized bit-unpackers (widths
@@ -15,13 +15,19 @@
 //     left-pack), used by query/filter.cc in value space and — for
 //     FOR/Dict — in *code* space with the predicate rebased, so
 //     non-matching morsels are never reconstructed.
-//   * Aggregate kernels — 4-lane sum/min/max folds with one horizontal
-//     reduce per call, used by query/aggregate.cc.
+//   * Aggregate kernel — a 4-lane wrap-around sum with one horizontal
+//     reduce per call, used by query/aggregate.cc. Min and max are not
+//     kernels: query/aggregate.cc folds morsels through the compressor's
+//     scalar statistics loop, which an AVX2 compare+blend fold lost to.
+//   * Reconstruction and sparse-decode kernels — dictionary translate,
+//     FOR rebase, Diff/DFOR reference adds, run expansion, positioned
+//     gathers and the fused Delta decode/point/gather folds.
 //
-// Dispatch: the first call probes the CPU once. The environment variable
-// CORRA_FORCE_SCALAR (any value but "0") forces the scalar table at run
-// time. Every kernel also has a *Scalar twin so tests can prove the two
-// paths agree bit-for-bit in a single process.
+// Dispatch: every kernel is declared once and runs on the table the
+// first call picks: AVX2 if the CPU has it, unless the environment
+// variable CORRA_FORCE_SCALAR (any value but "0") forces the scalar
+// table. Tests reach each backend's table directly through
+// internal::ScalarTable() and internal::Avx2Table() (kernel_table.h).
 //
 // Alignment contract: packed buffers must carry bit_util::kDecodePadBytes
 // (32) readable bytes past the payload — PackValues/PackCodes and every
@@ -36,18 +42,6 @@
 
 namespace corra::simd {
 
-/// Kernel backend picked by runtime dispatch.
-enum class Backend {
-  kScalar,
-  kAvx2,
-};
-
-/// The backend the dispatched kernels run on (resolved once per process).
-Backend ActiveBackend();
-
-/// Human-readable name of the active backend ("scalar" / "avx2").
-const char* BackendName();
-
 // --- Unpack kernels ---------------------------------------------------------
 
 /// Unpacks `count` fixed-width values starting at value index `begin`
@@ -57,10 +51,6 @@ const char* BackendName();
 void UnpackRange(const uint8_t* data, int bit_width, size_t begin,
                  size_t count, uint64_t* out);
 
-/// Forced-scalar twin of UnpackRange (equivalence tests, diagnostics).
-void UnpackRangeScalar(const uint8_t* data, int bit_width, size_t begin,
-                       size_t count, uint64_t* out);
-
 // --- Predicate kernels ------------------------------------------------------
 
 /// Writes the row ids `row_base + i` of every `values[i]` in [lo, hi]
@@ -69,33 +59,16 @@ void UnpackRangeScalar(const uint8_t* data, int bit_width, size_t begin,
 /// the last processed element's potential match.
 size_t FilterInRange(const int64_t* values, size_t count, int64_t lo,
                      int64_t hi, uint32_t row_base, uint32_t* out_rows);
-size_t FilterInRangeScalar(const int64_t* values, size_t count, int64_t lo,
-                           int64_t hi, uint32_t row_base,
-                           uint32_t* out_rows);
 
 /// Unsigned variant for code-space predicates (FOR offsets, Dict codes):
 /// matches codes[i] in [lo, hi] with full-range uint64 compares.
 size_t FilterInRangeU64(const uint64_t* codes, size_t count, uint64_t lo,
                         uint64_t hi, uint32_t row_base, uint32_t* out_rows);
-size_t FilterInRangeU64Scalar(const uint64_t* codes, size_t count,
-                              uint64_t lo, uint64_t hi, uint32_t row_base,
-                              uint32_t* out_rows);
 
-// --- Aggregate kernels ------------------------------------------------------
+// --- Aggregate kernel -------------------------------------------------------
 
 /// Sum with wrap-around (two's complement: also the correct int64 sum).
 uint64_t SumU64(const uint64_t* values, size_t count);
-uint64_t SumU64Scalar(const uint64_t* values, size_t count);
-
-/// Min and max of a non-empty span in one pass (count >= 1).
-void MinMaxI64(const int64_t* values, size_t count, int64_t* min,
-               int64_t* max);
-void MinMaxI64Scalar(const int64_t* values, size_t count, int64_t* min,
-                     int64_t* max);
-void MinMaxU64(const uint64_t* values, size_t count, uint64_t* min,
-               uint64_t* max);
-void MinMaxU64Scalar(const uint64_t* values, size_t count, uint64_t* min,
-                     uint64_t* max);
 
 // --- Value-reconstruction kernels -------------------------------------------
 
@@ -103,50 +76,20 @@ void MinMaxU64Scalar(const uint64_t* values, size_t count, uint64_t* min,
 /// must be < the dictionary size.
 void TranslateCodes(const int64_t* dict, const uint64_t* codes, size_t count,
                     int64_t* out);
-void TranslateCodesScalar(const int64_t* dict, const uint64_t* codes,
-                          size_t count, int64_t* out);
 
 /// values[i] += base in place — the FOR rebase pass.
 void AddConst(int64_t* values, size_t count, int64_t base);
-void AddConstScalar(int64_t* values, size_t count, int64_t base);
 
 /// out[i] = ref[i] + base + (int64)deltas[i] — the Diff (raw/window) and
 /// DFOR reconstruction: reference morsel plus unpacked diff codes.
 void AddRefAndBase(const int64_t* ref, const uint64_t* deltas, int64_t base,
                    size_t count, int64_t* out);
-void AddRefAndBaseScalar(const int64_t* ref, const uint64_t* deltas,
-                         int64_t base, size_t count, int64_t* out);
 
 /// out[i] = ref[i] + ZigZagDecode(zigzag[i]) — the Diff zig-zag mode.
 void AddRefZigZag(const int64_t* ref, const uint64_t* zigzag, size_t count,
                   int64_t* out);
-void AddRefZigZagScalar(const int64_t* ref, const uint64_t* zigzag,
-                        size_t count, int64_t* out);
 
 // --- Sparse-decode kernels ------------------------------------------------
-
-/// out[i] = seed + ZigZagDecode(zigzag[0]) + ... + ZigZagDecode(zigzag[i])
-/// (wrap-around arithmetic) — the Delta reconstruction: a running prefix
-/// sum over zig-zag deltas seeded with a checkpoint value. The AVX2
-/// backend runs a log-step in-register prefix sum (shift-add within the
-/// 128-bit lanes, then a cross-lane carry broadcast), so the loop-carried
-/// dependency is per 8 values instead of per value.
-void ZigZagPrefixSum(const uint64_t* zigzag, size_t count, int64_t seed,
-                     int64_t* out);
-void ZigZagPrefixSumScalar(const uint64_t* zigzag, size_t count, int64_t seed,
-                           int64_t* out);
-
-/// Wrap-around sum of ZigZagDecode over `count` consecutive values of the
-/// bit-packed stream, starting at value index `begin` — the Delta
-/// point-access fold (checkpoint + fold of the replay window), fused with
-/// the unpack so the replay never materializes: narrow widths (<= 14)
-/// decode four values per 8-byte load with one variable shift, medium
-/// widths (<= 28) two per load, and the whole fold is ~3 instructions per
-/// delta. `data` must carry bit_util::kDecodePadBytes of readable slack.
-int64_t ZigZagSumPacked(const uint8_t* data, int bit_width, size_t begin,
-                        size_t count);
-int64_t ZigZagSumPackedScalar(const uint8_t* data, int bit_width,
-                              size_t begin, size_t count);
 
 /// Expands run-length runs into the dense row range [row_begin,
 /// row_begin + count): run r covers rows [run_ends[r-1], run_ends[r]),
@@ -155,9 +98,6 @@ int64_t ZigZagSumPackedScalar(const uint8_t* data, int bit_width,
 void ExpandRuns(const int64_t* run_values, const uint32_t* run_ends,
                 size_t run_begin, size_t row_begin, size_t count,
                 int64_t* out);
-void ExpandRunsScalar(const int64_t* run_values, const uint32_t* run_ends,
-                      size_t run_begin, size_t row_begin, size_t count,
-                      int64_t* out);
 
 /// Fused Delta range decode: out[i] = seed + ZigZagDecode(delta[begin]) +
 /// ... + ZigZagDecode(delta[begin + i]) for i in [0, count), reading the
@@ -166,20 +106,6 @@ void ExpandRunsScalar(const int64_t* run_values, const uint32_t* run_ends,
 /// materialized). `data` must carry bit_util::kDecodePadBytes of slack.
 void DeltaDecodePacked(const uint8_t* data, int bit_width, size_t begin,
                        size_t count, int64_t seed, int64_t* out);
-void DeltaDecodePackedScalar(const uint8_t* data, int bit_width, size_t begin,
-                             size_t count, int64_t seed, int64_t* out);
-
-/// Signature of the per-backend Delta point kernel (DeltaPointPacked).
-using DeltaPointFn = int64_t (*)(const uint8_t* data, int bit_width,
-                                 const int64_t* checkpoints,
-                                 int interval_shift, size_t column_rows,
-                                 size_t row);
-
-/// The active backend's Delta point kernel, for callers that cache the
-/// resolved pointer next to their column state: point access is the one
-/// kernel invoked per *row* rather than per range, so the wrapper hop
-/// and dispatch-table load are a measurable share of its budget.
-DeltaPointFn ResolveDeltaPointKernel();
 
 /// Single-row Delta point access: the reconstructed value at `row` of a
 /// checkpointed zig-zag delta stream (same layout as DeltaGatherPacked).
@@ -187,13 +113,12 @@ DeltaPointFn ResolveDeltaPointKernel();
 /// covering checkpoint or a backward fold from the next one — with the
 /// direction chosen by conditional select, so the expected replay is
 /// interval/4 deltas and the only hard-to-predict branch is the fold's
-/// loop exit.
+/// loop exit. The fold is fused with the unpack: the replay window is
+/// never materialized. `data` must carry bit_util::kDecodePadBytes of
+/// slack.
 int64_t DeltaPointPacked(const uint8_t* data, int bit_width,
                          const int64_t* checkpoints, int interval_shift,
                          size_t column_rows, size_t row);
-int64_t DeltaPointPackedScalar(const uint8_t* data, int bit_width,
-                               const int64_t* checkpoints, int interval_shift,
-                               size_t column_rows, size_t row);
 
 /// Batched Delta sparse gather: out[i] = the reconstructed value at row
 /// rows[i] of a checkpointed zig-zag delta stream. `checkpoints[k]` is
@@ -209,10 +134,6 @@ void DeltaGatherPacked(const uint8_t* data, int bit_width,
                        const int64_t* checkpoints, int interval_shift,
                        size_t column_rows, const uint32_t* rows, size_t count,
                        int64_t* out);
-void DeltaGatherPackedScalar(const uint8_t* data, int bit_width,
-                             const int64_t* checkpoints, int interval_shift,
-                             size_t column_rows, const uint32_t* rows,
-                             size_t count, int64_t* out);
 
 /// Positioned gather from a bit-packed stream: out[i] = the value at
 /// position rows[i] (width 0..64; rows need not be sorted). This is the
@@ -222,8 +143,6 @@ void DeltaGatherPackedScalar(const uint8_t* data, int bit_width,
 /// carry bit_util::kDecodePadBytes of readable slack.
 void GatherBits(const uint8_t* data, int bit_width, const uint32_t* rows,
                 size_t count, uint64_t* out);
-void GatherBitsScalar(const uint8_t* data, int bit_width,
-                      const uint32_t* rows, size_t count, uint64_t* out);
 
 }  // namespace corra::simd
 

@@ -1,7 +1,7 @@
 // AVX2 backend of the SIMD kernel layer. Compiled with -mavx2 (per-file
-// compile flag in CMakeLists.txt); never executed unless runtime
-// dispatch confirmed AVX2 support (and CORRA_FORCE_SCALAR is unset), and
-// compiled out on non-x86 targets.
+// compile flag in CMakeLists.txt); no kernel here runs unless
+// Avx2Table() confirmed AVX2 support, and the table is compiled out on
+// non-x86 targets.
 //
 // Unpack kernels: a 64-value block of width W occupies exactly 8*W bytes
 // starting byte-aligned, so all byte offsets, dword permutation indices,
@@ -18,10 +18,9 @@
 // 8 lanes; since matches <= elements processed, the slack stays inside
 // the caller's count-sized buffer.
 //
-// Aggregate kernels: 4-lane accumulators, horizontal reduce once per
-// call. AVX2 has no 64-bit min/max instruction, so min/max are a
-// compare + blend pair (and the unsigned variants flip the sign bit to
-// reuse the signed compare).
+// Aggregate kernel: two 4-lane sum accumulators, horizontally reduced
+// once per call. There is no min/max kernel: AVX2 has no 64-bit min/max
+// instruction, and the compare + blend fold lost to the scalar loop.
 
 #if defined(__x86_64__)
 
@@ -195,61 +194,6 @@ uint64_t SumU64Avx2(const uint64_t* values, size_t count) {
   return sum;
 }
 
-inline __m256i Min64(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-}
-
-inline __m256i Max64(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(b, a, _mm256_cmpgt_epi64(a, b));
-}
-
-// `Bias` as in FilterRangeAvx2: flips unsigned inputs into signed order.
-template <uint64_t Bias>
-void MinMax64Avx2(const uint64_t* values, size_t count, uint64_t* out_min,
-                  uint64_t* out_max) {
-  const __m256i bias = _mm256_set1_epi64x(static_cast<int64_t>(Bias));
-  const uint64_t seed = values[0] ^ Bias;
-  __m256i vmin = _mm256_set1_epi64x(static_cast<int64_t>(seed));
-  __m256i vmax = vmin;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i)),
-        bias);
-    vmin = Min64(vmin, v);
-    vmax = Max64(vmax, v);
-  }
-  alignas(32) int64_t mins[4];
-  alignas(32) int64_t maxs[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(mins), vmin);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(maxs), vmax);
-  int64_t lo = mins[0];
-  int64_t hi = maxs[0];
-  for (int lane = 1; lane < 4; ++lane) {
-    lo = mins[lane] < lo ? mins[lane] : lo;
-    hi = maxs[lane] > hi ? maxs[lane] : hi;
-  }
-  for (; i < count; ++i) {
-    const int64_t v = static_cast<int64_t>(values[i] ^ Bias);
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-  }
-  *out_min = static_cast<uint64_t>(lo) ^ Bias;
-  *out_max = static_cast<uint64_t>(hi) ^ Bias;
-}
-
-void MinMaxI64Avx2(const int64_t* values, size_t count, int64_t* min,
-                   int64_t* max) {
-  MinMax64Avx2<0>(reinterpret_cast<const uint64_t*>(values), count,
-                  reinterpret_cast<uint64_t*>(min),
-                  reinterpret_cast<uint64_t*>(max));
-}
-
-void MinMaxU64Avx2(const uint64_t* values, size_t count, uint64_t* min,
-                   uint64_t* max) {
-  MinMax64Avx2<uint64_t{1} << 63>(values, count, min, max);
-}
-
 void TranslateCodesAvx2(const int64_t* dict, const uint64_t* codes,
                         size_t count, int64_t* out) {
   size_t i = 0;
@@ -340,6 +284,8 @@ inline __m256i PrefixSum4(__m256i d) {
       d, _mm256_blend_epi32(_mm256_setzero_si256(), low_total, 0xF0));
 }
 
+// The Delta decode's prefix sum for widths > 14: out[i] = seed +
+// ZigZagDecode(zigzag[0]) + ... + ZigZagDecode(zigzag[i]) (wrap-around).
 void ZigZagPrefixSumAvx2(const uint64_t* zigzag, size_t count, int64_t seed,
                          int64_t* out) {
   // Two independent 4-lane prefix sums per iteration; the loop-carried
@@ -369,6 +315,10 @@ void ZigZagPrefixSumAvx2(const uint64_t* zigzag, size_t count, int64_t seed,
   }
 }
 
+// Wrap-around sum of ZigZagDecode over `count` packed values starting at
+// value index `begin` — the fold under the Delta gather (and the point
+// kernel's fallback), fused with the unpack: widths <= 14 decode four
+// values per 8-byte load with one variable shift, widths <= 28 two.
 int64_t ZigZagSumPackedAvx2(const uint8_t* data, int bit_width, size_t begin,
                             size_t count) {
   if (bit_width == 0 || count == 0) {
@@ -511,13 +461,13 @@ void DeltaDecodeAvx2(const uint8_t* data, int bit_width, size_t begin,
   uint64_t deltas[512];
   while (i < count) {
     const size_t len = count - i < 512 ? count - i : 512;
-    UnpackRangeWith(*Avx2Table(), data, bit_width, begin + i, len, deltas);
+    UnpackRangeWith(kAvx2Unpack.data(), data, bit_width, begin + i, len,
+                    deltas);
     ZigZagPrefixSumAvx2(deltas, len, seed, out + i);
     seed = out[i + len - 1];
     i += len;
   }
 }
-
 
 // Fold of exactly `fixed` delta slots starting at `begin`, with only the
 // first `count` contributing (lane-index mask). The trip count depends
@@ -780,20 +730,15 @@ constexpr KernelTable MakeAvx2Table() {
   table.filter_i64 = &FilterI64Avx2;
   table.filter_u64 = &FilterU64Avx2;
   table.sum_u64 = &SumU64Avx2;
-  table.minmax_i64 = &MinMaxI64Avx2;
-  table.minmax_u64 = &MinMaxU64Avx2;
   table.translate_codes = &TranslateCodesAvx2;
   table.add_const = &AddConstAvx2;
   table.add_ref_base = &AddRefBaseAvx2;
   table.add_ref_zigzag = &AddRefZigZagAvx2;
-  table.zigzag_prefix_sum = &ZigZagPrefixSumAvx2;
-  table.zigzag_sum_packed = &ZigZagSumPackedAvx2;
   table.delta_decode = &DeltaDecodeAvx2;
   table.delta_point = &DeltaPointAvx2;
   table.delta_gather = &DeltaGatherAvx2;
   table.expand_runs = &ExpandRunsAvx2;
   table.gather_bits = &GatherBitsAvx2;
-  table.name = "avx2";
   return table;
 }
 
@@ -801,7 +746,11 @@ constexpr KernelTable kAvx2Table = MakeAvx2Table();
 
 }  // namespace
 
-const KernelTable* Avx2Table() { return &kAvx2Table; }
+// The CPU probe only reads the feature bits, so it is safe to run on
+// any x86-64 even though this file is compiled with -mavx2.
+const KernelTable* Avx2Table() {
+  return __builtin_cpu_supports("avx2") ? &kAvx2Table : nullptr;
+}
 
 }  // namespace corra::simd::internal
 

@@ -79,7 +79,7 @@ size_t FilterU64Scalar(const uint64_t* codes, size_t count, uint64_t lo,
   return n;
 }
 
-uint64_t SumU64ScalarImpl(const uint64_t* values, size_t count) {
+uint64_t SumU64Scalar(const uint64_t* values, size_t count) {
   // Four independent accumulators break the loop-carried dependency so
   // the adds pipeline; the compiler turns this into SSE2 lanes.
   uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
@@ -96,54 +96,30 @@ uint64_t SumU64ScalarImpl(const uint64_t* values, size_t count) {
   return s0 + s1 + s2 + s3;
 }
 
-void MinMaxI64ScalarImpl(const int64_t* values, size_t count, int64_t* min,
-                         int64_t* max) {
-  int64_t lo = values[0];
-  int64_t hi = values[0];
-  for (size_t i = 1; i < count; ++i) {
-    lo = values[i] < lo ? values[i] : lo;
-    hi = values[i] > hi ? values[i] : hi;
-  }
-  *min = lo;
-  *max = hi;
-}
-
-void MinMaxU64ScalarImpl(const uint64_t* values, size_t count, uint64_t* min,
-                         uint64_t* max) {
-  uint64_t lo = values[0];
-  uint64_t hi = values[0];
-  for (size_t i = 1; i < count; ++i) {
-    lo = values[i] < lo ? values[i] : lo;
-    hi = values[i] > hi ? values[i] : hi;
-  }
-  *min = lo;
-  *max = hi;
-}
-
-void TranslateCodesScalarImpl(const int64_t* dict, const uint64_t* codes,
-                              size_t count, int64_t* out) {
+void TranslateCodesScalar(const int64_t* dict, const uint64_t* codes,
+                          size_t count, int64_t* out) {
   for (size_t i = 0; i < count; ++i) {
     out[i] = dict[codes[i]];
   }
 }
 
-void AddConstScalarImpl(int64_t* values, size_t count, int64_t base) {
+void AddConstScalar(int64_t* values, size_t count, int64_t base) {
   for (size_t i = 0; i < count; ++i) {
     values[i] = static_cast<int64_t>(static_cast<uint64_t>(values[i]) +
                                      static_cast<uint64_t>(base));
   }
 }
 
-void AddRefBaseScalarImpl(const int64_t* ref, const uint64_t* deltas,
-                          int64_t base, size_t count, int64_t* out) {
+void AddRefBaseScalar(const int64_t* ref, const uint64_t* deltas,
+                      int64_t base, size_t count, int64_t* out) {
   for (size_t i = 0; i < count; ++i) {
     out[i] = static_cast<int64_t>(static_cast<uint64_t>(ref[i]) +
                                   static_cast<uint64_t>(base) + deltas[i]);
   }
 }
 
-void AddRefZigZagScalarImpl(const int64_t* ref, const uint64_t* zigzag,
-                            size_t count, int64_t* out) {
+void AddRefZigZagScalar(const int64_t* ref, const uint64_t* zigzag,
+                        size_t count, int64_t* out) {
   for (size_t i = 0; i < count; ++i) {
     // ZigZagDecode inlined so this file has no bit_util dependency.
     const uint64_t z = zigzag[i];
@@ -157,8 +133,10 @@ inline uint64_t ZigZagDecodeOne(uint64_t z) {
   return (z >> 1) ^ (~(z & 1) + 1);
 }
 
-void ZigZagPrefixSumScalarImpl(const uint64_t* zigzag, size_t count,
-                               int64_t seed, int64_t* out) {
+// The Delta decode's prefix sum: out[i] = seed + ZigZagDecode(zigzag[0])
+// + ... + ZigZagDecode(zigzag[i]) (wrap-around).
+void ZigZagPrefixSumScalar(const uint64_t* zigzag, size_t count,
+                           int64_t seed, int64_t* out) {
   // The sum itself is a serial dependency; unrolling by 2 lets the
   // zig-zag decodes of the next pair overlap the adds of the current one.
   uint64_t acc = static_cast<uint64_t>(seed);
@@ -176,8 +154,11 @@ void ZigZagPrefixSumScalarImpl(const uint64_t* zigzag, size_t count,
   }
 }
 
-int64_t ZigZagSumPackedScalarImpl(const uint8_t* data, int bit_width,
-                                  size_t begin, size_t count) {
+// Wrap-around sum of ZigZagDecode over `count` packed values starting at
+// value index `begin` — the fold under the Delta point and gather
+// kernels, fused with the unpack so the replay never materializes.
+int64_t ZigZagSumPackedScalar(const uint8_t* data, int bit_width,
+                              size_t begin, size_t count) {
   if (bit_width == 0 || count == 0) {
     return 0;
   }
@@ -221,8 +202,8 @@ int64_t ZigZagSumPackedScalarImpl(const uint8_t* data, int bit_width,
   return static_cast<int64_t>(acc0 + acc1);
 }
 
-void DeltaDecodeScalarImpl(const uint8_t* data, int bit_width, size_t begin,
-                           size_t count, int64_t seed, int64_t* out) {
+void DeltaDecodeScalar(const uint8_t* data, int bit_width, size_t begin,
+                       size_t count, int64_t seed, int64_t* out) {
   if (bit_width == 0) {
     for (size_t i = 0; i < count; ++i) {
       out[i] = seed;
@@ -235,18 +216,17 @@ void DeltaDecodeScalarImpl(const uint8_t* data, int bit_width, size_t begin,
   size_t done = 0;
   while (done < count) {
     const size_t len = count - done < 512 ? count - done : 512;
-    UnpackRangeWith(ScalarTable(), data, bit_width, begin + done, len,
-                    deltas);
-    ZigZagPrefixSumScalarImpl(deltas, len, seed, out + done);
+    UnpackRangeWith(kScalarUnpack.data(), data, bit_width, begin + done,
+                    len, deltas);
+    ZigZagPrefixSumScalar(deltas, len, seed, out + done);
     seed = out[done + len - 1];
     done += len;
   }
 }
 
-
-int64_t DeltaPointScalarImpl(const uint8_t* data, int bit_width,
-                      const int64_t* checkpoints, int interval_shift,
-                      size_t column_rows, size_t row) {
+int64_t DeltaPointScalar(const uint8_t* data, int bit_width,
+                         const int64_t* checkpoints, int interval_shift,
+                         size_t column_rows, size_t row) {
   // Nearest-checkpoint seek with the fold direction picked by
   // conditional select (no hard-to-predict branch before the fold).
   const size_t interval = size_t{1} << interval_shift;
@@ -259,15 +239,15 @@ int64_t DeltaPointScalarImpl(const uint8_t* data, int bit_width,
   const size_t count = backward ? next_row - row : forward;
   const uint64_t anchor =
       static_cast<uint64_t>(checkpoints[checkpoint + (backward ? 1 : 0)]);
-  const uint64_t sum =
-      static_cast<uint64_t>(ZigZagSumPackedScalarImpl(data, bit_width, begin, count));
+  const uint64_t sum = static_cast<uint64_t>(
+      ZigZagSumPackedScalar(data, bit_width, begin, count));
   return static_cast<int64_t>(anchor + (backward ? ~sum + 1 : sum));
 }
 
-void DeltaGatherScalarImpl(const uint8_t* data, int bit_width,
-                           const int64_t* checkpoints, int interval_shift,
-                           size_t column_rows, const uint32_t* rows,
-                           size_t count, int64_t* out) {
+void DeltaGatherScalar(const uint8_t* data, int bit_width,
+                       const int64_t* checkpoints, int interval_shift,
+                       size_t column_rows, const uint32_t* rows,
+                       size_t count, int64_t* out) {
   // Running-cursor walk over the selection; every gap is one fused
   // packed zig-zag fold, and a position that is closer to a checkpoint
   // than to the cursor (or behind the cursor) re-anchors through the
@@ -285,27 +265,27 @@ void DeltaGatherScalarImpl(const uint8_t* data, int bit_width,
       const size_t forward = row - checkpoint_row;
       if (forward <= interval / 2 || next_row >= column_rows) {
         value = static_cast<uint64_t>(checkpoints[checkpoint]) +
-                static_cast<uint64_t>(ZigZagSumPackedScalarImpl(
+                static_cast<uint64_t>(ZigZagSumPackedScalar(
                     data, bit_width, checkpoint_row + 1, forward));
       } else {
         value = static_cast<uint64_t>(checkpoints[checkpoint + 1]) -
-                static_cast<uint64_t>(ZigZagSumPackedScalarImpl(
+                static_cast<uint64_t>(ZigZagSumPackedScalar(
                     data, bit_width, row + 1, next_row - row));
       }
       pos = row;
       primed = true;
     } else if (row > pos) {
       value += static_cast<uint64_t>(
-          ZigZagSumPackedScalarImpl(data, bit_width, pos + 1, row - pos));
+          ZigZagSumPackedScalar(data, bit_width, pos + 1, row - pos));
       pos = row;
     }
     out[i] = static_cast<int64_t>(value);
   }
 }
 
-void ExpandRunsScalarImpl(const int64_t* run_values, const uint32_t* run_ends,
-                          size_t run_begin, size_t row_begin, size_t count,
-                          int64_t* out) {
+void ExpandRunsScalar(const int64_t* run_values, const uint32_t* run_ends,
+                      size_t run_begin, size_t row_begin, size_t count,
+                      int64_t* out) {
   const size_t end = row_begin + count;
   size_t run = run_begin;
   size_t row = row_begin;
@@ -329,8 +309,8 @@ void ExpandRunsScalarImpl(const int64_t* run_values, const uint32_t* run_ends,
   }
 }
 
-void GatherBitsScalarImpl(const uint8_t* data, int bit_width,
-                          const uint32_t* rows, size_t count, uint64_t* out) {
+void GatherBitsScalar(const uint8_t* data, int bit_width,
+                      const uint32_t* rows, size_t count, uint64_t* out) {
   if (bit_width == 0) {
     std::memset(out, 0, count * sizeof(uint64_t));
     return;
@@ -371,21 +351,16 @@ constexpr KernelTable MakeScalarTable() {
   }
   table.filter_i64 = &FilterI64Scalar;
   table.filter_u64 = &FilterU64Scalar;
-  table.sum_u64 = &SumU64ScalarImpl;
-  table.minmax_i64 = &MinMaxI64ScalarImpl;
-  table.minmax_u64 = &MinMaxU64ScalarImpl;
-  table.translate_codes = &TranslateCodesScalarImpl;
-  table.add_const = &AddConstScalarImpl;
-  table.add_ref_base = &AddRefBaseScalarImpl;
-  table.add_ref_zigzag = &AddRefZigZagScalarImpl;
-  table.zigzag_prefix_sum = &ZigZagPrefixSumScalarImpl;
-  table.zigzag_sum_packed = &ZigZagSumPackedScalarImpl;
-  table.delta_decode = &DeltaDecodeScalarImpl;
-  table.delta_point = &DeltaPointScalarImpl;
-  table.delta_gather = &DeltaGatherScalarImpl;
-  table.expand_runs = &ExpandRunsScalarImpl;
-  table.gather_bits = &GatherBitsScalarImpl;
-  table.name = "scalar";
+  table.sum_u64 = &SumU64Scalar;
+  table.translate_codes = &TranslateCodesScalar;
+  table.add_const = &AddConstScalar;
+  table.add_ref_base = &AddRefBaseScalar;
+  table.add_ref_zigzag = &AddRefZigZagScalar;
+  table.delta_decode = &DeltaDecodeScalar;
+  table.delta_point = &DeltaPointScalar;
+  table.delta_gather = &DeltaGatherScalar;
+  table.expand_runs = &ExpandRunsScalar;
+  table.gather_bits = &GatherBitsScalar;
   return table;
 }
 
@@ -425,7 +400,7 @@ void UnpackGeneric(const uint8_t* data, int bit_width, size_t begin,
 
 const KernelTable& ScalarTable() { return kScalarTable; }
 
-void UnpackRangeWith(const KernelTable& table, const uint8_t* data,
+void UnpackRangeWith(const Unpack64Fn* unpack64, const uint8_t* data,
                      int bit_width, size_t begin, size_t count,
                      uint64_t* out) {
   if (count == 0) {
@@ -451,7 +426,7 @@ void UnpackRangeWith(const KernelTable& table, const uint8_t* data,
     count -= head;
     out += head;
   }
-  const Unpack64Fn kernel = table.unpack64[bit_width];
+  const Unpack64Fn kernel = unpack64[bit_width];
   while (count >= kUnpackBlock) {
     // begin is a multiple of 64, so begin * width is a whole byte count.
     kernel(data + ((begin * static_cast<size_t>(bit_width)) >> 3), out);

@@ -117,8 +117,7 @@ DeltaColumn::DeltaColumn(std::vector<int64_t> checkpoints,
       // The one and only shift derivation: every construction path
       // (Encode at any interval, every wire form) funnels through here,
       // so interval_ and interval_shift_ can never disagree.
-      interval_shift_(std::countr_zero(interval)),
-      point_kernel_(simd::ResolveDeltaPointKernel()) {
+      interval_shift_(std::countr_zero(interval)) {
   assert(ValidInterval(interval));
 }
 
@@ -230,8 +229,9 @@ int64_t DeltaColumn::Get(size_t row) const {
   // from the covering one or backward from the next), with the replay
   // folded straight out of the packed stream. Expected replay is
   // interval / 4 deltas; see simd::DeltaPointPacked.
-  return point_kernel_(bytes_.data(), bit_width_, checkpoints_.data(),
-                       interval_shift_, count_, row);
+  return simd::DeltaPointPacked(bytes_.data(), bit_width_,
+                                checkpoints_.data(), interval_shift_, count_,
+                                row);
 }
 
 void DeltaColumn::GatherRange(std::span<const uint32_t> rows,

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/bit_stream.h"
-#include "common/simd/simd.h"
 #include "encoding/encoded_column.h"
 
 namespace corra::enc {
@@ -122,9 +121,6 @@ class DeltaColumn final : public EncodedColumn {
   // interval with a stale shift and silently map rows to the wrong
   // checkpoint.
   int interval_shift_;
-  // Point kernel resolved once at construction: Get is the one per-row
-  // hot path, so it skips the dispatch wrapper entirely.
-  simd::DeltaPointFn point_kernel_ = nullptr;
 };
 
 }  // namespace corra::enc

@@ -32,20 +32,6 @@ std::string_view SchemeToString(Scheme scheme) {
   return "Unknown";
 }
 
-void EncodedColumn::GatherRange(std::span<const uint32_t> rows,
-                                int64_t* out) const {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out[i] = Get(rows[i]);
-  }
-}
-
-void EncodedColumn::DecodeRange(size_t row_begin, size_t count,
-                                int64_t* out) const {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = Get(row_begin + i);
-  }
-}
-
 Status EncodedColumn::BindReferences(
     std::span<const EncodedColumn* const> references) {
   if (!references.empty()) {

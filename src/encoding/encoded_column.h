@@ -54,7 +54,7 @@ class EncodedColumn {
 
   /// The selection-driven sparse-decode kernel: materializes the values
   /// at the sorted row positions `rows` into `out` (rows.size() values)
-  /// *without* densifying the rows in between. Every scheme overrides
+  /// *without* densifying the rows in between. Every scheme implements
   /// this with a positioned fast path — vpgatherqq-style packed-stream
   /// gathers for the bit-packed schemes, checkpoint-indexed seeks for
   /// Delta/RLE, and a reference-morsel gather loop for the horizontal
@@ -62,7 +62,7 @@ class EncodedColumn {
   /// Get. Positions are expected ascending; out-of-order positions are
   /// tolerated (the seeking schemes re-anchor) but forfeit the fast path.
   virtual void GatherRange(std::span<const uint32_t> rows,
-                           int64_t* out) const;
+                           int64_t* out) const = 0;
 
   /// Decompresses the whole column into `out` (size() values).
   void DecodeAll(int64_t* out) const { DecodeRange(0, size(), out); }
@@ -70,11 +70,11 @@ class EncodedColumn {
   /// Decompresses the dense row range [row_begin, row_begin + count) into
   /// `out` (count values; row_begin + count <= size()). This is the
   /// ranged kernel the morsel pipeline is built on: every scheme
-  /// overrides it with a sequential fast path (word-at-a-time unpack,
+  /// implements it with a sequential fast path (word-at-a-time unpack,
   /// rebase loop, code-range translate, checkpoint-seek-then-run), so
   /// generic query paths never fall back to a per-row virtual Get.
   virtual void DecodeRange(size_t row_begin, size_t count,
-                           int64_t* out) const;
+                           int64_t* out) const = 0;
 
   /// Appends the full wire representation (scheme byte first).
   virtual void Serialize(BufferWriter* writer) const = 0;

@@ -10,10 +10,7 @@
 // scheme and encodes with the cheapest one. By default only O(1)-access
 // schemes compete (the paper's rule); pass kAllowCheckpointedSchemes to add
 // Delta and RLE to the pool (used by the ablation bench). The workload
-// hint steers physical-layout choices inside a scheme: point-heavy
-// serving workloads get Delta's inline-checkpoint layout (single-window
-// point access) at a small size premium, while the default analytic
-// hint keeps the packed-contiguous layout dense scans want.
+// hint has no effect: every scheme has one physical layout.
 
 #ifndef CORRA_ENCODING_SELECTOR_H_
 #define CORRA_ENCODING_SELECTOR_H_

@@ -1,6 +1,8 @@
 #include "query/aggregate.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -14,11 +16,8 @@ namespace corra::query {
 
 namespace {
 
-// All folds run one SIMD aggregate kernel per morsel (4-lane
-// accumulators, one horizontal reduce per call) instead of a scalar
-// per-row fold; see common/simd/simd.h.
-
-// Ranged decode-and-sum fallback for any scheme.
+// Ranged decode-and-sum fallback for any scheme: one SIMD sum kernel per
+// morsel (see common/simd/simd.h).
 uint64_t SumGeneric(const enc::EncodedColumn& column) {
   uint64_t sum = 0;
   ForEachDecodedMorsel(
@@ -29,22 +28,11 @@ uint64_t SumGeneric(const enc::EncodedColumn& column) {
   return sum;
 }
 
-// Ranged decode-and-minmax fallback for any scheme.
-void MinMaxGeneric(const enc::EncodedColumn& column, int64_t* min,
-                   int64_t* max) {
-  int64_t lo = column.Get(0);
-  int64_t hi = lo;
-  ForEachDecodedMorsel(
-      column, 0, column.size(),
-      [&](size_t, const int64_t* values, size_t len) {
-        int64_t morsel_min;
-        int64_t morsel_max;
-        simd::MinMaxI64(values, len, &morsel_min, &morsel_max);
-        lo = std::min(lo, morsel_min);
-        hi = std::max(hi, morsel_max);
-      });
-  *min = lo;
-  *max = hi;
+// Widens `range` by the extrema of `values` (non-empty).
+void FoldMinMax(std::span<const int64_t> values, bit_util::MinMax* range) {
+  const bit_util::MinMax morsel = bit_util::ComputeMinMax(values);
+  range->min = std::min(range->min, morsel.min);
+  range->max = std::max(range->max, morsel.max);
 }
 
 // Histogram of dictionary code usage (small dictionaries only), built
@@ -59,24 +47,6 @@ std::vector<uint64_t> CodeHistogram(const enc::DictColumn& column) {
     }
   });
   return counts;
-}
-
-// Extreme *used* dictionary codes in one pass over the packed codes.
-void MinMaxCodes(const enc::DictColumn& column, uint64_t* min_code,
-                 uint64_t* max_code) {
-  uint64_t lo = ~uint64_t{0};
-  uint64_t hi = 0;
-  uint64_t codes[kMorselRows];
-  ForEachMorsel(0, column.size(), [&](size_t begin, size_t len) {
-    column.DecodeCodes(begin, len, codes);
-    uint64_t morsel_min;
-    uint64_t morsel_max;
-    simd::MinMaxU64(codes, len, &morsel_min, &morsel_max);
-    lo = std::min(lo, morsel_min);
-    hi = std::max(hi, morsel_max);
-  });
-  *min_code = lo;
-  *max_code = hi;
 }
 
 constexpr size_t kSmallDict = 1 << 16;
@@ -119,70 +89,36 @@ int64_t SumColumn(const enc::EncodedColumn& column) {
   return static_cast<int64_t>(sum);
 }
 
-std::optional<int64_t> MinColumn(const enc::EncodedColumn& column) {
+std::optional<bit_util::MinMax> MinMaxColumn(
+    const enc::EncodedColumn& column) {
   const size_t n = column.size();
   if (n == 0) {
     return std::nullopt;
   }
-  int64_t result = 0;
+  bit_util::MinMax result{std::numeric_limits<int64_t>::max(),
+                          std::numeric_limits<int64_t>::min()};
   DispatchRef(column, [&](const auto& col) {
     using Column = std::decay_t<decltype(col)>;
     if constexpr (std::is_same_v<Column, enc::DictColumn>) {
-      // The dictionary is sorted; the smallest *used* code gives the
-      // min. Every dictionary entry produced by Encode is used, so code
-      // 0 works; after deserialization that invariant is unchecked, so
-      // scan codes.
-      uint64_t min_code;
-      uint64_t max_code;
-      MinMaxCodes(col, &min_code, &max_code);
-      result = col.dictionary()[min_code];
+      // The dictionary is sorted, so the extreme *used* codes give the
+      // extrema. Every entry Encode produces is used, but after
+      // deserialization that is unchecked, so fold the codes. Each code
+      // is below the dictionary size (Deserialize checks), so it orders
+      // the same as an int64.
+      bit_util::MinMax codes_range = result;
+      uint64_t codes[kMorselRows];
+      ForEachMorsel(0, n, [&](size_t begin, size_t len) {
+        col.DecodeCodes(begin, len, codes);
+        FoldMinMax({reinterpret_cast<const int64_t*>(codes), len},
+                   &codes_range);
+      });
+      result = {col.dictionary()[static_cast<size_t>(codes_range.min)],
+                col.dictionary()[static_cast<size_t>(codes_range.max)]};
     } else {
-      int64_t max_unused;
-      MinMaxGeneric(col, &result, &max_unused);
-    }
-  });
-  return result;
-}
-
-std::optional<int64_t> MaxColumn(const enc::EncodedColumn& column) {
-  const size_t n = column.size();
-  if (n == 0) {
-    return std::nullopt;
-  }
-  int64_t result = 0;
-  DispatchRef(column, [&](const auto& col) {
-    using Column = std::decay_t<decltype(col)>;
-    if constexpr (std::is_same_v<Column, enc::DictColumn>) {
-      uint64_t min_code;
-      uint64_t max_code;
-      MinMaxCodes(col, &min_code, &max_code);
-      result = col.dictionary()[max_code];
-    } else {
-      int64_t min_unused;
-      MinMaxGeneric(col, &min_unused, &result);
-    }
-  });
-  return result;
-}
-
-std::optional<MinMax> MinMaxColumn(const enc::EncodedColumn& column) {
-  if (column.size() == 0) {
-    return std::nullopt;
-  }
-  MinMax result{};
-  DispatchRef(column, [&](const auto& col) {
-    using Column = std::decay_t<decltype(col)>;
-    if constexpr (std::is_same_v<Column, enc::DictColumn>) {
-      // One fused pass over the packed codes finds both extreme used
-      // codes.
-      uint64_t min_code;
-      uint64_t max_code;
-      MinMaxCodes(col, &min_code, &max_code);
-      result = MinMax{col.dictionary()[min_code],
-                      col.dictionary()[max_code]};
-    } else {
-      result = MinMax{};
-      MinMaxGeneric(col, &result.min, &result.max);
+      ForEachDecodedMorsel(col, 0, n,
+                           [&](size_t, const int64_t* values, size_t len) {
+                             FoldMinMax({values, len}, &result);
+                           });
     }
   });
   return result;

@@ -1,8 +1,9 @@
-// Aggregate pushdown over encoded columns: SUM / MIN / MAX evaluated on
+// Aggregate pushdown over encoded columns: SUM and MIN+MAX evaluated on
 // the compressed representation where the scheme allows shortcuts.
 //
 //   * Dict: min/max fold over the bit-packed codes; sum uses a per-code
 //     histogram when the dictionary is small.
+//   * FOR: sum folds the un-rebased offsets.
 //   * everything else: ranged decode-and-fold over morsels (one
 //     DecodeRange dispatch per 2048 rows; see query/morsel.h).
 //
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "common/bit_util.h"
 #include "encoding/encoded_column.h"
 
 namespace corra::query {
@@ -23,16 +25,11 @@ namespace corra::query {
 /// Sum of all values (wrap-around int64). 0 for an empty column.
 int64_t SumColumn(const enc::EncodedColumn& column);
 
-/// Minimum / maximum value; nullopt for an empty column.
-std::optional<int64_t> MinColumn(const enc::EncodedColumn& column);
-std::optional<int64_t> MaxColumn(const enc::EncodedColumn& column);
-
-/// Both extrema in one decode pass (the block-stats writer's kernel).
-struct MinMax {
-  int64_t min;
-  int64_t max;
-};
-std::optional<MinMax> MinMaxColumn(const enc::EncodedColumn& column);
+/// Minimum and maximum in one pass; nullopt for an empty column. Every
+/// morsel (Dict: every morsel of codes) folds through the compressor's
+/// statistics loop, bit_util::ComputeMinMax.
+std::optional<bit_util::MinMax> MinMaxColumn(
+    const enc::EncodedColumn& column);
 
 }  // namespace corra::query
 

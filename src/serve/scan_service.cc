@@ -166,10 +166,14 @@ void ScanOneBlock(const Block& block, uint64_t base,
               static_cast<uint64_t>(query::SumColumn(block.column(col)));
           break;
         case AggregateOp::kMin:
-          out->agg_min = query::MinColumn(block.column(col));
+          if (const auto range = query::MinMaxColumn(block.column(col))) {
+            out->agg_min = range->min;
+          }
           break;
         case AggregateOp::kMax:
-          out->agg_max = query::MaxColumn(block.column(col));
+          if (const auto range = query::MinMaxColumn(block.column(col))) {
+            out->agg_max = range->max;
+          }
           break;
       }
     } else {

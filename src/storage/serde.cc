@@ -42,7 +42,8 @@ Result<std::unique_ptr<enc::EncodedColumn>> DeserializeEncodedColumn(
       // DeltaColumn::Deserialize sniffs all three wire layouts behind
       // this scheme byte: legacy out-of-band (fixed 128 interval), the
       // interval-marker extension, and the inline-checkpoint window
-      // stream. Round-trips preserve whichever layout was written.
+      // stream. The first two round-trip byte for byte; an inline column
+      // is re-packed on read and writes back in the packed form.
       CORRA_ASSIGN_OR_RETURN(auto col,
                              enc::DeltaColumn::Deserialize(reader));
       return std::unique_ptr<enc::EncodedColumn>(std::move(col));

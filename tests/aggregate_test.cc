@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "core/corra_compressor.h"
+#include "core/diff_encoding.h"
 #include "encoding/bitpack.h"
 #include "encoding/delta.h"
 #include "encoding/dictionary.h"
@@ -37,49 +42,95 @@ Expected Reference(const std::vector<int64_t>& values) {
   return e;
 }
 
-class AggregateTest : public ::testing::TestWithParam<Dist> {};
-
-TEST_P(AggregateTest, ForFastPath) {
-  const auto values = MakeValues(GetParam(), 3000, 1);
-  const Expected expected = Reference(values);
-  auto column = enc::ForColumn::Encode(values).value();
-  EXPECT_EQ(SumColumn(*column), expected.sum);
-  EXPECT_EQ(MinColumn(*column), expected.min);
-  EXPECT_EQ(MaxColumn(*column), expected.max);
+void ExpectAggregates(const enc::EncodedColumn& column,
+                      const Expected& expected) {
+  EXPECT_EQ(SumColumn(column), expected.sum);
+  const auto range = MinMaxColumn(column);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(range->min, expected.min);
+  EXPECT_EQ(range->max, expected.max);
 }
 
-TEST_P(AggregateTest, DictFastPath) {
-  const auto values = MakeValues(GetParam(), 3000, 2);
-  const Expected expected = Reference(values);
-  auto column = enc::DictColumn::Encode(values).value();
-  EXPECT_EQ(SumColumn(*column), expected.sum);
-  EXPECT_EQ(MinColumn(*column), expected.min);
-  EXPECT_EQ(MaxColumn(*column), expected.max);
+struct Input {
+  std::string name;
+  std::vector<int64_t> values;
+};
+
+void PrintTo(const Input& input, std::ostream* os) { *os << input.name; }
+
+std::vector<Input> Inputs() {
+  std::vector<Input> inputs;
+  for (const Dist dist : {Dist::kConstant, Dist::kSmallRange, Dist::kNegative,
+                          Dist::kLowCard, Dist::kSorted, Dist::kExtremes}) {
+    inputs.push_back({test::DistName(dist), MakeValues(dist, 3000, 1)});
+  }
+  // Two full morsels plus one row. In turn, the minimum and the maximum
+  // sit on the row that seeds the fold, on both sides of the first morsel
+  // boundary, and in the one-row last morsel.
+  const size_t boundary_rows[] = {0, enc::kMorselRows - 1, enc::kMorselRows,
+                                  2 * enc::kMorselRows};
+  for (size_t i = 0; i < 4; ++i) {
+    const size_t min_row = boundary_rows[i];
+    const size_t max_row = boundary_rows[(i + 1) % 4];
+    auto values = MakeValues(Dist::kSmallRange, 2 * enc::kMorselRows + 1,
+                             10 + i);
+    values[min_row] = 7;
+    values[max_row] = 9000;
+    inputs.push_back({"MinAt" + std::to_string(min_row) + "MaxAt" +
+                          std::to_string(max_row),
+                      std::move(values)});
+  }
+  inputs.push_back({"OneRow", {-42}});
+  return inputs;
 }
 
-TEST_P(AggregateTest, GenericPath) {
-  const auto values = MakeValues(GetParam(), 3000, 3);
+class AggregateTest : public ::testing::TestWithParam<Input> {};
+
+// One column per read path: BitPack and Delta decode morsels, FOR sums
+// offsets, Dict folds codes, Diff decodes through its reference.
+TEST_P(AggregateTest, EverySchemeMatchesReference) {
+  const std::vector<int64_t>& values = GetParam().values;
   const Expected expected = Reference(values);
-  auto column = enc::DeltaColumn::Encode(values).value();
-  EXPECT_EQ(SumColumn(*column), expected.sum);
-  EXPECT_EQ(MinColumn(*column), expected.min);
-  EXPECT_EQ(MaxColumn(*column), expected.max);
+  if (expected.min >= 0) {  // BitPack rejects negative values.
+    SCOPED_TRACE("BitPack");
+    ExpectAggregates(*enc::BitPackColumn::Encode(values).value(), expected);
+  }
+  {
+    SCOPED_TRACE("FOR");
+    ExpectAggregates(*enc::ForColumn::Encode(values).value(), expected);
+  }
+  {
+    SCOPED_TRACE("Dict");
+    ExpectAggregates(*enc::DictColumn::Encode(values).value(), expected);
+  }
+  {
+    SCOPED_TRACE("Delta");
+    ExpectAggregates(*enc::DeltaColumn::Encode(values).value(), expected);
+  }
+  {
+    SCOPED_TRACE("Diff");
+    std::vector<int64_t> reference(values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      reference[i] = values[i] / 2;
+    }
+    const auto ref_column = enc::ForColumn::Encode(reference).value();
+    auto diff = DiffEncodedColumn::Encode(values, reference, 0).value();
+    const enc::EncodedColumn* refs[] = {ref_column.get()};
+    ASSERT_TRUE(diff->BindReferences(refs).ok());
+    ExpectAggregates(*diff, expected);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Distributions, AggregateTest,
-                         ::testing::Values(Dist::kConstant,
-                                           Dist::kSmallRange,
-                                           Dist::kNegative, Dist::kLowCard,
-                                           Dist::kSorted, Dist::kExtremes),
+INSTANTIATE_TEST_SUITE_P(Inputs, AggregateTest,
+                         ::testing::ValuesIn(Inputs()),
                          [](const auto& param_info) {
-                           return test::DistName(param_info.param);
+                           return param_info.param.name;
                          });
 
 TEST(AggregateTest, EmptyColumn) {
   auto column = enc::ForColumn::Encode(std::span<const int64_t>{}).value();
   EXPECT_EQ(SumColumn(*column), 0);
-  EXPECT_FALSE(MinColumn(*column).has_value());
-  EXPECT_FALSE(MaxColumn(*column).has_value());
+  EXPECT_FALSE(MinMaxColumn(*column).has_value());
 }
 
 TEST(AggregateTest, WorksOnDiffEncodedColumns) {
@@ -91,7 +142,6 @@ TEST(AggregateTest, WorksOnDiffEncodedColumns) {
     ship[i] = rng.Uniform(8035, 10591);
     receipt[i] = ship[i] + rng.Uniform(1, 30);
   }
-  const Expected expected = Reference(receipt);
   Table table;
   ASSERT_TRUE(table.AddColumn(Column::Date("ship", ship)).ok());
   ASSERT_TRUE(table.AddColumn(Column::Date("receipt", receipt)).ok());
@@ -100,9 +150,7 @@ TEST(AggregateTest, WorksOnDiffEncodedColumns) {
   plan.columns[1].scheme = enc::Scheme::kDiff;
   plan.columns[1].reference = 0;
   auto compressed = CorraCompressor::Compress(table, plan).value();
-  EXPECT_EQ(SumColumn(compressed.block(0).column(1)), expected.sum);
-  EXPECT_EQ(MinColumn(compressed.block(0).column(1)), expected.min);
-  EXPECT_EQ(MaxColumn(compressed.block(0).column(1)), expected.max);
+  ExpectAggregates(compressed.block(0).column(1), Reference(receipt));
 }
 
 // ---- Parallel compression --------------------------------------------------

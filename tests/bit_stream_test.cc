@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -83,6 +84,23 @@ INSTANTIATE_TEST_SUITE_P(
       return "w" + std::to_string(std::get<0>(param_info.param)) + "_n" +
              std::to_string(std::get<1>(param_info.param));
     });
+
+TEST(BitStreamTest, DecodeRangeFromAnOffsetMatchesGet) {
+  // An unaligned start: the unpack driver's scalar head, then whole
+  // 64-value kernel blocks, then a tail.
+  constexpr size_t kCount = 64 * 5 + 37;
+  for (int width : {0, 1, 3, 7, 8, 13, 17, 24, 31, 32, 33, 48, 57, 58, 64}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const auto values = RandomValues(kCount, width, 77 + width);
+    const auto bytes = PackValues(values, width);
+    BitReader reader(bytes.data(), width, kCount);
+    std::vector<uint64_t> out(kCount);
+    reader.DecodeRange(5, kCount - 5, out.data());
+    for (size_t i = 0; i < kCount - 5; ++i) {
+      ASSERT_EQ(out[i], reader.Get(5 + i)) << "i=" << i;
+    }
+  }
+}
 
 TEST(BitStreamTest, MaxValuesAtEveryWidth) {
   for (int width = 1; width <= 64; ++width) {

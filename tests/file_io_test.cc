@@ -194,10 +194,10 @@ TEST_F(FileIoTest, V3StatsMatchAggregatePushdown) {
   for (size_t b = 0; b < table.num_blocks(); ++b) {
     for (size_t c = 0; c < table.schema().num_fields(); ++c) {
       const ColumnStats& stats = info.value().Stats(b, c);
-      EXPECT_EQ(stats.min, query::MinColumn(table.block(b).column(c)))
-          << "block " << b << " col " << c;
-      EXPECT_EQ(stats.max, query::MaxColumn(table.block(b).column(c)))
-          << "block " << b << " col " << c;
+      const auto mm = query::MinMaxColumn(table.block(b).column(c));
+      ASSERT_TRUE(mm.has_value());
+      EXPECT_EQ(stats.min, mm->min) << "block " << b << " col " << c;
+      EXPECT_EQ(stats.max, mm->max) << "block " << b << " col " << c;
       EXPECT_LE(stats.min, stats.max);
     }
   }

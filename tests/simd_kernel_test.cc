@@ -1,10 +1,10 @@
-// Equivalence tests for the SIMD kernel layer (common/simd/simd.h).
+// Kernel tests for the SIMD kernel layer (common/simd/simd.h).
 //
-// Every check runs the *dispatched* kernel (AVX2 on CPUs that have it)
-// and its forced-scalar twin side by side and demands bit-identical
-// results, so CI on an AVX2 machine proves the two backends agree; on a
-// machine without AVX2 both resolve to the scalar table and the tests
-// degrade to self-consistency plus the reference-model checks.
+// One suite, parameterized over every kernel table this CPU can run: the
+// scalar table always, the AVX2 table when the CPU has AVX2. Each case
+// checks its table against a reference model, so one run covers both
+// backends whatever CORRA_FORCE_SCALAR says; the public entry points are
+// one-line wrappers over whichever table dispatch picked.
 //
 // The unpack sweep is exhaustive in bit width (0..64) and crosses every
 // alignment case the driver distinguishes: begin offsets that are not
@@ -18,14 +18,18 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bit_stream.h"
 #include "common/bit_util.h"
-#include "common/simd/simd.h"
+#include "common/simd/kernel_table.h"
 
 namespace corra {
 namespace {
+
+using simd::internal::KernelTable;
 
 // Enough values to cover several 64-value kernel blocks plus a ragged
 // tail that never reaches a block boundary.
@@ -52,7 +56,39 @@ std::vector<uint64_t> RandomValues(int bit_width, size_t count,
   return values;
 }
 
-TEST(UnpackEquivalenceTest, ExhaustiveWidthsOffsetsAndLengths) {
+std::vector<const KernelTable*> RunnableTables() {
+  std::vector<const KernelTable*> tables = {&simd::internal::ScalarTable()};
+  if (const KernelTable* avx2 = simd::internal::Avx2Table()) {
+    tables.push_back(avx2);
+  }
+  return tables;
+}
+
+class KernelTest : public ::testing::TestWithParam<const KernelTable*> {
+ protected:
+  const KernelTable& table() const { return *GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Tables, KernelTest, ::testing::ValuesIn(RunnableTables()),
+    [](const auto& param_info) -> std::string {
+      return param_info.param == &simd::internal::ScalarTable() ? "scalar"
+                                                                : "avx2";
+    });
+
+TEST_P(KernelTest, DispatchPicksAvx2UnlessForcedScalar) {
+  // The runtime escape hatch (any value but "0") pins the scalar table;
+  // otherwise the AVX2 table runs wherever the CPU has it.
+  const char* force = std::getenv("CORRA_FORCE_SCALAR");
+  const bool forced = force != nullptr && std::strcmp(force, "0") != 0;
+  const KernelTable* avx2 = simd::internal::Avx2Table();
+  const KernelTable& expected =
+      avx2 != nullptr && !forced ? *avx2 : simd::internal::ScalarTable();
+  EXPECT_EQ(&simd::internal::ActiveTable() == &table(),
+            &expected == &table());
+}
+
+TEST_P(KernelTest, UnpackExhaustiveWidthsOffsetsAndLengths) {
   // Begin offsets: 64-value-block aligned, just off-aligned, byte-odd,
   // and deep in the stream; lengths: empty, sub-block, exactly one
   // block, block +/- 1, and multi-block straddles.
@@ -65,8 +101,7 @@ TEST(UnpackEquivalenceTest, ExhaustiveWidthsOffsetsAndLengths) {
     const auto bytes = PackValues(values, width);
     ASSERT_GE(bytes.size(), bit_util::PackedBytes(kSweepCount, width));
 
-    std::vector<uint64_t> dispatched(kSweepCount + 1, 0xDEADBEEF);
-    std::vector<uint64_t> scalar(kSweepCount + 1, 0xDEADBEEF);
+    std::vector<uint64_t> got(kSweepCount + 1, 0xDEADBEEF);
     for (size_t begin : begins) {
       for (size_t len : lengths) {
         if (begin + len > kSweepCount) {
@@ -74,44 +109,24 @@ TEST(UnpackEquivalenceTest, ExhaustiveWidthsOffsetsAndLengths) {
         }
         SCOPED_TRACE("begin=" + std::to_string(begin) +
                      " len=" + std::to_string(len));
-        simd::UnpackRange(bytes.data(), width, begin, len,
-                          dispatched.data());
-        simd::UnpackRangeScalar(bytes.data(), width, begin, len,
-                                scalar.data());
+        simd::internal::UnpackRangeWith(table().unpack64, bytes.data(),
+                                        width, begin, len, got.data());
         for (size_t i = 0; i < len; ++i) {
-          ASSERT_EQ(dispatched[i], values[begin + i]) << "i=" << i;
-          ASSERT_EQ(scalar[i], values[begin + i]) << "i=" << i;
+          ASSERT_EQ(got[i], values[begin + i]) << "i=" << i;
         }
       }
       // Also the full remaining stream from this offset (ragged tail).
       const size_t rest = kSweepCount - begin;
-      simd::UnpackRange(bytes.data(), width, begin, rest, dispatched.data());
-      simd::UnpackRangeScalar(bytes.data(), width, begin, rest,
-                              scalar.data());
+      simd::internal::UnpackRangeWith(table().unpack64, bytes.data(), width,
+                                      begin, rest, got.data());
       for (size_t i = 0; i < rest; ++i) {
-        ASSERT_EQ(dispatched[i], values[begin + i]) << "i=" << i;
-        ASSERT_EQ(scalar[i], values[begin + i]) << "i=" << i;
+        ASSERT_EQ(got[i], values[begin + i]) << "i=" << i;
       }
     }
   }
 }
 
-TEST(UnpackEquivalenceTest, BitReaderDecodeRangeMatchesGet) {
-  for (int width : {0, 1, 3, 7, 8, 13, 17, 24, 31, 32, 33, 48, 57, 58, 64}) {
-    SCOPED_TRACE("width=" + std::to_string(width));
-    const auto values =
-        RandomValues(width, kSweepCount, 77 + static_cast<uint64_t>(width));
-    const auto bytes = PackValues(values, width);
-    BitReader reader(bytes.data(), width, kSweepCount);
-    std::vector<uint64_t> out(kSweepCount);
-    reader.DecodeRange(5, kSweepCount - 5, out.data());
-    for (size_t i = 0; i < kSweepCount - 5; ++i) {
-      ASSERT_EQ(out[i], reader.Get(5 + i)) << "i=" << i;
-    }
-  }
-}
-
-TEST(FilterKernelTest, MatchesScalarAndReferenceModel) {
+TEST_P(KernelTest, FilterMatchesReferenceModel) {
   std::mt19937_64 rng(11);
   std::vector<int64_t> values(kSweepCount);
   for (auto& v : values) {
@@ -133,12 +148,9 @@ TEST(FilterKernelTest, MatchesScalarAndReferenceModel) {
       SCOPED_TRACE("lo=" + std::to_string(b[0]) + " hi=" +
                    std::to_string(b[1]) + " len=" + std::to_string(len));
       std::vector<uint32_t> got(len + 1, 0xAAAA);
-      std::vector<uint32_t> scalar(len + 1, 0xBBBB);
       const size_t n =
-          simd::FilterInRange(values.data(), len, b[0], b[1], 1000,
-                              got.data());
-      const size_t n_scalar = simd::FilterInRangeScalar(
-          values.data(), len, b[0], b[1], 1000, scalar.data());
+          table().filter_i64(values.data(), len, b[0], b[1], 1000,
+                             got.data());
       std::vector<uint32_t> expected;
       for (size_t i = 0; i < len; ++i) {
         if (values[i] >= b[0] && values[i] <= b[1]) {
@@ -146,16 +158,14 @@ TEST(FilterKernelTest, MatchesScalarAndReferenceModel) {
         }
       }
       ASSERT_EQ(n, expected.size());
-      ASSERT_EQ(n_scalar, expected.size());
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(got[i], expected[i]) << "i=" << i;
-        ASSERT_EQ(scalar[i], expected[i]) << "i=" << i;
       }
     }
   }
 }
 
-TEST(FilterKernelTest, UnsignedUsesFullDomain) {
+TEST_P(KernelTest, UnsignedFilterUsesFullDomain) {
   std::mt19937_64 rng(12);
   std::vector<uint64_t> codes(kSweepCount);
   for (auto& c : codes) {
@@ -174,11 +184,8 @@ TEST(FilterKernelTest, UnsignedUsesFullDomain) {
     SCOPED_TRACE("lo=" + std::to_string(b[0]) +
                  " hi=" + std::to_string(b[1]));
     std::vector<uint32_t> got(kSweepCount, 0);
-    std::vector<uint32_t> scalar(kSweepCount, 0);
-    const size_t n = simd::FilterInRangeU64(codes.data(), kSweepCount, b[0],
-                                            b[1], 0, got.data());
-    const size_t n_scalar = simd::FilterInRangeU64Scalar(
-        codes.data(), kSweepCount, b[0], b[1], 0, scalar.data());
+    const size_t n = table().filter_u64(codes.data(), kSweepCount, b[0],
+                                        b[1], 0, got.data());
     std::vector<uint32_t> expected;
     for (size_t i = 0; i < kSweepCount; ++i) {
       if (codes[i] >= b[0] && codes[i] <= b[1]) {
@@ -186,15 +193,13 @@ TEST(FilterKernelTest, UnsignedUsesFullDomain) {
       }
     }
     ASSERT_EQ(n, expected.size());
-    ASSERT_EQ(n_scalar, expected.size());
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], expected[i]) << "i=" << i;
-      ASSERT_EQ(scalar[i], expected[i]) << "i=" << i;
     }
   }
 }
 
-TEST(AggregateKernelTest, SumMatchesScalarAndWrapsLikeTwosComplement) {
+TEST_P(KernelTest, SumWrapsLikeTwosComplement) {
   std::mt19937_64 rng(13);
   std::vector<uint64_t> values(kSweepCount);
   for (auto& v : values) {
@@ -207,58 +212,11 @@ TEST(AggregateKernelTest, SumMatchesScalarAndWrapsLikeTwosComplement) {
     for (size_t i = 0; i < len; ++i) {
       expected += values[i];
     }
-    EXPECT_EQ(simd::SumU64(values.data(), len), expected);
-    EXPECT_EQ(simd::SumU64Scalar(values.data(), len), expected);
+    EXPECT_EQ(table().sum_u64(values.data(), len), expected);
   }
 }
 
-TEST(AggregateKernelTest, MinMaxSignedAndUnsigned) {
-  std::mt19937_64 rng(14);
-  std::vector<int64_t> signed_values(kSweepCount);
-  std::vector<uint64_t> unsigned_values(kSweepCount);
-  for (size_t i = 0; i < kSweepCount; ++i) {
-    signed_values[i] = static_cast<int64_t>(rng());
-    unsigned_values[i] = rng();
-  }
-  signed_values[5] = std::numeric_limits<int64_t>::min();
-  signed_values[6] = std::numeric_limits<int64_t>::max();
-  unsigned_values[5] = 0;
-  unsigned_values[6] = ~uint64_t{0};
-  for (size_t len : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
-                     size_t{9}, kSweepCount}) {
-    SCOPED_TRACE("len=" + std::to_string(len));
-    int64_t expect_min = signed_values[0];
-    int64_t expect_max = signed_values[0];
-    for (size_t i = 1; i < len; ++i) {
-      expect_min = std::min(expect_min, signed_values[i]);
-      expect_max = std::max(expect_max, signed_values[i]);
-    }
-    int64_t got_min = 0, got_max = 0;
-    simd::MinMaxI64(signed_values.data(), len, &got_min, &got_max);
-    EXPECT_EQ(got_min, expect_min);
-    EXPECT_EQ(got_max, expect_max);
-    simd::MinMaxI64Scalar(signed_values.data(), len, &got_min, &got_max);
-    EXPECT_EQ(got_min, expect_min);
-    EXPECT_EQ(got_max, expect_max);
-
-    uint64_t expect_umin = unsigned_values[0];
-    uint64_t expect_umax = unsigned_values[0];
-    for (size_t i = 1; i < len; ++i) {
-      expect_umin = std::min(expect_umin, unsigned_values[i]);
-      expect_umax = std::max(expect_umax, unsigned_values[i]);
-    }
-    uint64_t got_umin = 0, got_umax = 0;
-    simd::MinMaxU64(unsigned_values.data(), len, &got_umin, &got_umax);
-    EXPECT_EQ(got_umin, expect_umin);
-    EXPECT_EQ(got_umax, expect_umax);
-    simd::MinMaxU64Scalar(unsigned_values.data(), len, &got_umin,
-                          &got_umax);
-    EXPECT_EQ(got_umin, expect_umin);
-    EXPECT_EQ(got_umax, expect_umax);
-  }
-}
-
-TEST(ReconstructionKernelTest, TranslateAddConstAddRefZigZag) {
+TEST_P(KernelTest, TranslateAddConstAddRefZigZag) {
   std::mt19937_64 rng(15);
   std::vector<int64_t> dict(300);
   for (auto& d : dict) {
@@ -278,78 +236,41 @@ TEST(ReconstructionKernelTest, TranslateAddConstAddRefZigZag) {
                      kSweepCount}) {
     SCOPED_TRACE("len=" + std::to_string(len));
     std::vector<int64_t> got(len + 1, -1);
-    std::vector<int64_t> scalar(len + 1, -2);
-
-    simd::TranslateCodes(dict.data(), codes.data(), len, got.data());
-    simd::TranslateCodesScalar(dict.data(), codes.data(), len,
-                               scalar.data());
+    table().translate_codes(dict.data(), codes.data(), len, got.data());
     for (size_t i = 0; i < len; ++i) {
       ASSERT_EQ(got[i], dict[codes[i]]) << "i=" << i;
-      ASSERT_EQ(scalar[i], dict[codes[i]]) << "i=" << i;
     }
 
     got.assign(ref.begin(), ref.begin() + static_cast<long>(len));
-    scalar = got;
-    simd::AddConst(got.data(), len, int64_t{-987654321});
-    simd::AddConstScalar(scalar.data(), len, int64_t{-987654321});
+    table().add_const(got.data(), len, int64_t{-987654321});
     for (size_t i = 0; i < len; ++i) {
       const int64_t expected = static_cast<int64_t>(
           static_cast<uint64_t>(ref[i]) -
           static_cast<uint64_t>(987654321));
       ASSERT_EQ(got[i], expected) << "i=" << i;
-      ASSERT_EQ(scalar[i], expected) << "i=" << i;
     }
 
     got.assign(len + 1, -1);
-    scalar.assign(len + 1, -2);
-    simd::AddRefAndBase(ref.data(), deltas.data(), 12345, len, got.data());
-    simd::AddRefAndBaseScalar(ref.data(), deltas.data(), 12345, len,
-                              scalar.data());
+    table().add_ref_base(ref.data(), deltas.data(), 12345, len, got.data());
     for (size_t i = 0; i < len; ++i) {
       const int64_t expected = static_cast<int64_t>(
           static_cast<uint64_t>(ref[i]) + 12345 + deltas[i]);
       ASSERT_EQ(got[i], expected) << "i=" << i;
-      ASSERT_EQ(scalar[i], expected) << "i=" << i;
     }
 
     got.assign(len + 1, -1);
-    scalar.assign(len + 1, -2);
-    simd::AddRefZigZag(ref.data(), deltas.data(), len, got.data());
-    simd::AddRefZigZagScalar(ref.data(), deltas.data(), len, scalar.data());
+    table().add_ref_zigzag(ref.data(), deltas.data(), len, got.data());
     for (size_t i = 0; i < len; ++i) {
       const int64_t expected = static_cast<int64_t>(
           static_cast<uint64_t>(ref[i]) +
           static_cast<uint64_t>(bit_util::ZigZagDecode(deltas[i])));
       ASSERT_EQ(got[i], expected) << "i=" << i;
-      ASSERT_EQ(scalar[i], expected) << "i=" << i;
     }
   }
 }
 
-TEST(SparseDecodeKernelTest, ZigZagPrefixSumMatchesScalarAndModel) {
-  std::mt19937_64 rng(21);
-  std::vector<uint64_t> zigzag(kSweepCount);
-  for (auto& z : zigzag) {
-    z = rng();  // Arbitrary, including huge zig-zag codes (wrap-around).
-  }
-  for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                     size_t{16}, size_t{17}, kSweepCount}) {
-    SCOPED_TRACE("len=" + std::to_string(len));
-    const int64_t seed = -123456789;
-    std::vector<int64_t> got(len + 1, -1);
-    std::vector<int64_t> scalar(len + 1, -2);
-    simd::ZigZagPrefixSum(zigzag.data(), len, seed, got.data());
-    simd::ZigZagPrefixSumScalar(zigzag.data(), len, seed, scalar.data());
-    uint64_t acc = static_cast<uint64_t>(seed);
-    for (size_t i = 0; i < len; ++i) {
-      acc += static_cast<uint64_t>(bit_util::ZigZagDecode(zigzag[i]));
-      ASSERT_EQ(got[i], static_cast<int64_t>(acc)) << "i=" << i;
-      ASSERT_EQ(scalar[i], static_cast<int64_t>(acc)) << "i=" << i;
-    }
-  }
-}
-
-TEST(SparseDecodeKernelTest, ZigZagSumPackedAndDeltaDecodeAllWidths) {
+TEST_P(KernelTest, DeltaDecodeAllWidths) {
+  // Full-range codes at width 64 make the prefix sum wrap around.
   const size_t begins[] = {0, 1, 7, 13, 63, 64, 65, 130};
   const size_t lengths[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 33, 64, 200};
   for (int width = 0; width <= 64; ++width) {
@@ -364,42 +285,32 @@ TEST(SparseDecodeKernelTest, ZigZagSumPackedAndDeltaDecodeAllWidths) {
         }
         SCOPED_TRACE("begin=" + std::to_string(begin) +
                      " len=" + std::to_string(len));
-        uint64_t expected_sum = 0;
-        for (size_t i = 0; i < len; ++i) {
-          expected_sum += static_cast<uint64_t>(
-              bit_util::ZigZagDecode(values[begin + i]));
-        }
-        ASSERT_EQ(simd::ZigZagSumPacked(bytes.data(), width, begin, len),
-                  static_cast<int64_t>(expected_sum));
-        ASSERT_EQ(
-            simd::ZigZagSumPackedScalar(bytes.data(), width, begin, len),
-            static_cast<int64_t>(expected_sum));
-
         const int64_t seed = 424242;
         std::vector<int64_t> got(len + 1, -1);
-        std::vector<int64_t> scalar(len + 1, -2);
-        simd::DeltaDecodePacked(bytes.data(), width, begin, len, seed,
-                                got.data());
-        simd::DeltaDecodePackedScalar(bytes.data(), width, begin, len, seed,
-                                      scalar.data());
+        table().delta_decode(bytes.data(), width, begin, len, seed,
+                             got.data());
         uint64_t acc = static_cast<uint64_t>(seed);
         for (size_t i = 0; i < len; ++i) {
           acc += static_cast<uint64_t>(
               bit_util::ZigZagDecode(values[begin + i]));
           ASSERT_EQ(got[i], static_cast<int64_t>(acc)) << "i=" << i;
-          ASSERT_EQ(scalar[i], static_cast<int64_t>(acc)) << "i=" << i;
         }
       }
     }
   }
 }
 
-TEST(SparseDecodeKernelTest, DeltaPointAndGatherMatchPrefixModel) {
+TEST_P(KernelTest, DeltaPointAndGatherMatchPrefixModel) {
   // A checkpointed stream exactly as DeltaColumn lays it out: slot 0
   // unused (0), slot i the zig-zag delta value[i] - value[i-1], plus a
-  // checkpoint of the absolute value every interval rows.
+  // checkpoint of the absolute value every interval rows. The widths
+  // cross every path of the packed zig-zag fold under both kernels:
+  // <= 14 (four values per load), <= 28 (two), wider, and > 57. Only an
+  // odd width over 57 has values that straddle nine bytes (an even one
+  // starts each value at an even bit, so shift + width <= 64).
   constexpr size_t kRows = 64 * 40 + 17;
-  for (int width : {0, 1, 5, 11, 13, 14, 15, 23, 28, 29, 40, 58, 64}) {
+  for (int width :
+       {0, 1, 5, 11, 13, 14, 15, 23, 28, 29, 40, 57, 58, 59, 63, 64}) {
     for (const int shift : {4, 5, 6, 7}) {
       const size_t interval = size_t{1} << shift;
       SCOPED_TRACE("width=" + std::to_string(width) +
@@ -419,23 +330,18 @@ TEST(SparseDecodeKernelTest, DeltaPointAndGatherMatchPrefixModel) {
       }
       const auto bytes = PackValues(deltas, width);
 
-      std::mt19937_64 rng(55);
-      for (int probe = 0; probe < 200; ++probe) {
-        const size_t row = rng() % kRows;
-        ASSERT_EQ(simd::DeltaPointPacked(bytes.data(), width,
-                                         checkpoints.data(), shift, kRows,
-                                         row),
-                  model[row])
-            << "row=" << row;
-        ASSERT_EQ(simd::DeltaPointPackedScalar(bytes.data(), width,
-                                               checkpoints.data(), shift,
-                                               kRows, row),
+      // Every row: every replay length, in both directions, and the last
+      // interval's forward-only replay.
+      for (size_t row = 0; row < kRows; ++row) {
+        ASSERT_EQ(table().delta_point(bytes.data(), width,
+                                      checkpoints.data(), shift, kRows, row),
                   model[row])
             << "row=" << row;
       }
 
       // Sorted, unsorted, empty, and single-row selections through the
       // batched gather kernel.
+      std::mt19937_64 rng(55);
       std::vector<uint32_t> rows;
       for (size_t i = 0; i < kRows; ++i) {
         if (rng() % 7 == 0) {
@@ -448,24 +354,18 @@ TEST(SparseDecodeKernelTest, DeltaPointAndGatherMatchPrefixModel) {
            {rows, unsorted, std::vector<uint32_t>{},
             std::vector<uint32_t>{static_cast<uint32_t>(kRows / 2)}}) {
         std::vector<int64_t> got(selection.size() + 1, -1);
-        std::vector<int64_t> scalar(selection.size() + 1, -2);
-        simd::DeltaGatherPacked(bytes.data(), width, checkpoints.data(),
-                                shift, kRows, selection.data(),
-                                selection.size(), got.data());
-        simd::DeltaGatherPackedScalar(bytes.data(), width,
-                                      checkpoints.data(), shift, kRows,
-                                      selection.data(), selection.size(),
-                                      scalar.data());
+        table().delta_gather(bytes.data(), width, checkpoints.data(), shift,
+                             kRows, selection.data(), selection.size(),
+                             got.data());
         for (size_t i = 0; i < selection.size(); ++i) {
           ASSERT_EQ(got[i], model[selection[i]]) << "i=" << i;
-          ASSERT_EQ(scalar[i], model[selection[i]]) << "i=" << i;
         }
       }
     }
   }
 }
 
-TEST(SparseDecodeKernelTest, ExpandRunsMatchesModel) {
+TEST_P(KernelTest, ExpandRunsMatchesModel) {
   // Runs of varying lengths incl. single-row runs and a long tail run.
   std::vector<int64_t> run_values;
   std::vector<uint32_t> run_ends;
@@ -490,23 +390,18 @@ TEST(SparseDecodeKernelTest, ExpandRunsMatchesModel) {
     SCOPED_TRACE("begin=" + std::to_string(begin) +
                  " count=" + std::to_string(count));
     std::vector<int64_t> got(count + 1, -1);
-    std::vector<int64_t> scalar(count + 1, -2);
     if (count > 0) {
-      simd::ExpandRuns(run_values.data(), run_ends.data(), run_of(begin),
-                       begin, count, got.data());
-      simd::ExpandRunsScalar(run_values.data(), run_ends.data(),
-                             run_of(begin), begin, count, scalar.data());
+      table().expand_runs(run_values.data(), run_ends.data(), run_of(begin),
+                          begin, count, got.data());
     }
     for (size_t i = 0; i < count; ++i) {
       ASSERT_EQ(got[i], run_values[run_of(begin + i)]) << "i=" << i;
-      ASSERT_EQ(scalar[i], run_values[run_of(begin + i)]) << "i=" << i;
     }
     ASSERT_EQ(got[count], -1);
-    ASSERT_EQ(scalar[count], -2);
   }
 }
 
-TEST(SparseDecodeKernelTest, GatherBitsAllWidthsAndPositions) {
+TEST_P(KernelTest, GatherBitsAllWidthsAndPositions) {
   for (int width = 0; width <= 64; ++width) {
     SCOPED_TRACE("width=" + std::to_string(width));
     const auto values =
@@ -523,30 +418,11 @@ TEST(SparseDecodeKernelTest, GatherBitsAllWidthsAndPositions) {
                        rows.size()}) {
       SCOPED_TRACE("len=" + std::to_string(len));
       std::vector<uint64_t> got(len + 1, 0xDEAD);
-      std::vector<uint64_t> scalar(len + 1, 0xBEEF);
-      simd::GatherBits(bytes.data(), width, rows.data(), len, got.data());
-      simd::GatherBitsScalar(bytes.data(), width, rows.data(), len,
-                             scalar.data());
+      table().gather_bits(bytes.data(), width, rows.data(), len, got.data());
       for (size_t i = 0; i < len; ++i) {
         ASSERT_EQ(got[i], values[rows[i]]) << "i=" << i;
-        ASSERT_EQ(scalar[i], values[rows[i]]) << "i=" << i;
       }
     }
-  }
-}
-
-TEST(DispatchTest, BackendNameIsConsistent) {
-  const simd::Backend backend = simd::ActiveBackend();
-  if (backend == simd::Backend::kScalar) {
-    EXPECT_STREQ(simd::BackendName(), "scalar");
-  } else {
-    EXPECT_STREQ(simd::BackendName(), "avx2");
-  }
-  // The runtime escape hatch (any value but "0") must pin the scalar
-  // table; CI runs the whole suite once with it set.
-  const char* force = std::getenv("CORRA_FORCE_SCALAR");
-  if (force != nullptr && std::strcmp(force, "0") != 0) {
-    EXPECT_EQ(backend, simd::Backend::kScalar);
   }
 }
 
