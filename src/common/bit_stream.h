@@ -1,9 +1,12 @@
-// Fixed-width bit packing primitives.
+// Fixed-width bit packing: PackBits and the PackedArray stream.
 //
-// PackedArray stores `n` unsigned values of a fixed bit width back to back.
-// It supports O(1) random access via a single unaligned 64-bit load (the
-// buffer is padded accordingly), which is the property the paper's baseline
-// (FOR/Dict + bit-packing) relies on for fast selective scans.
+// PackedArray owns `n` unsigned values of one bit width stored back to
+// back. It supports O(1) random access via a single unaligned 64-bit load
+// (the buffer is padded accordingly), which is the property the paper's
+// baseline (FOR/Dict + bit-packing) relies on for fast selective scans.
+// Every scheme that stores a single-width stream holds one: it is the
+// only code that packs, reads, sizes, writes and reads back such a
+// stream, so its Read holds the one payload-length check.
 
 #ifndef CORRA_COMMON_BIT_STREAM_H_
 #define CORRA_COMMON_BIT_STREAM_H_
@@ -14,14 +17,15 @@
 #include <span>
 #include <vector>
 
-#include "common/bit_util.h"
+#include "common/buffer.h"
+#include "common/result.h"
 
 namespace corra {
 
 /// Packs `count` values of `bit_width` bits (0..64), each fitting in that
-/// width, back to back from bit 0 of `out`, the layout BitReader reads:
+/// width, back to back from bit 0 of `out`, the layout PackedArray reads:
 /// the library's one packing routine. Stores whole 64-bit words, so `out`
-/// needs CeilDiv(count * bit_width, 64) * 8 bytes (a PackedBytes buffer
+/// needs CeilDiv(count * bit_width, 64) * 8 bytes (a PackedArray's buffer
 /// has them). A stream may be packed in several calls if all but the last
 /// pack a multiple of 64 values; the call starting at value `first`
 /// writes to byte first / 8 * bit_width.
@@ -30,39 +34,59 @@ void PackBits(const uint64_t* values, size_t count, int bit_width,
 
 inline constexpr size_t kPackChunk = 1024;
 
-/// Packs `count` codes computed on the fly into a new decodable buffer:
-/// `codes(begin, len, out)` writes the codes of [begin, begin + len) to
-/// `out`, called in order on chunks of at most kPackChunk positions.
-template <typename CodeFn>
-std::vector<uint8_t> PackCodes(size_t count, int bit_width, CodeFn&& codes) {
-  static_assert(kPackChunk % 64 == 0, "chunks must end on a word boundary");
-  std::vector<uint8_t> bytes(bit_util::PackedBytes(count, bit_width), 0);
-  uint64_t chunk[kPackChunk];
-  for (size_t begin = 0; begin < count; begin += kPackChunk) {
-    const size_t len = std::min(kPackChunk, count - begin);
-    codes(begin, len, chunk);
-    PackBits(chunk, len, bit_width,
-             bytes.data() + begin / 8 * static_cast<size_t>(bit_width));
-  }
-  return bytes;
-}
-
-/// Packs `values` into a new decodable buffer.
-std::vector<uint8_t> PackValues(std::span<const uint64_t> values,
-                                int bit_width);
-
-/// Random-access reader over bytes packed by PackBits (PackValues,
-/// PackCodes). Does not own the bytes.
-class BitReader {
+/// An owning, move-only stream of `size()` values of `bit_width()` bits.
+/// The buffer holds the packed bytes plus bit_util::kDecodePadBytes of
+/// zeroed slack, which the SIMD unpack kernels' full-width loads need.
+class PackedArray {
  public:
-  BitReader() = default;
+  /// An empty stream (no values, no bytes).
+  PackedArray() = default;
+  PackedArray(PackedArray&&) = default;
+  PackedArray& operator=(PackedArray&&) = default;
+  PackedArray(const PackedArray&) = delete;
+  PackedArray& operator=(const PackedArray&) = delete;
 
-  /// `data` must stay alive while the reader is used and must include
-  /// the bit_util::kDecodePadBytes of readable slack that PackValues and
-  /// PackCodes allocate (the SIMD unpack kernels behind DecodeRange
-  /// issue full 32-byte loads near the payload end).
-  BitReader(const uint8_t* data, int bit_width, size_t count)
-      : data_(data), bit_width_(bit_width), count_(count) {}
+  /// Packs `values`, each fitting in `bit_width` (0..64) bits.
+  static PackedArray Pack(std::span<const uint64_t> values, int bit_width);
+
+  /// Packs `count` codes computed on the fly: `codes(begin, len, out)`
+  /// writes the codes of [begin, begin + len) to `out`, called in order
+  /// on chunks of at most kPackChunk positions, so no n-sized code array
+  /// is staged.
+  template <typename CodeFn>
+  static PackedArray Pack(size_t count, int bit_width, CodeFn&& codes) {
+    static_assert(kPackChunk % 64 == 0, "chunks must end on a word boundary");
+    PackedArray array(bit_width, count);
+    uint64_t chunk[kPackChunk];
+    for (size_t begin = 0; begin < count; begin += kPackChunk) {
+      const size_t len = std::min(kPackChunk, count - begin);
+      codes(begin, len, chunk);
+      PackBits(chunk, len, bit_width,
+               array.bytes_.data() +
+                   begin / 8 * static_cast<size_t>(bit_width));
+    }
+    return array;
+  }
+
+  /// Appends `[width u8][count u64][length-prefixed packed bytes]`.
+  void Write(BufferWriter* writer) const;
+  /// Reads what Write appended.
+  static Result<PackedArray> Read(BufferReader* reader);
+
+  /// Appends the length-prefixed packed bytes alone, for schemes that
+  /// keep the width and count elsewhere.
+  void WritePayload(BufferWriter* writer) const;
+  /// Reads what WritePayload appended, as a stream of `count` values of
+  /// `bit_width` bits.
+  static Result<PackedArray> ReadPayload(BufferReader* reader, int bit_width,
+                                         size_t count);
+  /// Copies `payload` as a stream of `count` values of `bit_width` bits.
+  /// Corruption if the width exceeds 64 or the payload holds fewer than
+  /// count * bit_width bits. A payload with less slack than the buffer's
+  /// (older files) is zero-padded, one with more is cut, so the copy
+  /// re-serializes exactly as Pack would write it.
+  static Result<PackedArray> ReadPayload(std::span<const uint8_t> payload,
+                                         int bit_width, size_t count);
 
   /// Value at position `i` (unchecked; i < size()).
   uint64_t Get(size_t i) const {
@@ -73,34 +97,41 @@ class BitReader {
     const size_t byte = bit_pos >> 3;
     const int shift = static_cast<int>(bit_pos & 7);
     uint64_t word;
-    std::memcpy(&word, data_ + byte, sizeof(word));
+    std::memcpy(&word, bytes_.data() + byte, sizeof(word));
     uint64_t v = word >> shift;
     if (shift + bit_width_ > 64) {
       // Widths > 57 bits can straddle 9 bytes; splice in the tail. `shift`
       // is >= 1 here, so the left shift below is well defined.
       uint64_t next;
-      std::memcpy(&next, data_ + byte + 8, sizeof(next));
+      std::memcpy(&next, bytes_.data() + byte + 8, sizeof(next));
       v |= next << (64 - shift);
     }
-    return v & mask();
+    return v & (~uint64_t{0} >> (64 - bit_width_));
   }
 
   /// Decodes the `count` values starting at position `begin` into `out`
-  /// (must have room for `count` values; begin + count <= size()). The
-  /// ranged building block of the morsel decode pipeline: a thin wrapper
-  /// over the SIMD kernel layer's per-bit-width unpackers (see
-  /// common/simd/simd.h). `data` must carry bit_util::kDecodePadBytes of
-  /// readable slack, as PackValues, PackCodes and every Deserialize
-  /// ensure.
+  /// (room for `count` values; begin + count <= size()) with the SIMD
+  /// kernel layer's per-bit-width unpackers (common/simd/simd.h).
   void DecodeRange(size_t begin, size_t count, uint64_t* out) const;
+
+  /// Writes the values at the positions `rows` (each < size(), any
+  /// order) to `out` with the positioned SIMD gather.
+  void Gather(std::span<const uint32_t> rows, uint64_t* out) const;
 
   size_t size() const { return count_; }
   int bit_width() const { return bit_width_; }
+  /// Packed bytes of the values, slack excluded: ceil(size() *
+  /// bit_width() / 8), the stream's share of a column's SizeBytes.
+  size_t SizeBytes() const;
+  /// The packed bytes and their slack, for fused kernels that read the
+  /// stream in place (Delta's decode, point and gather folds).
+  const uint8_t* data() const { return bytes_.data(); }
 
  private:
-  uint64_t mask() const { return ~uint64_t{0} >> (64 - bit_width_); }
+  // A zeroed buffer for `count` values of `bit_width` bits plus slack.
+  PackedArray(int bit_width, size_t count);
 
-  const uint8_t* data_ = nullptr;
+  std::vector<uint8_t> bytes_;
   int bit_width_ = 0;
   size_t count_ = 0;
 };

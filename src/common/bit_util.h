@@ -41,21 +41,8 @@ constexpr size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 /// Readable slack bytes every decodable bit-packed buffer carries past
 /// its payload. 32 bytes, not 8: the AVX2 unpack kernels issue full
 /// 32-byte vector loads whose tails may cross the last packed byte (the
-/// scalar path only needs the 8-byte window of BitReader::Get).
+/// scalar path only needs the 8-byte window of PackedArray::Get).
 inline constexpr size_t kDecodePadBytes = 32;
-
-/// Exact payload bytes of `count` values of `bit_width` bits each — the
-/// wire-format quantity Deserialize checks against (old files carry less
-/// slack than kDecodePadBytes; decoders re-pad their owned copy).
-constexpr size_t PackedDataBytes(size_t count, int bit_width) {
-  return CeilDiv(count * static_cast<size_t>(bit_width), 8);
-}
-
-/// Bytes to *allocate* for a decodable packed buffer of `count` values of
-/// `bit_width` bits: payload plus kDecodePadBytes of load slack.
-constexpr size_t PackedBytes(size_t count, int bit_width) {
-  return PackedDataBytes(count, bit_width) + kDecodePadBytes;
-}
 
 /// Minimum and maximum of a non-empty span in a single pass.
 struct MinMax {

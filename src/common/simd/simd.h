@@ -6,7 +6,7 @@
 //
 //   * Unpack kernels  — per-bit-width specialized bit-unpackers (widths
 //     0..32 via a generated kernel table processing 64 values per call;
-//     a generic sequential-cursor path covers 33..64). BitReader::
+//     a generic sequential-cursor path covers 33..64). PackedArray::
 //     DecodeRange is a thin wrapper over UnpackRange, so BitPack, FOR,
 //     Dict, Delta, DFOR, Diff and every other bit-packed scheme inherit
 //     the same kernels.
@@ -30,9 +30,10 @@
 // internal::ScalarTable() and internal::Avx2Table() (kernel_table.h).
 //
 // Alignment contract: packed buffers must carry bit_util::kDecodePadBytes
-// (32) readable bytes past the payload — PackValues/PackCodes and every
-// Deserialize allocate them — because the AVX2 unpackers issue full
-// 32-byte loads whose tails may cross the last packed byte.
+// (32) readable bytes past the payload — every PackedArray (common/
+// bit_stream.h) and DFOR's frame payload allocate them — because the
+// AVX2 unpackers issue full 32-byte loads whose tails may cross the last
+// packed byte.
 
 #ifndef CORRA_COMMON_SIMD_SIMD_H_
 #define CORRA_COMMON_SIMD_SIMD_H_

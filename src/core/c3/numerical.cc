@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/bit_util.h"
-#include "common/simd/simd.h"
 
 namespace corra::c3 {
 
@@ -48,13 +47,11 @@ int64_t PredictWith(double slope, int64_t ref_value) {
 }  // namespace
 
 NumericalColumn::NumericalColumn(uint32_t ref_index, double slope,
-                                 int64_t base, std::vector<uint8_t> bytes,
-                                 int bit_width, size_t count)
+                                 int64_t base, PackedArray packed)
     : SingleRefColumn(ref_index),
       slope_(slope),
       base_(base),
-      bytes_(std::move(bytes)),
-      packed_(bytes_.data(), bit_width, count) {}
+      packed_(std::move(packed)) {}
 
 int64_t NumericalColumn::Predict(int64_t ref_value) const {
   return PredictWith(slope_, ref_value);
@@ -76,14 +73,14 @@ Result<std::unique_ptr<NumericalColumn>> NumericalColumn::Encode(
   const auto mm = bit_util::ComputeMinMax(residuals);
   const int width = bit_util::MaxForBitWidth(mm);
   const uint64_t base = static_cast<uint64_t>(mm.min);
-  std::vector<uint8_t> bytes = PackCodes(
+  PackedArray packed = PackedArray::Pack(
       residuals.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
         for (size_t i = 0; i < len; ++i) {
           codes[i] = static_cast<uint64_t>(residuals[begin + i]) - base;
         }
       });
   return std::unique_ptr<NumericalColumn>(new NumericalColumn(
-      ref_index, slope, mm.min, std::move(bytes), width, target.size()));
+      ref_index, slope, mm.min, std::move(packed)));
 }
 
 size_t NumericalColumn::EstimateSizeBytes(std::span<const int64_t> target,
@@ -116,36 +113,22 @@ Result<std::unique_ptr<NumericalColumn>> NumericalColumn::Deserialize(
   uint32_t ref_index = 0;
   uint64_t slope_bits = 0;
   int64_t base = 0;
-  uint8_t width = 0;
-  uint64_t count = 0;
   CORRA_RETURN_NOT_OK(reader->Read(&ref_index));
   CORRA_RETURN_NOT_OK(reader->Read(&slope_bits));
   CORRA_RETURN_NOT_OK(reader->Read(&base));
-  CORRA_RETURN_NOT_OK(reader->Read(&width));
-  CORRA_RETURN_NOT_OK(reader->Read(&count));
-  if (width > 64) {
-    return Status::Corruption("numerical width > 64");
-  }
   double slope;
   static_assert(sizeof(slope) == sizeof(slope_bits));
   std::memcpy(&slope, &slope_bits, sizeof(slope));
   if (!std::isfinite(slope)) {
     return Status::Corruption("numerical slope not finite");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("numerical payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
-  return std::unique_ptr<NumericalColumn>(new NumericalColumn(
-      ref_index, slope, base, std::move(bytes), width, count));
+  CORRA_ASSIGN_OR_RETURN(PackedArray packed, PackedArray::Read(reader));
+  return std::unique_ptr<NumericalColumn>(
+      new NumericalColumn(ref_index, slope, base, std::move(packed)));
 }
 
 size_t NumericalColumn::SizeBytes() const {
-  return bit_util::CeilDiv(packed_.size() * packed_.bit_width(), 8) +
-         sizeof(double) + sizeof(int64_t);
+  return packed_.SizeBytes() + sizeof(double) + sizeof(int64_t);
 }
 
 int64_t NumericalColumn::Get(size_t row) const {
@@ -164,8 +147,7 @@ void NumericalColumn::GatherWithReference(std::span<const uint32_t> rows,
   size_t done = 0;
   while (done < rows.size()) {
     const size_t len = std::min(rows.size() - done, enc::kMorselRows);
-    simd::GatherBits(bytes_.data(), packed_.bit_width(), rows.data() + done,
-                     len, residuals);
+    packed_.Gather(rows.subspan(done, len), residuals);
     for (size_t i = 0; i < len; ++i) {
       out[done + i] = Predict(ref_values[done + i]) + base +
                       static_cast<int64_t>(residuals[i]);
@@ -193,9 +175,7 @@ void NumericalColumn::Serialize(BufferWriter* writer) const {
   std::memcpy(&slope_bits, &slope_, sizeof(slope_bits));
   writer->Write<uint64_t>(slope_bits);
   writer->Write<int64_t>(base_);
-  writer->Write<uint8_t>(static_cast<uint8_t>(packed_.bit_width()));
-  writer->Write<uint64_t>(packed_.size());
-  writer->WriteBytes(bytes_);
+  packed_.Write(writer);
 }
 
 }  // namespace corra::c3

@@ -9,7 +9,6 @@
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "common/bit_stream.h"
 #include "core/horizontal.h"
@@ -46,14 +45,13 @@ class NumericalColumn final : public SingleRefColumn {
 
  private:
   NumericalColumn(uint32_t ref_index, double slope, int64_t base,
-                  std::vector<uint8_t> bytes, int bit_width, size_t count);
+                  PackedArray packed);
 
   int64_t Predict(int64_t ref_value) const;
 
   double slope_;
-  int64_t base_;  // FOR base of the residuals.
-  std::vector<uint8_t> bytes_;
-  BitReader packed_;
+  int64_t base_;        // FOR base of the residuals.
+  PackedArray packed_;  // Residual offsets from base_.
 };
 
 }  // namespace corra::c3

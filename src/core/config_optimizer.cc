@@ -36,8 +36,8 @@ std::vector<int64_t> StridedSample(std::span<const int64_t> values,
   return sample;
 }
 
-// Paired strided sample: row i of both columns is kept or dropped together
-// (diff estimation needs aligned rows).
+}  // namespace
+
 void PairedSample(std::span<const int64_t> a, std::span<const int64_t> b,
                   size_t limit, std::vector<int64_t>* out_a,
                   std::vector<int64_t>* out_b) {
@@ -57,8 +57,6 @@ void PairedSample(std::span<const int64_t> a, std::span<const int64_t> b,
   }
 }
 
-// Rescales a sample-based estimate to the full row count. Estimates are
-// dominated by the per-row payload, which scales linearly.
 size_t ScaleEstimate(size_t sample_bytes, size_t sample_rows,
                      size_t full_rows) {
   if (sample_rows == 0 || sample_bytes == SIZE_MAX) {
@@ -69,18 +67,16 @@ size_t ScaleEstimate(size_t sample_bytes, size_t sample_rows,
   return static_cast<size_t>(static_cast<double>(sample_bytes) * factor);
 }
 
-size_t BestVerticalEstimate(std::span<const int64_t> sample,
-                            size_t full_rows) {
-  const auto estimates = enc::EstimateSchemes(
-      sample, enc::SelectionPolicy::kConstantTimeAccessOnly);
+size_t BestVerticalEstimate(std::span<const int64_t> values,
+                            size_t sample_limit) {
+  const std::vector<int64_t> sample = StridedSample(values, sample_limit);
   size_t best = SIZE_MAX;
-  for (const auto& e : estimates) {
+  for (const auto& e : enc::EstimateSchemes(
+           sample, enc::SelectionPolicy::kConstantTimeAccessOnly)) {
     best = std::min(best, e.size_bytes);
   }
-  return ScaleEstimate(best, sample.size(), full_rows);
+  return ScaleEstimate(best, sample.size(), values.size());
 }
-
-}  // namespace
 
 Result<DiffConfig> OptimizeDiffConfig(
     std::span<const CandidateColumn> candidates,
@@ -105,10 +101,8 @@ Result<DiffConfig> OptimizeDiffConfig(
 
   // Vertex weights: best single-column size.
   for (size_t i = 0; i < n; ++i) {
-    const auto sample = StridedSample(candidates[i].values,
-                                      options.sample_limit);
     config.assignments[i].vertical_size =
-        BestVerticalEstimate(sample, rows);
+        BestVerticalEstimate(candidates[i].values, options.sample_limit);
     config.assignments[i].assigned_size =
         config.assignments[i].vertical_size;
   }

@@ -76,6 +76,28 @@ Result<DiffConfig> OptimizeDiffConfig(
     std::span<const CandidateColumn> candidates,
     const OptimizerOptions& options = {});
 
+// Sample-based size estimation, shared with the correlation detector
+// (core/correlation_detector.h).
+
+/// Paired strided sample of at most `limit` rows (0 = all): row i of both
+/// columns is kept or dropped together, as diff estimation needs aligned
+/// rows.
+void PairedSample(std::span<const int64_t> a, std::span<const int64_t> b,
+                  size_t limit, std::vector<int64_t>* out_a,
+                  std::vector<int64_t>* out_b);
+
+/// Rescales an estimate made on `sample_rows` rows to `full_rows`.
+/// Estimates are dominated by the per-row payload, which scales
+/// linearly. SIZE_MAX (inapplicable) passes through.
+size_t ScaleEstimate(size_t sample_bytes, size_t sample_rows,
+                     size_t full_rows);
+
+/// The smallest constant-time-access vertical size of `values`,
+/// estimated on a strided sample of at most `sample_limit` rows
+/// (0 = all) and scaled to the full column.
+size_t BestVerticalEstimate(std::span<const int64_t> values,
+                            size_t sample_limit);
+
 }  // namespace corra
 
 #endif  // CORRA_CORE_CONFIG_OPTIMIZER_H_

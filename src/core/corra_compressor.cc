@@ -48,12 +48,7 @@ Status ValidatePlan(const Table& table, const CompressionPlan& plan) {
     if (cp.auto_vertical) {
       continue;
     }
-    const bool single_ref = cp.scheme == enc::Scheme::kDiff ||
-                            cp.scheme == enc::Scheme::kHierarchical ||
-                            cp.scheme == enc::Scheme::kC3Dfor ||
-                            cp.scheme == enc::Scheme::kC3Numerical ||
-                            cp.scheme == enc::Scheme::kC3OneToOne;
-    if (single_ref) {
+    if (enc::IsSingleReference(cp.scheme)) {
       if (cp.reference < 0 || cp.reference >= n ||
           cp.reference == static_cast<int>(i)) {
         return Status::InvalidArgument(

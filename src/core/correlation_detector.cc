@@ -5,39 +5,10 @@
 
 #include "core/diff_encoding.h"
 #include "core/hierarchical_encoding.h"
-#include "encoding/selector.h"
 
 namespace corra {
 
 namespace {
-
-// Aligned strided sample of a column pair.
-void PairedSample(std::span<const int64_t> a, std::span<const int64_t> b,
-                  size_t limit, std::vector<int64_t>* out_a,
-                  std::vector<int64_t>* out_b) {
-  if (limit == 0 || a.size() <= limit) {
-    out_a->assign(a.begin(), a.end());
-    out_b->assign(b.begin(), b.end());
-    return;
-  }
-  const size_t stride = a.size() / limit;
-  out_a->clear();
-  out_b->clear();
-  for (size_t i = 0; i < a.size() && out_a->size() < limit; i += stride) {
-    out_a->push_back(a[i]);
-    out_b->push_back(b[i]);
-  }
-}
-
-size_t ScaleEstimate(size_t sample_bytes, size_t sample_rows,
-                     size_t full_rows) {
-  if (sample_rows == 0 || sample_bytes == SIZE_MAX) {
-    return sample_bytes;
-  }
-  return static_cast<size_t>(static_cast<double>(sample_bytes) *
-                             static_cast<double>(full_rows) /
-                             static_cast<double>(sample_rows));
-}
 
 // Densifies arbitrary reference values into codes 0..C-1 (first-seen
 // order) so the hierarchical estimator can run on any column.
@@ -72,16 +43,8 @@ Result<std::vector<CorrelationSuggestion>> DetectCorrelations(
   // Vertical baselines per column (on samples).
   std::vector<size_t> vertical(n);
   for (size_t i = 0; i < n; ++i) {
-    std::vector<int64_t> sample;
-    std::vector<int64_t> unused;
-    PairedSample(columns[i].values, columns[i].values, options.sample_limit,
-                 &sample, &unused);
-    size_t best = SIZE_MAX;
-    for (const auto& e : enc::EstimateSchemes(
-             sample, enc::SelectionPolicy::kConstantTimeAccessOnly)) {
-      best = std::min(best, e.size_bytes);
-    }
-    vertical[i] = ScaleEstimate(best, sample.size(), rows);
+    vertical[i] = BestVerticalEstimate(columns[i].values,
+                                       options.sample_limit);
   }
 
   std::vector<CorrelationSuggestion> suggestions;

@@ -82,15 +82,12 @@ DiffLayout SelectLayout(std::span<const int64_t> diffs,
 }  // namespace
 
 DiffEncodedColumn::DiffEncodedColumn(uint32_t ref_index, DiffMode mode,
-                                     int64_t base,
-                                     std::vector<uint8_t> bytes,
-                                     int bit_width, size_t count,
+                                     int64_t base, PackedArray packed,
                                      OutlierStore outliers)
     : SingleRefColumn(ref_index),
       mode_(mode),
       base_(base),
-      bytes_(std::move(bytes)),
-      packed_(bytes_.data(), bit_width, count),
+      packed_(std::move(packed)),
       outliers_(std::move(outliers)) {}
 
 Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Encode(
@@ -111,20 +108,21 @@ Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Encode(
 
   std::vector<uint32_t> outlier_rows;
   std::vector<int64_t> outlier_values;
-  std::vector<uint8_t> bytes;
+  PackedArray packed;
   switch (layout.mode) {
     case DiffMode::kRaw:
-      bytes = PackValues({reinterpret_cast<const uint64_t*>(diffs.data()),
-                          diffs.size()},
-                         layout.bit_width);
+      packed = PackedArray::Pack(
+          {reinterpret_cast<const uint64_t*>(diffs.data()), diffs.size()},
+          layout.bit_width);
       break;
     case DiffMode::kZigZag:
-      bytes = PackCodes(diffs.size(), layout.bit_width,
-                        [&](size_t begin, size_t len, uint64_t* codes) {
-                          for (size_t i = 0; i < len; ++i) {
-                            codes[i] = bit_util::ZigZagEncode(diffs[begin + i]);
-                          }
-                        });
+      packed = PackedArray::Pack(
+          diffs.size(), layout.bit_width,
+          [&](size_t begin, size_t len, uint64_t* codes) {
+            for (size_t i = 0; i < len; ++i) {
+              codes[i] = bit_util::ZigZagEncode(diffs[begin + i]);
+            }
+          });
       break;
     case DiffMode::kWindow: {
       // Out-of-window rows store 0 (any in-window code works — the outlier
@@ -132,7 +130,7 @@ Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Encode(
       const uint64_t limit = layout.bit_width >= 64
                                  ? ~uint64_t{0}
                                  : (uint64_t{1} << layout.bit_width) - 1;
-      bytes = PackCodes(
+      packed = PackedArray::Pack(
           diffs.size(), layout.bit_width,
           [&](size_t begin, size_t len, uint64_t* codes) {
             for (size_t i = begin; i < begin + len; ++i) {
@@ -153,8 +151,8 @@ Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Encode(
   CORRA_ASSIGN_OR_RETURN(OutlierStore store,
                          OutlierStore::Build(outlier_rows, outlier_values));
   return std::unique_ptr<DiffEncodedColumn>(new DiffEncodedColumn(
-      ref_index, layout.mode, layout.base, std::move(bytes),
-      layout.bit_width, target.size(), std::move(store)));
+      ref_index, layout.mode, layout.base, std::move(packed),
+      std::move(store)));
 }
 
 size_t DiffEncodedColumn::EstimateSizeBytes(
@@ -176,39 +174,26 @@ Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Deserialize(
   uint32_t ref_index = 0;
   uint8_t mode_byte = 0;
   int64_t base = 0;
-  uint8_t width = 0;
-  uint64_t count = 0;
   CORRA_RETURN_NOT_OK(reader->Read(&ref_index));
   CORRA_RETURN_NOT_OK(reader->Read(&mode_byte));
   CORRA_RETURN_NOT_OK(reader->Read(&base));
-  CORRA_RETURN_NOT_OK(reader->Read(&width));
-  CORRA_RETURN_NOT_OK(reader->Read(&count));
   if (mode_byte > static_cast<uint8_t>(DiffMode::kWindow)) {
     return Status::Corruption("bad diff mode");
   }
-  if (width > 64) {
-    return Status::Corruption("diff width > 64");
-  }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("diff payload truncated");
-  }
+  CORRA_ASSIGN_OR_RETURN(PackedArray packed, PackedArray::Read(reader));
   CORRA_ASSIGN_OR_RETURN(OutlierStore outliers,
                          OutlierStore::Deserialize(reader));
-  if (!outliers.empty() && outliers.row(outliers.size() - 1) >= count) {
+  if (!outliers.empty() &&
+      outliers.row(outliers.size() - 1) >= packed.size()) {
     return Status::Corruption("diff outlier row out of range");
   }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
   return std::unique_ptr<DiffEncodedColumn>(new DiffEncodedColumn(
-      ref_index, static_cast<DiffMode>(mode_byte), base, std::move(bytes),
-      width, count, std::move(outliers)));
+      ref_index, static_cast<DiffMode>(mode_byte), base, std::move(packed),
+      std::move(outliers)));
 }
 
 size_t DiffEncodedColumn::SizeBytes() const {
-  size_t bytes = bit_util::CeilDiv(packed_.size() * packed_.bit_width(), 8) +
-                 outliers_.SizeBytes();
+  size_t bytes = packed_.SizeBytes() + outliers_.SizeBytes();
   if (mode_ == DiffMode::kWindow) {
     bytes += sizeof(int64_t);  // The window base.
   }
@@ -247,8 +232,7 @@ void DiffEncodedColumn::GatherWithReference(std::span<const uint32_t> rows,
   size_t done = 0;
   while (done < rows.size()) {
     const size_t len = std::min(rows.size() - done, enc::kMorselRows);
-    simd::GatherBits(bytes_.data(), packed_.bit_width(), rows.data() + done,
-                     len, codes);
+    packed_.Gather(rows.subspan(done, len), codes);
     switch (mode_) {
       case DiffMode::kRaw:
         simd::AddRefAndBase(ref_values + done, codes, 0, len, out + done);
@@ -301,9 +285,7 @@ void DiffEncodedColumn::Serialize(BufferWriter* writer) const {
   writer->Write<uint32_t>(ref_index_);
   writer->Write<uint8_t>(static_cast<uint8_t>(mode_));
   writer->Write<int64_t>(base_);
-  writer->Write<uint8_t>(static_cast<uint8_t>(packed_.bit_width()));
-  writer->Write<uint64_t>(packed_.size());
-  writer->WriteBytes(bytes_);
+  packed_.Write(writer);
   outliers_.Serialize(writer);
 }
 

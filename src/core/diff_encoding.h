@@ -86,16 +86,14 @@ class DiffEncodedColumn final : public SingleRefColumn {
 
  private:
   DiffEncodedColumn(uint32_t ref_index, DiffMode mode, int64_t base,
-                    std::vector<uint8_t> bytes, int bit_width, size_t count,
-                    OutlierStore outliers);
+                    PackedArray packed, OutlierStore outliers);
 
   // The decoded diff at `row` (window-mode outliers not considered).
   int64_t DiffAt(size_t row) const;
 
   DiffMode mode_;
   int64_t base_;                  // Window base (kWindow mode only).
-  std::vector<uint8_t> bytes_;    // Bit-packed diffs.
-  BitReader packed_;
+  PackedArray packed_;            // Diffs, coded per mode_.
   OutlierStore outliers_;
 };
 

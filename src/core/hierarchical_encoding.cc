@@ -5,7 +5,6 @@
 
 #include "common/bit_util.h"
 #include "common/flat_hash.h"
-#include "common/simd/simd.h"
 
 namespace corra {
 
@@ -74,13 +73,11 @@ Result<LocalDictionaries> BuildLocalDictionaries(
 HierarchicalColumn::HierarchicalColumn(uint32_t ref_index,
                                        std::vector<int64_t> values,
                                        std::vector<uint32_t> offsets,
-                                       std::vector<uint8_t> bytes,
-                                       int bit_width, size_t count)
+                                       PackedArray local)
     : SingleRefColumn(ref_index),
       values_(std::move(values)),
       offsets_(std::move(offsets)),
-      bytes_(std::move(bytes)),
-      local_(bytes_.data(), bit_width, count) {}
+      local_(std::move(local)) {}
 
 Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Encode(
     std::span<const int64_t> target, std::span<const int64_t> ref_codes,
@@ -104,13 +101,12 @@ Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Encode(
   }
 
   const int width = bit_util::BitWidth(dicts.max_local);
-  std::vector<uint8_t> bytes = PackCodes(
+  PackedArray local = PackedArray::Pack(
       target.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
         std::copy_n(local_codes.data() + begin, len, codes);
       });
   return std::unique_ptr<HierarchicalColumn>(new HierarchicalColumn(
-      ref_index, std::move(values), std::move(offsets), std::move(bytes),
-      width, target.size()));
+      ref_index, std::move(values), std::move(offsets), std::move(local)));
 }
 
 size_t HierarchicalColumn::EstimateSizeBytes(
@@ -142,28 +138,13 @@ Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Deserialize(
       return Status::Corruption("hierarchical offsets not monotone");
     }
   }
-  uint8_t width = 0;
-  uint64_t count = 0;
-  CORRA_RETURN_NOT_OK(reader->Read(&width));
-  CORRA_RETURN_NOT_OK(reader->Read(&count));
-  if (width > 64) {
-    return Status::Corruption("hierarchical width > 64");
-  }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("hierarchical payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
+  CORRA_ASSIGN_OR_RETURN(PackedArray local, PackedArray::Read(reader));
   return std::unique_ptr<HierarchicalColumn>(new HierarchicalColumn(
-      ref_index, std::move(values), std::move(offsets), std::move(bytes),
-      width, count));
+      ref_index, std::move(values), std::move(offsets), std::move(local)));
 }
 
 size_t HierarchicalColumn::SizeBytes() const {
-  return bit_util::CeilDiv(local_.size() * local_.bit_width(), 8) +
-         values_.size() * sizeof(int64_t) +
+  return local_.SizeBytes() + values_.size() * sizeof(int64_t) +
          offsets_.size() * sizeof(uint32_t);
 }
 
@@ -182,8 +163,7 @@ void HierarchicalColumn::GatherWithReference(std::span<const uint32_t> rows,
   size_t done = 0;
   while (done < rows.size()) {
     const size_t len = std::min(rows.size() - done, enc::kMorselRows);
-    simd::GatherBits(bytes_.data(), local_.bit_width(), rows.data() + done,
-                     len, local);
+    local_.Gather(rows.subspan(done, len), local);
     for (size_t i = 0; i < len; ++i) {
       const size_t ref = static_cast<size_t>(ref_values[done + i]);
       out[done + i] = values_[offsets_[ref] + local[i]];
@@ -232,9 +212,7 @@ void HierarchicalColumn::Serialize(BufferWriter* writer) const {
   writer->Write<uint32_t>(ref_index_);
   writer->WriteInt64Array(values_);
   writer->WriteUint32Array(offsets_);
-  writer->Write<uint8_t>(static_cast<uint8_t>(local_.bit_width()));
-  writer->Write<uint64_t>(local_.size());
-  writer->WriteBytes(bytes_);
+  local_.Write(writer);
 }
 
 }  // namespace corra

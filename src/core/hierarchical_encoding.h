@@ -74,13 +74,11 @@ class HierarchicalColumn final : public SingleRefColumn {
 
  private:
   HierarchicalColumn(uint32_t ref_index, std::vector<int64_t> values,
-                     std::vector<uint32_t> offsets,
-                     std::vector<uint8_t> bytes, int bit_width, size_t count);
+                     std::vector<uint32_t> offsets, PackedArray local);
 
   std::vector<int64_t> values_;    // Concatenated local dictionaries.
   std::vector<uint32_t> offsets_;  // ref_cardinality()+1 entries.
-  std::vector<uint8_t> bytes_;     // Bit-packed local indices.
-  BitReader local_;
+  PackedArray local_;              // Per-row local indices.
 };
 
 }  // namespace corra

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/bit_util.h"
-#include "common/simd/simd.h"
-
 namespace corra {
 
 Status FormulaTable::Validate() const {
@@ -86,11 +83,10 @@ void FoldReferences(
 
 }  // namespace
 
-MultiRefColumn::MultiRefColumn(FormulaTable table, std::vector<uint8_t> bytes,
-                               size_t count, OutlierStore outliers)
+MultiRefColumn::MultiRefColumn(FormulaTable table, PackedArray codes,
+                               OutlierStore outliers)
     : table_(std::move(table)),
-      bytes_(std::move(bytes)),
-      codes_(bytes_.data(), table_.code_bits, count),
+      codes_(std::move(codes)),
       outliers_(std::move(outliers)) {}
 
 Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
@@ -106,9 +102,9 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
 
   std::vector<uint32_t> outlier_rows;
   std::vector<int64_t> outlier_values;
-  std::vector<uint8_t> bytes = PackCodes(
+  PackedArray codes = PackedArray::Pack(
       target.size(), table.code_bits,
-      [&](size_t begin, size_t len, uint64_t* codes) {
+      [&](size_t begin, size_t len, uint64_t* out) {
         for (size_t i = begin; i < begin + len; ++i) {
           int matched_code = -1;
           for (size_t c = 0; c < table.formulas.size(); ++c) {
@@ -127,9 +123,9 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
           if (matched_code < 0) {
             outlier_rows.push_back(static_cast<uint32_t>(i));
             outlier_values.push_back(target[i]);
-            codes[i - begin] = 0;  // Placeholder; outlier indices disambiguate.
+            out[i - begin] = 0;  // Placeholder; outlier indices disambiguate.
           } else {
-            codes[i - begin] = static_cast<uint64_t>(matched_code);
+            out[i - begin] = static_cast<uint64_t>(matched_code);
           }
         }
       });
@@ -142,8 +138,8 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
   }
   CORRA_ASSIGN_OR_RETURN(OutlierStore store,
                          OutlierStore::Build(outlier_rows, outlier_values));
-  return std::unique_ptr<MultiRefColumn>(new MultiRefColumn(
-      table, std::move(bytes), target.size(), std::move(store)));
+  return std::unique_ptr<MultiRefColumn>(
+      new MultiRefColumn(table, std::move(codes), std::move(store)));
 }
 
 Result<FormulaTable> MultiRefColumn::DeriveFormulas(
@@ -225,18 +221,12 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Deserialize(
 
   uint64_t count = 0;
   CORRA_RETURN_NOT_OK(reader->Read(&count));
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, table.code_bits)) {
-    return Status::Corruption("multi-ref code payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, table.code_bits), 0);
-  // Codes must index into the formula table. Probe the padded copy — the
-  // raw span may lack the load slack Get assumes.
-  BitReader probe(bytes.data(), table.code_bits, count);
+  CORRA_ASSIGN_OR_RETURN(
+      PackedArray codes,
+      PackedArray::ReadPayload(reader, table.code_bits, count));
+  // Codes must index into the formula table.
   for (size_t i = 0; i < count; ++i) {
-    if (probe.Get(i) >= table.formulas.size()) {
+    if (codes.Get(i) >= table.formulas.size()) {
       return Status::Corruption("multi-ref code out of range");
     }
   }
@@ -246,7 +236,7 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Deserialize(
     return Status::Corruption("multi-ref outlier row out of range");
   }
   return std::unique_ptr<MultiRefColumn>(new MultiRefColumn(
-      std::move(table), std::move(bytes), count, std::move(outliers)));
+      std::move(table), std::move(codes), std::move(outliers)));
 }
 
 std::vector<uint32_t> MultiRefColumn::ReferenceIndices() const {
@@ -315,8 +305,7 @@ void MultiRefColumn::GatherRange(std::span<const uint32_t> rows,
   while (done < rows.size()) {
     const size_t len = std::min(rows.size() - done, enc::kMorselRows);
     const auto chunk = rows.subspan(done, len);
-    simd::GatherBits(bytes_.data(), codes_.bit_width(), chunk.data(), len,
-                     codes);
+    codes_.Gather(chunk, codes);
     FoldReferences(
         table_.formulas, bound_groups_, codes, len,
         [chunk](const enc::EncodedColumn& col, int64_t* values) {
@@ -356,8 +345,7 @@ size_t MultiRefColumn::SizeBytes() const {
     metadata += group.size() * sizeof(uint32_t);
   }
   metadata += table_.formulas.size();
-  return bit_util::CeilDiv(codes_.size() * codes_.bit_width(), 8) +
-         outliers_.SizeBytes() + metadata;
+  return codes_.SizeBytes() + outliers_.SizeBytes() + metadata;
 }
 
 MultiRefColumn::CodeStats MultiRefColumn::ComputeCodeStats() const {
@@ -385,7 +373,7 @@ void MultiRefColumn::Serialize(BufferWriter* writer) const {
   writer->WriteBytes(std::span<const uint8_t>(table_.formulas.data(),
                                               table_.formulas.size()));
   writer->Write<uint64_t>(codes_.size());
-  writer->WriteBytes(bytes_);
+  codes_.WritePayload(writer);
   outliers_.Serialize(writer);
 }
 

@@ -107,15 +107,14 @@ class MultiRefColumn final : public enc::EncodedColumn {
   CodeStats ComputeCodeStats() const;
 
  private:
-  MultiRefColumn(FormulaTable table, std::vector<uint8_t> bytes,
-                 size_t count, OutlierStore outliers);
+  MultiRefColumn(FormulaTable table, PackedArray codes,
+                 OutlierStore outliers);
 
   // Sum of the bound columns of group `g` at `row`.
   int64_t GroupSum(size_t g, size_t row) const;
 
   FormulaTable table_;
-  std::vector<uint8_t> bytes_;  // Bit-packed formula codes.
-  BitReader codes_;
+  PackedArray codes_;  // Per-row formula codes.
   OutlierStore outliers_;
   // Bound reference columns, aligned with table_.groups.
   std::vector<std::vector<const enc::EncodedColumn*>> bound_groups_;

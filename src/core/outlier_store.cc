@@ -22,13 +22,12 @@ Result<OutlierStore> OutlierStore::Build(std::span<const uint32_t> rows,
   store.base_ = mm.min;
   const uint64_t base = static_cast<uint64_t>(mm.min);
   const int width = bit_util::MaxForBitWidth(mm);
-  store.value_bytes_ = PackCodes(
+  store.values_ = PackedArray::Pack(
       values.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
         for (size_t i = 0; i < len; ++i) {
           codes[i] = static_cast<uint64_t>(values[begin + i]) - base;
         }
       });
-  store.values_ = BitReader(store.value_bytes_.data(), width, values.size());
   return store;
 }
 
@@ -40,28 +39,13 @@ Result<OutlierStore> OutlierStore::Deserialize(BufferReader* reader) {
       return Status::Corruption("outlier rows not strictly increasing");
     }
   }
-  int64_t base = 0;
-  uint8_t width = 0;
-  CORRA_RETURN_NOT_OK(reader->Read(&base));
-  CORRA_RETURN_NOT_OK(reader->Read(&width));
-  if (width > 64) {
-    return Status::Corruption("outlier value width > 64");
-  }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(rows.size(), width)) {
-    return Status::Corruption("outlier values truncated");
-  }
   OutlierStore store;
+  uint8_t width = 0;
+  CORRA_RETURN_NOT_OK(reader->Read(&store.base_));
+  CORRA_RETURN_NOT_OK(reader->Read(&width));
+  CORRA_ASSIGN_OR_RETURN(store.values_,
+                         PackedArray::ReadPayload(reader, width, rows.size()));
   store.rows_ = std::move(rows);
-  store.base_ = base;
-  store.value_bytes_.assign(payload.begin(), payload.end());
-  // Re-pad the owned copy before handing it to the reader: the wire
-  // payload may carry less than kDecodePadBytes of slack.
-  store.value_bytes_.resize(bit_util::PackedBytes(store.rows_.size(), width),
-                            0);
-  store.values_ =
-      BitReader(store.value_bytes_.data(), width, store.rows_.size());
   return store;
 }
 
@@ -69,7 +53,7 @@ void OutlierStore::Serialize(BufferWriter* writer) const {
   writer->WriteUint32Array(rows_);
   writer->Write<int64_t>(base_);
   writer->Write<uint8_t>(static_cast<uint8_t>(values_.bit_width()));
-  writer->WriteBytes(value_bytes_);
+  values_.WritePayload(writer);
 }
 
 std::optional<int64_t> OutlierStore::Find(uint32_t row) const {
@@ -114,8 +98,7 @@ void OutlierStore::PatchRange(size_t row_begin, size_t count,
 }
 
 size_t OutlierStore::SizeBytes() const {
-  return rows_.size() * sizeof(uint32_t) +
-         bit_util::CeilDiv(rows_.size() * values_.bit_width(), 8) +
+  return rows_.size() * sizeof(uint32_t) + values_.SizeBytes() +
          (rows_.empty() ? 0 : sizeof(int64_t));
 }
 

@@ -72,10 +72,9 @@ class OutlierStore {
   }
 
  private:
-  std::vector<uint32_t> rows_;       // Strictly increasing.
-  int64_t base_ = 0;                 // FOR base of the packed values.
-  std::vector<uint8_t> value_bytes_; // Bit-packed value offsets.
-  BitReader values_;
+  std::vector<uint32_t> rows_;  // Strictly increasing.
+  int64_t base_ = 0;            // FOR base of the packed values.
+  PackedArray values_;          // Value offsets from base_.
 };
 
 }  // namespace corra

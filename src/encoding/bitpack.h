@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "common/bit_stream.h"
 #include "common/bit_util.h"
@@ -37,10 +36,10 @@ class BitPackColumn final : public EncodedColumn {
       BufferReader* reader);
 
   Scheme scheme() const override { return Scheme::kBitPack; }
-  size_t size() const override { return reader_.size(); }
+  size_t size() const override { return packed_.size(); }
   size_t SizeBytes() const override;
   int64_t Get(size_t row) const override {
-    return static_cast<int64_t>(reader_.Get(row));
+    return static_cast<int64_t>(packed_.Get(row));
   }
   void GatherRange(std::span<const uint32_t> rows,
                    int64_t* out) const override;
@@ -48,13 +47,12 @@ class BitPackColumn final : public EncodedColumn {
                    int64_t* out) const override;
   void Serialize(BufferWriter* writer) const override;
 
-  int bit_width() const { return reader_.bit_width(); }
+  int bit_width() const { return packed_.bit_width(); }
 
  private:
-  BitPackColumn(std::vector<uint8_t> bytes, int bit_width, size_t count);
+  explicit BitPackColumn(PackedArray packed) : packed_(std::move(packed)) {}
 
-  std::vector<uint8_t> bytes_;
-  BitReader reader_;
+  PackedArray packed_;
 };
 
 }  // namespace corra::enc

@@ -65,23 +65,23 @@ size_t InlineStrideBytes(size_t interval, int bit_width) {
 // from bit 0, slot j being the delta of row k * interval + 1 + j. So the
 // heads are the checkpoint array, and the slots in order continue the
 // delta stream after row 0's unused slot; slots past the last row are
-// dropped. `payload` must hold NumCheckpoints(count, interval) windows.
-void RepackInlineWindows(std::span<const uint8_t> payload, size_t count,
-                         size_t interval, int width,
-                         std::vector<int64_t>* checkpoints,
-                         std::vector<uint8_t>* bytes) {
+// dropped. `payload` must hold NumCheckpoints(count, interval) windows,
+// and `width` must be at most 64.
+PackedArray RepackInlineWindows(std::span<const uint8_t> payload,
+                                size_t count, size_t interval, int width,
+                                std::vector<int64_t>* checkpoints) {
   const size_t stride = InlineStrideBytes(interval, width);
   checkpoints->resize(NumCheckpoints(count, interval));
   for (size_t k = 0; k < checkpoints->size(); ++k) {
     std::memcpy(&(*checkpoints)[k], payload.data() + k * stride,
                 sizeof(int64_t));
   }
-  // The current window's slots, copied next to the unpack kernels'
-  // decode slack (the payload itself has none).
-  std::vector<uint8_t> slots(stride - 8 + bit_util::kDecodePadBytes, 0);
+  // The current window's slots. Reading them cannot fail: the width is
+  // valid and each window's stride - 8 bytes hold all `interval` slots.
+  PackedArray slots;
   size_t window = 0;
   size_t slot = 0;
-  *bytes = PackCodes(
+  return PackedArray::Pack(
       count, width, [&](size_t begin, size_t len, uint64_t* codes) {
         size_t i = 0;
         if (begin == 0) {
@@ -89,11 +89,13 @@ void RepackInlineWindows(std::span<const uint8_t> payload, size_t count,
         }
         while (i < len) {
           if (slot == 0) {
-            std::memcpy(slots.data(), payload.data() + window * stride + 8,
-                        stride - 8);
+            slots = PackedArray::ReadPayload(
+                        payload.subspan(window * stride + 8, stride - 8),
+                        width, interval)
+                        .value();
           }
           const size_t take = std::min(interval - slot, len - i);
-          simd::UnpackRange(slots.data(), width, slot, take, codes + i);
+          slots.DecodeRange(slot, take, codes + i);
           i += take;
           slot += take;
           if (slot == interval) {
@@ -107,12 +109,9 @@ void RepackInlineWindows(std::span<const uint8_t> payload, size_t count,
 }  // namespace
 
 DeltaColumn::DeltaColumn(std::vector<int64_t> checkpoints,
-                         std::vector<uint8_t> bytes, int bit_width,
-                         size_t count, size_t interval)
+                         PackedArray deltas, size_t interval)
     : checkpoints_(std::move(checkpoints)),
-      bytes_(std::move(bytes)),
-      bit_width_(bit_width),
-      count_(count),
+      deltas_(std::move(deltas)),
       interval_(interval),
       // The one and only shift derivation: every construction path
       // (Encode at any interval, every wire form) funnels through here,
@@ -135,7 +134,7 @@ Result<std::unique_ptr<DeltaColumn>> DeltaColumn::Encode(
   }
   // Row 0's delta slot is unused (the checkpoint covers it); store 0 to
   // keep positions aligned.
-  std::vector<uint8_t> bytes = PackCodes(
+  PackedArray deltas = PackedArray::Pack(
       values.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
         for (size_t i = begin; i < begin + len; ++i) {
           codes[i - begin] =
@@ -145,9 +144,8 @@ Result<std::unique_ptr<DeltaColumn>> DeltaColumn::Encode(
                            static_cast<uint64_t>(values[i - 1])));
         }
       });
-  return std::unique_ptr<DeltaColumn>(
-      new DeltaColumn(std::move(checkpoints), std::move(bytes), width,
-                      values.size(), checkpoint_interval));
+  return std::unique_ptr<DeltaColumn>(new DeltaColumn(
+      std::move(checkpoints), std::move(deltas), checkpoint_interval));
 }
 
 size_t DeltaColumn::EstimateSizeBytes(std::span<const int64_t> values,
@@ -176,52 +174,45 @@ Result<std::unique_ptr<DeltaColumn>> DeltaColumn::Deserialize(
     interval = static_cast<size_t>(stored_interval);
   }
   std::vector<int64_t> checkpoints;
-  if (first == kIntervalMarker) {
-    CORRA_RETURN_NOT_OK(reader->ReadInt64Array(&checkpoints));
-  } else if (first != kInlineMarker) {
-    CORRA_RETURN_NOT_OK(
-        reader->ReadInt64Values(static_cast<size_t>(first), &checkpoints));
-  }
-  uint8_t width = 0;
-  uint64_t count = 0;
-  CORRA_RETURN_NOT_OK(reader->Read(&width));
-  CORRA_RETURN_NOT_OK(reader->Read(&count));
-  if (width > 64) {
-    return Status::Corruption("Delta width > 64");
-  }
-  std::span<const uint8_t> payload;
   if (first == kInlineMarker) {
-    const size_t stride = InlineStrideBytes(interval, width);
+    uint8_t width = 0;
+    uint64_t count = 0;
+    std::span<const uint8_t> payload;
+    CORRA_RETURN_NOT_OK(reader->Read(&width));
+    CORRA_RETURN_NOT_OK(reader->Read(&count));
     CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
+    if (width > 64) {
+      return Status::Corruption("Delta width > 64");
+    }
     // Division, not `payload.size() < windows * stride`: a corrupt
     // `count` near 2^64 makes the product wrap to a small value and
     // sail past the check, building a column whose row count vastly
     // exceeds its buffer (out-of-bounds reads on first access).
-    if (NumCheckpoints(count, interval) > payload.size() / stride) {
+    if (NumCheckpoints(count, interval) >
+        payload.size() / InlineStrideBytes(interval, width)) {
       return Status::Corruption("Delta inline window stream truncated");
     }
-    std::vector<uint8_t> bytes;
-    RepackInlineWindows(payload, count, interval, width, &checkpoints,
-                        &bytes);
+    PackedArray deltas =
+        RepackInlineWindows(payload, count, interval, width, &checkpoints);
     return std::unique_ptr<DeltaColumn>(new DeltaColumn(
-        std::move(checkpoints), std::move(bytes), width, count, interval));
+        std::move(checkpoints), std::move(deltas), interval));
   }
-  if (checkpoints.size() != NumCheckpoints(count, interval)) {
+  if (first == kIntervalMarker) {
+    CORRA_RETURN_NOT_OK(reader->ReadInt64Array(&checkpoints));
+  } else {
+    CORRA_RETURN_NOT_OK(
+        reader->ReadInt64Values(static_cast<size_t>(first), &checkpoints));
+  }
+  CORRA_ASSIGN_OR_RETURN(PackedArray deltas, PackedArray::Read(reader));
+  if (checkpoints.size() != NumCheckpoints(deltas.size(), interval)) {
     return Status::Corruption("Delta checkpoint count mismatch");
   }
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("Delta payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
   return std::unique_ptr<DeltaColumn>(new DeltaColumn(
-      std::move(checkpoints), std::move(bytes), width, count, interval));
+      std::move(checkpoints), std::move(deltas), interval));
 }
 
 size_t DeltaColumn::SizeBytes() const {
-  return bit_util::CeilDiv(count_ * static_cast<size_t>(bit_width_), 8) +
-         checkpoints_.size() * sizeof(int64_t);
+  return deltas_.SizeBytes() + checkpoints_.size() * sizeof(int64_t);
 }
 
 int64_t DeltaColumn::Get(size_t row) const {
@@ -229,9 +220,9 @@ int64_t DeltaColumn::Get(size_t row) const {
   // from the covering one or backward from the next), with the replay
   // folded straight out of the packed stream. Expected replay is
   // interval / 4 deltas; see simd::DeltaPointPacked.
-  return simd::DeltaPointPacked(bytes_.data(), bit_width_,
-                                checkpoints_.data(), interval_shift_, count_,
-                                row);
+  return simd::DeltaPointPacked(deltas_.data(), deltas_.bit_width(),
+                                checkpoints_.data(), interval_shift_,
+                                deltas_.size(), row);
 }
 
 void DeltaColumn::GatherRange(std::span<const uint32_t> rows,
@@ -258,8 +249,9 @@ void DeltaColumn::GatherRange(std::span<const uint32_t> rows,
   constexpr size_t kDenseGatherMaxGap = 24;
   const size_t span = rows[n - 1] >= rows[0] ? rows[n - 1] - rows[0] + 1 : 0;
   if (span == 0 || span > n * kDenseGatherMaxGap) {
-    simd::DeltaGatherPacked(bytes_.data(), bit_width_, checkpoints_.data(),
-                            interval_shift_, count_, rows.data(), n, out);
+    simd::DeltaGatherPacked(deltas_.data(), deltas_.bit_width(),
+                            checkpoints_.data(), interval_shift_,
+                            deltas_.size(), rows.data(), n, out);
     return;
   }
   int64_t values[kMorselRows + 1];
@@ -267,7 +259,7 @@ void DeltaColumn::GatherRange(std::span<const uint32_t> rows,
   while (i < n) {
     const size_t k = rows[i] >> interval_shift_;
     const size_t anchor = k << interval_shift_;
-    const size_t window_end = std::min(anchor + kMorselRows, count_);
+    const size_t window_end = std::min(anchor + kMorselRows, deltas_.size());
     size_t j = i;
     size_t last_row = rows[i];
     while (j < n && rows[j] >= last_row && rows[j] < window_end) {
@@ -277,7 +269,7 @@ void DeltaColumn::GatherRange(std::span<const uint32_t> rows,
     // values[v] is the reconstructed value at row anchor + v; slot 0 is
     // the checkpoint itself, so the pick loop is branch-free.
     values[0] = checkpoints_[k];
-    simd::DeltaDecodePacked(bytes_.data(), bit_width_, anchor + 1,
+    simd::DeltaDecodePacked(deltas_.data(), deltas_.bit_width(), anchor + 1,
                             last_row - anchor, checkpoints_[k], values + 1);
     for (; i < j; ++i) {
       out[i] = values[rows[i] - anchor];
@@ -295,7 +287,7 @@ void DeltaColumn::DecodeRange(size_t row_begin, size_t count,
   // packed stream. No re-anchoring is needed inside the range: the
   // wrap-around prefix sum reproduces every checkpoint value exactly.
   out[0] = Get(row_begin);
-  simd::DeltaDecodePacked(bytes_.data(), bit_width_, row_begin + 1,
+  simd::DeltaDecodePacked(deltas_.data(), deltas_.bit_width(), row_begin + 1,
                           count - 1, out[0], out + 1);
 }
 
@@ -306,9 +298,7 @@ void DeltaColumn::Serialize(BufferWriter* writer) const {
     writer->Write<uint64_t>(interval_);
   }
   writer->WriteInt64Array(checkpoints_);
-  writer->Write<uint8_t>(static_cast<uint8_t>(bit_width_));
-  writer->Write<uint64_t>(count_);
-  writer->WriteBytes(bytes_);
+  deltas_.Write(writer);
 }
 
 }  // namespace corra::enc

@@ -93,7 +93,7 @@ class DeltaColumn final : public EncodedColumn {
       BufferReader* reader);
 
   Scheme scheme() const override { return Scheme::kDelta; }
-  size_t size() const override { return count_; }
+  size_t size() const override { return deltas_.size(); }
   size_t SizeBytes() const override;
   int64_t Get(size_t row) const override;
   void GatherRange(std::span<const uint32_t> rows,
@@ -102,17 +102,15 @@ class DeltaColumn final : public EncodedColumn {
                    int64_t* out) const override;
   void Serialize(BufferWriter* writer) const override;
 
-  int bit_width() const { return bit_width_; }
+  int bit_width() const { return deltas_.bit_width(); }
   size_t checkpoint_interval() const { return interval_; }
 
  private:
-  DeltaColumn(std::vector<int64_t> checkpoints, std::vector<uint8_t> bytes,
-              int bit_width, size_t count, size_t interval);
+  DeltaColumn(std::vector<int64_t> checkpoints, PackedArray deltas,
+              size_t interval);
 
   std::vector<int64_t> checkpoints_;  // Absolute value at row k*interval.
-  std::vector<uint8_t> bytes_;        // Zig-zag deltas, bit-packed.
-  int bit_width_ = 0;
-  size_t count_ = 0;
+  PackedArray deltas_;                // Zig-zag deltas.
   size_t interval_ = kDefaultCheckpointInterval;
   // log2(interval_): the per-access checkpoint mapping is a shift. There
   // is exactly one derivation — the constructor computes it from

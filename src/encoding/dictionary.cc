@@ -7,12 +7,6 @@
 
 namespace corra::enc {
 
-DictColumn::DictColumn(std::vector<int64_t> dict, std::vector<uint8_t> bytes,
-                       int bit_width, size_t count)
-    : dict_(std::move(dict)),
-      bytes_(std::move(bytes)),
-      reader_(bytes_.data(), bit_width, count) {}
-
 size_t DictSizeBytes(size_t rows, size_t distinct) {
   const int width = bit_util::BitWidth(distinct == 0 ? 0 : distinct - 1);
   return bit_util::CeilDiv(rows * width, 8) + distinct * sizeof(int64_t);
@@ -61,14 +55,14 @@ std::unique_ptr<DictColumn> DictColumn::Encode(
 
   const std::span<const int64_t> values = distinct.values_;
   const int width = bit_util::BitWidth(dict.empty() ? 0 : dict.size() - 1);
-  std::vector<uint8_t> bytes = PackCodes(
-      values.size(), width, [&](size_t begin, size_t len, uint64_t* codes) {
+  PackedArray codes = PackedArray::Pack(
+      values.size(), width, [&](size_t begin, size_t len, uint64_t* out) {
         for (size_t i = 0; i < len; ++i) {
-          codes[i] = rank_of_id[distinct.ids_.Find(values[begin + i])];
+          out[i] = rank_of_id[distinct.ids_.Find(values[begin + i])];
         }
       });
   return std::unique_ptr<DictColumn>(
-      new DictColumn(std::move(dict), std::move(bytes), width, values.size()));
+      new DictColumn(std::move(dict), std::move(codes)));
 }
 
 size_t DictColumn::EstimateSizeBytes(std::span<const int64_t> values) {
@@ -79,36 +73,20 @@ Result<std::unique_ptr<DictColumn>> DictColumn::Deserialize(
     BufferReader* reader) {
   std::vector<int64_t> dict;
   CORRA_RETURN_NOT_OK(reader->ReadInt64Array(&dict));
-  uint8_t width = 0;
-  uint64_t count = 0;
-  CORRA_RETURN_NOT_OK(reader->Read(&width));
-  CORRA_RETURN_NOT_OK(reader->Read(&count));
-  if (width > 64) {
-    return Status::Corruption("Dict width > 64");
-  }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("Dict payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
+  CORRA_ASSIGN_OR_RETURN(PackedArray codes, PackedArray::Read(reader));
   // Reject codes that exceed the dictionary, so a corrupted payload cannot
-  // cause out-of-bounds reads later. Probe the padded copy — the raw span
-  // may lack the load slack Get assumes.
-  BitReader probe(bytes.data(), width, count);
-  for (size_t i = 0; i < count; ++i) {
-    if (probe.Get(i) >= dict.size()) {
+  // cause out-of-bounds reads later.
+  for (size_t i = 0; i < codes.size(); ++i) {
+    if (codes.Get(i) >= dict.size()) {
       return Status::Corruption("Dict code out of range");
     }
   }
   return std::unique_ptr<DictColumn>(
-      new DictColumn(std::move(dict), std::move(bytes), width, count));
+      new DictColumn(std::move(dict), std::move(codes)));
 }
 
 size_t DictColumn::SizeBytes() const {
-  return bit_util::CeilDiv(reader_.size() * reader_.bit_width(), 8) +
-         dict_.size() * sizeof(int64_t);
+  return codes_.SizeBytes() + dict_.size() * sizeof(int64_t);
 }
 
 void DictColumn::GatherRange(std::span<const uint32_t> rows,
@@ -120,8 +98,7 @@ void DictColumn::GatherRange(std::span<const uint32_t> rows,
   size_t done = 0;
   while (done < rows.size()) {
     const size_t len = std::min(rows.size() - done, kMorselRows);
-    simd::GatherBits(bytes_.data(), reader_.bit_width(), rows.data() + done,
-                     len, codes);
+    codes_.Gather(rows.subspan(done, len), codes);
     simd::TranslateCodes(dict, codes, len, out + done);
     done += len;
   }
@@ -138,7 +115,7 @@ void DictColumn::DecodeRange(size_t row_begin, size_t count,
   const int64_t* dict = dict_.data();
   while (count > 0) {
     const size_t len = count < kMorselRows ? count : kMorselRows;
-    reader_.DecodeRange(row_begin, len, codes);
+    codes_.DecodeRange(row_begin, len, codes);
     simd::TranslateCodes(dict, codes, len, out);
     row_begin += len;
     count -= len;
@@ -149,9 +126,7 @@ void DictColumn::DecodeRange(size_t row_begin, size_t count,
 void DictColumn::Serialize(BufferWriter* writer) const {
   writer->Write<uint8_t>(static_cast<uint8_t>(Scheme::kDict));
   writer->WriteInt64Array(dict_);
-  writer->Write<uint8_t>(static_cast<uint8_t>(reader_.bit_width()));
-  writer->Write<uint64_t>(reader_.size());
-  writer->WriteBytes(bytes_);
+  codes_.Write(writer);
 }
 
 }  // namespace corra::enc

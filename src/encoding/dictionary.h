@@ -66,10 +66,10 @@ class DictColumn final : public EncodedColumn {
       BufferReader* reader);
 
   Scheme scheme() const override { return Scheme::kDict; }
-  size_t size() const override { return reader_.size(); }
+  size_t size() const override { return codes_.size(); }
   size_t SizeBytes() const override;
   int64_t Get(size_t row) const override {
-    return dict_[reader_.Get(row)];
+    return dict_[codes_.Get(row)];
   }
   void GatherRange(std::span<const uint32_t> rows,
                    int64_t* out) const override;
@@ -78,23 +78,22 @@ class DictColumn final : public EncodedColumn {
   void Serialize(BufferWriter* writer) const override;
 
   /// The code stored at `row` (an index into dictionary()).
-  uint64_t GetCode(size_t row) const { return reader_.Get(row); }
+  uint64_t GetCode(size_t row) const { return codes_.Get(row); }
   /// Unpacks the codes of [row_begin, row_begin + count) into `out` —
   /// the code-domain ranged kernel used by filter and aggregate pushdown
   /// (compare/fold codes, never touch values).
   void DecodeCodes(size_t row_begin, size_t count, uint64_t* out) const {
-    reader_.DecodeRange(row_begin, count, out);
+    codes_.DecodeRange(row_begin, count, out);
   }
   std::span<const int64_t> dictionary() const { return dict_; }
-  int bit_width() const { return reader_.bit_width(); }
+  int bit_width() const { return codes_.bit_width(); }
 
  private:
-  DictColumn(std::vector<int64_t> dict, std::vector<uint8_t> bytes,
-             int bit_width, size_t count);
+  DictColumn(std::vector<int64_t> dict, PackedArray codes)
+      : dict_(std::move(dict)), codes_(std::move(codes)) {}
 
   std::vector<int64_t> dict_;  // Sorted distinct values.
-  std::vector<uint8_t> bytes_;
-  BitReader reader_;
+  PackedArray codes_;          // Per-row indices into dict_.
 };
 
 }  // namespace corra::enc

@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "common/bit_stream.h"
 #include "common/bit_util.h"
@@ -36,12 +35,12 @@ class ForColumn final : public EncodedColumn {
   static Result<std::unique_ptr<ForColumn>> Deserialize(BufferReader* reader);
 
   Scheme scheme() const override { return Scheme::kFor; }
-  size_t size() const override { return reader_.size(); }
+  size_t size() const override { return packed_.size(); }
   size_t SizeBytes() const override;
   int64_t Get(size_t row) const override {
     // Wrap-around add in uint64 space, as Encode subtracted.
     return static_cast<int64_t>(static_cast<uint64_t>(base_) +
-                                reader_.Get(row));
+                                packed_.Get(row));
   }
   void GatherRange(std::span<const uint32_t> rows,
                    int64_t* out) const override;
@@ -50,22 +49,21 @@ class ForColumn final : public EncodedColumn {
   void Serialize(BufferWriter* writer) const override;
 
   int64_t base() const { return base_; }
-  int bit_width() const { return reader_.bit_width(); }
+  int bit_width() const { return packed_.bit_width(); }
 
   /// Unpacks the raw (un-rebased) offsets of [row_begin, row_begin +
   /// count) — the packed-domain ranged kernel aggregate pushdown folds
   /// over (sum = n * base + sum of offsets, no per-row rebase).
   void DecodeOffsets(size_t row_begin, size_t count, uint64_t* out) const {
-    reader_.DecodeRange(row_begin, count, out);
+    packed_.DecodeRange(row_begin, count, out);
   }
 
  private:
-  ForColumn(int64_t base, std::vector<uint8_t> bytes, int bit_width,
-            size_t count);
+  ForColumn(int64_t base, PackedArray packed)
+      : base_(base), packed_(std::move(packed)) {}
 
   int64_t base_ = 0;
-  std::vector<uint8_t> bytes_;
-  BitReader reader_;
+  PackedArray packed_;  // Offsets from base_.
 };
 
 }  // namespace corra::enc

@@ -233,46 +233,6 @@ void Append(std::string* out, const char* fmt, ...) {
   }
 }
 
-// Splits "base{label=\"x\"}" into base and the brace suffix (which may
-// be empty), then renders a Prometheus series name: corra_ prefix, dots
-// and dashes flattened to underscores, labels preserved. `extra_label`
-// (e.g. le="5") is merged into the braces.
-std::string PromSeries(std::string_view name, std::string_view suffix,
-                       std::string_view extra_label) {
-  std::string_view base = name;
-  std::string_view labels;
-  const size_t brace = name.find('{');
-  if (brace != std::string_view::npos && name.back() == '}') {
-    base = name.substr(0, brace);
-    labels = name.substr(brace + 1, name.size() - brace - 2);
-  }
-  std::string out = "corra_";
-  for (char c : base) {
-    const bool word = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_';
-    out.push_back(word ? c : '_');
-  }
-  out.append(suffix);
-  if (!labels.empty() || !extra_label.empty()) {
-    out.push_back('{');
-    out.append(labels);
-    if (!labels.empty() && !extra_label.empty()) {
-      out.push_back(',');
-    }
-    out.append(extra_label);
-    out.push_back('}');
-  }
-  return out;
-}
-
-// The metric family name alone — labels stripped — for # TYPE lines.
-std::string PromFamily(std::string_view name) {
-  const size_t brace = name.find('{');
-  return PromSeries(
-      brace == std::string_view::npos ? name : name.substr(0, brace), "",
-      "");
-}
-
 std::string JsonEscaped(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -314,49 +274,6 @@ std::string RegistrySnapshot::ToJson() const {
   }
   out += histograms.empty() ? "}\n" : "\n  }\n";
   out += "}";
-  return out;
-}
-
-std::string RegistrySnapshot::ToPrometheus() const {
-  std::string out;
-  // Labeled series of one family sort adjacently (map order), so one
-  // TYPE line per family falls out of remembering the previous one.
-  std::string last_family;
-  auto type_line = [&](std::string_view name, const char* kind) {
-    std::string family = PromFamily(name);
-    if (family != last_family) {
-      Append(&out, "# TYPE %s %s\n", family.c_str(), kind);
-      last_family = std::move(family);
-    }
-  };
-  for (const auto& [name, value] : counters) {
-    type_line(name, "counter");
-    Append(&out, "%s %" PRIu64 "\n", PromSeries(name, "", "").c_str(),
-           value);
-  }
-  for (const auto& [name, value] : gauges) {
-    type_line(name, "gauge");
-    Append(&out, "%s %" PRId64 "\n", PromSeries(name, "", "").c_str(),
-           value);
-  }
-  for (const auto& [name, hist] : histograms) {
-    type_line(name, "histogram");
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < hist.bounds.size(); ++b) {
-      cumulative += hist.counts[b];
-      char label[48];
-      std::snprintf(label, sizeof(label), "le=\"%" PRIu64 "\"",
-                    hist.bounds[b]);
-      Append(&out, "%s %" PRIu64 "\n",
-             PromSeries(name, "_bucket", label).c_str(), cumulative);
-    }
-    Append(&out, "%s %" PRIu64 "\n",
-           PromSeries(name, "_bucket", "le=\"+Inf\"").c_str(), hist.count);
-    Append(&out, "%s %" PRIu64 "\n", PromSeries(name, "_sum", "").c_str(),
-           hist.sum);
-    Append(&out, "%s %" PRIu64 "\n",
-           PromSeries(name, "_count", "").c_str(), hist.count);
-  }
   return out;
 }
 

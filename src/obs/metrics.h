@@ -17,12 +17,10 @@
 // histogram()) takes a mutex and is meant to run once per call site —
 // cache the returned reference, then increment lock-free forever. The
 // reference stays valid for the registry's lifetime (metrics are never
-// unregistered). Names may carry one Prometheus-style label suffix,
-// e.g. "query.decode_rows{scheme=\"FOR\"}"; the exporters split it.
+// unregistered). Names may carry one label suffix, e.g.
+// "query.decode_rows{scheme=\"FOR\"}", which is part of the name.
 //
-// Snapshots export as JSON (ToJson) and as Prometheus text exposition
-// (ToPrometheus; dots become underscores, the label suffix is preserved,
-// histograms render cumulative le-buckets). Snapshot reads are relaxed:
+// Snapshots export as JSON (ToJson). Snapshot reads are relaxed:
 // each shard value is exact at the instant it is read, so a snapshot
 // racing a recorder can be mid-update across *metrics* but every
 // counter is monotone and a quiesced registry snapshots exactly.
@@ -217,10 +215,6 @@ struct RegistrySnapshot {
   /// {count, sum, mean, max, p50, p90, p99, p999}}} — sorted by name.
   [[nodiscard]] std::string ToJson() const;
 
-  /// Prometheus text exposition: corra_<name> with dots flattened to
-  /// underscores; histograms emit cumulative _bucket{le=...}, _sum,
-  /// _count series.
-  [[nodiscard]] std::string ToPrometheus() const;
 };
 
 class Registry {
@@ -244,9 +238,6 @@ class Registry {
 
   [[nodiscard]] RegistrySnapshot Snapshot() const;
   [[nodiscard]] std::string ToJson() const { return Snapshot().ToJson(); }
-  [[nodiscard]] std::string ToPrometheus() const {
-    return Snapshot().ToPrometheus();
-  }
 
   /// Zeroes every metric; registrations (and cached references) survive.
   void Reset();

@@ -14,6 +14,8 @@
 namespace corra {
 namespace {
 
+using bit_util::kDecodePadBytes;
+
 std::vector<uint64_t> RandomValues(size_t count, int width, uint64_t seed) {
   Rng rng(seed);
   const uint64_t mask =
@@ -25,96 +27,166 @@ std::vector<uint64_t> RandomValues(size_t count, int width, uint64_t seed) {
   return values;
 }
 
-TEST(BitStreamTest, EmptyStream) {
-  auto bytes = PackValues({}, 13);
-  EXPECT_EQ(bytes.size(), bit_util::kDecodePadBytes);
-  BitReader reader(bytes.data(), 13, 0);
-  EXPECT_EQ(reader.size(), 0u);
+// The packed bytes and slack `array` writes, without the length prefix.
+std::vector<uint8_t> PayloadBytes(const PackedArray& array) {
+  BufferWriter writer;
+  array.WritePayload(&writer);
+  std::vector<uint8_t> bytes = std::move(writer).Finish();
+  bytes.erase(bytes.begin(), bytes.begin() + sizeof(uint64_t));
+  return bytes;
 }
 
-TEST(BitStreamTest, WidthZeroStoresNothing) {
-  const std::vector<uint64_t> zeros(100, 0);
-  auto bytes = PackValues(zeros, 0);
-  EXPECT_EQ(bytes.size(), bit_util::kDecodePadBytes);
-  BitReader reader(bytes.data(), 0, 100);
+// The `[width][count][length][bytes]` tail with `payload` as the bytes.
+std::vector<uint8_t> Tail(uint8_t width, uint64_t count,
+                          const std::vector<uint8_t>& payload) {
+  BufferWriter writer;
+  writer.Write<uint8_t>(width);
+  writer.Write<uint64_t>(count);
+  writer.WriteBytes(payload);
+  return std::move(writer).Finish();
+}
+
+Result<PackedArray> ReadTail(const std::vector<uint8_t>& bytes) {
+  BufferReader reader(bytes);
+  return PackedArray::Read(&reader);
+}
+
+TEST(PackedArrayTest, EmptyStream) {
+  const PackedArray packed = PackedArray::Pack({}, 13);
+  EXPECT_EQ(packed.size(), 0u);
+  EXPECT_EQ(packed.SizeBytes(), 0u);
+  EXPECT_EQ(PayloadBytes(packed).size(), kDecodePadBytes);
+}
+
+TEST(PackedArrayTest, DefaultIsEmptyWithoutBytes) {
+  const PackedArray packed;
+  EXPECT_EQ(packed.size(), 0u);
+  EXPECT_EQ(packed.bit_width(), 0);
+  EXPECT_TRUE(PayloadBytes(packed).empty());
+}
+
+TEST(PackedArrayTest, WidthZeroStoresNothing) {
+  const PackedArray packed =
+      PackedArray::Pack(std::vector<uint64_t>(100, 0), 0);
+  EXPECT_EQ(packed.SizeBytes(), 0u);
+  EXPECT_EQ(PayloadBytes(packed).size(), kDecodePadBytes);
   for (size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(reader.Get(i), 0u);
+    EXPECT_EQ(packed.Get(i), 0u);
   }
   std::vector<uint64_t> decoded(100, 123);
-  reader.DecodeRange(0, 100, decoded.data());
+  packed.DecodeRange(0, 100, decoded.data());
   for (uint64_t v : decoded) {
     EXPECT_EQ(v, 0u);
   }
 }
 
-// Round-trip sweep over every bit width including the >57-bit straddle
-// cases and several sizes that exercise partial trailing bytes.
-class BitStreamRoundTrip
+TEST(PackedArrayTest, SizeBytesAreExactPayloadBytes) {
+  // SizeBytes is the exact payload; the buffer adds kDecodePadBytes of
+  // load slack (the AVX2 unpack kernels issue full 32-byte loads near
+  // the payload end).
+  EXPECT_GE(kDecodePadBytes, 32u);
+  for (const auto& [count, width, bytes] :
+       {std::tuple<size_t, int, size_t>{0, 5, 0}, {8, 8, 8}, {3, 12, 5}}) {
+    const PackedArray packed =
+        PackedArray::Pack(std::vector<uint64_t>(count, 1), width);
+    EXPECT_EQ(packed.SizeBytes(), bytes);
+    EXPECT_EQ(PayloadBytes(packed).size(), bytes + kDecodePadBytes);
+  }
+  // The 100,000-row, 12-bit stream of a FOR column: 150,000 + 32.
+  const PackedArray packed =
+      PackedArray::Pack(std::vector<uint64_t>(100000, 7), 12);
+  EXPECT_EQ(PayloadBytes(packed).size(), 150032u);
+}
+
+// Pack -> Write -> Read round trip over every width 0-64 and counts
+// around the 64-value word boundary and the 1,024-value pack chunks:
+// the bytes re-serialize identically, and Get, DecodeRange from an
+// offset and Gather all return the source values.
+class PackedArrayRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, size_t>> {};
 
-TEST_P(BitStreamRoundTrip, GetMatches) {
+TEST_P(PackedArrayRoundTrip, WriteReadAndEveryAccessMatch) {
   const auto [width, count] = GetParam();
   const auto values = RandomValues(count, width, 17 * width + count);
-  auto bytes = PackValues(values, width);
-  ASSERT_GE(bytes.size(), bit_util::PackedBytes(count, width));
-  BitReader reader(bytes.data(), width, count);
+  const PackedArray packed = PackedArray::Pack(values, width);
+  ASSERT_EQ(packed.size(), count);
+  ASSERT_EQ(packed.bit_width(), width);
+
+  BufferWriter writer;
+  packed.Write(&writer);
+  const std::vector<uint8_t> wire = std::move(writer).Finish();
+  auto read = ReadTail(wire);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const PackedArray& back = read.value();
+  BufferWriter rewriter;
+  back.Write(&rewriter);
+  EXPECT_EQ(std::move(rewriter).Finish(), wire);
+
   for (size_t i = 0; i < count; ++i) {
-    ASSERT_EQ(reader.Get(i), values[i]) << "width " << width << " i " << i;
+    ASSERT_EQ(back.Get(i), values[i]) << "i " << i;
+  }
+  for (size_t begin : {size_t{0}, size_t{1}, count / 2}) {
+    if (begin > count) {
+      continue;
+    }
+    std::vector<uint64_t> decoded(count - begin + 1, 0xDEADBEEF);
+    back.DecodeRange(begin, count - begin, decoded.data());
+    decoded.pop_back();
+    EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(),
+                           values.begin() + static_cast<long>(begin)))
+        << "begin " << begin;
+  }
+  std::vector<uint32_t> rows;
+  for (size_t i = 0; i < count; i += 1 + i % 7) {
+    rows.push_back(static_cast<uint32_t>(count - 1 - i));  // Descending.
+  }
+  std::vector<uint64_t> gathered(rows.size() + 1);  // Never null.
+  back.Gather(rows, gathered.data());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(gathered[i], values[rows[i]]) << "row " << rows[i];
   }
 }
 
-TEST_P(BitStreamRoundTrip, DecodeRangeMatches) {
-  const auto [width, count] = GetParam();
-  const auto values = RandomValues(count, width, 31 * width + count);
-  auto bytes = PackValues(values, width);
-  BitReader reader(bytes.data(), width, count);
-  std::vector<uint64_t> decoded(count);
-  reader.DecodeRange(0, count, decoded.data());
-  EXPECT_EQ(decoded, values);
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    AllWidths, BitStreamRoundTrip,
-    ::testing::Combine(::testing::Values(1, 2, 3, 5, 7, 8, 12, 13, 16, 17,
-                                         23, 31, 32, 33, 40, 47, 53, 57, 58,
-                                         59, 63, 64),
-                       ::testing::Values(size_t{1}, size_t{7}, size_t{64},
-                                         size_t{1000})),
+    AllWidths, PackedArrayRoundTrip,
+    ::testing::Combine(::testing::Range(0, 65),
+                       ::testing::Values(size_t{0}, size_t{1}, size_t{63},
+                                         size_t{64}, size_t{65},
+                                         size_t{4097})),
     [](const auto& param_info) {
       return "w" + std::to_string(std::get<0>(param_info.param)) + "_n" +
              std::to_string(std::get<1>(param_info.param));
     });
 
-TEST(BitStreamTest, DecodeRangeFromAnOffsetMatchesGet) {
+TEST(PackedArrayTest, DecodeRangeFromAnOffsetMatchesGet) {
   // An unaligned start: the unpack driver's scalar head, then whole
   // 64-value kernel blocks, then a tail.
   constexpr size_t kCount = 64 * 5 + 37;
   for (int width : {0, 1, 3, 7, 8, 13, 17, 24, 31, 32, 33, 48, 57, 58, 64}) {
     SCOPED_TRACE("width=" + std::to_string(width));
-    const auto values = RandomValues(kCount, width, 77 + width);
-    const auto bytes = PackValues(values, width);
-    BitReader reader(bytes.data(), width, kCount);
+    const PackedArray packed =
+        PackedArray::Pack(RandomValues(kCount, width, 77 + width), width);
     std::vector<uint64_t> out(kCount);
-    reader.DecodeRange(5, kCount - 5, out.data());
+    packed.DecodeRange(5, kCount - 5, out.data());
     for (size_t i = 0; i < kCount - 5; ++i) {
-      ASSERT_EQ(out[i], reader.Get(5 + i)) << "i=" << i;
+      ASSERT_EQ(out[i], packed.Get(5 + i)) << "i=" << i;
     }
   }
 }
 
-TEST(BitStreamTest, MaxValuesAtEveryWidth) {
+TEST(PackedArrayTest, MaxValuesAtEveryWidth) {
   for (int width = 1; width <= 64; ++width) {
     const uint64_t max =
         width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-    auto bytes = PackValues(std::vector<uint64_t>(9, max), width);
-    BitReader reader(bytes.data(), width, 9);
+    const PackedArray packed =
+        PackedArray::Pack(std::vector<uint64_t>(9, max), width);
     for (size_t i = 0; i < 9; ++i) {
-      ASSERT_EQ(reader.Get(i), max) << "width " << width;
+      ASSERT_EQ(packed.Get(i), max) << "width " << width;
     }
   }
 }
 
-TEST(BitStreamTest, InterleavedPattern) {
+TEST(PackedArrayTest, InterleavedPattern) {
   // Alternating all-ones / all-zeros detects cross-value bit bleed.
   constexpr int kWidth = 11;
   constexpr uint64_t kOnes = (uint64_t{1} << kWidth) - 1;
@@ -122,11 +194,73 @@ TEST(BitStreamTest, InterleavedPattern) {
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = i % 2 == 0 ? kOnes : 0;
   }
-  auto bytes = PackValues(values, kWidth);
-  BitReader reader(bytes.data(), kWidth, 500);
+  const PackedArray packed = PackedArray::Pack(values, kWidth);
   for (size_t i = 0; i < 500; ++i) {
-    ASSERT_EQ(reader.Get(i), i % 2 == 0 ? kOnes : 0u);
+    ASSERT_EQ(packed.Get(i), i % 2 == 0 ? kOnes : 0u);
   }
+}
+
+TEST(PackedArrayTest, ReadRejectsWidthOver64) {
+  const auto values = RandomValues(10, 64, 5);
+  const auto payload = PayloadBytes(PackedArray::Pack(values, 64));
+  EXPECT_TRUE(ReadTail(Tail(64, 10, payload)).ok());
+  EXPECT_FALSE(ReadTail(Tail(65, 10, payload)).ok());
+  EXPECT_FALSE(ReadTail(Tail(255, 0, payload)).ok());
+}
+
+TEST(PackedArrayTest, ReadRejectsAPayloadOneByteShort) {
+  // 10 values of 12 bits: 15 data bytes.
+  const auto values = RandomValues(10, 12, 6);
+  auto payload = PayloadBytes(PackedArray::Pack(values, 12));
+  payload.resize(15);
+  EXPECT_TRUE(ReadTail(Tail(12, 10, payload)).ok());
+  payload.resize(14);
+  EXPECT_FALSE(ReadTail(Tail(12, 10, payload)).ok());
+}
+
+TEST(PackedArrayTest, ReadRejectsACountWhoseBitsWrap) {
+  // count * width == 2^64 wraps to 0 bits, which an empty payload would
+  // satisfy if the check multiplied.
+  EXPECT_FALSE(ReadTail(Tail(8, uint64_t{1} << 61, {})).ok());
+  EXPECT_FALSE(ReadTail(Tail(64, uint64_t{1} << 58, {})).ok());
+  // 3 * count == 2^64 + 2: two bits, which 40 bytes would cover.
+  EXPECT_FALSE(
+      ReadTail(Tail(3, 0x5555555555555556, std::vector<uint8_t>(40))).ok());
+  BufferWriter writer;
+  writer.WriteBytes({});
+  const auto bytes = std::move(writer).Finish();
+  BufferReader reader(bytes);
+  EXPECT_FALSE(PackedArray::ReadPayload(&reader, 2, uint64_t{1} << 63).ok());
+}
+
+TEST(PackedArrayTest, PayloadWithoutSlackReadsBackPadded) {
+  // Older writers stored the data bytes alone; the copy gains the
+  // decode slack, so it re-serializes as the current writer does.
+  for (int width : {1, 7, 13, 33, 64}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const auto values = RandomValues(300, width, 40 + width);
+    const PackedArray packed = PackedArray::Pack(values, width);
+    const auto padded = PayloadBytes(packed);
+    const std::vector<uint8_t> data_only(
+        padded.begin(), padded.begin() + static_cast<long>(packed.SizeBytes()));
+    auto read = ReadTail(Tail(static_cast<uint8_t>(width), 300, data_only));
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(PayloadBytes(read.value()), padded);
+    std::vector<uint64_t> decoded(300);
+    read.value().DecodeRange(0, 300, decoded.data());
+    EXPECT_EQ(decoded, values);
+  }
+}
+
+TEST(PackedArrayTest, ExtraPayloadBytesAreCut) {
+  const auto values = RandomValues(20, 9, 8);
+  const PackedArray packed = PackedArray::Pack(values, 9);
+  auto payload = PayloadBytes(packed);
+  const auto expected = payload;
+  payload.resize(payload.size() + 100, 0xAB);
+  auto read = ReadTail(Tail(9, 20, payload));
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(PayloadBytes(read.value()), expected);
 }
 
 // The per-value appender the encoders used before bulk packing: one
@@ -157,24 +291,25 @@ std::vector<uint8_t> PackOneByOne(const std::vector<uint64_t>& values,
     bytes.push_back(static_cast<uint8_t>(pending & 0xFF));
     pending >>= 8;
   }
-  bytes.resize(bit_util::PackedBytes(values.size(), width), 0);
+  bytes.resize(bit_util::CeilDiv(values.size() * width, 8) + kDecodePadBytes,
+               0);
   return bytes;
 }
 
-TEST(BitStreamTest, BulkPackMatchesPerValueAppend) {
+TEST(PackedArrayTest, BulkPackMatchesPerValueAppend) {
   for (int width = 0; width <= 64; ++width) {
     for (size_t count : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
                          size_t{65}, size_t{1000}, size_t{4097}}) {
       const auto values = RandomValues(count, width, 101 * width + count);
       const std::vector<uint8_t> expected = PackOneByOne(values, width);
 
-      EXPECT_EQ(PackValues(values, width), expected)
-          << "PackValues width " << width << " count " << count;
+      EXPECT_EQ(PayloadBytes(PackedArray::Pack(values, width)), expected)
+          << "Pack(values) width " << width << " count " << count;
 
       // Chunked on-the-fly codes: 4097 values span five chunks and a
       // one-value tail.
       size_t next = 0;
-      const auto chunked = PackCodes(
+      const PackedArray chunked = PackedArray::Pack(
           count, width, [&](size_t begin, size_t len, uint64_t* codes) {
             EXPECT_EQ(begin, next);
             EXPECT_LE(len, kPackChunk);
@@ -182,8 +317,8 @@ TEST(BitStreamTest, BulkPackMatchesPerValueAppend) {
             next = begin + len;
           });
       EXPECT_EQ(next, count);
-      EXPECT_EQ(chunked, expected)
-          << "PackCodes width " << width << " count " << count;
+      EXPECT_EQ(PayloadBytes(chunked), expected)
+          << "Pack(codes) width " << width << " count " << count;
     }
   }
 }

@@ -67,21 +67,6 @@ TEST(CeilDivTest, Basics) {
   EXPECT_EQ(CeilDiv(9, 8), 2u);
 }
 
-TEST(PackedBytesTest, DataBytesAreExact) {
-  EXPECT_EQ(PackedDataBytes(0, 5), 0u);
-  EXPECT_EQ(PackedDataBytes(8, 8), 8u);
-  EXPECT_EQ(PackedDataBytes(3, 12), 5u);
-}
-
-TEST(PackedBytesTest, IncludesSlack) {
-  // Allocation size = exact payload + kDecodePadBytes of load slack (the
-  // AVX2 unpack kernels issue full 32-byte loads near the payload end).
-  EXPECT_EQ(PackedBytes(0, 5), kDecodePadBytes);
-  EXPECT_EQ(PackedBytes(8, 8), 8u + kDecodePadBytes);
-  EXPECT_EQ(PackedBytes(3, 12), 5u + kDecodePadBytes);
-  EXPECT_GE(kDecodePadBytes, 32u);  // The AVX2 kernels' load window.
-}
-
 TEST(MaxZigZagBitWidthTest, Empty) {
   EXPECT_EQ(MaxZigZagBitWidth(ComputeMinMax({})), 0);
 }

@@ -190,7 +190,7 @@ TEST(DecodeRangeTest, VerticalSchemes) {
 }
 
 TEST(DecodeRangeTest, WideValuesExerciseStraddlingLoads) {
-  // Extreme magnitudes force bit widths > 57, the BitReader fallback.
+  // Extreme magnitudes force bit widths > 57, the PackedArray::Get splice.
   const auto values = test::MakeValues(test::Dist::kExtremes, kRows, 23);
   ExpectRangedKernelsMatchGet(*enc::ForColumn::Encode(values).value(), 7);
   ExpectRangedKernelsMatchGet(*enc::DeltaColumn::Encode(values).value(), 8);

@@ -269,7 +269,7 @@ TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
   expected.WriteUint32Array(offsets);
   expected.Write<uint8_t>(static_cast<uint8_t>(width));
   expected.Write<uint64_t>(kRows);
-  expected.WriteBytes(PackValues(local_codes, width));
+  PackedArray::Pack(local_codes, width).WritePayload(&expected);
 
   auto hier = HierarchicalColumn::Encode(target, city, 7);
   ASSERT_TRUE(hier.ok()) << hier.status().ToString();

@@ -1,6 +1,6 @@
 // Telemetry registry (src/obs/): counter sharding, gauge levels,
 // histogram binning and quantile edge cases, snapshot/reset semantics,
-// JSON + Prometheus export shape, the enable gate, and the trace ring.
+// JSON export shape, the enable gate, and the trace ring.
 //
 // The concurrency tests here are the surface the CI TSan job exercises:
 // N threads hammering one counter/histogram while another thread
@@ -263,38 +263,6 @@ TEST(RegistryTest, JsonExportShape) {
   EXPECT_NE(json.find("\"count\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"sum\": 100"), std::string::npos);
   EXPECT_NE(json.find("\"max\": 60"), std::string::npos);
-}
-
-TEST(RegistryTest, PrometheusExportShape) {
-  SetEnabled(true);
-  Registry registry;
-  registry.counter("query.decode_rows{scheme=\"FOR\"}").Add(128);
-  registry.gauge("cache.pinned_blocks").Set(3);
-  const uint64_t bounds[] = {10, 100};
-  Histogram& h = registry.histogram("serve.request_latency_us", bounds);
-  h.Record(5);
-  h.Record(50);
-  h.Record(500);
-  const std::string prom = registry.ToPrometheus();
-  // Dots flatten to underscores under the corra_ prefix; the label
-  // suffix survives verbatim.
-  EXPECT_NE(prom.find("# TYPE corra_query_decode_rows counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("corra_query_decode_rows{scheme=\"FOR\"} 128"),
-            std::string::npos);
-  EXPECT_NE(prom.find("corra_cache_pinned_blocks 3"), std::string::npos);
-  // Histogram buckets are cumulative and end at +Inf == _count.
-  EXPECT_NE(prom.find("corra_serve_request_latency_us_bucket{le=\"10\"} 1"),
-            std::string::npos);
-  EXPECT_NE(prom.find("corra_serve_request_latency_us_bucket{le=\"100\"} 2"),
-            std::string::npos);
-  EXPECT_NE(
-      prom.find("corra_serve_request_latency_us_bucket{le=\"+Inf\"} 3"),
-      std::string::npos);
-  EXPECT_NE(prom.find("corra_serve_request_latency_us_count 3"),
-            std::string::npos);
-  EXPECT_NE(prom.find("corra_serve_request_latency_us_sum 555"),
-            std::string::npos);
 }
 
 TEST(TraceRingTest, RetainsLastNOldestFirst) {

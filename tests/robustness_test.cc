@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -250,6 +252,142 @@ TEST(RobustnessTest, DeltaWireFormsRejectEveryTruncation) {
       ASSERT_FALSE(DeserializeEncodedColumn(&reader).ok()) << "cut " << cut;
     }
   }
+}
+
+// Row count 2^61 at 8 bits: count * width is 2^64, which wraps to a
+// zero-bit payload that any length check that multiplies accepts.
+constexpr uint64_t kWrappingCount = uint64_t{1} << 61;
+
+// One column per scheme whose stream carries kWrappingCount values of
+// 8 bits over an empty payload, and the cases whose other arrays bound
+// the count (Delta's checkpoints, the outlier store's row indices).
+std::vector<std::pair<std::string, std::vector<uint8_t>>>
+WrappingCountColumns() {
+  const auto column = [](enc::Scheme scheme, const auto& body) {
+    BufferWriter writer;
+    writer.Write<uint8_t>(static_cast<uint8_t>(scheme));
+    body(writer);
+    return std::move(writer).Finish();
+  };
+  // The [width][count][length-prefixed bytes] tail of a packed stream.
+  const auto stream = [](BufferWriter& w) {
+    w.Write<uint8_t>(8);
+    w.Write<uint64_t>(kWrappingCount);
+    w.WriteBytes({});
+  };
+  const auto no_outliers = [](BufferWriter& w) {
+    w.WriteUint32Array({});
+    w.Write<int64_t>(0);
+    w.Write<uint8_t>(0);
+    w.WriteBytes({});
+  };
+  std::vector<int64_t> dictionary(256);
+  for (size_t i = 0; i < dictionary.size(); ++i) {
+    dictionary[i] = static_cast<int64_t>(i);
+  }
+  double one = 1.0;
+  uint64_t slope_bits = 0;
+  std::memcpy(&slope_bits, &one, sizeof(slope_bits));
+  return {
+      {"bitpack", column(enc::Scheme::kBitPack, stream)},
+      {"for", column(enc::Scheme::kFor,
+                     [&](BufferWriter& w) {
+                       w.Write<int64_t>(0);
+                       stream(w);
+                     })},
+      {"dict", column(enc::Scheme::kDict,
+                      [&](BufferWriter& w) {
+                        w.WriteInt64Array(dictionary);
+                        stream(w);
+                      })},
+      {"diff", column(enc::Scheme::kDiff,
+                      [&](BufferWriter& w) {
+                        w.Write<uint32_t>(0);  // Reference.
+                        w.Write<uint8_t>(0);   // Raw mode.
+                        w.Write<int64_t>(0);
+                        stream(w);
+                        no_outliers(w);
+                      })},
+      {"c3_numerical", column(enc::Scheme::kC3Numerical,
+                              [&](BufferWriter& w) {
+                                w.Write<uint32_t>(0);
+                                w.Write<uint64_t>(slope_bits);
+                                w.Write<int64_t>(0);
+                                stream(w);
+                              })},
+      {"hierarchical", column(enc::Scheme::kHierarchical,
+                              [&](BufferWriter& w) {
+                                w.Write<uint32_t>(0);
+                                w.WriteInt64Array(std::vector<int64_t>{5, 6});
+                                w.WriteUint32Array(
+                                    std::vector<uint32_t>{0, 2});
+                                stream(w);
+                              })},
+      {"multi_ref", column(enc::Scheme::kMultiRef,
+                           [&](BufferWriter& w) {
+                             w.Write<uint8_t>(8);  // Code bits.
+                             w.Write<uint8_t>(1);  // Groups.
+                             w.WriteUint32Array(std::vector<uint32_t>{0});
+                             w.WriteBytes(std::vector<uint8_t>{1});
+                             w.Write<uint64_t>(kWrappingCount);
+                             w.WriteBytes({});
+                             no_outliers(w);
+                           })},
+      {"delta", column(enc::Scheme::kDelta,
+                       [&](BufferWriter& w) {
+                         w.Write<uint64_t>(~uint64_t{0});  // Interval marker.
+                         w.Write<uint64_t>(32);
+                         w.WriteInt64Array({});
+                         stream(w);
+                       })},
+      {"delta_inline", column(enc::Scheme::kDelta,
+                              [&](BufferWriter& w) {
+                                w.Write<uint64_t>(~uint64_t{0} - 1);
+                                w.Write<uint64_t>(32);
+                                stream(w);
+                              })},
+      // A four-row Diff column whose outlier store claims 2^61 rows.
+      {"outlier_store", column(enc::Scheme::kDiff,
+                               [&](BufferWriter& w) {
+                                 w.Write<uint32_t>(0);
+                                 w.Write<uint8_t>(2);  // Window mode.
+                                 w.Write<int64_t>(0);
+                                 w.Write<uint8_t>(8);
+                                 w.Write<uint64_t>(4);
+                                 w.WriteBytes(std::vector<uint8_t>{1, 2, 3, 4});
+                                 w.Write<uint64_t>(kWrappingCount);
+                                 w.Write<int64_t>(0);
+                                 w.Write<uint8_t>(8);
+                                 w.WriteBytes({});
+                               })},
+  };
+}
+
+TEST(RobustnessTest, WrappingRowCountsRejected) {
+  for (const auto& [name, bytes] : WrappingCountColumns()) {
+    SCOPED_TRACE(name);
+    BufferReader reader(bytes);
+    auto column = DeserializeEncodedColumn(&reader);
+    ASSERT_FALSE(column.ok()) << "accepted " << column.value()->size()
+                              << " rows";
+    EXPECT_TRUE(column.status().IsCorruption()) << column.status().ToString();
+  }
+  // The BitPack column as the one column of a block whose header agrees
+  // with its row count, so only the stream's own check can reject it.
+  const auto pristine = MakeRichBlockBytes();
+  BufferWriter block;
+  block.Write<uint32_t>(0);  // Magic and version, copied below.
+  block.Write<uint8_t>(0);
+  block.Write<uint32_t>(1);  // Columns.
+  block.Write<uint64_t>(kWrappingCount);
+  block.Write<uint8_t>(0);  // No string dictionary.
+  std::vector<uint8_t> bytes = std::move(block).Finish();
+  std::copy_n(pristine.begin(), 5, bytes.begin());
+  const auto bitpack = WrappingCountColumns().front().second;
+  bytes.insert(bytes.end(), bitpack.begin(), bitpack.end());
+  auto result = Block::Deserialize(bytes, /*verify=*/true);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
 }
 
 }  // namespace

@@ -98,8 +98,7 @@ TEST_P(KernelTest, UnpackExhaustiveWidthsOffsetsAndLengths) {
     SCOPED_TRACE("width=" + std::to_string(width));
     const auto values =
         RandomValues(width, kSweepCount, 1000 + static_cast<uint64_t>(width));
-    const auto bytes = PackValues(values, width);
-    ASSERT_GE(bytes.size(), bit_util::PackedBytes(kSweepCount, width));
+    const PackedArray packed = PackedArray::Pack(values, width);
 
     std::vector<uint64_t> got(kSweepCount + 1, 0xDEADBEEF);
     for (size_t begin : begins) {
@@ -109,7 +108,7 @@ TEST_P(KernelTest, UnpackExhaustiveWidthsOffsetsAndLengths) {
         }
         SCOPED_TRACE("begin=" + std::to_string(begin) +
                      " len=" + std::to_string(len));
-        simd::internal::UnpackRangeWith(table().unpack64, bytes.data(),
+        simd::internal::UnpackRangeWith(table().unpack64, packed.data(),
                                         width, begin, len, got.data());
         for (size_t i = 0; i < len; ++i) {
           ASSERT_EQ(got[i], values[begin + i]) << "i=" << i;
@@ -117,7 +116,7 @@ TEST_P(KernelTest, UnpackExhaustiveWidthsOffsetsAndLengths) {
       }
       // Also the full remaining stream from this offset (ragged tail).
       const size_t rest = kSweepCount - begin;
-      simd::internal::UnpackRangeWith(table().unpack64, bytes.data(), width,
+      simd::internal::UnpackRangeWith(table().unpack64, packed.data(), width,
                                       begin, rest, got.data());
       for (size_t i = 0; i < rest; ++i) {
         ASSERT_EQ(got[i], values[begin + i]) << "i=" << i;
@@ -277,7 +276,7 @@ TEST_P(KernelTest, DeltaDecodeAllWidths) {
     SCOPED_TRACE("width=" + std::to_string(width));
     const auto values =
         RandomValues(width, kSweepCount, 300 + static_cast<uint64_t>(width));
-    const auto bytes = PackValues(values, width);
+    const PackedArray packed = PackedArray::Pack(values, width);
     for (size_t begin : begins) {
       for (size_t len : lengths) {
         if (begin + len > kSweepCount) {
@@ -287,7 +286,7 @@ TEST_P(KernelTest, DeltaDecodeAllWidths) {
                      " len=" + std::to_string(len));
         const int64_t seed = 424242;
         std::vector<int64_t> got(len + 1, -1);
-        table().delta_decode(bytes.data(), width, begin, len, seed,
+        table().delta_decode(packed.data(), width, begin, len, seed,
                              got.data());
         uint64_t acc = static_cast<uint64_t>(seed);
         for (size_t i = 0; i < len; ++i) {
@@ -328,12 +327,12 @@ TEST_P(KernelTest, DeltaPointAndGatherMatchPrefixModel) {
           checkpoints.push_back(model[i]);
         }
       }
-      const auto bytes = PackValues(deltas, width);
+      const PackedArray packed = PackedArray::Pack(deltas, width);
 
       // Every row: every replay length, in both directions, and the last
       // interval's forward-only replay.
       for (size_t row = 0; row < kRows; ++row) {
-        ASSERT_EQ(table().delta_point(bytes.data(), width,
+        ASSERT_EQ(table().delta_point(packed.data(), width,
                                       checkpoints.data(), shift, kRows, row),
                   model[row])
             << "row=" << row;
@@ -354,7 +353,7 @@ TEST_P(KernelTest, DeltaPointAndGatherMatchPrefixModel) {
            {rows, unsorted, std::vector<uint32_t>{},
             std::vector<uint32_t>{static_cast<uint32_t>(kRows / 2)}}) {
         std::vector<int64_t> got(selection.size() + 1, -1);
-        table().delta_gather(bytes.data(), width, checkpoints.data(), shift,
+        table().delta_gather(packed.data(), width, checkpoints.data(), shift,
                              kRows, selection.data(), selection.size(),
                              got.data());
         for (size_t i = 0; i < selection.size(); ++i) {
@@ -406,7 +405,7 @@ TEST_P(KernelTest, GatherBitsAllWidthsAndPositions) {
     SCOPED_TRACE("width=" + std::to_string(width));
     const auto values =
         RandomValues(width, kSweepCount, 500 + static_cast<uint64_t>(width));
-    const auto bytes = PackValues(values, width);
+    const PackedArray packed = PackedArray::Pack(values, width);
     std::mt19937_64 rng(77);
     std::vector<uint32_t> rows;
     for (int i = 0; i < 100; ++i) {
@@ -418,7 +417,7 @@ TEST_P(KernelTest, GatherBitsAllWidthsAndPositions) {
                        rows.size()}) {
       SCOPED_TRACE("len=" + std::to_string(len));
       std::vector<uint64_t> got(len + 1, 0xDEAD);
-      table().gather_bits(bytes.data(), width, rows.data(), len, got.data());
+      table().gather_bits(packed.data(), width, rows.data(), len, got.data());
       for (size_t i = 0; i < len; ++i) {
         ASSERT_EQ(got[i], values[rows[i]]) << "i=" << i;
       }

@@ -242,8 +242,8 @@ inline std::vector<uint8_t> SerializeDeltaInline(
          row <= std::min(first + interval, values.size() - 1); ++row) {
       slots.push_back(zigzag_delta(row));
     }
-    std::memcpy(window + 8, PackValues(slots, width).data(),
-                bit_util::PackedDataBytes(slots.size(), width));
+    const PackedArray packed = PackedArray::Pack(slots, width);
+    std::memcpy(window + 8, packed.data(), packed.SizeBytes());
   }
   BufferWriter writer;
   writer.Write<uint8_t>(static_cast<uint8_t>(enc::Scheme::kDelta));
