@@ -51,15 +51,38 @@ void PackBits(const uint64_t* values, size_t count, int bit_width,
   }
 }
 
-PackedArray::PackedArray(int bit_width, size_t count)
-    : bytes_(PackedBytes(count, bit_width), 0),
-      bit_width_(bit_width),
-      count_(count) {}
+std::shared_ptr<const uint8_t> PaddedBytes(
+    std::span<const uint8_t> payload, size_t data_bytes,
+    const std::shared_ptr<const uint8_t[]>& owner) {
+  const size_t padded = data_bytes + bit_util::kDecodePadBytes;
+  if (owner != nullptr && payload.size() >= padded) {
+    return std::shared_ptr<const uint8_t>(owner, payload.data());
+  }
+  std::shared_ptr<uint8_t[]> copy = std::make_shared<uint8_t[]>(padded);
+  if (!payload.empty()) {
+    std::memcpy(copy.get(), payload.data(), std::min(payload.size(), padded));
+  }
+  uint8_t* data = copy.get();
+  return std::shared_ptr<const uint8_t>(std::move(copy), data);
+}
+
+uint8_t* PackedArray::Allocate(int bit_width, size_t count) {
+  // make_shared puts the bytes beside their reference counts: one
+  // allocation per stream, as a vector had.
+  std::shared_ptr<uint8_t[]> bytes =
+      std::make_shared<uint8_t[]>(PackedBytes(count, bit_width));
+  uint8_t* data = bytes.get();
+  bytes_ = std::shared_ptr<const uint8_t>(std::move(bytes), data);
+  bit_width_ = bit_width;
+  count_ = count;
+  return data;
+}
 
 PackedArray PackedArray::Pack(std::span<const uint64_t> values,
                               int bit_width) {
-  PackedArray array(bit_width, values.size());
-  PackBits(values.data(), values.size(), bit_width, array.bytes_.data());
+  PackedArray array;
+  PackBits(values.data(), values.size(), bit_width,
+           array.Allocate(bit_width, values.size()));
   return array;
 }
 
@@ -78,18 +101,20 @@ Result<PackedArray> PackedArray::Read(BufferReader* reader) {
 }
 
 void PackedArray::WritePayload(BufferWriter* writer) const {
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(std::span<const uint8_t>(
+      data(), bytes_ == nullptr ? 0 : PackedBytes(count_, bit_width_)));
 }
 
 Result<PackedArray> PackedArray::ReadPayload(BufferReader* reader,
                                              int bit_width, size_t count) {
   std::span<const uint8_t> payload;
   CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  return ReadPayload(payload, bit_width, count);
+  return ReadPayload(payload, bit_width, count, reader->owner());
 }
 
-Result<PackedArray> PackedArray::ReadPayload(std::span<const uint8_t> payload,
-                                             int bit_width, size_t count) {
+Result<PackedArray> PackedArray::ReadPayload(
+    std::span<const uint8_t> payload, int bit_width, size_t count,
+    const std::shared_ptr<const uint8_t[]>& owner) {
   if (bit_width < 0 || bit_width > 64) {
     return Status::Corruption("packed stream width > 64");
   }
@@ -101,11 +126,8 @@ Result<PackedArray> PackedArray::ReadPayload(std::span<const uint8_t> payload,
     return Status::Corruption("packed stream payload truncated");
   }
   PackedArray array;
-  const size_t bytes = PackedBytes(count, bit_width);
-  array.bytes_.reserve(bytes);
-  array.bytes_.assign(payload.begin(),
-                      payload.begin() + std::min(payload.size(), bytes));
-  array.bytes_.resize(bytes, 0);
+  array.bytes_ =
+      PaddedBytes(payload, PackedDataBytes(count, bit_width), owner);
   array.bit_width_ = bit_width;
   array.count_ = count;
   return array;
@@ -113,12 +135,12 @@ Result<PackedArray> PackedArray::ReadPayload(std::span<const uint8_t> payload,
 
 void PackedArray::DecodeRange(size_t begin, size_t count,
                               uint64_t* out) const {
-  simd::UnpackRange(bytes_.data(), bit_width_, begin, count, out);
+  simd::UnpackRange(data(), bit_width_, begin, count, out);
 }
 
 void PackedArray::Gather(std::span<const uint32_t> rows,
                          uint64_t* out) const {
-  simd::GatherBits(bytes_.data(), bit_width_, rows.data(), rows.size(), out);
+  simd::GatherBits(data(), bit_width_, rows.data(), rows.size(), out);
 }
 
 size_t PackedArray::SizeBytes() const {

@@ -1,12 +1,14 @@
 // Fixed-width bit packing: PackBits and the PackedArray stream.
 //
-// PackedArray owns `n` unsigned values of one bit width stored back to
+// PackedArray holds `n` unsigned values of one bit width stored back to
 // back. It supports O(1) random access via a single unaligned 64-bit load
-// (the buffer is padded accordingly), which is the property the paper's
-// baseline (FOR/Dict + bit-packing) relies on for fast selective scans.
-// Every scheme that stores a single-width stream holds one: it is the
-// only code that packs, reads, sizes, writes and reads back such a
-// stream, so its Read holds the one payload-length check.
+// (the bytes are followed by decode slack), which is the property the
+// paper's baseline (FOR/Dict + bit-packing) relies on for fast selective
+// scans. Every scheme that stores a single-width stream holds one: it is
+// the only code that packs, reads, sizes, writes and reads back such a
+// stream, so its Read holds the one payload-length check. A stream read
+// from a loaded block views the block's read buffer instead of copying
+// it (see PaddedBytes).
 
 #ifndef CORRA_COMMON_BIT_STREAM_H_
 #define CORRA_COMMON_BIT_STREAM_H_
@@ -14,8 +16,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "common/buffer.h"
 #include "common/result.h"
@@ -34,9 +36,25 @@ void PackBits(const uint64_t* values, size_t count, int bit_width,
 
 inline constexpr size_t kPackChunk = 1024;
 
-/// An owning, move-only stream of `size()` values of `bit_width()` bits.
-/// The buffer holds the packed bytes plus bit_util::kDecodePadBytes of
-/// zeroed slack, which the SIMD unpack kernels' full-width loads need.
+/// The first `data_bytes` bytes of `payload` followed by
+/// bit_util::kDecodePadBytes of readable slack, the form the SIMD kernels
+/// read in place. When `owner` keeps `payload` alive and the payload
+/// carries its whole slack, as the writer stores it, this is a view that
+/// shares `owner` and the slack holds whatever the payload stores there.
+/// Otherwise it is a copy in one new allocation, zero-padded where the
+/// payload's slack is short (older files) and cut where it is long.
+/// Requires payload.size() >= data_bytes.
+std::shared_ptr<const uint8_t> PaddedBytes(
+    std::span<const uint8_t> payload, size_t data_bytes,
+    const std::shared_ptr<const uint8_t[]>& owner);
+
+/// A move-only stream of `size()` values of `bit_width()` bits. Its
+/// bytes are followed by bit_util::kDecodePadBytes of slack, which the
+/// SIMD unpack kernels' full-width loads need. It owns them (a packed
+/// stream, or a copy of a borrowed payload) or views a loaded block's
+/// read buffer and shares that buffer's owner; either way it is one owner
+/// handle and one data pointer, and the slack is zero unless a view's
+/// file stored something else there.
 class PackedArray {
  public:
   /// An empty stream (no values, no bytes).
@@ -56,14 +74,14 @@ class PackedArray {
   template <typename CodeFn>
   static PackedArray Pack(size_t count, int bit_width, CodeFn&& codes) {
     static_assert(kPackChunk % 64 == 0, "chunks must end on a word boundary");
-    PackedArray array(bit_width, count);
+    PackedArray array;
+    uint8_t* out = array.Allocate(bit_width, count);
     uint64_t chunk[kPackChunk];
     for (size_t begin = 0; begin < count; begin += kPackChunk) {
       const size_t len = std::min(kPackChunk, count - begin);
       codes(begin, len, chunk);
       PackBits(chunk, len, bit_width,
-               array.bytes_.data() +
-                   begin / 8 * static_cast<size_t>(bit_width));
+               out + begin / 8 * static_cast<size_t>(bit_width));
     }
     return array;
   }
@@ -73,20 +91,24 @@ class PackedArray {
   /// Reads what Write appended.
   static Result<PackedArray> Read(BufferReader* reader);
 
-  /// Appends the length-prefixed packed bytes alone, for schemes that
-  /// keep the width and count elsewhere.
+  /// Appends the length-prefixed packed bytes and their slack alone, for
+  /// schemes that keep the width and count elsewhere.
   void WritePayload(BufferWriter* writer) const;
   /// Reads what WritePayload appended, as a stream of `count` values of
-  /// `bit_width` bits.
+  /// `bit_width` bits that views the reader's bytes when the reader has
+  /// an owner (the span overload with reader->owner()).
   static Result<PackedArray> ReadPayload(BufferReader* reader, int bit_width,
                                          size_t count);
-  /// Copies `payload` as a stream of `count` values of `bit_width` bits.
+  /// Reads `payload` as a stream of `count` values of `bit_width` bits.
   /// Corruption if the width exceeds 64 or the payload holds fewer than
-  /// count * bit_width bits. A payload with less slack than the buffer's
-  /// (older files) is zero-padded, one with more is cut, so the copy
-  /// re-serializes exactly as Pack would write it.
-  static Result<PackedArray> ReadPayload(std::span<const uint8_t> payload,
-                                         int bit_width, size_t count);
+  /// count * bit_width bits. The stream views `payload` when `owner`
+  /// keeps it alive and it carries its whole slack, and copies it
+  /// otherwise (PaddedBytes). Either way it re-serializes exactly as Pack
+  /// would write it: a copy of a payload with less slack (older files) is
+  /// zero-padded, and longer slack is not written back.
+  static Result<PackedArray> ReadPayload(
+      std::span<const uint8_t> payload, int bit_width, size_t count,
+      const std::shared_ptr<const uint8_t[]>& owner = nullptr);
 
   /// Value at position `i` (unchecked; i < size()).
   uint64_t Get(size_t i) const {
@@ -97,13 +119,13 @@ class PackedArray {
     const size_t byte = bit_pos >> 3;
     const int shift = static_cast<int>(bit_pos & 7);
     uint64_t word;
-    std::memcpy(&word, bytes_.data() + byte, sizeof(word));
+    std::memcpy(&word, data() + byte, sizeof(word));
     uint64_t v = word >> shift;
     if (shift + bit_width_ > 64) {
       // Widths > 57 bits can straddle 9 bytes; splice in the tail. `shift`
       // is >= 1 here, so the left shift below is well defined.
       uint64_t next;
-      std::memcpy(&next, bytes_.data() + byte + 8, sizeof(next));
+      std::memcpy(&next, data() + byte + 8, sizeof(next));
       v |= next << (64 - shift);
     }
     return v & (~uint64_t{0} >> (64 - bit_width_));
@@ -124,14 +146,18 @@ class PackedArray {
   /// bit_width() / 8), the stream's share of a column's SizeBytes.
   size_t SizeBytes() const;
   /// The packed bytes and their slack, for fused kernels that read the
-  /// stream in place (Delta's decode, point and gather folds).
-  const uint8_t* data() const { return bytes_.data(); }
+  /// stream in place (Delta's decode, point and gather folds). Null for
+  /// a default-constructed stream.
+  const uint8_t* data() const { return bytes_.get(); }
 
  private:
-  // A zeroed buffer for `count` values of `bit_width` bits plus slack.
-  PackedArray(int bit_width, size_t count);
+  // Sets the width and count and gives the stream zeroed bytes for its
+  // values plus slack, in one allocation; returns them for packing.
+  uint8_t* Allocate(int bit_width, size_t count);
 
-  std::vector<uint8_t> bytes_;
+  // The packed bytes' address, sharing ownership of the allocation or
+  // read buffer that holds them (an aliasing shared_ptr).
+  std::shared_ptr<const uint8_t> bytes_;
   int bit_width_ = 0;
   size_t count_ = 0;
 };

@@ -3,16 +3,20 @@
 // BufferWriter appends primitive values and byte ranges to a growable
 // vector; BufferReader consumes them with strict bounds checking so that a
 // corrupted or truncated block is reported as Status::Corruption instead of
-// reading out of bounds.
+// reading out of bounds. SharedBuffer is the immutable, shared form a
+// block is loaded into: a reader over one lends its owner to what it
+// reads, so loaded streams view the buffer instead of copying it.
 
 #ifndef CORRA_COMMON_BUFFER_H_
 #define CORRA_COMMON_BUFFER_H_
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -54,10 +58,36 @@ class BufferWriter {
   std::vector<uint8_t> bytes_;
 };
 
-/// Bounds-checked little-endian deserializer over a non-owned byte span.
+/// Immutable bytes with shared ownership: a loaded block's read buffer
+/// (CorfFile::ReadBlockBytes). Copies share the bytes, which live until
+/// the last copy and the last stream viewing them are gone.
+class SharedBuffer {
+ public:
+  SharedBuffer() = default;
+  /// Shares `bytes`, which hold `size` bytes.
+  SharedBuffer(std::shared_ptr<const uint8_t[]> bytes, size_t size)
+      : bytes_(std::move(bytes)), size_(size) {}
+
+  const uint8_t* data() const { return bytes_.get(); }
+  size_t size() const { return size_; }
+  std::span<const uint8_t> span() const { return {data(), size_}; }
+  /// The handle that keeps the bytes alive.
+  const std::shared_ptr<const uint8_t[]>& owner() const { return bytes_; }
+
+ private:
+  std::shared_ptr<const uint8_t[]> bytes_;
+  size_t size_ = 0;
+};
+
+/// Bounds-checked little-endian deserializer over a byte span.
 class BufferReader {
  public:
+  /// A reader over borrowed bytes: spans it returns live only as long as
+  /// the caller keeps `data` alive, so readers of it copy what they keep.
   explicit BufferReader(std::span<const uint8_t> data) : data_(data) {}
+  /// A reader over `buffer` that lends its owner (see owner()).
+  explicit BufferReader(const SharedBuffer& buffer)
+      : data_(buffer.span()), owner_(buffer.owner()) {}
 
   /// Reads a fixed-width primitive into `out`.
   template <typename T>
@@ -93,12 +123,18 @@ class BufferReader {
   size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
 
+  /// The handle that keeps the bytes under the reader alive, or null for
+  /// borrowed bytes. A stream that shares it may view a ReadBytes span
+  /// instead of copying it.
+  const std::shared_ptr<const uint8_t[]>& owner() const { return owner_; }
+
  private:
   // Validates a length prefix against the remaining bytes.
   Status ReadLength(size_t element_size, size_t* out_count);
 
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
+  std::shared_ptr<const uint8_t[]> owner_;
 };
 
 }  // namespace corra

@@ -29,11 +29,13 @@
 // table. Tests reach each backend's table directly through
 // internal::ScalarTable() and internal::Avx2Table() (kernel_table.h).
 //
-// Alignment contract: packed buffers must carry bit_util::kDecodePadBytes
+// Slack contract: packed buffers must carry bit_util::kDecodePadBytes
 // (32) readable bytes past the payload — every PackedArray (common/
-// bit_stream.h) and DFOR's frame payload allocate them — because the
-// AVX2 unpackers issue full 32-byte loads whose tails may cross the last
-// packed byte.
+// bit_stream.h) and DFOR's frame payload has them — because the AVX2
+// unpackers issue full 32-byte loads whose tails may cross the last
+// packed byte. The slack's contents are unspecified: a stream loaded from
+// a file views the slack bytes the file stores, so no kernel's output may
+// depend on them (simd_kernel_test runs every kernel over 0xFF slack).
 
 #ifndef CORRA_COMMON_SIMD_SIMD_H_
 #define CORRA_COMMON_SIMD_SIMD_H_

@@ -668,6 +668,9 @@ void ExpandRunsAvx2(const int64_t* run_values, const uint32_t* run_ends,
 
 void GatherBitsAvx2(const uint8_t* data, int bit_width, const uint32_t* rows,
                     size_t count, uint64_t* out) {
+  if (count == 0) {
+    return;
+  }
   if (bit_width == 0) {
     std::memset(out, 0, count * sizeof(uint64_t));
     return;

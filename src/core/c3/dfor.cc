@@ -35,7 +35,7 @@ uint64_t ReadBits(const uint8_t* bytes, uint64_t bit_pos, int width) {
 DforColumn::DforColumn(uint32_t ref_index, std::vector<int64_t> frame_bases,
                        std::vector<uint8_t> frame_widths,
                        std::vector<uint64_t> frame_bit_starts,
-                       std::vector<uint8_t> payload, size_t count)
+                       std::shared_ptr<const uint8_t> payload, size_t count)
     : SingleRefColumn(ref_index),
       frame_bases_(std::move(frame_bases)),
       frame_widths_(std::move(frame_widths)),
@@ -72,8 +72,9 @@ Result<std::unique_ptr<DforColumn>> DforColumn::Encode(
   // kFrameSize is a multiple of 64, so every frame starts on a word and
   // packs as its own stream.
   static_assert(kFrameSize % 64 == 0, "frames must start on a word");
-  std::vector<uint8_t> payload((cursor + 7) / 8 + bit_util::kDecodePadBytes,
-                               0);
+  std::shared_ptr<uint8_t[]> payload = std::make_shared<uint8_t[]>(
+      (cursor + 7) / 8 + bit_util::kDecodePadBytes);
+  uint8_t* packed = payload.get();
   uint64_t offsets[kFrameSize];
   for (size_t f = 0; f < frames; ++f) {
     const size_t begin = f * kFrameSize;
@@ -82,11 +83,12 @@ Result<std::unique_ptr<DforColumn>> DforColumn::Encode(
       offsets[i - begin] = static_cast<uint64_t>(diffs[i]) -
                            static_cast<uint64_t>(bases[f]);
     }
-    PackBits(offsets, end - begin, widths[f], payload.data() + starts[f] / 8);
+    PackBits(offsets, end - begin, widths[f], packed + starts[f] / 8);
   }
-  return std::unique_ptr<DforColumn>(
-      new DforColumn(ref_index, std::move(bases), std::move(widths),
-                     std::move(starts), std::move(payload), target.size()));
+  return std::unique_ptr<DforColumn>(new DforColumn(
+      ref_index, std::move(bases), std::move(widths), std::move(starts),
+      std::shared_ptr<const uint8_t>(std::move(payload), packed),
+      target.size()));
 }
 
 size_t DforColumn::EstimateSizeBytes(std::span<const int64_t> target,
@@ -155,24 +157,27 @@ Result<std::unique_ptr<DforColumn>> DforColumn::Deserialize(
         std::min(kFrameSize, static_cast<size_t>(count) - f * kFrameSize);
     expected_bits += rows_in_frame * widths[f];
   }
-  if (payload.size() < (expected_bits + 7) / 8) {
+  const size_t data_bytes = (expected_bits + 7) / 8;
+  if (payload.size() < data_bytes) {
     return Status::Corruption("DFOR payload truncated");
   }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize((expected_bits + 7) / 8 + bit_util::kDecodePadBytes, 0);
-  return std::unique_ptr<DforColumn>(
-      new DforColumn(ref_index, std::move(bases), std::move(widths),
-                     std::move(starts), std::move(bytes), count));
+  return std::unique_ptr<DforColumn>(new DforColumn(
+      ref_index, std::move(bases), std::move(widths), std::move(starts),
+      PaddedBytes(payload, data_bytes, reader->owner()), count));
 }
 
-size_t DforColumn::SizeBytes() const {
+size_t DforColumn::PayloadBytes() const {
   uint64_t total_bits = 0;
   for (size_t f = 0; f < frame_widths_.size(); ++f) {
     const size_t rows =
         std::min(kFrameSize, count_ - f * kFrameSize);
     total_bits += rows * frame_widths_[f];
   }
-  return bit_util::CeilDiv(total_bits, 8) + frame_bases_.size() * 17;
+  return bit_util::CeilDiv(total_bits, 8);
+}
+
+size_t DforColumn::SizeBytes() const {
+  return PayloadBytes() + frame_bases_.size() * 17;
 }
 
 int64_t DforColumn::DiffAt(size_t row) const {
@@ -181,7 +186,7 @@ int64_t DforColumn::DiffAt(size_t row) const {
       frame_bit_starts_[f] + (row % kFrameSize) * frame_widths_[f];
   return frame_bases_[f] +
          static_cast<int64_t>(
-             ReadBits(payload_.data(), bit_pos, frame_widths_[f]));
+             ReadBits(payload_.get(), bit_pos, frame_widths_[f]));
 }
 
 int64_t DforColumn::Get(size_t row) const {
@@ -211,7 +216,7 @@ void DforColumn::GatherWithReference(std::span<const uint32_t> rows,
       ++j;
     }
     const size_t len = j - i;
-    simd::GatherBits(payload_.data() + (frame_bit_starts_[f] >> 3),
+    simd::GatherBits(payload_.get() + (frame_bit_starts_[f] >> 3),
                      frame_widths_[f], local, len, offsets);
     simd::AddRefAndBase(ref_values + i, offsets, frame_bases_[f], len,
                         out + i);
@@ -238,7 +243,7 @@ void DforColumn::DecodeRangeWithReference(size_t row_begin, size_t count,
     const size_t frame_end = (f + 1) * kFrameSize;
     size_t len = std::min<size_t>(count - i, frame_end - row);
     len = std::min(len, enc::kMorselRows);  // Callers pass morsels; be safe.
-    simd::UnpackRange(payload_.data() + (frame_bit_starts_[f] >> 3),
+    simd::UnpackRange(payload_.get() + (frame_bit_starts_[f] >> 3),
                       frame_widths_[f], row % kFrameSize, len, offsets);
     simd::AddRefAndBase(ref_values + i, offsets, frame_bases_[f], len,
                         out + i);
@@ -256,7 +261,8 @@ void DforColumn::Serialize(BufferWriter* writer) const {
   std::vector<int64_t> starts(frame_bit_starts_.begin(),
                               frame_bit_starts_.end());
   writer->WriteInt64Array(starts);
-  writer->WriteBytes(payload_);
+  writer->WriteBytes(std::span<const uint8_t>(
+      payload_.get(), PayloadBytes() + bit_util::kDecodePadBytes));
 }
 
 }  // namespace corra::c3

@@ -2,7 +2,9 @@
 // paper's Table 3): diff-encode against the reference column, then compress
 // the diff column with *frame-wise* FOR — each frame of kFrameSize rows has
 // its own base and bit width, following BtrBlocks' block-local philosophy.
-// Random access stays O(1) through a per-frame bit-offset directory.
+// Random access stays O(1) through a per-frame bit-offset directory. Like
+// a PackedArray, a DFOR column read from a loaded block views its frame
+// payload in the block's read buffer instead of copying it.
 
 #ifndef CORRA_CORE_C3_DFOR_H_
 #define CORRA_CORE_C3_DFOR_H_
@@ -46,15 +48,18 @@ class DforColumn final : public SingleRefColumn {
   DforColumn(uint32_t ref_index, std::vector<int64_t> frame_bases,
              std::vector<uint8_t> frame_widths,
              std::vector<uint64_t> frame_bit_starts,
-             std::vector<uint8_t> payload, size_t count);
+             std::shared_ptr<const uint8_t> payload, size_t count);
 
   // The packed diff (relative to its frame base) at `row`.
   int64_t DiffAt(size_t row) const;
+  // Bytes of the frame-packed payload, slack excluded.
+  size_t PayloadBytes() const;
 
   std::vector<int64_t> frame_bases_;
   std::vector<uint8_t> frame_widths_;
   std::vector<uint64_t> frame_bit_starts_;  // Bit offset of each frame.
-  std::vector<uint8_t> payload_;
+  // The frames' packed diffs plus decode slack (see PaddedBytes).
+  std::shared_ptr<const uint8_t> payload_;
   size_t count_ = 0;
 };
 

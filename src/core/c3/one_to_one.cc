@@ -147,8 +147,12 @@ size_t OneToOneColumn::SizeBytes() const {
 
 int64_t OneToOneColumn::MapValue(int64_t ref_value) const {
   const auto it = std::lower_bound(keys_.begin(), keys_.end(), ref_value);
-  assert(it != keys_.end() && *it == ref_value &&
-         "reference value missing from 1-to-1 map");
+  // Every reference value the encoder saw is a key, so only a corrupt or
+  // hostile block (Deserialize cannot check without decoding the
+  // reference) gets here with a missing one; it reads 0.
+  if (it == keys_.end() || *it != ref_value) {
+    return 0;
+  }
   return mapped_[static_cast<size_t>(it - keys_.begin())];
 }
 

@@ -55,7 +55,8 @@ class OneToOneColumn final : public SingleRefColumn {
                  std::vector<int64_t> mapped, size_t count,
                  OutlierStore outliers);
 
-  // The mapped value for `ref_value` (binary search over keys_).
+  // The mapped value for `ref_value` (binary search over keys_); 0 for a
+  // value with no key.
   int64_t MapValue(int64_t ref_value) const;
 
   std::vector<int64_t> keys_;    // Sorted distinct reference values.

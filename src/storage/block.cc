@@ -112,23 +112,32 @@ std::vector<uint8_t> Block::Serialize() const {
   return std::move(writer).Finish();
 }
 
+Result<Block> Block::Deserialize(const SharedBuffer& bytes, bool verify) {
+  BufferReader reader(bytes);
+  return Deserialize(&reader, verify);
+}
+
 Result<Block> Block::Deserialize(std::span<const uint8_t> bytes,
                                  bool verify) {
   BufferReader reader(bytes);
+  return Deserialize(&reader, verify);
+}
+
+Result<Block> Block::Deserialize(BufferReader* reader, bool verify) {
   uint32_t magic = 0;
   uint8_t version = 0;
   uint32_t column_count = 0;
   uint64_t rows = 0;
-  CORRA_RETURN_NOT_OK(reader.Read(&magic));
+  CORRA_RETURN_NOT_OK(reader->Read(&magic));
   if (magic != kBlockMagic) {
     return Status::Corruption("bad block magic");
   }
-  CORRA_RETURN_NOT_OK(reader.Read(&version));
+  CORRA_RETURN_NOT_OK(reader->Read(&version));
   if (version != kBlockVersion) {
     return Status::Corruption("unsupported block version");
   }
-  CORRA_RETURN_NOT_OK(reader.Read(&column_count));
-  CORRA_RETURN_NOT_OK(reader.Read(&rows));
+  CORRA_RETURN_NOT_OK(reader->Read(&column_count));
+  CORRA_RETURN_NOT_OK(reader->Read(&rows));
   if (column_count == 0) {
     return Status::Corruption("block without columns");
   }
@@ -137,17 +146,16 @@ Result<Block> Block::Deserialize(std::span<const uint8_t> bytes,
   for (uint32_t i = 0; i < column_count; ++i) {
     BlockColumn column;
     uint8_t has_dict = 0;
-    CORRA_RETURN_NOT_OK(reader.Read(&has_dict));
+    CORRA_RETURN_NOT_OK(reader->Read(&has_dict));
     if (has_dict == 1) {
       CORRA_ASSIGN_OR_RETURN(auto dict,
-                             enc::StringDictionary::Deserialize(&reader));
+                             enc::StringDictionary::Deserialize(reader));
       column.dict =
           std::make_shared<enc::StringDictionary>(std::move(dict));
     } else if (has_dict != 0) {
       return Status::Corruption("bad dictionary flag");
     }
-    CORRA_ASSIGN_OR_RETURN(column.encoded,
-                           DeserializeEncodedColumn(&reader));
+    CORRA_ASSIGN_OR_RETURN(column.encoded, DeserializeEncodedColumn(reader));
     if (column.encoded->size() != rows) {
       return Status::Corruption("column row count disagrees with header");
     }

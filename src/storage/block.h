@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bit_util.h"
+#include "common/buffer.h"
 #include "encoding/encoded_column.h"
 #include "encoding/string_dict.h"
 
@@ -84,14 +85,21 @@ class Block {
   /// Serializes the whole block into one self-contained byte buffer.
   std::vector<uint8_t> Serialize() const;
 
-  /// Rebuilds a block from bytes produced by Serialize. With
+  /// Rebuilds a block from bytes produced by Serialize, viewing its
+  /// packed payloads in `bytes` (see the ownership note above). With
   /// `verify` set, runs O(n) integrity checks on horizontal columns.
+  static Result<Block> Deserialize(const SharedBuffer& bytes,
+                                   bool verify = false);
+  /// As above over borrowed bytes, which the block may not outlive: every
+  /// payload is copied.
   static Result<Block> Deserialize(std::span<const uint8_t> bytes,
                                    bool verify = false);
 
  private:
   explicit Block(std::vector<BlockColumn> columns)
       : columns_(std::move(columns)) {}
+
+  static Result<Block> Deserialize(BufferReader* reader, bool verify);
 
   // Resolves ReferenceIndices of all columns; fails on cycles.
   static Status BindAll(std::vector<BlockColumn>* columns);

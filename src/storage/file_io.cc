@@ -478,7 +478,7 @@ std::string ChecksumHex(uint64_t value) {
 
 }  // namespace
 
-Result<std::vector<uint8_t>> CorfFile::ReadBlockBytes(
+Result<SharedBuffer> CorfFile::ReadBlockBytes(
     size_t block_index, BlockReadStats* stats) const {
   if (block_index >= info_.num_blocks) {
     return Status::OutOfRange(
@@ -487,11 +487,14 @@ Result<std::vector<uint8_t>> CorfFile::ReadBlockBytes(
         std::to_string(info_.num_blocks) + " blocks)");
   }
   const ReadSite site{&path_, static_cast<int64_t>(block_index)};
-  std::vector<uint8_t> bytes(info_.block_lengths[block_index]);
+  // Uninitialized: pread fills every byte, or the read fails and the
+  // buffer is dropped.
+  const size_t length = info_.block_lengths[block_index];
+  std::shared_ptr<uint8_t[]> bytes =
+      std::make_shared_for_overwrite<uint8_t[]>(length);
   uint32_t retries = 0;
   Status read = PReadRetrying(fd_, info_.block_offsets[block_index],
-                              bytes.data(), bytes.size(), site, options_,
-                              &retries);
+                              bytes.get(), length, site, options_, &retries);
   if (stats != nullptr) {
     stats->retries += retries;
   }
@@ -517,22 +520,23 @@ Result<std::vector<uint8_t>> CorfFile::ReadBlockBytes(
       read_errors.Increment();
     } else {
       reads.Increment();
-      read_bytes.Add(bytes.size());
+      read_bytes.Add(length);
     }
   }
   CORRA_RETURN_NOT_OK(read);
   // Fault injection for the verify/quarantine paths: damage the payload
   // *after* a successful read, the way a bad cable or DMA error would.
-  if (!bytes.empty() && CORRA_FAILPOINT("corf.payload.bitflip")) {
-    bytes[bytes.size() / 2] ^= 0x40;
+  if (length > 0 && CORRA_FAILPOINT("corf.payload.bitflip")) {
+    bytes[length / 2] ^= 0x40;
   }
-  return bytes;
+  return SharedBuffer(std::move(bytes), length);
 }
 
 Result<Block> CorfFile::ReadBlock(size_t block_index, bool verify,
                                   BlockReadStats* stats) const {
   CORRA_ASSIGN_OR_RETURN(auto bytes, ReadBlockBytes(block_index, stats));
-  if (verify && Fnv1a64(bytes) != info_.block_checksums[block_index]) {
+  if (verify &&
+      Fnv1a64(bytes.span()) != info_.block_checksums[block_index]) {
     // One re-read distinguishes transient from persistent corruption: a
     // bit flipped in transfer heals, damage on the medium does not.
     if (stats != nullptr) {
@@ -544,7 +548,7 @@ Result<Block> CorfFile::ReadBlock(size_t block_index, bool verify,
       read_retries.Increment();
     }
     CORRA_ASSIGN_OR_RETURN(bytes, ReadBlockBytes(block_index, stats));
-    const uint64_t actual = Fnv1a64(bytes);
+    const uint64_t actual = Fnv1a64(bytes.span());
     const uint64_t expected = info_.block_checksums[block_index];
     if (actual != expected) {
       if (obs::Enabled()) {

@@ -20,6 +20,11 @@
 //     serves positional per-block reads. Reads use pread(2), so one
 //     CorfFile may be shared by many threads without locking — the
 //     serving layer (src/serve/) keeps one per open table.
+//
+// A block load is one pread into an uninitialized buffer that the
+// block's packed streams then view (Block::Deserialize on a
+// SharedBuffer): the payloads are neither zero-filled nor copied, and the
+// buffer lives as long as any column viewing it.
 
 #ifndef CORRA_STORAGE_FILE_IO_H_
 #define CORRA_STORAGE_FILE_IO_H_
@@ -27,6 +32,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/buffer.h"
 #include "common/result.h"
 #include "storage/table.h"
 
@@ -128,13 +134,16 @@ class CorfFile {
   const FileInfo& info() const { return info_; }
   size_t num_blocks() const { return info_.num_blocks; }
 
-  /// Raw payload bytes of block `block_index`. Transient read failures
-  /// are retried per CorfFileOptions; `stats` (optional) reports what
-  /// the read cost beyond the happy path.
-  Result<std::vector<uint8_t>> ReadBlockBytes(
-      size_t block_index, BlockReadStats* stats = nullptr) const;
+  /// Raw payload bytes of block `block_index`, in a new buffer that
+  /// pread fills and the caller shares: Block::Deserialize on it views
+  /// the packed payloads instead of copying them. Transient read
+  /// failures are retried per CorfFileOptions; `stats` (optional)
+  /// reports what the read cost beyond the happy path.
+  Result<SharedBuffer> ReadBlockBytes(size_t block_index,
+                                      BlockReadStats* stats = nullptr) const;
 
-  /// Deserializes block `block_index`. With `verify`, the payload
+  /// Deserializes block `block_index` from ReadBlockBytes' buffer, which
+  /// the returned block's columns keep alive. With `verify`, the payload
   /// checksum is compared against the directory (catching any flipped
   /// byte) and Block::Deserialize runs its O(n) integrity checks; a
   /// mismatch is re-read once before it is ruled Corruption. The

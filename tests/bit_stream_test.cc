@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/bit_util.h"
 #include "common/random.h"
+#include "test_util.h"
 
 namespace corra {
 namespace {
@@ -252,15 +255,88 @@ TEST(PackedArrayTest, PayloadWithoutSlackReadsBackPadded) {
   }
 }
 
+// Whether `array`'s bytes and slack lie inside `buffer`.
+bool LiesInside(const PackedArray& array, const SharedBuffer& buffer) {
+  const std::less_equal<const uint8_t*> le;
+  return le(buffer.data(), array.data()) &&
+         le(array.data() + array.SizeBytes() + kDecodePadBytes,
+            buffer.data() + buffer.size());
+}
+
 TEST(PackedArrayTest, ExtraPayloadBytesAreCut) {
+  // Long slack is not written back, whether the stream copied it or
+  // views it in place.
   const auto values = RandomValues(20, 9, 8);
   const PackedArray packed = PackedArray::Pack(values, 9);
   auto payload = PayloadBytes(packed);
   const auto expected = payload;
   payload.resize(payload.size() + 100, 0xAB);
-  auto read = ReadTail(Tail(9, 20, payload));
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(PayloadBytes(read.value()), expected);
+  const auto bytes = Tail(9, 20, payload);
+  auto copy = ReadTail(bytes);
+  ASSERT_TRUE(copy.ok());
+  EXPECT_EQ(PayloadBytes(copy.value()), expected);
+  const SharedBuffer buffer = test::SharedCopy(bytes);
+  BufferReader reader(buffer);
+  auto view = PackedArray::Read(&reader);
+  ASSERT_TRUE(view.ok());
+  EXPECT_TRUE(LiesInside(view.value(), buffer));
+  EXPECT_EQ(PayloadBytes(view.value()), expected);
+}
+
+TEST(PackedArrayTest, OwningReaderViewsThePayload) {
+  // Through a reader over a shared buffer (a loaded block's), Read views
+  // the payload instead of copying it, shares the buffer's owner, and
+  // still decodes once the reader and the buffer's last other handle are
+  // gone (ASan checks the last part).
+  for (int width : {0, 1, 13, 57, 64}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const auto values = RandomValues(500, width, 60 + width);
+    BufferWriter writer;
+    PackedArray::Pack(values, width).Write(&writer);
+    SharedBuffer buffer = test::SharedCopy(std::move(writer).Finish());
+    std::optional<PackedArray> stream;
+    {
+      BufferReader reader(buffer);
+      auto read = PackedArray::Read(&reader);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      stream = std::move(read).value();
+    }
+    EXPECT_TRUE(LiesInside(*stream, buffer));
+    EXPECT_EQ(buffer.owner().use_count(), 2);
+    buffer = SharedBuffer();
+    std::vector<uint64_t> decoded(values.size());
+    stream->DecodeRange(0, values.size(), decoded.data());
+    EXPECT_EQ(decoded, values);
+    EXPECT_EQ(stream->Get(values.size() - 1), values.back());
+  }
+}
+
+TEST(PackedArrayTest, OwningReaderCopiesAPayloadWithShortSlack) {
+  // A payload with fewer than kDecodePadBytes of slack (an older file)
+  // is copied and zero-padded even through an owning reader: a view's
+  // kernel loads would run past it into the bytes that follow, here
+  // 0xAB filler.
+  const auto values = RandomValues(300, 13, 9);
+  const PackedArray packed = PackedArray::Pack(values, 13);
+  const auto padded = PayloadBytes(packed);
+  for (size_t slack : {size_t{0}, size_t{1}, kDecodePadBytes - 1}) {
+    SCOPED_TRACE("slack=" + std::to_string(slack));
+    const std::vector<uint8_t> payload(
+        padded.begin(),
+        padded.begin() + static_cast<long>(packed.SizeBytes() + slack));
+    auto bytes = Tail(13, 300, payload);
+    bytes.resize(bytes.size() + 64, 0xAB);
+    const SharedBuffer buffer = test::SharedCopy(bytes);
+    BufferReader reader(buffer);
+    auto read = PackedArray::Read(&reader);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_FALSE(LiesInside(read.value(), buffer));
+    EXPECT_EQ(buffer.owner().use_count(), 2);  // The buffer and reader.
+    EXPECT_EQ(PayloadBytes(read.value()), padded);
+    std::vector<uint64_t> decoded(300);
+    read.value().DecodeRange(0, 300, decoded.data());
+    EXPECT_EQ(decoded, values);
+  }
 }
 
 // The per-value appender the encoders used before bulk packing: one

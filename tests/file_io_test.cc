@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -615,6 +617,105 @@ TEST_F(FileIoTest, CorfFileStatsEqualMinMaxColumn) {
       EXPECT_EQ(info.Stats(b, c).max, mm->max) << "block " << b << " col " << c;
     }
   }
+}
+
+// Zero-copy loads: a block deserialized from its read buffer views every
+// bit-packed payload there. The table covers all 12 schemes, with
+// outliers in every outlier-capable column.
+class ZeroCopyLoadTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 2000;
+  static constexpr size_t kBlockRows = 1000;
+  // Packed streams one block of the table holds: FOR, Dict,
+  // Hierarchical, Delta, BitPack, DFOR and C3 Numerical one each, Diff
+  // and MultiRef a stream plus their outliers', C3 1-to-1 its outliers';
+  // Plain and RLE none.
+  static constexpr long kStreamsPerBlock = 12;
+
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "corra_zero_copy_load_test.corf";
+    Rng rng(31);
+    raw_ = test::AllSchemesColumns(kRows, 0.01, rng);
+    auto compressed = CorraCompressor::Compress(
+        test::TableOf(raw_), test::AllSchemesPlan(kBlockRows));
+    ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+    ASSERT_TRUE(WriteCompressedTable(compressed.value(), path_).ok());
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  // Asserts every column of `block` (block `b` of the table) has its
+  // pinned scheme and decodes.
+  void ExpectBlockDecodes(const Block& block, size_t b) {
+    for (size_t c = 0; c < test::kAllSchemes.size(); ++c) {
+      SCOPED_TRACE("column " + std::to_string(c));
+      ASSERT_EQ(block.column(c).scheme(), test::kAllSchemes[c]);
+      const auto begin = raw_[c].begin() + static_cast<long>(b * kBlockRows);
+      test::ExpectColumnMatches(
+          block.column(c), std::vector<int64_t>(begin, begin + kBlockRows));
+    }
+  }
+
+  std::string path_;
+  std::vector<std::vector<int64_t>> raw_;
+};
+
+TEST_F(ZeroCopyLoadTest, EveryPackedStreamViewsTheReadBuffer) {
+  // CorfFile::ReadBlock is ReadBlockBytes plus this Deserialize. Each
+  // view shares the buffer's owner, so the count of handles is one (the
+  // caller's) plus one per packed stream: no payload was copied.
+  auto file = CorfFile::Open(path_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  for (size_t b = 0; b < file.value().num_blocks(); ++b) {
+    auto bytes = file.value().ReadBlockBytes(b);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(bytes.value().size(), file.value().info().block_lengths[b]);
+    EXPECT_EQ(bytes.value().owner().use_count(), 1);
+    auto block = Block::Deserialize(bytes.value(), /*verify=*/true);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    EXPECT_EQ(bytes.value().owner().use_count(), 1 + kStreamsPerBlock);
+    ExpectBlockDecodes(block.value(), b);
+    // Over the borrowed span every payload is copied.
+    auto copied = Block::Deserialize(bytes.value().span());
+    ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+    EXPECT_EQ(bytes.value().owner().use_count(), 1 + kStreamsPerBlock);
+    ExpectBlockDecodes(copied.value(), b);
+  }
+}
+
+TEST_F(ZeroCopyLoadTest, LoadedBlocksAndColumnsOutliveTheirBuffer) {
+  // A block, and a column read alone, still decode once the file, the
+  // reader and every handle to the read buffer but theirs are gone: the
+  // views keep the buffer alive (ASan flags a use after free).
+  std::optional<Block> from_read_block;
+  std::optional<Block> from_bytes;
+  std::unique_ptr<enc::EncodedColumn> lone_column;
+  {
+    auto file = CorfFile::Open(path_);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    auto block = file.value().ReadBlock(0, /*verify=*/true);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    from_read_block.emplace(std::move(block).value());
+    auto bytes = file.value().ReadBlockBytes(1);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    auto deserialized = Block::Deserialize(bytes.value());
+    ASSERT_TRUE(deserialized.ok()) << deserialized.status().ToString();
+    from_bytes.emplace(std::move(deserialized).value());
+    // The BitPack column alone, from a buffer of its own.
+    const SharedBuffer column_bytes =
+        test::SharedCopy(test::SerializedBytes(from_bytes->column(8)));
+    BufferReader reader(column_bytes);
+    auto column = DeserializeEncodedColumn(&reader);
+    ASSERT_TRUE(column.ok()) << column.status().ToString();
+    lone_column = std::move(column).value();
+  }
+  ExpectBlockDecodes(*from_read_block, 0);
+  const Block moved = std::move(*from_bytes);
+  from_bytes.reset();
+  ExpectBlockDecodes(moved, 1);
+  test::ExpectColumnMatches(
+      *lone_column,
+      std::vector<int64_t>(raw_[8].begin() + kBlockRows, raw_[8].end()));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "core/corra_compressor.h"
 #include "datagen/taxi.h"
+#include "encoding/bitpack.h"
 #include "encoding/delta.h"
 #include "storage/block.h"
 #include "storage/serde.h"
@@ -388,6 +389,68 @@ TEST(RobustnessTest, WrappingRowCountsRejected) {
   auto result = Block::Deserialize(bytes, /*verify=*/true);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+}
+
+// A block of `rows` rows: column 0 a BitPack column of row % 64, column
+// 1 a C3 1-to-1 column over it whose map holds only `keys` (to
+// `mapped`), with no outliers. A column the encoder wrote maps every
+// reference value; only hand-built bytes can miss one.
+std::vector<uint8_t> OneToOneBlockBytes(size_t rows,
+                                        const std::vector<int64_t>& keys,
+                                        const std::vector<int64_t>& mapped) {
+  std::vector<int64_t> reference(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    reference[i] = static_cast<int64_t>(i % 64);
+  }
+  BufferWriter w;
+  w.Write<uint32_t>(0);  // Magic and version, copied below.
+  w.Write<uint8_t>(0);
+  w.Write<uint32_t>(2);  // Columns.
+  w.Write<uint64_t>(rows);
+  w.Write<uint8_t>(0);  // No string dictionary.
+  enc::BitPackColumn::Encode(reference).value()->Serialize(&w);
+  w.Write<uint8_t>(0);
+  w.Write<uint8_t>(static_cast<uint8_t>(enc::Scheme::kC3OneToOne));
+  w.Write<uint32_t>(0);  // Reference column.
+  w.Write<uint64_t>(rows);
+  w.WriteInt64Array(keys);
+  w.WriteInt64Array(mapped);
+  w.WriteUint32Array({});  // Outlier rows.
+  w.Write<int64_t>(0);     // Outlier base and width.
+  w.Write<uint8_t>(0);
+  w.WriteBytes(std::vector<uint8_t>(bit_util::kDecodePadBytes));
+  std::vector<uint8_t> bytes = std::move(w).Finish();
+  const auto pristine = MakeRichBlockBytes();
+  std::copy_n(pristine.begin(), 5, bytes.begin());
+  return bytes;
+}
+
+TEST(RobustnessTest, OneToOneReferenceValueWithoutKeyReadsZero) {
+  // The map misses reference values: entirely (no keys over 200 rows),
+  // below, between and above its keys. A missing value reads 0 through
+  // every read path, without reading past the map (ASan).
+  constexpr size_t kRows = 200;
+  const std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>>
+      maps = {{{}, {}}, {{5, 50}, {500, 5000}}, {{-3}, {7}}, {{100}, {9}}};
+  for (const auto& [keys, mapped] : maps) {
+    SCOPED_TRACE("keys=" + std::to_string(keys.size()));
+    const auto bytes = OneToOneBlockBytes(kRows, keys, mapped);
+    auto block = Block::Deserialize(bytes, /*verify=*/true);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    const enc::EncodedColumn& column = block.value().column(1);
+    std::vector<int64_t> expected(kRows, 0);
+    for (size_t i = 0; i < kRows; ++i) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        if (keys[k] == static_cast<int64_t>(i % 64)) {
+          expected[i] = mapped[k];
+        }
+      }
+    }
+    test::ExpectColumnMatches(column, expected);
+    std::vector<int64_t> range(kRows - 10);
+    column.DecodeRange(10, range.size(), range.data());
+    EXPECT_TRUE(std::equal(range.begin(), range.end(), expected.begin() + 10));
+  }
 }
 
 }  // namespace

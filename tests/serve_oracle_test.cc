@@ -26,6 +26,7 @@
 #include "serve/scan_service.h"
 #include "serve/table_reader.h"
 #include "storage/file_io.h"
+#include "test_util.h"
 
 namespace corra::serve {
 namespace {
@@ -53,67 +54,10 @@ class ServeOracleTest : public ::testing::TestWithParam<uint64_t> {
     path_ = ::testing::TempDir() + "corra_serve_oracle_" +
             std::to_string(seed) + ".corf";
 
-    // One column per scheme, shaped so the pinned scheme encodes it.
-    std::vector<std::vector<int64_t>> raw(kColumns,
-                                          std::vector<int64_t>(kRows));
-    for (size_t i = 0; i < kRows; ++i) {
-      const int64_t ship = rng_.Uniform(8035, 10591);
-      const int64_t city = rng_.Uniform(0, 49);
-      const int64_t a = rng_.Uniform(100, 999);
-      raw[0][i] = ship;                                     // kFor
-      raw[1][i] = ship + rng_.Uniform(1, 30);               // kDiff (ref 0)
-      raw[2][i] = city;                                     // kDict
-      raw[3][i] = 10000 + city * 37 + rng_.Uniform(0, 10);  // kHierarchical
-      raw[4][i] = a;                                        // kPlain
-      raw[5][i] = 250;                                      // kRle
-      raw[6][i] = rng_.Bernoulli(0.5) ? a : a + 250;        // kMultiRef
-      raw[7][i] = static_cast<int64_t>(i) * 3 + rng_.Uniform(0, 2);  // kDelta
-      raw[8][i] = rng_.Uniform(100, 25000);                 // kBitPack
-      raw[9][i] = city * 1000 + 17;                         // kC3OneToOne
-      raw[10][i] = ship + rng_.Uniform(1, 30);              // kC3Dfor
-      raw[11][i] = ship + rng_.Uniform(1, 30);              // kC3Numerical
-      // Outliers: a diff far outside the window, a sum that matches no
-      // formula, and a value off its city's dominant mapping.
-      if (rng_.Bernoulli(kOutlierRate)) {
-        raw[1][i] += rng_.Uniform(100000, 200000);
-      }
-      if (rng_.Bernoulli(kOutlierRate)) {
-        raw[6][i] = a + rng_.Uniform(1000, 5000);
-      }
-      if (rng_.Bernoulli(kOutlierRate)) {
-        raw[9][i] += rng_.Uniform(1, 500);
-      }
-    }
-    Table table;
-    for (size_t c = 0; c < kColumns; ++c) {
-      ASSERT_TRUE(
-          table.AddColumn(Column::Int64("c" + std::to_string(c), raw[c]))
-              .ok());
-    }
-
-    CompressionPlan plan = CompressionPlan::AllAuto(kColumns);
-    plan.block_rows = kBlockRows;
-    const enc::Scheme schemes[kColumns] = {
-        enc::Scheme::kFor,      enc::Scheme::kDiff,
-        enc::Scheme::kDict,     enc::Scheme::kHierarchical,
-        enc::Scheme::kPlain,    enc::Scheme::kRle,
-        enc::Scheme::kMultiRef, enc::Scheme::kDelta,
-        enc::Scheme::kBitPack,  enc::Scheme::kC3OneToOne,
-        enc::Scheme::kC3Dfor,   enc::Scheme::kC3Numerical};
-    for (size_t c = 0; c < kColumns; ++c) {
-      plan.columns[c].auto_vertical = false;
-      plan.columns[c].scheme = schemes[c];
-    }
-    plan.columns[1].reference = 0;
-    plan.columns[1].diff_options.use_outliers = true;
-    plan.columns[1].diff_options.max_outlier_fraction = 0.05;
-    plan.columns[3].reference = 2;
-    plan.columns[6].formulas.groups = {{4}, {5}};
-    plan.columns[6].formulas.formulas = {0b01, 0b11};
-    plan.columns[6].formulas.code_bits = 1;
-    plan.columns[9].reference = 2;
-    plan.columns[10].reference = 0;
-    plan.columns[11].reference = 0;
+    const std::vector<std::vector<int64_t>> raw =
+        test::AllSchemesColumns(kRows, kOutlierRate, rng_);
+    const Table table = test::TableOf(raw);
+    const CompressionPlan plan = test::AllSchemesPlan(kBlockRows);
 
     auto compressed = CorraCompressor::Compress(table, plan);
     ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
@@ -121,7 +65,7 @@ class ServeOracleTest : public ::testing::TestWithParam<uint64_t> {
     for (size_t b = 0; b < compressed.value().num_blocks(); ++b) {
       const Block& block = compressed.value().block(b);
       for (size_t c = 0; c < kColumns; ++c) {
-        ASSERT_EQ(block.column(c).scheme(), schemes[c])
+        ASSERT_EQ(block.column(c).scheme(), test::kAllSchemes[c])
             << "block " << b << " column " << c;
       }
       ASSERT_GT(static_cast<const DiffEncodedColumn&>(block.column(1))

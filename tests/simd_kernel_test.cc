@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -421,6 +422,107 @@ TEST_P(KernelTest, GatherBitsAllWidthsAndPositions) {
       for (size_t i = 0; i < len; ++i) {
         ASSERT_EQ(got[i], values[rows[i]]) << "i=" << i;
       }
+    }
+  }
+}
+
+TEST_P(KernelTest, GatherBitsOfZeroRowsTouchesNothing) {
+  // An empty selection may come with null row and output pointers (an
+  // empty vector's data()); no width may write through them.
+  const PackedArray packed =
+      PackedArray::Pack(RandomValues(64, 64, 3), 64);
+  for (int width = 0; width <= 64; ++width) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    table().gather_bits(packed.data(), width, nullptr, 0, nullptr);
+  }
+}
+
+// `packed`'s bytes with every slack byte, and the unused high bits of
+// the last data byte, set: what a stream viewing a file that stores
+// garbage there reads.
+std::vector<uint8_t> WithDirtySlack(const PackedArray& packed) {
+  const size_t data = packed.SizeBytes();
+  std::vector<uint8_t> bytes(packed.data(),
+                             packed.data() + data + bit_util::kDecodePadBytes);
+  std::fill(bytes.begin() + static_cast<long>(data), bytes.end(), 0xFF);
+  const size_t used_bits =
+      packed.size() * static_cast<size_t>(packed.bit_width()) % 8;
+  if (used_bits != 0) {
+    bytes[data - 1] |= static_cast<uint8_t>(0xFF << used_bits);
+  }
+  return bytes;
+}
+
+TEST_P(KernelTest, SlackContentsDoNotChangeAnyKernel) {
+  // A loaded stream views the slack bytes its file stores, so every
+  // kernel that reads a packed stream must return the zero-slack output
+  // over 0xFF slack. The ranges and positions run to the stream's end,
+  // where the loads reach into the slack.
+  constexpr size_t kRows = 64 * 40 + 17;
+  for (int width = 0; width <= 64; ++width) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const auto values =
+        RandomValues(width, kRows, 700 + static_cast<uint64_t>(width));
+    const PackedArray packed = PackedArray::Pack(values, width);
+    const std::vector<uint8_t> dirty = WithDirtySlack(packed);
+    const uint8_t* clean = packed.data();
+
+    for (size_t begin : {size_t{0}, size_t{1}, kRows - 200, kRows - 65,
+                         kRows - 64, kRows - 1}) {
+      SCOPED_TRACE("begin=" + std::to_string(begin));
+      const size_t len = kRows - begin;
+      std::vector<uint64_t> want(len);
+      std::vector<uint64_t> got(len);
+      simd::internal::UnpackRangeWith(table().unpack64, clean, width, begin,
+                                      len, want.data());
+      simd::internal::UnpackRangeWith(table().unpack64, dirty.data(), width,
+                                      begin, len, got.data());
+      ASSERT_EQ(got, want);
+      std::vector<int64_t> want_sum(len);
+      std::vector<int64_t> got_sum(len);
+      table().delta_decode(clean, width, begin, len, 99, want_sum.data());
+      table().delta_decode(dirty.data(), width, begin, len, 99,
+                           got_sum.data());
+      ASSERT_EQ(got_sum, want_sum);
+    }
+
+    std::vector<uint32_t> rows;
+    for (size_t row = kRows - 130; row < kRows; ++row) {
+      rows.push_back(static_cast<uint32_t>(row));
+    }
+    rows.push_back(0);
+    rows.push_back(static_cast<uint32_t>(kRows - 1));
+    std::vector<uint64_t> want(rows.size());
+    std::vector<uint64_t> got(rows.size());
+    table().gather_bits(clean, width, rows.data(), rows.size(), want.data());
+    table().gather_bits(dirty.data(), width, rows.data(), rows.size(),
+                        got.data());
+    ASSERT_EQ(got, want);
+
+    for (const int shift : {4, 7}) {
+      SCOPED_TRACE("interval_shift=" + std::to_string(shift));
+      std::vector<int64_t> checkpoints;
+      uint64_t acc = 0;
+      for (size_t i = 0; i < kRows; ++i) {
+        acc += static_cast<uint64_t>(bit_util::ZigZagDecode(values[i]));
+        if (i % (size_t{1} << shift) == 0) {
+          checkpoints.push_back(static_cast<int64_t>(acc));
+        }
+      }
+      for (uint32_t row : rows) {
+        ASSERT_EQ(table().delta_point(dirty.data(), width, checkpoints.data(),
+                                      shift, kRows, row),
+                  table().delta_point(clean, width, checkpoints.data(), shift,
+                                      kRows, row))
+            << "row=" << row;
+      }
+      std::vector<int64_t> want_rows(rows.size());
+      std::vector<int64_t> got_rows(rows.size());
+      table().delta_gather(clean, width, checkpoints.data(), shift, kRows,
+                           rows.data(), rows.size(), want_rows.data());
+      table().delta_gather(dirty.data(), width, checkpoints.data(), shift,
+                           kRows, rows.data(), rows.size(), got_rows.data());
+      ASSERT_EQ(got_rows, want_rows);
     }
   }
 }

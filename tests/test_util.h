@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "common/bit_util.h"
 #include "common/buffer.h"
 #include "common/random.h"
+#include "core/corra_compressor.h"
 #include "encoding/encoded_column.h"
 #include "storage/serde.h"
 #include "storage/table.h"
@@ -253,6 +256,96 @@ inline std::vector<uint8_t> SerializeDeltaInline(
   writer.Write<uint64_t>(values.size());
   writer.WriteBytes(stream);
   return std::move(writer).Finish();
+}
+
+/// One column per scheme, in the order AllSchemesColumns and
+/// AllSchemesPlan use.
+inline constexpr std::array<enc::Scheme, 12> kAllSchemes = {
+    enc::Scheme::kFor,      enc::Scheme::kDiff,
+    enc::Scheme::kDict,     enc::Scheme::kHierarchical,
+    enc::Scheme::kPlain,    enc::Scheme::kRle,
+    enc::Scheme::kMultiRef, enc::Scheme::kDelta,
+    enc::Scheme::kBitPack,  enc::Scheme::kC3OneToOne,
+    enc::Scheme::kC3Dfor,   enc::Scheme::kC3Numerical};
+
+/// `rows` rows of a table covering all 12 schemes, one column each in
+/// kAllSchemes order, shaped so AllSchemesPlan's pinned scheme encodes
+/// it. The Diff, MultiRef and C3 1-to-1 columns get about
+/// `outlier_rate` outlier rows each: a diff far outside the window, a
+/// sum that matches no formula, a value off its city's dominant mapping.
+inline std::vector<std::vector<int64_t>> AllSchemesColumns(
+    size_t rows, double outlier_rate, Rng& rng) {
+  std::vector<std::vector<int64_t>> raw(kAllSchemes.size(),
+                                        std::vector<int64_t>(rows));
+  for (size_t i = 0; i < rows; ++i) {
+    const int64_t ship = rng.Uniform(8035, 10591);
+    const int64_t city = rng.Uniform(0, 49);
+    const int64_t a = rng.Uniform(100, 999);
+    raw[0][i] = ship;                                     // kFor
+    raw[1][i] = ship + rng.Uniform(1, 30);                // kDiff (ref 0)
+    raw[2][i] = city;                                     // kDict
+    raw[3][i] = 10000 + city * 37 + rng.Uniform(0, 10);   // kHierarchical
+    raw[4][i] = a;                                        // kPlain
+    raw[5][i] = 250;                                      // kRle
+    raw[6][i] = rng.Bernoulli(0.5) ? a : a + 250;         // kMultiRef
+    raw[7][i] = static_cast<int64_t>(i) * 3 + rng.Uniform(0, 2);  // kDelta
+    raw[8][i] = rng.Uniform(100, 25000);                  // kBitPack
+    raw[9][i] = city * 1000 + 17;                         // kC3OneToOne
+    raw[10][i] = ship + rng.Uniform(1, 30);               // kC3Dfor
+    raw[11][i] = ship + rng.Uniform(1, 30);               // kC3Numerical
+    if (rng.Bernoulli(outlier_rate)) {
+      raw[1][i] += rng.Uniform(100000, 200000);
+    }
+    if (rng.Bernoulli(outlier_rate)) {
+      raw[6][i] = a + rng.Uniform(1000, 5000);
+    }
+    if (rng.Bernoulli(outlier_rate)) {
+      raw[9][i] += rng.Uniform(1, 500);
+    }
+  }
+  return raw;
+}
+
+/// A table of `columns`, named c0, c1, ...
+inline Table TableOf(const std::vector<std::vector<int64_t>>& columns) {
+  Table table;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    EXPECT_TRUE(
+        table.AddColumn(Column::Int64("c" + std::to_string(c), columns[c]))
+            .ok());
+  }
+  return table;
+}
+
+/// The plan that pins kAllSchemes on AllSchemesColumns' table, with
+/// Diff's outliers on.
+inline CompressionPlan AllSchemesPlan(size_t block_rows) {
+  CompressionPlan plan = CompressionPlan::AllAuto(kAllSchemes.size());
+  plan.block_rows = block_rows;
+  for (size_t c = 0; c < kAllSchemes.size(); ++c) {
+    plan.columns[c].auto_vertical = false;
+    plan.columns[c].scheme = kAllSchemes[c];
+  }
+  plan.columns[1].reference = 0;
+  plan.columns[1].diff_options.use_outliers = true;
+  plan.columns[1].diff_options.max_outlier_fraction = 0.05;
+  plan.columns[3].reference = 2;
+  plan.columns[6].formulas.groups = {{4}, {5}};
+  plan.columns[6].formulas.formulas = {0b01, 0b11};
+  plan.columns[6].formulas.code_bits = 1;
+  plan.columns[9].reference = 2;
+  plan.columns[10].reference = 0;
+  plan.columns[11].reference = 0;
+  return plan;
+}
+
+/// An owning copy of `bytes` in a buffer of exactly their size, the form
+/// CorfFile::ReadBlockBytes returns (so ASan flags a read past its end).
+inline SharedBuffer SharedCopy(std::span<const uint8_t> bytes) {
+  std::shared_ptr<uint8_t[]> copy =
+      std::make_shared_for_overwrite<uint8_t[]>(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), copy.get());
+  return SharedBuffer(std::move(copy), bytes.size());
 }
 
 /// The wire representation of `column` (scheme byte first).
