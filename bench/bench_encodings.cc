@@ -165,6 +165,7 @@ void RunAll(const bench::Flags& flags) {
   const auto runs_data = RunLengthValues(rows);
 
   auto for_column = enc::ForColumn::Encode(reference).value();
+  auto bitpack_column = enc::BitPackColumn::Encode(reference).value();
   auto dict_column = enc::DictColumn::Encode(reference).value();
   auto delta_column = enc::DeltaColumn::Encode(reference).value();
   auto rle_column = enc::RleColumn::Encode(runs_data).value();
@@ -367,8 +368,8 @@ void RunAll(const bench::Flags& flags) {
              });
   }
 
-  // Query kernels: range filter (~20% selectivity) and aggregates, all
-  // morsel-pipelined.
+  // Query kernels: range filter (~20% selectivity, and ~1% on a cold-scan
+  // block) and aggregates, all morsel-pipelined.
   RunBench(&reporter, "filter/for", rows, reps, [&] {
     sink += static_cast<int64_t>(
         query::FilterToSelection(*for_column, 9000, 9500).size());
@@ -377,10 +378,26 @@ void RunAll(const bench::Flags& flags) {
     sink += static_cast<int64_t>(
         query::FilterToSelection(*dict_column, 9000, 9500).size());
   });
+  RunBench(&reporter, "filter/bitpack", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        query::FilterToSelection(*bitpack_column, 9000, 9500).size());
+  });
   RunBench(&reporter, "filter/diff", rows, reps, [&] {
     sink += static_cast<int64_t>(
         query::FilterToSelection(*diff_column, 9040, 9560).size());
   });
+  {
+    // The cold scan's filter: one 262,144-row block of a 12-bit FOR date
+    // column at ~1% selectivity.
+    const size_t block_rows = std::min<size_t>(rows, 262144);
+    auto block_column =
+        enc::ForColumn::Encode(std::span(reference).first(block_rows))
+            .value();
+    RunBench(&reporter, "filter_0.01/for", block_rows, reps, [&] {
+      sink += static_cast<int64_t>(
+          query::FilterToSelection(*block_column, 9000, 9025).size());
+    });
+  }
   RunBench(&reporter, "sum/for", rows, reps,
            [&] { sink += query::SumColumn(*for_column); });
   RunBench(&reporter, "sum/dict", rows, reps,

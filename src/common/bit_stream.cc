@@ -143,6 +143,12 @@ void PackedArray::Gather(std::span<const uint32_t> rows,
   simd::GatherBits(data(), bit_width_, rows.data(), rows.size(), out);
 }
 
+size_t PackedArray::Filter(size_t begin, size_t count, uint64_t lo,
+                           uint64_t hi, uint32_t* out_rows) const {
+  return simd::FilterPacked(data(), bit_width_, begin, count, lo, hi,
+                            out_rows);
+}
+
 size_t PackedArray::SizeBytes() const {
   return PackedDataBytes(count_, bit_width_);
 }

@@ -140,6 +140,13 @@ class PackedArray {
   /// order) to `out` with the positioned SIMD gather.
   void Gather(std::span<const uint32_t> rows, uint64_t* out) const;
 
+  /// Writes the positions in [begin, begin + count) (begin + count <=
+  /// size() <= 2^32) whose value lies in the unsigned range [lo, hi] to
+  /// `out_rows` (room for `count`), ascending, and returns how many, with
+  /// the fused unpack-and-compare SIMD kernel (simd::FilterPacked).
+  size_t Filter(size_t begin, size_t count, uint64_t lo, uint64_t hi,
+                uint32_t* out_rows) const;
+
   size_t size() const { return count_; }
   int bit_width() const { return bit_width_; }
   /// Packed bytes of the values, slack excluded: ceil(size() *

@@ -31,8 +31,8 @@ struct KernelTable {
   Unpack64Fn unpack64[kMaxKernelWidth + 1];  // Indexed by bit width.
   size_t (*filter_i64)(const int64_t*, size_t, int64_t, int64_t, uint32_t,
                        uint32_t*);
-  size_t (*filter_u64)(const uint64_t*, size_t, uint64_t, uint64_t, uint32_t,
-                       uint32_t*);
+  size_t (*filter_packed)(const uint8_t*, int, size_t, size_t, uint64_t,
+                          uint64_t, uint32_t*);
   uint64_t (*sum_u64)(const uint64_t*, size_t);
   void (*translate_codes)(const int64_t*, const uint64_t*, size_t, int64_t*);
   void (*add_const)(int64_t*, size_t, int64_t);

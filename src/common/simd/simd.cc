@@ -61,9 +61,11 @@ size_t FilterInRange(const int64_t* values, size_t count, int64_t lo,
   return ActiveTable().filter_i64(values, count, lo, hi, row_base, out_rows);
 }
 
-size_t FilterInRangeU64(const uint64_t* codes, size_t count, uint64_t lo,
-                        uint64_t hi, uint32_t row_base, uint32_t* out_rows) {
-  return ActiveTable().filter_u64(codes, count, lo, hi, row_base, out_rows);
+size_t FilterPacked(const uint8_t* data, int bit_width, size_t begin,
+                    size_t count, uint64_t lo, uint64_t hi,
+                    uint32_t* out_rows) {
+  return ActiveTable().filter_packed(data, bit_width, begin, count, lo, hi,
+                                     out_rows);
 }
 
 uint64_t SumU64(const uint64_t* values, size_t count) {

@@ -12,9 +12,13 @@
 //     the same kernels.
 //   * Predicate kernels — range compares producing selection-vector
 //     positions directly (compare -> movemask -> permutation-table
-//     left-pack), used by query/filter.cc in value space and — for
-//     FOR/Dict — in *code* space with the predicate rebased, so
-//     non-matching morsels are never reconstructed.
+//     left-pack): FilterInRange over decoded values (every scheme's
+//     generic decode-and-compare path) and FilterPacked straight over a
+//     bit-packed stream, which FOR, Dict and BitPack filter through with
+//     the predicate rebased into their code space. FilterPacked unpacks
+//     and compares 8 codes per step in registers on AVX2 for widths 1 to
+//     25 and through a 256-code stack chunk otherwise, so its callers
+//     never stage a morsel of codes.
 //   * Aggregate kernel — a 4-lane wrap-around sum with one horizontal
 //     reduce per call, used by query/aggregate.cc. Min and max are not
 //     kernels: query/aggregate.cc folds morsels through the compressor's
@@ -63,10 +67,16 @@ void UnpackRange(const uint8_t* data, int bit_width, size_t begin,
 size_t FilterInRange(const int64_t* values, size_t count, int64_t lo,
                      int64_t hi, uint32_t row_base, uint32_t* out_rows);
 
-/// Unsigned variant for code-space predicates (FOR offsets, Dict codes):
-/// matches codes[i] in [lo, hi] with full-range uint64 compares.
-size_t FilterInRangeU64(const uint64_t* codes, size_t count, uint64_t lo,
-                        uint64_t hi, uint32_t row_base, uint32_t* out_rows);
+/// Writes the row ids `begin + i` of every value i in [0, count) of the
+/// bit-packed stream `data` (width 0..64, as UnpackRange reads it) whose
+/// value `begin + i` lies in the unsigned range [lo, hi] to `out_rows`
+/// (ascending) and returns how many matched; lo > hi matches nothing.
+/// Row ids are 32-bit: begin + count must not exceed 2^32. `out_rows`
+/// must hold `count` entries, and `data` must carry
+/// bit_util::kDecodePadBytes of readable slack.
+size_t FilterPacked(const uint8_t* data, int bit_width, size_t begin,
+                    size_t count, uint64_t lo, uint64_t hi,
+                    uint32_t* out_rows);
 
 // --- Aggregate kernel -------------------------------------------------------
 

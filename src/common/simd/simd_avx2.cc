@@ -11,12 +11,17 @@
 // 64-bit shift, and one mask — ~5 instructions per 4 values, no scalar
 // bit arithmetic in the loop.
 //
-// Predicate kernels: 8 values are compared per iteration (two 4-lane
-// vpcmpgtq pairs), the sign bits become an 8-bit mask via movemask, and
-// a 256-entry permutation table left-packs the matching row ids into the
-// selection vector with a single vpermd + store. The store always writes
-// 8 lanes; since matches <= elements processed, the slack stays inside
-// the caller's count-sized buffer.
+// Predicate kernels: 8 values are compared per step, the compare
+// results become an 8-bit mask via movemask, and a 256-entry
+// permutation table left-packs the matching row ids into the selection
+// vector with a single vpermd + store. The store always writes 8 lanes;
+// since matches <= elements processed, the slack stays inside the
+// caller's count-sized buffer. The value filter compares two 4 x 64-bit
+// vpcmpgtq pairs. The packed filter unpacks its codes in registers
+// first: 8 codes of 1..25 bits per vpshufb + vpsrlvd into 32-bit lanes
+// (one subtract, vpminud and vpcmpeqd compare them); other widths
+// unpack a stack chunk with the unpack kernels and compare it as 4 x
+// 64-bit lanes.
 //
 // Aggregate kernel: two 4-lane sum accumulators, horizontally reduced
 // once per call. There is no min/max kernel: AVX2 has no 64-bit min/max
@@ -26,6 +31,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <utility>
@@ -106,6 +112,18 @@ constexpr PermTable MakePermTable() {
 
 constexpr PermTable kPermTable = MakePermTable();
 
+// Left-packs the lanes of `rows` whose bit is set in the 8-bit `good` to
+// out_rows + n and returns n plus their number. All 8 lanes are stored,
+// so out_rows must have 8 slots from n on.
+inline size_t LeftPack(unsigned good, __m256i rows, uint32_t* out_rows,
+                       size_t n) {
+  const __m256i perm = _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kPermTable.perm[good]));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_rows + n),
+                      _mm256_permutevar8x32_epi32(rows, perm));
+  return n + static_cast<size_t>(__builtin_popcount(good));
+}
+
 // Shared core of the signed/unsigned filters: `bias` is XORed into both
 // the values and the bounds before the signed compare (0 for signed,
 // 1 << 63 to order unsigned inputs).
@@ -134,16 +152,11 @@ size_t FilterRangeAvx2(const T* values, size_t count, T lo, T hi,
     const int mask_b = _mm256_movemask_pd(_mm256_castsi256_pd(bad_b));
     const unsigned good =
         static_cast<unsigned>(~(mask_a | (mask_b << 4))) & 0xFFu;
-    const __m256i perm = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(kPermTable.perm[good]));
     const __m256i lane_rows = _mm256_add_epi32(
         _mm256_set1_epi32(static_cast<int32_t>(row_base + i)),
         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    // Write all 8 lanes; only the first popcount(good) are kept. n <= i
-    // here, so the 8-lane store ends at most at index i + 8 <= count.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_rows + n),
-                        _mm256_permutevar8x32_epi32(lane_rows, perm));
-    n += static_cast<size_t>(__builtin_popcount(good));
+    // n <= i here, so the 8-lane store ends at most at i + 8 <= count.
+    n = LeftPack(good, lane_rows, out_rows, n);
   }
   for (; i < count; ++i) {
     out_rows[n] = row_base + static_cast<uint32_t>(i);
@@ -163,13 +176,113 @@ size_t FilterI64Avx2(const int64_t* values, size_t count, int64_t lo,
   return FilterRangeAvx2<0>(values, count, lo, hi, row_base, out_rows);
 }
 
-size_t FilterU64Avx2(const uint64_t* codes, size_t count, uint64_t lo,
-                     uint64_t hi, uint32_t row_base, uint32_t* out_rows) {
-  if (lo > hi) {
+// Widths 1..25: 8 codes per step are unpacked into 32-bit lanes in
+// registers and compared there. 8 codes span exactly W bytes, so every
+// step starts at the same bit phase and the byte shuffle and lane shifts
+// are fixed for the call. Lanes 0..3 shuffle their 4 bytes out of a
+// 16-byte load at the step's first byte, lanes 4..7 out of one at code
+// 4's byte; a code starts at most 7 bits into its 4 bytes, so shift +
+// width <= 32. The code range is at most 25 bits, so code - lo <= range
+// is one subtract, one unsigned min and one equality compare. Every step
+// left-packs, matched or not: on codes in random order, a branch that
+// skips the left-pack of a step without a match mispredicts, and cost
+// 83 against 58 us at 1% selectivity and 127 against 57 us at 20% on a
+// 262,144-code 12-bit stream (best of 300 runs, 4-vCPU Xeon VM).
+size_t FilterNarrowAvx2(const uint8_t* data, int bit_width, size_t begin,
+                        size_t count, uint64_t lo, uint64_t range,
+                        uint32_t* out_rows) {
+  const size_t bit = begin * static_cast<size_t>(bit_width);
+  const int phase = static_cast<int>(bit & 7);
+  const int high_bit = phase + 4 * bit_width;
+  const size_t high_byte = static_cast<size_t>(high_bit >> 3);
+  alignas(32) uint8_t shuffle[32];
+  alignas(32) uint32_t shifts[8];
+  for (int lane = 0; lane < 8; ++lane) {
+    const int start =
+        (lane < 4 ? phase : high_bit & 7) + (lane & 3) * bit_width;
+    for (int b = 0; b < 4; ++b) {
+      shuffle[4 * lane + b] = static_cast<uint8_t>((start >> 3) + b);
+    }
+    shifts[lane] = static_cast<uint32_t>(start & 7);
+  }
+  const __m256i vshuffle =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(shuffle));
+  const __m256i vshifts =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(shifts));
+  const __m256i vmask =
+      _mm256_set1_epi32(static_cast<int32_t>(WidthMask(bit_width)));
+  const __m256i vlo = _mm256_set1_epi32(static_cast<int32_t>(lo));
+  const __m256i vrange = _mm256_set1_epi32(static_cast<int32_t>(range));
+  const __m256i eight = _mm256_set1_epi32(8);
+  __m256i rows = _mm256_add_epi32(
+      _mm256_set1_epi32(static_cast<int32_t>(static_cast<uint32_t>(begin))),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const uint8_t* in = data + (bit >> 3);
+  size_t n = 0;
+  size_t i = 0;
+  for (; i + 8 <= count;
+       i += 8, in += bit_width, rows = _mm256_add_epi32(rows, eight)) {
+    const __m256i bytes = _mm256_inserti128_si256(
+        _mm256_castsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(in))),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + high_byte)),
+        1);
+    const __m256i codes = _mm256_and_si256(
+        _mm256_srlv_epi32(_mm256_shuffle_epi8(bytes, vshuffle), vshifts),
+        vmask);
+    const __m256i offset = _mm256_sub_epi32(codes, vlo);
+    const __m256i hit =
+        _mm256_cmpeq_epi32(_mm256_min_epu32(offset, vrange), offset);
+    const auto good = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(hit)));
+    // n <= i, so the 8-lane store ends at most at i + 8 <= count.
+    n = LeftPack(good, rows, out_rows, n);
+  }
+  // Tail: one 8-byte load per code, branchless select.
+  const uint64_t mask = WidthMask(bit_width);
+  for (size_t pos = (begin + i) * static_cast<size_t>(bit_width); i < count;
+       ++i, pos += static_cast<size_t>(bit_width)) {
+    uint64_t word;
+    std::memcpy(&word, data + (pos >> 3), sizeof(word));
+    out_rows[n] = static_cast<uint32_t>(begin + i);
+    n += static_cast<size_t>(((word >> (pos & 7)) & mask) - lo <= range);
+  }
+  return n;
+}
+
+// Codes per unpack-and-compare step of the filter's other widths: a
+// 2 KB stack chunk that stays in L1 between the unpack and the compare.
+constexpr size_t kFilterChunk = 256;
+
+size_t FilterPackedAvx2(const uint8_t* data, int bit_width, size_t begin,
+                        size_t count, uint64_t lo, uint64_t hi,
+                        uint32_t* out_rows) {
+  const uint64_t max_code = WidthMask(bit_width);
+  if (count == 0 || lo > hi || lo > max_code) {
     return 0;
   }
-  return FilterRangeAvx2<uint64_t{1} << 63>(codes, count, lo, hi, row_base,
-                                            out_rows);
+  hi = std::min(hi, max_code);
+  if (bit_width != 0 && bit_width <= 25) {
+    return FilterNarrowAvx2(data, bit_width, begin, count, lo, hi - lo,
+                            out_rows);
+  }
+  // Widths 0 and 26..64: unpack a chunk with the unpack kernels, then
+  // compare it as 64-bit lanes. Chunks after the first start on a
+  // 64-value block, so only the first can have a head the kernels do not
+  // cover.
+  uint64_t codes[kFilterChunk];
+  const auto row = static_cast<uint32_t>(begin);
+  size_t n = 0;
+  for (size_t done = 0; done < count;) {
+    const size_t len = std::min(
+        count - done, kFilterChunk - (begin + done) % kUnpackBlock);
+    UnpackRangeWith(kAvx2Unpack.data(), data, bit_width, begin + done, len,
+                    codes);
+    n += FilterRangeAvx2<uint64_t{1} << 63>(
+        codes, len, lo, hi, row + static_cast<uint32_t>(done), out_rows + n);
+    done += len;
+  }
+  return n;
 }
 
 uint64_t SumU64Avx2(const uint64_t* values, size_t count) {
@@ -731,7 +844,7 @@ constexpr KernelTable MakeAvx2Table() {
     table.unpack64[w] = kAvx2Unpack[static_cast<size_t>(w)];
   }
   table.filter_i64 = &FilterI64Avx2;
-  table.filter_u64 = &FilterU64Avx2;
+  table.filter_packed = &FilterPackedAvx2;
   table.sum_u64 = &SumU64Avx2;
   table.translate_codes = &TranslateCodesAvx2;
   table.add_const = &AddConstAvx2;

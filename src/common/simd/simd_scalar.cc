@@ -9,6 +9,7 @@
 // fallback the AVX2 table must agree with bit-for-bit — and the floor
 // the dispatcher guarantees on machines without AVX2.
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <utility>
@@ -69,12 +70,36 @@ size_t FilterI64Scalar(const int64_t* values, size_t count, int64_t lo,
   return n;
 }
 
-size_t FilterU64Scalar(const uint64_t* codes, size_t count, uint64_t lo,
-                       uint64_t hi, uint32_t row_base, uint32_t* out_rows) {
+// Codes per unpack-and-compare step of the packed filter: a 2 KB stack
+// chunk that stays in L1 between the unpack and the compare.
+constexpr size_t kFilterChunk = 256;
+
+size_t FilterPackedScalar(const uint8_t* data, int bit_width, size_t begin,
+                          size_t count, uint64_t lo, uint64_t hi,
+                          uint32_t* out_rows) {
+  const uint64_t max_code = WidthMask(bit_width);
+  if (count == 0 || lo > hi || lo > max_code) {
+    return 0;
+  }
+  // One unsigned compare per code: code - lo wraps past `range` when
+  // code < lo.
+  const uint64_t range = std::min(hi, max_code) - lo;
+  const auto row = static_cast<uint32_t>(begin);
+  // Unpack a chunk with the unrolled kernels, then select branchlessly.
+  // Chunks after the first start on a 64-value block, so only the first
+  // can have a head the kernels do not cover.
+  uint64_t codes[kFilterChunk];
   size_t n = 0;
-  for (size_t i = 0; i < count; ++i) {
-    out_rows[n] = row_base + static_cast<uint32_t>(i);
-    n += static_cast<size_t>(codes[i] >= lo && codes[i] <= hi);
+  for (size_t done = 0; done < count;) {
+    const size_t len = std::min(
+        count - done, kFilterChunk - (begin + done) % kUnpackBlock);
+    UnpackRangeWith(kScalarUnpack.data(), data, bit_width, begin + done, len,
+                    codes);
+    for (size_t j = 0; j < len; ++j) {
+      out_rows[n] = row + static_cast<uint32_t>(done + j);
+      n += static_cast<size_t>(codes[j] - lo <= range);
+    }
+    done += len;
   }
   return n;
 }
@@ -353,7 +378,7 @@ constexpr KernelTable MakeScalarTable() {
     table.unpack64[w] = kScalarUnpack[static_cast<size_t>(w)];
   }
   table.filter_i64 = &FilterI64Scalar;
-  table.filter_u64 = &FilterU64Scalar;
+  table.filter_packed = &FilterPackedScalar;
   table.sum_u64 = &SumU64Scalar;
   table.translate_codes = &TranslateCodesScalar;
   table.add_const = &AddConstScalar;

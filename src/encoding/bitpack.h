@@ -48,6 +48,9 @@ class BitPackColumn final : public EncodedColumn {
   void Serialize(BufferWriter* writer) const override;
 
   int bit_width() const { return packed_.bit_width(); }
+  /// The packed values, which are their own codes: a filter compares
+  /// them in place.
+  const PackedArray& packed() const { return packed_; }
 
  private:
   explicit BitPackColumn(PackedArray packed) : packed_(std::move(packed)) {}

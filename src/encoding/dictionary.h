@@ -79,12 +79,9 @@ class DictColumn final : public EncodedColumn {
 
   /// The code stored at `row` (an index into dictionary()).
   uint64_t GetCode(size_t row) const { return codes_.Get(row); }
-  /// Unpacks the codes of [row_begin, row_begin + count) into `out` —
-  /// the code-domain ranged kernel used by filter and aggregate pushdown
-  /// (compare/fold codes, never touch values).
-  void DecodeCodes(size_t row_begin, size_t count, uint64_t* out) const {
-    codes_.DecodeRange(row_begin, count, out);
-  }
+  /// The packed per-row codes, which filter and aggregate pushdown read
+  /// in place (compare or fold codes, never touch values).
+  const PackedArray& codes() const { return codes_; }
   std::span<const int64_t> dictionary() const { return dict_; }
   int bit_width() const { return codes_.bit_width(); }
 

@@ -51,12 +51,11 @@ class ForColumn final : public EncodedColumn {
   int64_t base() const { return base_; }
   int bit_width() const { return packed_.bit_width(); }
 
-  /// Unpacks the raw (un-rebased) offsets of [row_begin, row_begin +
-  /// count) — the packed-domain ranged kernel aggregate pushdown folds
-  /// over (sum = n * base + sum of offsets, no per-row rebase).
-  void DecodeOffsets(size_t row_begin, size_t count, uint64_t* out) const {
-    packed_.DecodeRange(row_begin, count, out);
-  }
+  /// The packed offsets from base(), which filter and aggregate pushdown
+  /// read in place: a filter compares them against the rebased range and
+  /// a sum folds them (sum = n * base + sum of offsets, no per-row
+  /// rebase).
+  const PackedArray& offsets() const { return packed_; }
 
  private:
   ForColumn(int64_t base, PackedArray packed)

@@ -41,7 +41,7 @@ std::vector<uint64_t> CodeHistogram(const enc::DictColumn& column) {
   std::vector<uint64_t> counts(column.dictionary().size(), 0);
   uint64_t codes[kMorselRows];
   ForEachMorsel(0, column.size(), [&](size_t begin, size_t len) {
-    column.DecodeCodes(begin, len, codes);
+    column.codes().DecodeRange(begin, len, codes);
     for (size_t i = 0; i < len; ++i) {
       ++counts[codes[i]];
     }
@@ -77,7 +77,7 @@ int64_t SumColumn(const enc::EncodedColumn& column) {
       // morsel, skip the per-row rebase entirely.
       uint64_t offsets[kMorselRows];
       ForEachMorsel(0, n, [&](size_t begin, size_t len) {
-        col.DecodeOffsets(begin, len, offsets);
+        col.offsets().DecodeRange(begin, len, offsets);
         sum += simd::SumU64(offsets, len);
       });
       sum += static_cast<uint64_t>(col.base()) * n;
@@ -108,7 +108,7 @@ std::optional<bit_util::MinMax> MinMaxColumn(
       bit_util::MinMax codes_range = result;
       uint64_t codes[kMorselRows];
       ForEachMorsel(0, n, [&](size_t begin, size_t len) {
-        col.DecodeCodes(begin, len, codes);
+        col.codes().DecodeRange(begin, len, codes);
         FoldMinMax({reinterpret_cast<const int64_t*>(codes), len},
                    &codes_range);
       });

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <type_traits>
 
+#include "common/bit_stream.h"
 #include "common/simd/simd.h"
 #include "core/ref_dispatch.h"
+#include "encoding/bitpack.h"
 #include "encoding/dictionary.h"
 #include "encoding/for.h"
 #include "query/kernel_counters.h"
@@ -35,20 +37,18 @@ void FilterGeneric(const enc::EncodedColumn& column, int64_t lo, int64_t hi,
       });
 }
 
-// Code-space fast path shared by FOR and Dict: the predicate is rebased
-// into the packed domain once, then each morsel is a raw unpack plus an
-// unsigned compare kernel — values are never reconstructed, and
-// non-matching morsels cost nothing beyond the unpack.
-template <typename DecodeCodes, typename Sink>
-void FilterCodes(size_t rows, uint64_t code_lo, uint64_t code_hi,
-                 DecodeCodes&& decode_codes, Sink&& sink) {
-  uint64_t codes[kMorselRows];
+// Code-space path shared by FOR, Dict and BitPack: the predicate is
+// rebased into the packed domain once, then each morsel is one fused
+// unpack-and-compare kernel call over the packed stream, so values are
+// never reconstructed and no morsel of codes is staged. The kernel clamps
+// code_hi to the stream's width and matches nothing when code_lo is
+// above it.
+template <typename Sink>
+void FilterCodes(const PackedArray& codes, uint64_t code_lo,
+                 uint64_t code_hi, Sink&& sink) {
   uint32_t staged[kMorselRows];
-  ForEachMorsel(0, rows, [&](size_t begin, size_t len) {
-    decode_codes(begin, len, codes);
-    sink(staged, simd::FilterInRangeU64(codes, len, code_lo, code_hi,
-                                        static_cast<uint32_t>(begin),
-                                        staged));
+  ForEachMorsel(0, codes.size(), [&](size_t begin, size_t len) {
+    sink(staged, codes.Filter(begin, len, code_lo, code_hi, staged));
   });
 }
 
@@ -63,17 +63,12 @@ void FilterDict(const enc::DictColumn& column, int64_t lo, int64_t hi,
   if (begin_it >= end_it) {
     return;
   }
-  FilterCodes(
-      column.size(), static_cast<uint64_t>(begin_it - dict.begin()),
-      static_cast<uint64_t>(end_it - dict.begin()) - 1,
-      [&](size_t begin, size_t len, uint64_t* out) {
-        column.DecodeCodes(begin, len, out);
-      },
-      sink);
+  FilterCodes(column.codes(), static_cast<uint64_t>(begin_it - dict.begin()),
+              static_cast<uint64_t>(end_it - dict.begin()) - 1, sink);
 }
 
-// FOR: rebase [lo, hi] by the frame base and clamp to the packed
-// offset domain [0, 2^width - 1]; morsels then compare raw offsets.
+// FOR: rebase [lo, hi] by the frame base; the offsets are compared
+// unsigned, as Encode computed them.
 template <typename Sink>
 void FilterFor(const enc::ForColumn& column, int64_t lo, int64_t hi,
                Sink&& sink) {
@@ -86,20 +81,25 @@ void FilterFor(const enc::ForColumn& column, int64_t lo, int64_t hi,
   const uint64_t code_lo =
       lo <= base ? 0
                  : static_cast<uint64_t>(lo) - static_cast<uint64_t>(base);
-  const uint64_t code_hi =
-      static_cast<uint64_t>(hi) - static_cast<uint64_t>(base);
-  const int width = column.bit_width();
-  const uint64_t max_code =
-      width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-  if (code_lo > max_code) {
-    return;  // Predicate entirely above the representable offsets.
+  FilterCodes(column.offsets(), code_lo,
+              static_cast<uint64_t>(hi) - static_cast<uint64_t>(base), sink);
+}
+
+// BitPack: a value is its code read as int64, so [lo, hi] is the code
+// range with the same bounds when lo >= 0 or hi < 0 (codes >= 2^63 are
+// the negative values; only a width-64 stream, which the encoder never
+// writes, holds them). A range spanning 0 is the codes [0, hi] below
+// width 64; at width 64 it is two code ranges, and decodes and compares.
+template <typename Sink>
+void FilterBitPack(const enc::BitPackColumn& column, int64_t lo, int64_t hi,
+                   Sink&& sink) {
+  const bool spans_zero = lo < 0 && hi >= 0;
+  if (spans_zero && column.bit_width() == 64) {
+    FilterGeneric(column, lo, hi, sink);
+    return;
   }
-  FilterCodes(
-      column.size(), code_lo, std::min(code_hi, max_code),
-      [&](size_t begin, size_t len, uint64_t* out) {
-        column.DecodeOffsets(begin, len, out);
-      },
-      sink);
+  FilterCodes(column.packed(), spans_zero ? 0 : static_cast<uint64_t>(lo),
+              static_cast<uint64_t>(hi), sink);
 }
 
 template <typename Sink>
@@ -108,14 +108,16 @@ void FilterDispatch(const enc::EncodedColumn& column, int64_t lo, int64_t hi,
   if (lo > hi) {
     return;
   }
-  // One scheme dispatch per scan; FOR and Dict run in the packed code
-  // domain, everything else decodes values and compares.
+  // One scheme dispatch per scan; FOR, Dict and BitPack run in the
+  // packed code domain, everything else decodes values and compares.
   DispatchRef(column, [&](const auto& col) {
     using Column = std::decay_t<decltype(col)>;
     if constexpr (std::is_same_v<Column, enc::DictColumn>) {
       FilterDict(col, lo, hi, sink);
     } else if constexpr (std::is_same_v<Column, enc::ForColumn>) {
       FilterFor(col, lo, hi, sink);
+    } else if constexpr (std::is_same_v<Column, enc::BitPackColumn>) {
+      FilterBitPack(col, lo, hi, sink);
     } else {
       FilterGeneric(col, lo, hi, sink);
     }

@@ -2,9 +2,11 @@
 //
 // Evaluates `lo <= value <= hi` directly on the compressed
 // representation, as a morsel pipeline (see query/morsel.h):
-//   * Dict: the sorted dictionary turns the value range into a code
-//     range via two binary searches — the scan compares bit-packed
-//     codes and never touches values;
+//   * FOR, Dict and BitPack: the value range becomes a code range (FOR
+//     rebases it by the base, Dict binary-searches its sorted
+//     dictionary, BitPack's values are their codes), and one fused
+//     unpack-and-compare kernel per morsel compares the bit-packed codes
+//     in place, never touching values;
 //   * everything else (including horizontal schemes): ranged
 //     decode-and-compare, one DecodeRange dispatch per morsel.
 //

@@ -76,6 +76,9 @@ Result<Block> Block::Build(std::vector<BlockColumn> columns) {
       return Status::InvalidArgument("block columns differ in row count");
     }
   }
+  if (rows > kMaxBlockRows) {
+    return Status::InvalidArgument("block has more than 2^32 - 1 rows");
+  }
   CORRA_RETURN_NOT_OK(BindAll(&columns));
   return Block(std::move(columns));
 }
@@ -140,6 +143,9 @@ Result<Block> Block::Deserialize(BufferReader* reader, bool verify) {
   CORRA_RETURN_NOT_OK(reader->Read(&rows));
   if (column_count == 0) {
     return Status::Corruption("block without columns");
+  }
+  if (rows > kMaxBlockRows) {
+    return Status::Corruption("block has more than 2^32 - 1 rows");
   }
   std::vector<BlockColumn> columns;
   columns.reserve(column_count);

@@ -26,6 +26,10 @@ namespace corra {
 /// Default block granularity (rows), as in the paper.
 inline constexpr size_t kDefaultBlockRows = 1'000'000;
 
+/// Most rows a block may hold: selection vectors and the filter kernels
+/// carry 32-bit row ids.
+inline constexpr size_t kMaxBlockRows = UINT32_MAX;
+
 /// One encoded column plus its optional string dictionary.
 struct BlockColumn {
   std::unique_ptr<enc::EncodedColumn> encoded;
@@ -42,9 +46,9 @@ class Block {
   Block(const Block&) = delete;
   Block& operator=(const Block&) = delete;
 
-  /// Assembles a block: validates equal row counts and resolves the
-  /// reference indices of horizontal columns (rejecting cycles and
-  /// out-of-range references).
+  /// Assembles a block: validates equal row counts of at most
+  /// kMaxBlockRows and resolves the reference indices of horizontal
+  /// columns (rejecting cycles and out-of-range references).
   static Result<Block> Build(std::vector<BlockColumn> columns);
 
   size_t num_columns() const { return columns_.size(); }
@@ -86,7 +90,8 @@ class Block {
   std::vector<uint8_t> Serialize() const;
 
   /// Rebuilds a block from bytes produced by Serialize, viewing its
-  /// packed payloads in `bytes` (see the ownership note above). With
+  /// packed payloads in `bytes` (see the ownership note above).
+  /// Corruption for a header of more than kMaxBlockRows rows. With
   /// `verify` set, runs O(n) integrity checks on horizontal columns.
   static Result<Block> Deserialize(const SharedBuffer& bytes,
                                    bool verify = false);

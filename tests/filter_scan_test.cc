@@ -4,13 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
+#include <utility>
 
+#include "common/bit_stream.h"
 #include "core/corra_compressor.h"
 #include "encoding/delta.h"
 #include "encoding/dictionary.h"
 #include "encoding/for.h"
 #include "query/filter.h"
 #include "query/table_scan.h"
+#include "storage/file_io.h"
+#include "storage/serde.h"
 #include "test_util.h"
 
 namespace corra::query {
@@ -76,6 +85,188 @@ INSTANTIATE_TEST_SUITE_P(Distributions, FilterSchemeTest,
                          [](const auto& param_info) {
                            return test::DistName(param_info.param);
                          });
+
+// ---- Packed-domain filters at every width ---------------------------------
+
+constexpr size_t kSweepRows = 2048 + 1005;  // A full morsel and a ragged one.
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+// `count` codes below 2^width (width <= 64, and below `limit` when it is
+// nonzero), a third of them clustered at each end of that range.
+std::vector<uint64_t> SweepCodes(int width, uint64_t limit, size_t count,
+                                 uint64_t seed) {
+  uint64_t max = width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+  if (limit != 0) {
+    max = std::min(max, limit - 1);
+  }
+  std::mt19937_64 rng(seed);
+  std::vector<uint64_t> codes(count);
+  for (auto& c : codes) {
+    const uint64_t r = rng();
+    c = r % 3 == 0   ? std::min<uint64_t>(r >> 8 & 3, max)
+        : r % 3 == 1 ? max - std::min<uint64_t>(r >> 8 & 3, max)
+                     : (r >> 2) & max;
+  }
+  return codes;
+}
+
+// A column read from its wire form: the scheme byte, what `prefix`
+// writes, then `codes` packed at `width` bits.
+template <typename Prefix>
+std::unique_ptr<enc::EncodedColumn> PackedColumn(
+    enc::Scheme scheme, Prefix&& prefix, const std::vector<uint64_t>& codes,
+    int width) {
+  BufferWriter writer;
+  writer.Write<uint8_t>(static_cast<uint8_t>(scheme));
+  prefix(writer);
+  PackedArray::Pack(codes, width).Write(&writer);
+  const std::vector<uint8_t> bytes = std::move(writer).Finish();
+  BufferReader reader(bytes);
+  auto column = DeserializeEncodedColumn(&reader);
+  EXPECT_TRUE(column.ok()) << column.status().ToString();
+  return std::move(column).value();
+}
+
+// Checks FilterToSelection and CountInRange on `column` against
+// decode-and-compare over ranges around its smallest, middle and
+// largest values, both signs, the whole domain and an empty range.
+void ExpectFiltersMatchDecode(const enc::EncodedColumn& column) {
+  std::vector<int64_t> values(column.size());
+  column.DecodeRange(0, values.size(), values.data());
+  std::vector<int64_t> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const int64_t low = sorted.front();
+  const int64_t high = sorted.back();
+  const int64_t quarter = sorted[sorted.size() / 4];
+  const int64_t half = sorted[sorted.size() / 2];
+  const std::pair<int64_t, int64_t> bounds[] = {
+      {low, low},
+      {high, high},
+      {quarter, half},
+      {half + (half < kMax ? 1 : 0), quarter},  // Empty (lo > hi).
+      {kMin, kMax},
+      {kMin, -1},
+      {0, kMax},
+      {-1, 1},
+      {kMin, low > kMin ? low - 1 : low},
+      {high < kMax ? high + 1 : high, kMax}};
+  for (const auto& [lo, hi] : bounds) {
+    SCOPED_TRACE("range [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                 "]");
+    const auto expected = ReferenceFilter(values, lo, hi);
+    ASSERT_EQ(FilterToSelection(column, lo, hi), expected);
+    ASSERT_EQ(CountInRange(column, lo, hi), expected.size());
+  }
+}
+
+TEST(PackedFilterTest, ForMatchesDecodeAtEveryWidth) {
+  for (int width = 0; width <= 64; ++width) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    // base is the minimum, as Encode stores it: values span
+    // [base, base + 2^width - 1] and sit around 0.
+    const uint64_t base =
+        width == 0 ? 42 : ~uint64_t{0} << (width - 1);
+    std::vector<int64_t> values;
+    for (uint64_t offset :
+         SweepCodes(width, 0, kSweepRows, 100 + static_cast<uint64_t>(width))) {
+      values.push_back(static_cast<int64_t>(base + offset));
+    }
+    auto column = enc::ForColumn::Encode(values).value();
+    ASSERT_EQ(column->bit_width(), width);
+    ExpectFiltersMatchDecode(*column);
+  }
+}
+
+TEST(PackedFilterTest, DictMatchesDecodeAtEveryWidth) {
+  // Codes stored wider than the dictionary needs, as a reader may meet
+  // them, down to a one-entry dictionary at width 0.
+  for (int width = 0; width <= 64; ++width) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const size_t entries = width >= 9 ? 257 : size_t{1} << width;
+    std::vector<int64_t> dict(entries);
+    for (size_t k = 0; k < entries; ++k) {
+      dict[k] = -640 + 5 * static_cast<int64_t>(k);
+    }
+    if (entries >= 4) {
+      dict.front() = kMin;
+      dict.back() = kMax;
+    }
+    const auto column = PackedColumn(
+        enc::Scheme::kDict, [&](BufferWriter& w) { w.WriteInt64Array(dict); },
+        SweepCodes(width, entries, kSweepRows,
+                   200 + static_cast<uint64_t>(width)),
+        width);
+    ExpectFiltersMatchDecode(*column);
+  }
+}
+
+TEST(PackedFilterTest, BitPackMatchesDecodeAtEveryWidth) {
+  // At width 64 the codes include ones with the top bit set, which decode
+  // as negative values (the encoder never writes them; a file can hold
+  // them).
+  for (int width = 0; width <= 64; ++width) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const auto column = PackedColumn(
+        enc::Scheme::kBitPack, [](BufferWriter&) {},
+        SweepCodes(width, 0, kSweepRows, 300 + static_cast<uint64_t>(width)),
+        width);
+    ExpectFiltersMatchDecode(*column);
+  }
+}
+
+TEST(PackedFilterTest, LoadedBlockFiltersItsReadBufferInPlace) {
+  // A block read through CorfFile::ReadBlockBytes views the read buffer,
+  // which ends with the last column's stored slack, so the filter kernel
+  // reads the file's own slack in place (under ASan, a load past it
+  // fails).
+  const std::string path =
+      ::testing::TempDir() + "corra_filter_scan_test.corf";
+  Rng rng(8);
+  const std::array<enc::Scheme, 3> schemes = {
+      enc::Scheme::kDict, enc::Scheme::kBitPack, enc::Scheme::kFor};
+  std::vector<std::vector<int64_t>> raw(3, std::vector<int64_t>(kSweepRows));
+  for (size_t i = 0; i < kSweepRows; ++i) {
+    raw[0][i] = rng.Uniform(0, 49);
+    raw[1][i] = rng.Uniform(100, 25000);
+    raw[2][i] = rng.Uniform(8035, 10591);
+  }
+  Table table;
+  CompressionPlan plan = CompressionPlan::AllAuto(schemes.size());
+  for (size_t c = 0; c < schemes.size(); ++c) {
+    ASSERT_TRUE(
+        table.AddColumn(Column::Int64("c" + std::to_string(c), raw[c])).ok());
+    plan.columns[c].auto_vertical = false;
+    plan.columns[c].scheme = schemes[c];
+  }
+  auto compressed = CorraCompressor::Compress(table, plan);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  ASSERT_TRUE(WriteCompressedTable(compressed.value(), path).ok());
+  {
+    auto file = CorfFile::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    auto bytes = file.value().ReadBlockBytes(0);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    auto block = Block::Deserialize(bytes.value());
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    // One handle per column's stream besides ours: they view the buffer.
+    EXPECT_EQ(bytes.value().owner().use_count(), 1 + 3);
+    for (size_t c = 0; c < schemes.size(); ++c) {
+      SCOPED_TRACE("column " + std::to_string(c));
+      ASSERT_EQ(block.value().column(c).scheme(), schemes[c]);
+      for (auto [lo, hi] : {std::pair<int64_t, int64_t>{kMin, kMax},
+                            {20, 20},
+                            {9000, 9025},
+                            {5000, 5300}}) {
+        EXPECT_EQ(FilterToSelection(block.value().column(c), lo, hi),
+                  ReferenceFilter(raw[c], lo, hi));
+        EXPECT_EQ(CountInRange(block.value().column(c), lo, hi),
+                  ReferenceFilter(raw[c], lo, hi).size());
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
 
 TEST(FilterTest, EmptyRangeAndEmptyColumn) {
   const std::vector<int64_t> values = {1, 2, 3};

@@ -374,7 +374,8 @@ TEST(RobustnessTest, WrappingRowCountsRejected) {
     EXPECT_TRUE(column.status().IsCorruption()) << column.status().ToString();
   }
   // The BitPack column as the one column of a block whose header agrees
-  // with its row count, so only the stream's own check can reject it.
+  // with its row count. The header's 32-bit row bound rejects it first;
+  // the columns above show the stream's own check.
   const auto pristine = MakeRichBlockBytes();
   BufferWriter block;
   block.Write<uint32_t>(0);  // Magic and version, copied below.
@@ -389,6 +390,59 @@ TEST(RobustnessTest, WrappingRowCountsRejected) {
   auto result = Block::Deserialize(bytes, /*verify=*/true);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+}
+
+// The 36-byte block of one BitPack column of width 0 and `rows` rows. A
+// width-0 stream stores no bits, so nothing but the header bounds its
+// row count.
+std::vector<uint8_t> WidthZeroBlockBytes(uint64_t rows) {
+  BufferWriter w;
+  w.Write<uint32_t>(0);  // Magic and version, copied below.
+  w.Write<uint8_t>(0);
+  w.Write<uint32_t>(1);  // Columns.
+  w.Write<uint64_t>(rows);
+  w.Write<uint8_t>(0);  // No string dictionary.
+  w.Write<uint8_t>(static_cast<uint8_t>(enc::Scheme::kBitPack));
+  w.Write<uint8_t>(0);  // Width.
+  w.Write<uint64_t>(rows);
+  w.WriteBytes({});
+  std::vector<uint8_t> bytes = std::move(w).Finish();
+  const auto pristine = MakeRichBlockBytes();
+  std::copy_n(pristine.begin(), 5, bytes.begin());
+  return bytes;
+}
+
+TEST(RobustnessTest, RowCountsBeyond32BitRowIdsRejected) {
+  // Selection vectors and the filter kernels carry 32-bit row ids, so a
+  // block holds at most 2^32 - 1 rows: the width-0 block of 2^40 rows
+  // and one of 2^32 rows are Corruption, while 2^32 - 1 rows still load.
+  const auto huge = WidthZeroBlockBytes(uint64_t{1} << 40);
+  ASSERT_EQ(huge.size(), 36u);
+  for (const bool verify : {false, true}) {
+    auto block = Block::Deserialize(huge, verify);
+    ASSERT_FALSE(block.ok()) << "accepted " << block.value().rows()
+                             << " rows";
+    EXPECT_TRUE(block.status().IsCorruption()) << block.status().ToString();
+  }
+  EXPECT_TRUE(Block::Deserialize(WidthZeroBlockBytes(uint64_t{1} << 32))
+                  .status()
+                  .IsCorruption());
+  auto largest = Block::Deserialize(WidthZeroBlockBytes(kMaxBlockRows));
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest.value().rows(), kMaxBlockRows);
+
+  // Build rejects the same column, read on its own (past the 18-byte
+  // block header and dictionary flag).
+  const std::vector<uint8_t> column_bytes(huge.begin() + 18, huge.end());
+  BufferReader reader(column_bytes);
+  auto column = DeserializeEncodedColumn(&reader);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  std::vector<BlockColumn> columns(1);
+  columns[0].encoded = std::move(column).value();
+  auto built = Block::Build(std::move(columns));
+  ASSERT_FALSE(built.ok());
+  EXPECT_TRUE(built.status().IsInvalidArgument())
+      << built.status().ToString();
 }
 
 // A block of `rows` rows: column 0 a BitPack column of row % 64, column

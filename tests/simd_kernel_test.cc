@@ -165,15 +165,103 @@ TEST_P(KernelTest, FilterMatchesReferenceModel) {
   }
 }
 
+// The scalar model of the packed filter: the rows begin + i, i < count,
+// whose value lies in the unsigned range [lo, hi].
+std::vector<uint32_t> PackedFilterModel(const std::vector<uint64_t>& values,
+                                        size_t begin, size_t count,
+                                        uint64_t lo, uint64_t hi) {
+  std::vector<uint32_t> rows;
+  for (size_t row = begin; row < begin + count; ++row) {
+    if (values[row] >= lo && values[row] <= hi) {
+      rows.push_back(static_cast<uint32_t>(row));
+    }
+  }
+  return rows;
+}
+
+// Runs the table's packed filter over [begin, begin + count) of `packed`
+// into a buffer of exactly `count` slots followed by sentinels, checks
+// that the sentinels survive, and returns the rows it reported.
+std::vector<uint32_t> RunPackedFilter(const KernelTable& table,
+                                      const uint8_t* data, int bit_width,
+                                      size_t begin, size_t count,
+                                      uint64_t lo, uint64_t hi) {
+  constexpr uint32_t kSentinel = 0xA5A5A5A5;
+  std::vector<uint32_t> got(count + 8, kSentinel);
+  const size_t n = table.filter_packed(data, bit_width, begin, count, lo, hi,
+                                       got.data());
+  EXPECT_LE(n, count);
+  for (size_t i = count; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], kSentinel) << "wrote past count at " << i;
+  }
+  got.resize(std::min(n, count));
+  return got;
+}
+
+TEST_P(KernelTest, PackedFilterMatchesReferenceModel) {
+  // Every width; begins on and off 8- and 64-code boundaries; counts
+  // around one 8-code step and one 64-code block, and a whole morsel;
+  // bounds that are empty (lo > hi), the smallest and the largest code
+  // alone, a middle range, and ranges reaching above the largest code.
+  constexpr size_t kRows = 2048 + 200;
+  const size_t begins[] = {0, 3, 8, 61, 64, 100, 131};
+  const size_t counts[] = {0, 1, 7, 8, 9, 63, 64, 65, 2048};
+  for (int width = 0; width <= 64; ++width) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const uint64_t max = width >= 64 ? ~uint64_t{0}
+                                     : (uint64_t{1} << width) - 1;
+    // Codes cluster at both ends of the domain as well, so the one-code
+    // ranges select rows at every width.
+    std::mt19937_64 rng(900 + static_cast<uint64_t>(width));
+    std::vector<uint64_t> values(kRows);
+    for (auto& v : values) {
+      const uint64_t r = rng();
+      v = r % 4 == 0 ? (r >> 8) % 3 & max
+          : r % 4 == 1 ? max - ((r >> 8) % 3 & max)
+                       : (r >> 2) & max;
+    }
+    const PackedArray packed = PackedArray::Pack(values, width);
+    const uint64_t bounds[][2] = {{5, 4},
+                                  {max, 0},
+                                  {0, 0},
+                                  {max, max},
+                                  {max / 4, max / 2},
+                                  {max / 2, ~uint64_t{0}},
+                                  {1, max + 1},
+                                  // Above 2^32, with small low 32 bits.
+                                  {0, (uint64_t{1} << 32) + 1},
+                                  {max + 1, ~uint64_t{0}}};
+    for (const auto& b : bounds) {
+      for (size_t begin : begins) {
+        for (size_t count : counts) {
+          if (begin + count > kRows) {
+            continue;
+          }
+          SCOPED_TRACE("lo=" + std::to_string(b[0]) +
+                       " hi=" + std::to_string(b[1]) +
+                       " begin=" + std::to_string(begin) +
+                       " count=" + std::to_string(count));
+          ASSERT_EQ(RunPackedFilter(table(), packed.data(), width, begin,
+                                    count, b[0], b[1]),
+                    PackedFilterModel(values, begin, count, b[0], b[1]));
+        }
+      }
+    }
+  }
+}
+
 TEST_P(KernelTest, UnsignedFilterUsesFullDomain) {
+  // Width-64 codes over the whole unsigned domain, including codes >=
+  // 2^63, compare unsigned.
   std::mt19937_64 rng(12);
   std::vector<uint64_t> codes(kSweepCount);
   for (auto& c : codes) {
-    c = rng();  // Full 64-bit range, including values >= 2^63.
+    c = rng();
   }
   codes[0] = 0;
   codes[1] = ~uint64_t{0};
   codes[2] = uint64_t{1} << 63;
+  const PackedArray packed = PackedArray::Pack(codes, 64);
   const uint64_t bounds[][2] = {
       {0, ~uint64_t{0}},
       {uint64_t{1} << 63, ~uint64_t{0}},
@@ -183,19 +271,9 @@ TEST_P(KernelTest, UnsignedFilterUsesFullDomain) {
   for (const auto& b : bounds) {
     SCOPED_TRACE("lo=" + std::to_string(b[0]) +
                  " hi=" + std::to_string(b[1]));
-    std::vector<uint32_t> got(kSweepCount, 0);
-    const size_t n = table().filter_u64(codes.data(), kSweepCount, b[0],
-                                        b[1], 0, got.data());
-    std::vector<uint32_t> expected;
-    for (size_t i = 0; i < kSweepCount; ++i) {
-      if (codes[i] >= b[0] && codes[i] <= b[1]) {
-        expected.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    ASSERT_EQ(n, expected.size());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(got[i], expected[i]) << "i=" << i;
-    }
+    ASSERT_EQ(RunPackedFilter(table(), packed.data(), 64, 0, kSweepCount,
+                              b[0], b[1]),
+              PackedFilterModel(codes, 0, kSweepCount, b[0], b[1]));
   }
 }
 
@@ -484,6 +562,14 @@ TEST_P(KernelTest, SlackContentsDoNotChangeAnyKernel) {
       table().delta_decode(dirty.data(), width, begin, len, 99,
                            got_sum.data());
       ASSERT_EQ(got_sum, want_sum);
+      const uint64_t max = width >= 64 ? ~uint64_t{0}
+                                       : (uint64_t{1} << width) - 1;
+      for (const uint64_t lo : {uint64_t{0}, max / 3}) {
+        ASSERT_EQ(RunPackedFilter(table(), dirty.data(), width, begin, len,
+                                  lo, max / 2 + 1),
+                  RunPackedFilter(table(), clean, width, begin, len, lo,
+                                  max / 2 + 1));
+      }
     }
 
     std::vector<uint32_t> rows;
