@@ -189,15 +189,33 @@ void RunAll(const bench::Flags& flags) {
   std::vector<int64_t> out(rows);
   int64_t sink = 0;
 
-  // Encode: the write side, per scheme and through the auto selector on
-  // a high-cardinality column (FOR wins; Dict's distinct count stops
-  // early) and a low-cardinality one with a wide range (Dict wins).
+  // Encode: the write side, per scheme and through the auto selector.
+  // Wide domains, whose distinct values Dict and Hierarchical number in a
+  // hash: a high-cardinality column (FOR wins; Dict's distinct count
+  // stops early), a low-cardinality one with a wide range (Dict wins) and
+  // the zip codes above (~75k span over 2,500 cities). Narrow domains
+  // (max - min < 2 * rows; cardinality * span <= 2 * rows), numbered in
+  // a table indexed by value: 300 distinct values in a 4,096 span (Dict
+  // wins), the date-like reference (FOR wins after Dict's early stop)
+  // and ~60 references over 900 dense codes (DMV's zip under city).
   Rng card_rng(12);
   std::vector<int64_t> high_card(rows);
   std::vector<int64_t> low_card(rows);
   for (size_t i = 0; i < rows; ++i) {
     high_card[i] = card_rng.Uniform(0, (int64_t{1} << 30) - 1);
     low_card[i] = card_rng.Uniform(0, 15) * (int64_t{1} << 40);
+  }
+  std::vector<int64_t> narrow_pool(300);
+  for (auto& v : narrow_pool) {
+    v = card_rng.Uniform(0, 4095);
+  }
+  std::vector<int64_t> narrow(rows);
+  std::vector<int64_t> code_refs(rows);
+  std::vector<int64_t> codes(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    narrow[i] = narrow_pool[static_cast<size_t>(card_rng.Uniform(0, 299))];
+    code_refs[i] = card_rng.Uniform(0, 59);
+    codes[i] = code_refs[i] * 15 + card_rng.Uniform(0, 14);
   }
   RunBench(&reporter, "encode/for", rows, reps, [&] {
     sink += static_cast<int64_t>(enc::ForColumn::Encode(reference)
@@ -221,6 +239,10 @@ void RunAll(const bench::Flags& flags) {
     sink += static_cast<int64_t>(
         HierarchicalColumn::Encode(zip, city, 0).value()->SizeBytes());
   });
+  RunBench(&reporter, "encode/hierarchical_codes", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        HierarchicalColumn::Encode(codes, code_refs, 0).value()->SizeBytes());
+  });
   RunBench(&reporter, "select/auto_high_card", rows, reps, [&] {
     sink += static_cast<int64_t>(
         enc::SelectBestScheme(high_card).value()->SizeBytes());
@@ -228,6 +250,14 @@ void RunAll(const bench::Flags& flags) {
   RunBench(&reporter, "select/auto_low_card", rows, reps, [&] {
     sink += static_cast<int64_t>(
         enc::SelectBestScheme(low_card).value()->SizeBytes());
+  });
+  RunBench(&reporter, "select/auto_narrow", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        enc::SelectBestScheme(narrow).value()->SizeBytes());
+  });
+  RunBench(&reporter, "select/auto_dates", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        enc::SelectBestScheme(reference).value()->SizeBytes());
   });
 
   // Full decode (DecodeAll == one DecodeRange over the column).

@@ -1,6 +1,7 @@
 // Flat open-addressing hash that numbers distinct keys in first-insert
-// order: the dictionary builder of the write path (Dict's distinct count
-// and codes, Hierarchical's per-reference local dictionaries).
+// order: the write path's dictionary builder for value domains too wide
+// to index by value (Dict's distinct count and codes, Hierarchical's
+// per-reference local dictionaries).
 //
 // Slots hold the key next to its id + 1, and id + 1 == 0 marks an empty
 // slot, so every key value is storable (INT64_MIN, INT64_MAX and 0

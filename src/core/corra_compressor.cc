@@ -87,10 +87,9 @@ Result<std::unique_ptr<enc::EncodedColumn>> EncodeVertical(
       CORRA_ASSIGN_OR_RETURN(auto col, enc::ForColumn::Encode(values, range));
       return std::unique_ptr<enc::EncodedColumn>(std::move(col));
     }
-    case enc::Scheme::kDict: {
-      CORRA_ASSIGN_OR_RETURN(auto col, enc::DictColumn::Encode(values));
-      return std::unique_ptr<enc::EncodedColumn>(std::move(col));
-    }
+    case enc::Scheme::kDict:
+      return std::unique_ptr<enc::EncodedColumn>(
+          enc::DictColumn::Encode(enc::DistinctValues(values, range)));
     case enc::Scheme::kDelta: {
       CORRA_ASSIGN_OR_RETURN(auto col, enc::DeltaColumn::Encode(values));
       return std::unique_ptr<enc::EncodedColumn>(std::move(col));
@@ -119,7 +118,8 @@ Result<Block> CompressOneBlock(const Table& table,
     BlockColumn& out = block_columns[i];
     out.dict = table.column(i).dictionary();
     // The column's one statistics pass: the block's min/max stats, and
-    // the selector's and FOR/BitPack's range (blocks are never empty).
+    // the range the selector, FOR, BitPack, Dict and Hierarchical take
+    // (blocks are never empty).
     const bit_util::MinMax range = bit_util::ComputeMinMax(slice);
     out.range = range;
 
@@ -146,7 +146,7 @@ Result<Block> CompressOneBlock(const Table& table,
         CORRA_ASSIGN_OR_RETURN(
             auto col,
             HierarchicalColumn::Encode(
-                slice, ref, static_cast<uint32_t>(cp.reference)));
+                slice, ref, static_cast<uint32_t>(cp.reference), range));
         out.encoded = std::move(col);
         break;
       }

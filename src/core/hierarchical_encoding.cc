@@ -16,24 +16,25 @@ namespace {
 constexpr int64_t kMaxRefCardinality = int64_t{1} << 26;
 
 // The per-reference local dictionaries, in first-seen order (the paper
-// builds them "on the fly" with a hashtable during compression): one flat
-// hash numbers the distinct (reference code, value) pairs, and each new
-// pair takes the next local code of its reference.
+// builds them "on the fly" with a hashtable during compression): each new
+// (reference code, value) pair takes the next local code of its
+// reference.
 struct LocalDictionaries {
   size_t cardinality = 0;                // Reference codes: max code + 1.
   std::vector<RefValueKey> pairs;        // Distinct pairs, first-seen.
-  std::vector<uint32_t> local_of_pair;   // Local code of each pair.
   std::vector<uint32_t> local_count;     // Dictionary size per reference.
   uint32_t max_local = 0;
 };
 
-// Builds the local dictionaries of `target` under the dense reference
-// codes `ref_codes`; with `row_codes`, also stores every row's local code
-// there (target.size() entries). InvalidArgument for a non-dense
-// reference.
+// Builds the local dictionaries of `target` (min and max in `range`)
+// under the dense reference codes `ref_codes`; with `row_codes`, also
+// stores every row's local code there (target.size() entries).
+// InvalidArgument for a non-dense reference. The pairs are numbered in a
+// table indexed by ref * span + (value - min) when cardinality * span <=
+// 2 * rows (span = max - min + 1), and in one flat hash otherwise.
 Result<LocalDictionaries> BuildLocalDictionaries(
-    std::span<const int64_t> target, std::span<const int64_t> ref_codes,
-    uint32_t* row_codes) {
+    std::span<const int64_t> target, bit_util::MinMax range,
+    std::span<const int64_t> ref_codes, uint32_t* row_codes) {
   if (target.size() != ref_codes.size()) {
     return Status::InvalidArgument("target/reference length mismatch");
   }
@@ -51,20 +52,45 @@ Result<LocalDictionaries> BuildLocalDictionaries(
   LocalDictionaries dicts;
   dicts.cardinality = static_cast<size_t>(max_code + 1);
   dicts.local_count.assign(dicts.cardinality, 0);
-  FlatIdMap<RefValueKey> ids(std::min(target.size(), dicts.cardinality));
-  for (size_t i = 0; i < target.size(); ++i) {
-    const RefValueKey key{ref_codes[i], target[i]};
-    const uint32_t id = ids.Insert(key);
-    if (id == dicts.local_of_pair.size()) {
-      const uint32_t local = dicts.local_count[static_cast<size_t>(key.ref)]++;
-      dicts.local_of_pair.push_back(local);
-      dicts.max_local = std::max(dicts.max_local, local);
+  const size_t n = target.size();
+  // The local code of a new pair under reference `ref`.
+  const auto next_local = [&](int64_t ref) {
+    const uint32_t local = dicts.local_count[static_cast<size_t>(ref)]++;
+    dicts.max_local = std::max(dicts.max_local, local);
+    return local;
+  };
+  const uint64_t base = static_cast<uint64_t>(range.min);
+  const uint64_t max_offset = static_cast<uint64_t>(range.max) - base;
+  // cardinality * (max_offset + 1) <= 2 * n, without overflow.
+  if (n > 0 && max_offset < 2 * n / dicts.cardinality) {
+    // Each slot holds its pair's local code + 1, or 0 while unseen.
+    const size_t span = max_offset + 1;
+    std::vector<uint32_t> slots(dicts.cardinality * span, 0);
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t& slot = slots[static_cast<size_t>(ref_codes[i]) * span +
+                             (static_cast<uint64_t>(target[i]) - base)];
+      if (slot == 0) {
+        dicts.pairs.push_back({ref_codes[i], target[i]});
+        slot = next_local(ref_codes[i]) + 1;
+      }
+      if (row_codes != nullptr) {
+        row_codes[i] = slot - 1;
+      }
     }
-    if (row_codes != nullptr) {
-      row_codes[i] = dicts.local_of_pair[id];
+  } else {
+    FlatIdMap<RefValueKey> ids(std::min(n, dicts.cardinality));
+    std::vector<uint32_t> local_of_pair;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t id = ids.Insert({ref_codes[i], target[i]});
+      if (id == local_of_pair.size()) {
+        local_of_pair.push_back(next_local(ref_codes[i]));
+      }
+      if (row_codes != nullptr) {
+        row_codes[i] = local_of_pair[id];
+      }
     }
+    dicts.pairs = ids.keys();
   }
-  dicts.pairs = ids.keys();
   return dicts;
 }
 
@@ -82,22 +108,30 @@ HierarchicalColumn::HierarchicalColumn(uint32_t ref_index,
 Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Encode(
     std::span<const int64_t> target, std::span<const int64_t> ref_codes,
     uint32_t ref_index) {
+  return Encode(target, ref_codes, ref_index,
+                bit_util::ComputeMinMax(target));
+}
+
+Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Encode(
+    std::span<const int64_t> target, std::span<const int64_t> ref_codes,
+    uint32_t ref_index, bit_util::MinMax range) {
   std::vector<uint32_t> local_codes(target.size());
   CORRA_ASSIGN_OR_RETURN(
       const LocalDictionaries dicts,
-      BuildLocalDictionaries(target, ref_codes, local_codes.data()));
+      BuildLocalDictionaries(target, range, ref_codes, local_codes.data()));
 
-  // Flatten into the paper's (values, offsets) metadata.
+  // Flatten into the paper's (values, offsets) metadata: a reference's
+  // pairs arrive in local-code order, so each goes to the next free entry
+  // of its slice.
   const size_t cardinality = dicts.cardinality;
   std::vector<uint32_t> offsets(cardinality + 1, 0);
   for (size_t c = 0; c < cardinality; ++c) {
     offsets[c + 1] = offsets[c] + dicts.local_count[c];
   }
   std::vector<int64_t> values(dicts.pairs.size());
-  for (size_t p = 0; p < dicts.pairs.size(); ++p) {
-    const RefValueKey& pair = dicts.pairs[p];
-    values[offsets[static_cast<size_t>(pair.ref)] + dicts.local_of_pair[p]] =
-        pair.value;
+  std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
+  for (const RefValueKey& pair : dicts.pairs) {
+    values[next[static_cast<size_t>(pair.ref)]++] = pair.value;
   }
 
   const int width = bit_util::BitWidth(dicts.max_local);
@@ -111,7 +145,8 @@ Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Encode(
 
 size_t HierarchicalColumn::EstimateSizeBytes(
     std::span<const int64_t> target, std::span<const int64_t> ref_codes) {
-  const auto dicts = BuildLocalDictionaries(target, ref_codes, nullptr);
+  const auto dicts = BuildLocalDictionaries(
+      target, bit_util::ComputeMinMax(target), ref_codes, nullptr);
   if (!dicts.ok()) {
     return SIZE_MAX;
   }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/bit_stream.h"
+#include "common/bit_util.h"
 #include "core/horizontal.h"
 
 namespace corra {
@@ -40,6 +41,11 @@ class HierarchicalColumn final : public SingleRefColumn {
   static Result<std::unique_ptr<HierarchicalColumn>> Encode(
       std::span<const int64_t> target, std::span<const int64_t> ref_codes,
       uint32_t ref_index);
+  /// Same, given the target's min and max (a statistics pass already
+  /// made).
+  static Result<std::unique_ptr<HierarchicalColumn>> Encode(
+      std::span<const int64_t> target, std::span<const int64_t> ref_codes,
+      uint32_t ref_index, bit_util::MinMax range);
 
   /// Compressed size `target` would have under hierarchical encoding
   /// against `ref_codes`, without building the packed payload.

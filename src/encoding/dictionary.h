@@ -7,10 +7,12 @@
 #define CORRA_ENCODING_DICTIONARY_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/bit_stream.h"
+#include "common/bit_util.h"
 #include "common/flat_hash.h"
 #include "encoding/encoded_column.h"
 
@@ -21,29 +23,36 @@ namespace corra::enc {
 /// decreases as `distinct` grows.
 size_t DictSizeBytes(size_t rows, size_t distinct);
 
-/// The distinct values of a column slice, numbered in first-seen order in
-/// a flat hash: the one pass that both sizes a dictionary and builds it.
+/// The distinct values of a column slice: the one pass that both sizes a
+/// dictionary and builds it. A narrow domain (max - min < 2 * rows) is
+/// counted in a table indexed by value - min; a wider one in a flat hash
+/// that numbers the values in first-seen order.
 class DistinctValues {
  public:
   /// Counts the distinct values of `values`, which must outlive this
-  /// object. Stops as soon as the Dict size of the values counted so far
-  /// reaches `stop_bytes` (Dict can then no longer come in under it). The
-  /// table is sized for min(rows, stop_bytes / 8 + 1) keys, the most an
-  /// early stop lets in.
-  explicit DistinctValues(std::span<const int64_t> values,
-                          size_t stop_bytes = SIZE_MAX);
+  /// object and lie in `range` (their min and max). Stops as soon as the
+  /// Dict size of the values counted so far reaches `stop_bytes` (Dict can
+  /// then no longer come in under it). The hash is sized for
+  /// min(rows, stop_bytes / 8 + 1) keys, the most an early stop lets in.
+  DistinctValues(std::span<const int64_t> values, bit_util::MinMax range,
+                 size_t stop_bytes = SIZE_MAX);
 
   /// DictSizeBytes of the values counted: exact when every value was
   /// counted; after an early stop, a lower bound that is >= stop_bytes.
   size_t DictSizeBytes() const {
-    return enc::DictSizeBytes(values_.size(), ids_.size());
+    return enc::DictSizeBytes(values_.size(), count_);
   }
 
  private:
   friend class DictColumn;
 
   std::span<const int64_t> values_;
-  FlatIdMap<int64_t> ids_;
+  bit_util::MinMax range_;
+  size_t count_ = 0;
+  // Narrow domain: slot value - min is nonzero once the value was seen.
+  std::vector<uint32_t> slots_;
+  // Wide domain (slots_ unused): ids in first-seen order.
+  std::optional<FlatIdMap<int64_t>> ids_;
   bool complete_ = true;
 };
 
@@ -53,10 +62,12 @@ class DictColumn final : public EncodedColumn {
   static Result<std::unique_ptr<DictColumn>> Encode(
       std::span<const int64_t> values);
 
-  /// Encodes the values `distinct` counted (the selector's pass): sorts
-  /// only the distinct values and codes every row through the same hash.
-  /// A count that stopped early is first redone in full.
-  static std::unique_ptr<DictColumn> Encode(const DistinctValues& distinct);
+  /// Encodes the values `distinct` counted (the selector's pass) and
+  /// codes every row through the same table: a narrow domain's table,
+  /// read in value order, gives the ranks; a wide domain's hash ids are
+  /// ranked by sorting only the distinct values. A count that stopped
+  /// early is first redone in full.
+  static std::unique_ptr<DictColumn> Encode(DistinctValues distinct);
 
   /// Compressed size `values` would have (codes + dictionary), without
   /// encoding them: an exact, unbounded distinct count.

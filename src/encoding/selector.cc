@@ -27,9 +27,10 @@ std::vector<SchemeEstimate> Estimate(std::span<const int64_t> values,
       {Scheme::kBitPack,
        BitPackColumn::EstimateSizeBytes(values.size(), range)},
       {Scheme::kFor, ForColumn::EstimateSizeBytes(values.size(), range)}};
-  distinct->emplace(values, std::min({estimates[0].size_bytes,
-                                      estimates[1].size_bytes,
-                                      estimates[2].size_bytes}));
+  distinct->emplace(values, range,
+                    std::min({estimates[0].size_bytes,
+                              estimates[1].size_bytes,
+                              estimates[2].size_bytes}));
   estimates.push_back({Scheme::kDict, (*distinct)->DictSizeBytes()});
   if (options.policy == SelectionPolicy::kAllowCheckpointedSchemes) {
     estimates.push_back(
@@ -82,7 +83,8 @@ Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
     case Scheme::kDict:
       // Dict won, so it was strictly under the stop size: the count ran
       // to completion.
-      return std::unique_ptr<EncodedColumn>(DictColumn::Encode(*distinct));
+      return std::unique_ptr<EncodedColumn>(
+          DictColumn::Encode(std::move(*distinct)));
     case Scheme::kDelta: {
       CORRA_ASSIGN_OR_RETURN(auto col, DeltaColumn::Encode(values));
       return std::unique_ptr<EncodedColumn>(std::move(col));

@@ -67,7 +67,8 @@ std::vector<SchemeEstimate> EstimateSchemes(std::span<const int64_t> values,
                                             SelectionPolicy policy);
 
 /// Encodes `values` with the smallest applicable scheme under `options`
-/// (the first on ties), reusing the estimates' min/max and Dict's hash.
+/// (the first on ties), reusing the estimates' min/max and Dict's
+/// distinct-value table.
 Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(
     std::span<const int64_t> values, const SelectionOptions& options);
 Result<std::unique_ptr<EncodedColumn>> SelectBestScheme(

@@ -68,11 +68,22 @@ void FilterDict(const enc::DictColumn& column, int64_t lo, int64_t hi,
 }
 
 // FOR: rebase [lo, hi] by the frame base; the offsets are compared
-// unsigned, as Encode computed them.
+// unsigned, as Encode computed them. That needs base to be the minimum,
+// which holds when no offset the width can hold takes base + offset past
+// INT64_MAX. A frame where one can (only hand-built or corrupt bytes, or
+// a column whose maximum sits near INT64_MAX) decodes and compares.
 template <typename Sink>
 void FilterFor(const enc::ForColumn& column, int64_t lo, int64_t hi,
                Sink&& sink) {
   const int64_t base = column.base();
+  const int width = column.bit_width();
+  const uint64_t max_offset =
+      width == 64 ? UINT64_MAX : (uint64_t{1} << width) - 1;
+  if (max_offset > static_cast<uint64_t>(INT64_MAX) -
+                       static_cast<uint64_t>(base)) {
+    FilterGeneric(column, lo, hi, sink);
+    return;
+  }
   if (hi < base) {
     return;  // The whole column is >= base.
   }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/bit_stream.h"
 #include "common/bit_util.h"
 #include "encoding/bitpack.h"
 #include "encoding/dictionary.h"
@@ -200,6 +201,37 @@ TEST(DictTest, EstimateMatchesActual) {
             result.value()->SizeBytes());
 }
 
+// The sorted-rank model of Dict: the dictionary is the sorted distinct
+// values and each row's code is its value's rank. Checks the encoder's
+// serialized bytes and decoded values against it, and that its estimate
+// is its size.
+void ExpectSortedRankModel(const std::vector<int64_t>& values) {
+  std::vector<int64_t> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<uint64_t> ranks(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    ranks[i] = static_cast<uint64_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), values[i]) -
+        sorted.begin());
+  }
+  const int width =
+      bit_util::BitWidth(sorted.empty() ? 0 : sorted.size() - 1);
+  BufferWriter expected;
+  expected.Write<uint8_t>(static_cast<uint8_t>(Scheme::kDict));
+  expected.WriteInt64Array(sorted);
+  PackedArray::Pack(ranks, width).Write(&expected);
+
+  auto result = DictColumn::Encode(values);
+  ASSERT_TRUE(result.ok());
+  const auto& col = *result.value();
+  BufferWriter actual;
+  col.Serialize(&actual);
+  EXPECT_EQ(std::move(actual).Finish(), std::move(expected).Finish());
+  EXPECT_EQ(DictColumn::EstimateSizeBytes(values), col.SizeBytes());
+  ExpectColumnMatches(col, values);
+}
+
 TEST(DictTest, ExtremeAndHighBitKeys) {
   // Every int64 is a valid key: the extremes, zero, and keys that differ
   // only in their high bits (multiples of 2^40 share all low 40 bits).
@@ -213,24 +245,35 @@ TEST(DictTest, ExtremeAndHighBitKeys) {
     values.push_back(distinct[rng.Uniform(0, distinct.size() - 1)]);
   }
   values.insert(values.end(), distinct.begin(), distinct.end());
-  auto result = DictColumn::Encode(values);
-  ASSERT_TRUE(result.ok());
-  const auto& col = *result.value();
-  ExpectColumnMatches(col, values);
+  ExpectSortedRankModel(values);
+}
 
-  std::vector<int64_t> sorted = distinct;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  const auto dict = col.dictionary();
-  ASSERT_EQ(std::vector<int64_t>(dict.begin(), dict.end()), sorted);
-  // Codes are the ranks of the sorted distinct values.
-  for (size_t i = 0; i < values.size(); ++i) {
-    ASSERT_EQ(col.GetCode(i),
-              static_cast<uint64_t>(
-                  std::lower_bound(sorted.begin(), sorted.end(), values[i]) -
-                  sorted.begin()));
+TEST(DictTest, BothSidesOfTheNarrowDomainRuleMatchSortedRankModel) {
+  // A domain with max - min < 2 * rows is counted and coded in a table
+  // indexed by value - min; a wider one in a hash. Both must give the
+  // model's bytes.
+  for (const auto& [name, values] : test::NarrowDomainRuleCases(3000, 22)) {
+    SCOPED_TRACE(name);
+    ExpectSortedRankModel(values);
   }
-  EXPECT_EQ(DictColumn::EstimateSizeBytes(values), col.SizeBytes());
+}
+
+// A Dict column's wire form: the dictionary, then `codes` packed at
+// `width` bits.
+std::vector<uint8_t> DictWireBytes(const std::vector<int64_t>& dict,
+                                   const std::vector<uint64_t>& codes,
+                                   int width) {
+  BufferWriter writer;
+  writer.Write<uint8_t>(static_cast<uint8_t>(Scheme::kDict));
+  writer.WriteInt64Array(dict);
+  PackedArray::Pack(codes, width).Write(&writer);
+  return std::move(writer).Finish();
+}
+
+Result<std::unique_ptr<EncodedColumn>> LoadColumn(
+    const std::vector<uint8_t>& bytes) {
+  BufferReader reader(bytes);
+  return DeserializeEncodedColumn(&reader);
 }
 
 TEST(DictTest, CorruptCodeRejectedOnDeserialize) {
@@ -248,6 +291,75 @@ TEST(DictTest, CorruptCodeRejectedOnDeserialize) {
   BufferReader reader(bytes);
   auto reloaded = DeserializeEncodedColumn(&reader);
   EXPECT_FALSE(reloaded.ok());
+}
+
+TEST(DictTest, CorruptCodeInLastRowOfMultiMorselColumnRejected) {
+  // Five entries at width 3: codes 5..7 fit the width but not the
+  // dictionary. Three full morsels and a ragged one.
+  const std::vector<int64_t> dict = {-7, 0, 3, 11, 90};
+  std::vector<uint64_t> codes(3 * kMorselRows + 17);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = i % dict.size();
+  }
+  ASSERT_TRUE(LoadColumn(DictWireBytes(dict, codes, 3)).ok());
+  for (const uint64_t bad : {uint64_t{5}, uint64_t{7}}) {
+    for (const size_t row : {3 * kMorselRows - 1, codes.size() - 1}) {
+      SCOPED_TRACE("code " + std::to_string(bad) + " at row " +
+                   std::to_string(row));
+      std::vector<uint64_t> corrupt = codes;
+      corrupt[row] = bad;
+      auto column = LoadColumn(DictWireBytes(dict, corrupt, 3));
+      ASSERT_FALSE(column.ok());
+      EXPECT_TRUE(column.status().IsCorruption());
+    }
+  }
+}
+
+TEST(DictTest, DictionaryFillingItsWidthLoads) {
+  // dict.size() == 2^width: every code the width holds is in range, so
+  // the load check has nothing to find, and the column decodes.
+  Rng rng(23);
+  for (const int width : {0, 1, 3, 8}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<int64_t> dict(size_t{1} << width);
+    for (size_t k = 0; k < dict.size(); ++k) {
+      dict[k] = 3 * static_cast<int64_t>(k) - 100;
+    }
+    std::vector<uint64_t> codes(2 * kMorselRows + 5);
+    std::vector<int64_t> expected(codes.size());
+    for (size_t i = 0; i < codes.size(); ++i) {
+      codes[i] = static_cast<uint64_t>(
+          rng.Uniform(0, static_cast<int64_t>(dict.size()) - 1));
+      expected[i] = dict[codes[i]];
+    }
+    codes.back() = dict.size() - 1;
+    expected.back() = dict.back();
+    auto column = LoadColumn(DictWireBytes(dict, codes, width));
+    ASSERT_TRUE(column.ok()) << column.status().ToString();
+    ExpectColumnMatches(*column.value(), expected);
+  }
+}
+
+TEST(DictTest, RowCountsBeyond32BitRowIdsRejected) {
+  // The load check's filter kernel carries 32-bit row ids, as a block
+  // does: a width-0 column (one entry, no code bits) of 2^32 rows is
+  // Corruption, and one of 2^32 - 1 rows loads without unpacking.
+  const auto width_zero = [](uint64_t rows) {
+    BufferWriter writer;
+    writer.Write<uint8_t>(static_cast<uint8_t>(Scheme::kDict));
+    writer.WriteInt64Array(std::vector<int64_t>{42});
+    writer.Write<uint8_t>(0);  // Width.
+    writer.Write<uint64_t>(rows);
+    writer.WriteBytes({});
+    return std::move(writer).Finish();
+  };
+  auto huge = LoadColumn(width_zero(uint64_t{1} << 32));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_TRUE(huge.status().IsCorruption());
+  auto largest = LoadColumn(width_zero(UINT32_MAX));
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest.value()->size(), UINT32_MAX);
+  EXPECT_EQ(largest.value()->Get(UINT32_MAX - 1), 42);
 }
 
 TEST(PlainTest, ValuesSpanAliasesStorage) {

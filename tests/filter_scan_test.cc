@@ -130,8 +130,11 @@ std::unique_ptr<enc::EncodedColumn> PackedColumn(
 
 // Checks FilterToSelection and CountInRange on `column` against
 // decode-and-compare over ranges around its smallest, middle and
-// largest values, both signs, the whole domain and an empty range.
-void ExpectFiltersMatchDecode(const enc::EncodedColumn& column) {
+// largest values, both signs, the whole domain and an empty range, and
+// over `extra` ranges.
+void ExpectFiltersMatchDecode(
+    const enc::EncodedColumn& column,
+    const std::vector<std::pair<int64_t, int64_t>>& extra = {}) {
   std::vector<int64_t> values(column.size());
   column.DecodeRange(0, values.size(), values.data());
   std::vector<int64_t> sorted = values;
@@ -140,7 +143,7 @@ void ExpectFiltersMatchDecode(const enc::EncodedColumn& column) {
   const int64_t high = sorted.back();
   const int64_t quarter = sorted[sorted.size() / 4];
   const int64_t half = sorted[sorted.size() / 2];
-  const std::pair<int64_t, int64_t> bounds[] = {
+  std::vector<std::pair<int64_t, int64_t>> bounds = {
       {low, low},
       {high, high},
       {quarter, half},
@@ -151,6 +154,7 @@ void ExpectFiltersMatchDecode(const enc::EncodedColumn& column) {
       {-1, 1},
       {kMin, low > kMin ? low - 1 : low},
       {high < kMax ? high + 1 : high, kMax}};
+  bounds.insert(bounds.end(), extra.begin(), extra.end());
   for (const auto& [lo, hi] : bounds) {
     SCOPED_TRACE("range [" + std::to_string(lo) + ", " + std::to_string(hi) +
                  "]");
@@ -284,6 +288,53 @@ TEST(FilterTest, RangeBelowForBase) {
   EXPECT_TRUE(FilterToSelection(*column, 0, 999).empty());
   EXPECT_EQ(FilterToSelection(*column, 0, 1000),
             (std::vector<uint32_t>{0}));
+}
+
+TEST(FilterTest, WrappingForFrameMatchesDecode) {
+  // Hand-built FOR frames whose offsets take base + offset past
+  // INT64_MAX, so base is not the minimum. Base 100, width 64 and offsets
+  // {0, 5, 2^64 - 1} decode to {100, 105, 99}.
+  const auto three = PackedColumn(
+      enc::Scheme::kFor, [](BufferWriter& w) { w.Write<int64_t>(100); },
+      {0, 5, ~uint64_t{0}}, 64);
+  std::vector<int64_t> decoded(3);
+  three->DecodeRange(0, 3, decoded.data());
+  ASSERT_EQ(decoded, (std::vector<int64_t>{100, 105, 99}));
+  EXPECT_EQ(CountInRange(*three, 0, 99), 1u);
+  ExpectFiltersMatchDecode(
+      *three, {{0, 99}, {99, 100}, {100, 105}, {101, kMax}, {kMin, 98}});
+
+  // Width 5 from base INT64_MAX - 10 over a full morsel and a ragged one:
+  // offsets above 10 wrap to the most negative values. Ranges below the
+  // wrap (the wrapped values alone), across it and above it.
+  const auto wide = PackedColumn(
+      enc::Scheme::kFor, [](BufferWriter& w) { w.Write<int64_t>(kMax - 10); },
+      SweepCodes(5, 0, kSweepRows, 400), 5);
+  ExpectFiltersMatchDecode(*wide, {{kMin, kMin + 20},
+                                   {kMin + 3, kMin + 9},
+                                   {kMin, kMax - 5},
+                                   {kMin + 10, kMax},
+                                   {kMax - 10, kMax},
+                                   {kMax - 4, kMax - 2}});
+}
+
+TEST(FilterTest, ForColumnEndingAtInt64MaxMatchesDecode) {
+  // An encoder-written column whose maximum is INT64_MAX: base is its
+  // minimum, but offsets its width holds beyond the maximum would wrap,
+  // so it filters through decode-and-compare and must agree with it.
+  Rng rng(17);
+  std::vector<int64_t> values(kSweepRows);
+  for (auto& v : values) {
+    v = rng.Uniform(kMax - 6, kMax);
+  }
+  values.front() = kMax - 6;
+  values.back() = kMax;
+  auto column = enc::ForColumn::Encode(values).value();
+  ASSERT_EQ(column->bit_width(), 3);
+  ExpectFiltersMatchDecode(*column, {{kMax - 6, kMax - 4},
+                                     {kMax - 3, kMax},
+                                     {kMin, kMax - 6},
+                                     {kMin, kMax - 7}});
 }
 
 TEST(FilterTest, WorksOnDiffEncodedColumns) {

@@ -235,10 +235,16 @@ TEST_F(FrontDoorTest, OverLimitRequestsAreFastRejected) {
   std::atomic<size_t> rejected_count{0};
   std::atomic<size_t> failures{0};
   std::vector<std::thread> threads;
+  // Each client sends at least 20 requests and keeps sending, up to
+  // 2,000, until some request has been rejected: whether two clients
+  // overlap depends on scheduling, and on an idle machine a fixed 20
+  // each can all run one after another.
   for (size_t t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(900 + t);
-      for (size_t iter = 0; iter < 20; ++iter) {
+      for (size_t iter = 0;
+           iter < 2000 && (iter < 20 || rejected_count.load() == 0);
+           ++iter) {
         const std::vector<uint64_t> rows = RandomPositions(rng, 200);
         const std::vector<size_t> cols = {2, 3};
         auto result = service.Gather(*reader.value(), cols, rows);

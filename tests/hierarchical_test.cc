@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "common/bit_stream.h"
 #include "common/bit_util.h"
@@ -218,34 +221,19 @@ TEST(HierarchicalTest, VerifyCatchesOutOfRangeRefCode) {
   EXPECT_FALSE(hier.value()->VerifyWithReference().ok());
 }
 
-TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
-  // Reference encoder with std::unordered_map: each reference code's
-  // local dictionary in first-seen order. The serialized column must
-  // carry exactly its values, offsets and packed local codes. Targets
-  // include the int64 extremes and keys differing only in high bits.
-  Rng rng(33);
-  constexpr size_t kRows = 20000;
-  constexpr int64_t kRefs = 40;
-  std::vector<int64_t> city(kRows);
-  std::vector<int64_t> target(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    city[i] = rng.Uniform(0, kRefs - 1);
-    switch (rng.Uniform(0, 3)) {
-      case 0:
-        target[i] = rng.Bernoulli(0.5) ? INT64_MIN : INT64_MAX;
-        break;
-      case 1:
-        target[i] = rng.Uniform(-20, 20) * (int64_t{1} << 40);
-        break;
-      default:
-        target[i] = city[i] * 100 + rng.Uniform(0, 30);
-    }
-  }
-  std::vector<std::unordered_map<int64_t, uint32_t>> index(kRefs);
-  std::vector<std::vector<int64_t>> local_values(kRefs);
-  std::vector<uint64_t> local_codes(kRows);
+// The first-seen model of Hierarchical, built with std::unordered_map:
+// each reference code's local dictionary in first-seen order. The
+// serialized column must carry exactly its values, offsets and packed
+// local codes, and its estimate must be its size.
+void ExpectFirstSeenModel(const std::vector<int64_t>& target,
+                          const std::vector<int64_t>& city) {
+  const int64_t refs =
+      city.empty() ? 0 : *std::max_element(city.begin(), city.end()) + 1;
+  std::vector<std::unordered_map<int64_t, uint32_t>> index(refs);
+  std::vector<std::vector<int64_t>> local_values(refs);
+  std::vector<uint64_t> local_codes(target.size());
   uint64_t max_local = 0;
-  for (size_t i = 0; i < kRows; ++i) {
+  for (size_t i = 0; i < target.size(); ++i) {
     auto& map = index[city[i]];
     const auto [it, inserted] =
         map.emplace(target[i], static_cast<uint32_t>(map.size()));
@@ -268,7 +256,7 @@ TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
   expected.WriteInt64Array(values);
   expected.WriteUint32Array(offsets);
   expected.Write<uint8_t>(static_cast<uint8_t>(width));
-  expected.Write<uint64_t>(kRows);
+  expected.Write<uint64_t>(target.size());
   PackedArray::Pack(local_codes, width).WritePayload(&expected);
 
   auto hier = HierarchicalColumn::Encode(target, city, 7);
@@ -278,8 +266,91 @@ TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
   EXPECT_EQ(std::move(actual).Finish(), std::move(expected).Finish());
   EXPECT_EQ(HierarchicalColumn::EstimateSizeBytes(target, city),
             hier.value()->SizeBytes());
-  auto b = MakeBound(target, city);
-  test::ExpectColumnMatches(*b.hier, target);
+  if (!target.empty()) {
+    auto b = MakeBound(target, city);
+    test::ExpectColumnMatches(*b.hier, target);
+  }
+}
+
+TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
+  // Targets include the int64 extremes and keys differing only in high
+  // bits, so the pairs are numbered in the hash.
+  Rng rng(33);
+  constexpr size_t kRows = 20000;
+  constexpr int64_t kRefs = 40;
+  std::vector<int64_t> city(kRows);
+  std::vector<int64_t> target(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    city[i] = rng.Uniform(0, kRefs - 1);
+    switch (rng.Uniform(0, 3)) {
+      case 0:
+        target[i] = rng.Bernoulli(0.5) ? INT64_MIN : INT64_MAX;
+        break;
+      case 1:
+        target[i] = rng.Uniform(-20, 20) * (int64_t{1} << 40);
+        break;
+      default:
+        target[i] = city[i] * 100 + rng.Uniform(0, 30);
+    }
+  }
+  ExpectFirstSeenModel(target, city);
+}
+
+TEST(HierarchicalTest, BothSidesOfTheDirectTableRuleMatchFirstSeenReference) {
+  // With span = max - min + 1, the pairs are numbered in a table indexed
+  // by ref * span + (value - min) when cardinality * span <= 2 * rows,
+  // and in the hash otherwise: 40 * 50 is at the bound over 1,000 rows,
+  // 41 * 49 one over it over 1,004. Reference codes skip every third
+  // code below the largest, whose slices stay empty.
+  Rng rng(34);
+  // `rows` rows under `cardinality` reference codes whose targets lie in
+  // [lo, lo + max_offset], both ends present; each reference draws from
+  // its own window of `fanout` values when fanout is nonzero.
+  const auto make = [&](size_t rows, int64_t cardinality, int64_t lo,
+                        uint64_t max_offset, int64_t fanout) {
+    std::pair<std::vector<int64_t>, std::vector<int64_t>> tc;
+    auto& [target, city] = tc;
+    for (size_t i = 0; i < rows; ++i) {
+      int64_t ref = rng.Uniform(0, cardinality - 1);
+      if (ref % 3 == 1) {
+        ref = cardinality - 1;
+      }
+      uint64_t offset = rng.Next();
+      if (fanout != 0) {
+        offset = static_cast<uint64_t>(ref * fanout +
+                                       rng.Uniform(0, fanout - 1));
+      }
+      if (max_offset != UINT64_MAX) {
+        offset %= max_offset + 1;
+      }
+      city.push_back(ref);
+      target.push_back(static_cast<int64_t>(static_cast<uint64_t>(lo) +
+                                            offset));
+    }
+    city.front() = cardinality - 1;
+    target.front() = lo;
+    target.back() =
+        static_cast<int64_t>(static_cast<uint64_t>(lo) + max_offset);
+    return tc;
+  };
+  const struct {
+    std::string name;
+    std::pair<std::vector<int64_t>, std::vector<int64_t>> tc;
+  } cases[] = {
+      {"at the bound", make(1000, 40, -300, 49, 0)},
+      {"one over", make(1004, 41, -300, 48, 0)},
+      {"dmv zip under city", make(27000, 60, 0, 899, 15)},
+      {"constant target", make(500, 7, 123, 0, 0)},
+      {"narrow at INT64_MAX", make(3000, 20, INT64_MAX - 99, 99, 0)},
+      {"narrow at INT64_MIN", make(3000, 20, INT64_MIN, 99, 0)},
+      {"int64 extremes", make(3000, 20, INT64_MIN, UINT64_MAX, 0)},
+      {"one reference", make(300, 1, 5, 599, 0)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExpectFirstSeenModel(c.tc.first, c.tc.second);
+  }
+  ExpectFirstSeenModel({}, {});
 }
 
 // Property sweep: hierarchical reconstruction is exact for random

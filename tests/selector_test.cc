@@ -226,46 +226,59 @@ TEST(SelectorTest, PicksFirstExactMinimumForEveryDistribution) {
   }
 }
 
-// `distinct` values spread over a 20-bit range starting at `low` (its
-// ends included), repeated cyclically over `rows` rows.
-std::vector<int64_t> SpreadValues(size_t rows, size_t distinct, int64_t low) {
-  constexpr int64_t kSpan = (int64_t{1} << 20) - 1;
+TEST(SelectorTest, PicksFirstExactMinimumOnBothSidesOfTheNarrowDomainRule) {
+  for (const auto& [name, values] : test::NarrowDomainRuleCases(3000, 41)) {
+    ExpectSelectsFirstExactMinimum(values, name);
+  }
+}
+
+// `distinct` values spread over [low, low + max_offset] (its ends
+// included), repeated cyclically over `rows` rows.
+std::vector<int64_t> SpreadValues(size_t rows, size_t distinct, int64_t low,
+                                  int64_t max_offset) {
   std::vector<int64_t> values(rows);
   for (size_t i = 0; i < rows; ++i) {
     const auto k = static_cast<int64_t>(i % distinct);
-    values[i] = low + k * kSpan / static_cast<int64_t>(distinct - 1);
+    values[i] = low + k * max_offset / static_cast<int64_t>(distinct - 1);
   }
   return values;
 }
 
 TEST(SelectorTest, PicksFirstExactMinimumAtTheDictCrossover) {
   // Dict's size grows with the distinct count while BitPack's and FOR's
-  // depend only on the 20-bit range. Find the count where Dict ties the
-  // best of them; one below it Dict wins, at and above it Dict loses
-  // (ties go to the earlier scheme).
+  // depend only on the range. Find the first count at which Dict reaches
+  // the best of them; one below it Dict wins, at and above it Dict loses
+  // (ties go to the earlier scheme) and its count stops early. A 12-bit
+  // span below 2 * rows runs the count in Dict's value-indexed table, a
+  // 20-bit one in its hash.
   constexpr size_t kRows = 2048;
-  for (int64_t low : {int64_t{0}, -(int64_t{1} << 19)}) {
-    const auto wide = SpreadValues(kRows, 2, low);
-    const size_t best_other =
-        std::min(BitPackColumn::EstimateSizeBytes(wide),
-                 ForColumn::EstimateSizeBytes(wide));
-    size_t tie = 0;
-    for (size_t d = 2; d <= kRows && tie == 0; ++d) {
-      if (DictSizeBytes(kRows, d) == best_other) {
-        tie = d;
+  for (int64_t max_offset :
+       {int64_t{2 * kRows - 2}, (int64_t{1} << 20) - 1}) {
+    for (int64_t low : {int64_t{0}, -(int64_t{1} << 19)}) {
+      const std::string where =
+          "span " + std::to_string(max_offset) + " low " + std::to_string(low);
+      const auto wide = SpreadValues(kRows, 2, low, max_offset);
+      const size_t best_other =
+          std::min(BitPackColumn::EstimateSizeBytes(wide),
+                   ForColumn::EstimateSizeBytes(wide));
+      size_t crossover = 0;
+      for (size_t d = 2; d <= kRows && crossover == 0; ++d) {
+        if (DictSizeBytes(kRows, d) >= best_other) {
+          crossover = d;
+        }
       }
-    }
-    ASSERT_NE(tie, 0u) << "low " << low;
-    for (size_t d : {tie - 1, tie, tie + 1}) {
-      const auto values = SpreadValues(kRows, d, low);
-      ASSERT_EQ(DictColumn::EstimateSizeBytes(values),
-                DictSizeBytes(kRows, d));
-      ExpectSelectsFirstExactMinimum(
-          values, "low " + std::to_string(low) + " d " + std::to_string(d));
-      auto selected = SelectBestScheme(values);
-      ASSERT_TRUE(selected.ok());
-      EXPECT_EQ(selected.value()->scheme() == Scheme::kDict, d < tie)
-          << "low " << low << " d " << d;
+      ASSERT_NE(crossover, 0u) << where;
+      for (size_t d : {crossover - 1, crossover, crossover + 1}) {
+        const auto values = SpreadValues(kRows, d, low, max_offset);
+        ASSERT_EQ(DictColumn::EstimateSizeBytes(values),
+                  DictSizeBytes(kRows, d));
+        ExpectSelectsFirstExactMinimum(values,
+                                       where + " d " + std::to_string(d));
+        auto selected = SelectBestScheme(values);
+        ASSERT_TRUE(selected.ok());
+        EXPECT_EQ(selected.value()->scheme() == Scheme::kDict, d < crossover)
+            << where << " d " << d;
+      }
     }
   }
 }

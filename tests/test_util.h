@@ -14,6 +14,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bit_stream.h"
@@ -131,6 +132,45 @@ inline std::vector<int64_t> MakeValues(Dist dist, size_t n, uint64_t seed) {
     }
   }
   return values;
+}
+
+// Named inputs on both sides of Dict's narrow-domain rule (max - min <
+// 2 * rows picks the value-indexed table, wider domains the hash): one
+// row, no rows, and `rows` rows of a constant, a negative minimum,
+// max - min at 2 * rows - 1 and one above, a sparse narrow domain,
+// narrow domains at either int64 extreme and the whole int64 range.
+inline std::vector<std::pair<std::string, std::vector<int64_t>>>
+NarrowDomainRuleCases(size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  // `rows` values in [lo, lo + max_offset], both ends present, drawn
+  // uniformly, or from `distinct` evenly spaced values when it is > 1.
+  const auto spread = [&](int64_t lo, uint64_t max_offset, size_t distinct) {
+    std::vector<int64_t> values(rows);
+    for (auto& v : values) {
+      const uint64_t offset =
+          distinct > 1
+              ? static_cast<uint64_t>(rng.Uniform(
+                    0, static_cast<int64_t>(distinct) - 1)) *
+                    (max_offset / (distinct - 1))
+              : static_cast<uint64_t>(
+                    rng.Uniform(0, static_cast<int64_t>(max_offset)));
+      v = static_cast<int64_t>(static_cast<uint64_t>(lo) + offset);
+    }
+    values.front() = lo;
+    values.back() =
+        static_cast<int64_t>(static_cast<uint64_t>(lo) + max_offset);
+    return values;
+  };
+  return {{"constant", std::vector<int64_t>(rows, -7)},
+          {"one row", {INT64_MIN}},
+          {"empty", {}},
+          {"negative min", spread(-5000, rows / 4, 0)},
+          {"span at the bound", spread(12, 2 * rows - 1, 0)},
+          {"span one above", spread(12, 2 * rows, 0)},
+          {"sparse narrow", spread(-100, 2 * rows - 1, 7)},
+          {"narrow at INT64_MAX", spread(INT64_MAX - 40, 40, 0)},
+          {"narrow at INT64_MIN", spread(INT64_MIN, 40, 0)},
+          {"int64 extremes", spread(INT64_MIN, UINT64_MAX, 3)}};
 }
 
 /// Asserts Get / DecodeAll / GatherRange all reproduce `expected`.
