@@ -6,16 +6,19 @@
 // throughput across PRs (run with --json; CI archives the output).
 //
 // Flags: --rows N (default 1M), --runs N (min repetitions), --json.
+// CORRA_FORCE_SCALAR=1 measures the scalar kernel table.
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/simd/simd.h"
 #include "core/diff_encoding.h"
 #include "core/hierarchical_encoding.h"
 #include "core/multi_ref_encoding.h"
@@ -35,10 +38,9 @@ namespace corra {
 namespace {
 
 // Repeats `fn` until at least 0.25s of wall clock and `min_reps`
-// repetitions have elapsed, then reports the mean.
+// repetitions have elapsed; returns the seconds and the repetitions.
 template <typename Fn>
-void RunBench(bench::Reporter* reporter, const std::string& name,
-              size_t rows, size_t min_reps, Fn&& fn) {
+std::pair<double, size_t> TimeReps(size_t min_reps, Fn&& fn) {
   fn();  // Warm-up (first-touch pages, caches).
   const uint64_t begin_ns = obs::MonotonicNs();
   size_t reps = 0;
@@ -48,7 +50,15 @@ void RunBench(bench::Reporter* reporter, const std::string& name,
     ++reps;
     elapsed = obs::SecondsSince(begin_ns);
   } while (elapsed < 0.25 || reps < min_reps);
-  reporter->Add(name, rows, elapsed, reps);
+  return {elapsed, reps};
+}
+
+// TimeReps, then reports the mean over `rows` 8-byte values.
+template <typename Fn>
+void RunBench(bench::Reporter* reporter, const std::string& name,
+              size_t rows, size_t min_reps, Fn&& fn) {
+  const auto [seconds, reps] = TimeReps(min_reps, fn);
+  reporter->Add(name, rows, seconds, reps);
 }
 
 std::vector<int64_t> DateLikeValues(size_t n) {
@@ -437,6 +447,15 @@ void RunAll(const bench::Flags& flags) {
   RunBench(&reporter, "min/diff", rows, reps, [&] {
     sink += query::MinMaxColumn(*diff_column).value_or(bit_util::MinMax{}).min;
   });
+
+  // The CORF v4 block checksum: CRC32C over the date column's raw bytes.
+  // A row is one byte here, so ns/row reads ns per byte.
+  const auto* raw = reinterpret_cast<const uint8_t*>(reference.data());
+  const size_t raw_bytes = rows * sizeof(int64_t);
+  const auto [crc_seconds, crc_reps] =
+      TimeReps(reps, [&] { sink += simd::Crc32c(raw, raw_bytes); });
+  reporter.Add("checksum/crc32c", raw_bytes, crc_seconds, crc_reps,
+               /*row_bytes=*/1);
 
   reporter.Finish();
   if (sink == 42) {  // Defeat dead-code elimination; never true in practice.

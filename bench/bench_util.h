@@ -88,7 +88,7 @@ struct BenchResult {
   std::string name;
   size_t rows = 0;          // Logical rows processed per repetition.
   double ns_per_row = 0;    // Mean wall-clock nanoseconds per row.
-  double gb_per_s = 0;      // Decoded-value throughput (rows * 8 bytes).
+  double gb_per_s = 0;      // Throughput over rows * row bytes.
 };
 
 /// Collects results and renders them either as a fixed-width table or —
@@ -99,17 +99,17 @@ class Reporter {
   explicit Reporter(const Flags& flags) : json_(flags.json) {}
 
   /// Records one measurement: `seconds` of wall clock for `reps`
-  /// repetitions over `rows` logical rows each.
+  /// repetitions over `rows` logical rows of `row_bytes` bytes each.
   void Add(const std::string& name, size_t rows, double seconds,
-           size_t reps) {
+           size_t reps, size_t row_bytes = sizeof(int64_t)) {
     BenchResult result;
     result.name = name;
     result.rows = rows;
     const double rows_total =
         static_cast<double>(rows) * static_cast<double>(reps);
     result.ns_per_row = rows_total > 0 ? seconds / rows_total * 1e9 : 0;
-    result.gb_per_s =
-        seconds > 0 ? rows_total * sizeof(int64_t) / seconds / 1e9 : 0;
+    const double bytes = rows_total * static_cast<double>(row_bytes);
+    result.gb_per_s = seconds > 0 ? bytes / seconds / 1e9 : 0;
     results_.push_back(std::move(result));
     if (!json_) {
       std::printf("%-36s %12zu rows %10.3f ns/row %8.2f GB/s\n",

@@ -1,7 +1,8 @@
 // corra_cli: a small operational tool over the library's public API.
 //
 //   corra_cli gen <dataset> <rows> <file>   generate + compress + save
-//   corra_cli info <file>                   schema, blocks, column sizes
+//   corra_cli info <file>                   format, schema, blocks, column
+//                                           sizes; verifies checksums
 //   corra_cli query <file> <col> <sel>      timed materializing scan
 //   corra_cli filter <file> <col> <lo> <hi> range-predicate count
 //
@@ -119,11 +120,18 @@ int CmdGen(const std::string& dataset, size_t rows,
 
 int CmdInfo(const std::string& path) {
   // info doubles as an integrity check: verify payload checksums.
+  auto info = ReadFileInfo(path);
+  if (!info.ok()) {
+    std::fprintf(stderr, "error: %s\n", info.status().ToString().c_str());
+    return 1;
+  }
   auto table = ReadCompressedTable(path, /*verify=*/true);
   if (!table.ok()) {
     std::fprintf(stderr, "error: %s\n", table.status().ToString().c_str());
     return 1;
   }
+  std::printf("format : CORF v%d, %s (every block verified)\n",
+              info.value().version, info.value().ChecksumName());
   std::printf("schema : %s\n", table.value().schema().ToString().c_str());
   std::printf("rows   : %zu in %zu blocks\n", table.value().num_rows(),
               table.value().num_blocks());

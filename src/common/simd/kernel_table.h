@@ -49,14 +49,15 @@ struct KernelTable {
                       size_t, int64_t*);
   void (*gather_bits)(const uint8_t*, int, const uint32_t*, size_t,
                       uint64_t*);
+  uint32_t (*crc32c)(const uint8_t*, size_t);
 };
 
 /// The always-available unrolled scalar table.
 const KernelTable& ScalarTable();
 
-/// The AVX2 table, or nullptr unless this CPU runs AVX2 (always nullptr
-/// on a non-x86 target). This is the one CPU probe: dispatch and the
-/// kernel tests both ask here.
+/// The AVX2 table, or nullptr unless this CPU runs AVX2 and SSE4.2 (its
+/// CRC32C; always nullptr on a non-x86 target). This is the one CPU
+/// probe: dispatch and the kernel tests both ask here.
 const KernelTable* Avx2Table();
 
 /// The table runtime dispatch selected (CPU probe + CORRA_FORCE_SCALAR).

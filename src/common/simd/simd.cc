@@ -123,4 +123,8 @@ void GatherBits(const uint8_t* data, int bit_width, const uint32_t* rows,
   ActiveTable().gather_bits(data, bit_width, rows, count, out);
 }
 
+uint32_t Crc32c(const uint8_t* data, size_t size) {
+  return ActiveTable().crc32c(data, size);
+}
+
 }  // namespace corra::simd

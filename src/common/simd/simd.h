@@ -1,7 +1,7 @@
 // The SIMD kernel layer: the branchless building blocks every morsel of
 // the batch decode pipeline bottoms out in.
 //
-// Four kernel families, each with an AVX2 implementation selected by
+// Five kernel families, each with an AVX2 implementation selected by
 // runtime CPU dispatch and an unrolled scalar fallback:
 //
 //   * Unpack kernels  — per-bit-width specialized bit-unpackers (widths
@@ -26,6 +26,10 @@
 //   * Reconstruction and sparse-decode kernels — dictionary translate,
 //     FOR rebase, Diff/DFOR reference adds, run expansion, positioned
 //     gathers and the fused Delta decode/point/gather folds.
+//   * Checksum kernel — CRC32C over a byte span, the CORF v4 block
+//     payload checksum: one SSE4.2 crc32 stream 8 bytes per step in the
+//     AVX2 table (every AVX2 CPU has SSE4.2), slicing-by-8 in the scalar
+//     one.
 //
 // Dispatch: every kernel is declared once and runs on the table the
 // first call picks: AVX2 if the CPU has it, unless the environment
@@ -156,6 +160,14 @@ void DeltaGatherPacked(const uint8_t* data, int bit_width,
 /// carry bit_util::kDecodePadBytes of readable slack.
 void GatherBits(const uint8_t* data, int bit_width, const uint32_t* rows,
                 size_t count, uint64_t* out);
+
+// --- Checksum kernel --------------------------------------------------------
+
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78, initial value and
+/// final xor 0xFFFFFFFF) of `size` bytes at `data`: the check value of
+/// "123456789" is 0xE3069283. Every table returns the same value, and
+/// `data` needs no alignment or slack.
+uint32_t Crc32c(const uint8_t* data, size_t size);
 
 }  // namespace corra::simd
 

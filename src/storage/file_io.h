@@ -1,9 +1,12 @@
 // File persistence for compressed tables.
 //
-// Layout ("CORF" format, version 3; version-2 files remain readable):
+// Layout ("CORF" format, version 4; versions 2 and 3 remain readable
+// and verifiable):
 //   header   : magic, version, schema (names + types), block count
-//   directory: per block, the byte offset, length, row count, and
-//              FNV-1a checksum of its payload
+//   directory: per block, the byte offset, length, row count, and an
+//              8-byte checksum of its payload: the CRC32C (Castagnoli,
+//              simd::Crc32c) zero-extended to 64 bits in v4, the FNV-1a
+//              64 in v2 and v3 — the one difference between v3 and v4
 //   stats    : per block, per column, the logical min and max value
 //              (v3+; lets a scan skip blocks whose range cannot satisfy
 //              a filter without touching the payload)
@@ -79,8 +82,9 @@ struct BlockReadStats {
   uint32_t checksum_rereads = 0;
 };
 
-/// Writes `table` to `path` (overwriting). Fails with an IO-flavoured
-/// InvalidArgument if the file cannot be created or written.
+/// Writes `table` to `path` (overwriting) as a CORF v4 file. Fails with
+/// IOError naming the path and the system error if the file cannot be
+/// created, written, flushed or closed.
 Status WriteCompressedTable(const CompressedTable& table,
                             const std::string& path);
 
@@ -93,13 +97,16 @@ struct ColumnStats {
 
 /// Metadata obtained without loading any block payload.
 struct FileInfo {
+  /// Format version: 4 as written, 2 or 3 for older files.
+  uint8_t version = 0;
   Schema schema;
   size_t num_blocks = 0;
   std::vector<uint64_t> block_offsets;
   std::vector<uint64_t> block_lengths;
   /// Rows per block, straight from the directory (no payload touched).
   std::vector<uint64_t> block_rows;
-  /// FNV-1a 64 checksum of each payload; verified on read when asked.
+  /// Checksum of each payload, verified on read when asked: its CRC32C
+  /// zero-extended to 64 bits in v4, its FNV-1a 64 in v2 and v3.
   std::vector<uint64_t> block_checksums;
   /// Per-block per-column min/max, block-major (num_blocks * num_fields
   /// entries). Present in v3+ files; empty when reading a v2 file.
@@ -113,6 +120,9 @@ struct FileInfo {
 
   /// Total rows across all blocks.
   uint64_t TotalRows() const;
+
+  /// The checksum block_checksums hold: "CRC32C" (v4) or "FNV-1a" (v2, v3).
+  const char* ChecksumName() const;
 };
 
 /// A CORF file opened once: the directory is parsed at Open and every

@@ -1,5 +1,5 @@
 // File persistence: write/read round-trips, partial block loads,
-// corruption rejection.
+// corruption rejection, legacy (v2/v3) files, write failures.
 
 #include "storage/file_io.h"
 
@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -20,6 +23,7 @@
 #include "common/buffer.h"
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "common/simd/simd.h"
 #include "core/corra_compressor.h"
 #include "query/aggregate.h"
 #include "test_util.h"
@@ -56,10 +60,59 @@ class FileIoTest : public ::testing::Test {
     return CorraCompressor::Compress(table, plan).value();
   }
 
+  // Writes MakeTable()'s table as CORF `version`: 4 through
+  // WriteCompressedTable, 2 or 3 through the legacy fixture writer.
+  void WriteVersion(uint8_t version) {
+    const CompressedTable table = MakeTable();
+    if (version == 4) {
+      ASSERT_TRUE(WriteCompressedTable(table, path_).ok());
+    } else {
+      test::WriteCompressedTableLegacy(table, path_, version);
+    }
+  }
+
+  // Overwrites the bytes at `offset` of the file.
+  void Patch(uint64_t offset, const void* bytes, size_t size) {
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<long>(offset));
+    f.write(static_cast<const char*>(bytes), static_cast<long>(size));
+  }
+
+  // XORs the byte at `offset` of the file with 0x40.
+  void FlipByte(uint64_t offset) {
+    char byte = 0;
+    {
+      std::ifstream in(path_, std::ios::binary);
+      in.seekg(static_cast<long>(offset));
+      in.read(&byte, 1);
+    }
+    byte = static_cast<char>(byte ^ 0x40);
+    Patch(offset, &byte, 1);
+  }
+
   std::string path_;
   std::vector<int64_t> ship_;
   std::vector<int64_t> receipt_;
 };
+
+std::string Hex64(uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
+  return buf;
+}
+
+// File offset of block `b`'s directory checksum slot. The directory's
+// 32-byte entries (offset, length, rows, checksum) are followed by the
+// stats section (16 bytes per block and column, v3+), and the first
+// payload starts right after that.
+uint64_t ChecksumSlotOffset(const FileInfo& info, size_t b) {
+  const uint64_t stats_bytes =
+      info.has_column_stats ? info.num_blocks * info.schema.num_fields() * 16
+                            : 0;
+  const uint64_t directory =
+      info.block_offsets[0] - stats_bytes - info.num_blocks * 32;
+  return directory + b * 32 + 24;
+}
 
 TEST_F(FileIoTest, WriteReadRoundTrip) {
   const CompressedTable table = MakeTable();
@@ -183,6 +236,19 @@ TEST_F(FileIoTest, DirectoryCarriesRowCountsAndChecksums) {
   // Distinct payloads hash to distinct checksums.
   EXPECT_NE(info.value().block_checksums[0],
             info.value().block_checksums[2]);
+  // A v4 slot holds the payload's CRC32C, zero-extended.
+  EXPECT_EQ(info.value().version, 4);
+  EXPECT_STREQ(info.value().ChecksumName(), "CRC32C");
+  auto file = CorfFile::Open(path_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  for (size_t b = 0; b < 3; ++b) {
+    auto bytes = file.value().ReadBlockBytes(b);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(info.value().block_checksums[b],
+              uint64_t{simd::Crc32c(bytes.value().data(),
+                                    bytes.value().size())})
+        << "block " << b;
+  }
 }
 
 TEST_F(FileIoTest, V3StatsMatchAggregatePushdown) {
@@ -206,19 +272,84 @@ TEST_F(FileIoTest, V3StatsMatchAggregatePushdown) {
 }
 
 TEST_F(FileIoTest, V2FilesRemainReadableWithoutStats) {
-  const CompressedTable table = MakeTable();
-  test::WriteCompressedTableV2(table, path_);
+  WriteVersion(2);
   auto info = ReadFileInfo(path_);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_FALSE(info.value().has_column_stats);
   EXPECT_TRUE(info.value().column_stats.empty());
   EXPECT_EQ(info.value().TotalRows(), 2500u);
 
-  // Payloads (and their checksums) are identical across versions.
+  // Payloads are identical across versions; v2 checksums them with
+  // FNV-1a, which the reader still verifies.
   auto reloaded = ReadCompressedTable(path_, /*verify=*/true);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded.value().DecodeColumn(0), ship_);
   EXPECT_EQ(reloaded.value().DecodeColumn(1), receipt_);
+}
+
+TEST_F(FileIoTest, LegacyFilesOpenAndVerifyWithFnv1a) {
+  for (const uint8_t version : {uint8_t{2}, uint8_t{3}}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    WriteVersion(version);
+    auto file = CorfFile::Open(path_);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    const FileInfo& info = file.value().info();
+    EXPECT_EQ(info.version, version);
+    EXPECT_STREQ(info.ChecksumName(), "FNV-1a");
+    EXPECT_EQ(info.has_column_stats, version >= 3);
+    for (size_t b = 0; b < file.value().num_blocks(); ++b) {
+      auto bytes = file.value().ReadBlockBytes(b);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      EXPECT_EQ(info.block_checksums[b], test::Fnv1a64(bytes.value().span()));
+      BlockReadStats stats;
+      auto block = file.value().ReadBlock(b, /*verify=*/true, &stats);
+      ASSERT_TRUE(block.ok()) << block.status().ToString();
+      EXPECT_EQ(stats.checksum_rereads, 0u);
+    }
+    auto reloaded = ReadCompressedTable(path_, /*verify=*/true);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(reloaded.value().DecodeColumn(1), receipt_);
+  }
+}
+
+TEST_F(FileIoTest, V4ChecksumSlotWithHighBitsSetIsCorruption) {
+  // The slot is 8 bytes wide and a CRC32C fills the low 4: a nonzero
+  // high half can match no payload.
+  WriteVersion(4);
+  auto info = ReadFileInfo(path_);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const uint64_t slot = ChecksumSlotOffset(info.value(), 1);
+  const uint64_t crc = info.value().block_checksums[1];
+  ASSERT_LT(crc, uint64_t{1} << 32);
+  const uint64_t damaged = crc | (uint64_t{1} << 40);
+  Patch(slot, &damaged, sizeof(damaged));
+
+  auto file = CorfFile::Open(path_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file.value().info().block_checksums[1], damaged);
+  EXPECT_TRUE(file.value().ReadBlock(1).ok());  // Unverified: not checked.
+  BlockReadStats stats;
+  auto block = file.value().ReadBlock(1, /*verify=*/true, &stats);
+  ASSERT_FALSE(block.ok());
+  EXPECT_TRUE(block.status().IsCorruption());
+  EXPECT_EQ(stats.checksum_rereads, 1u);
+  const std::string& message = block.status().message();
+  EXPECT_NE(message.find("expected " + Hex64(damaged)), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("actual " + Hex64(crc)), std::string::npos)
+      << message;
+  EXPECT_TRUE(file.value().ReadBlock(0, /*verify=*/true).ok());
+}
+
+TEST_F(FileIoTest, NewerVersionIsRejected) {
+  WriteVersion(4);
+  const uint8_t version = 5;
+  Patch(4, &version, 1);  // The byte after the magic.
+  auto info = ReadFileInfo(path_);
+  ASSERT_TRUE(info.status().IsCorruption()) << info.status().ToString();
+  EXPECT_NE(info.status().message().find("version 5"), std::string::npos)
+      << info.status().message();
+  EXPECT_TRUE(ReadCompressedTable(path_).status().IsCorruption());
 }
 
 TEST_F(FileIoTest, TruncatedHeaderRejected) {
@@ -260,28 +391,69 @@ TEST_F(FileIoTest, CorruptedDirectoryEntryRejected) {
 }
 
 TEST_F(FileIoTest, VerifyCatchesFlippedPayloadByte) {
-  const CompressedTable table = MakeTable();
-  ASSERT_TRUE(WriteCompressedTable(table, path_).ok());
-  auto info = ReadFileInfo(path_);
-  ASSERT_TRUE(info.ok());
-  // Flip one byte in the middle of block 1's payload.
-  const uint64_t target =
-      info.value().block_offsets[1] + info.value().block_lengths[1] / 2;
-  {
-    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<long>(target));
-    char byte = 0;
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.seekp(static_cast<long>(target));
-    f.write(&byte, 1);
+  // One flipped byte in the middle of block 1's payload fails its
+  // checksum (FNV-1a in v3, CRC32C in v4) and, after exactly one
+  // re-read, is Corruption naming the stored and the computed value.
+  for (const uint8_t version : {uint8_t{3}, uint8_t{4}}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    WriteVersion(version);
+    auto info = ReadFileInfo(path_);
+    ASSERT_TRUE(info.ok());
+    FlipByte(info.value().block_offsets[1] +
+             info.value().block_lengths[1] / 2);
+
+    auto file = CorfFile::Open(path_);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    auto damaged = file.value().ReadBlockBytes(1);
+    ASSERT_TRUE(damaged.ok()) << damaged.status().ToString();
+    const SharedBuffer& bytes = damaged.value();
+    const uint64_t actual =
+        version == 4 ? uint64_t{simd::Crc32c(bytes.data(), bytes.size())}
+                     : test::Fnv1a64(bytes.span());
+    const uint64_t expected = info.value().block_checksums[1];
+    ASSERT_NE(actual, expected);
+
+    BlockReadStats stats;
+    auto block = file.value().ReadBlock(1, /*verify=*/true, &stats);
+    ASSERT_FALSE(block.ok());
+    EXPECT_TRUE(block.status().IsCorruption());
+    EXPECT_EQ(stats.checksum_rereads, 1u);
+    const std::string& message = block.status().message();
+    EXPECT_NE(message.find(version == 4 ? "(CRC32C)" : "(FNV-1a)"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("expected " + Hex64(expected)), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("actual " + Hex64(actual)), std::string::npos)
+        << message;
+    EXPECT_FALSE(ReadCompressedTable(path_, /*verify=*/true).ok());
+    // Untouched blocks still verify.
+    EXPECT_TRUE(ReadBlock(path_, 0, /*verify=*/true).ok());
   }
-  auto block = ReadBlock(path_, 1, /*verify=*/true);
-  EXPECT_FALSE(block.ok());
-  EXPECT_TRUE(block.status().IsCorruption());
-  EXPECT_FALSE(ReadCompressedTable(path_, /*verify=*/true).ok());
-  // Untouched blocks still verify.
-  EXPECT_TRUE(ReadBlock(path_, 0, /*verify=*/true).ok());
+}
+
+TEST_F(FileIoTest, WriteToAFullDeviceIsIOErrorNamingIt) {
+  // A 10-row table fits stdio's buffer, so the error arrives at close;
+  // MakeTable's 2,500 rows overflow it and fail inside fwrite.
+  for (const size_t rows : {size_t{10}, size_t{2500}}) {
+    SCOPED_TRACE(std::to_string(rows) + " rows");
+    const Status written = WriteCompressedTable(MakeTable(rows), "/dev/full");
+    ASSERT_TRUE(written.IsIOError()) << written.ToString();
+    EXPECT_NE(written.message().find("'/dev/full'"), std::string::npos)
+        << written.message();
+    EXPECT_NE(written.message().find(std::strerror(ENOSPC)),
+              std::string::npos)
+        << written.message();
+  }
+}
+
+TEST_F(FileIoTest, WriteUnderAMissingDirectoryIsIOError) {
+  const std::string path =
+      ::testing::TempDir() + "corra_no_such_dir/table.corf";
+  const Status written = WriteCompressedTable(MakeTable(), path);
+  ASSERT_TRUE(written.IsIOError()) << written.ToString();
+  EXPECT_NE(written.message().find(path), std::string::npos)
+      << written.message();
 }
 
 TEST_F(FileIoTest, CorfFileServesConcurrentBlockReads) {

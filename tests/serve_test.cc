@@ -985,17 +985,17 @@ TEST_F(ServeTest, InvalidRequestsAreRejected) {
                   .IsOutOfRange());
 }
 
-// Block skipping via CORF v3 per-block stats: a sorted key column gives
-// every block a disjoint value range, so a narrow filter prunes all but
-// one block — and the result must be byte-identical to the same scan
-// without stats (a v2 file of the same table).
+// Block skipping via the per-block stats of CORF v3+: a sorted key
+// column gives every block a disjoint value range, so a narrow filter
+// prunes all but one block — and the result must be byte-identical to
+// the same scan without stats (a v2 file of the same table).
 class BlockSkipTest : public ::testing::Test {
  protected:
   static constexpr size_t kRows = 4000;
   static constexpr size_t kBlockRows = 1000;
 
   void SetUp() override {
-    v3_path_ = ::testing::TempDir() + "corra_skip_v3.corf";
+    stats_path_ = ::testing::TempDir() + "corra_skip_stats.corf";
     v2_path_ = ::testing::TempDir() + "corra_skip_v2.corf";
     Rng rng(77);
     key_.resize(kRows);
@@ -1012,16 +1012,16 @@ class BlockSkipTest : public ::testing::Test {
     auto compressed = CorraCompressor::Compress(table, plan);
     ASSERT_TRUE(compressed.ok());
     ASSERT_EQ(compressed.value().num_blocks(), 4u);
-    ASSERT_TRUE(WriteCompressedTable(compressed.value(), v3_path_).ok());
-    test::WriteCompressedTableV2(compressed.value(), v2_path_);
+    ASSERT_TRUE(WriteCompressedTable(compressed.value(), stats_path_).ok());
+    test::WriteCompressedTableLegacy(compressed.value(), v2_path_, 2);
   }
 
   void TearDown() override {
-    std::remove(v3_path_.c_str());
+    std::remove(stats_path_.c_str());
     std::remove(v2_path_.c_str());
   }
 
-  std::string v3_path_, v2_path_;
+  std::string stats_path_, v2_path_;
   std::vector<int64_t> key_, payload_;
 };
 
@@ -1037,11 +1037,11 @@ TEST_F(BlockSkipTest, SkippedScanIsByteIdenticalToUnskipped) {
   request.aggregate = AggregateOp::kSum;
   request.aggregate_column = 1;
 
-  auto v3_cache = std::make_shared<BlockCache>();
-  auto v3_reader = TableReader::Open(v3_path_, v3_cache);
-  ASSERT_TRUE(v3_reader.ok());
-  ASSERT_TRUE(v3_reader.value()->info().has_column_stats);
-  auto skipped = service.Execute(*v3_reader.value(), request);
+  auto stats_cache = std::make_shared<BlockCache>();
+  auto stats_reader = TableReader::Open(stats_path_, stats_cache);
+  ASSERT_TRUE(stats_reader.ok());
+  ASSERT_TRUE(stats_reader.value()->info().has_column_stats);
+  auto skipped = service.Execute(*stats_reader.value(), request);
   ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
 
   auto v2_cache = std::make_shared<BlockCache>();
@@ -1075,7 +1075,7 @@ TEST_F(BlockSkipTest, SkippedScanIsByteIdenticalToUnskipped) {
 
   // The stats reader pruned 3 of 4 blocks and never fetched them.
   EXPECT_EQ(skipped.value().blocks_skipped, 3u);
-  EXPECT_EQ(v3_cache->GetStats().misses, 1u);
+  EXPECT_EQ(stats_cache->GetStats().misses, 1u);
   EXPECT_EQ(unskipped.value().blocks_skipped, 0u);
   EXPECT_EQ(v2_cache->GetStats().misses, 4u);
 }
@@ -1083,7 +1083,7 @@ TEST_F(BlockSkipTest, SkippedScanIsByteIdenticalToUnskipped) {
 TEST_F(BlockSkipTest, FullyDisjointFilterTouchesNoBlock) {
   ScanService service(ScanService::Options{.num_threads = 0});
   auto cache = std::make_shared<BlockCache>();
-  auto reader = TableReader::Open(v3_path_, cache);
+  auto reader = TableReader::Open(stats_path_, cache);
   ASSERT_TRUE(reader.ok());
 
   ScanRequest request;

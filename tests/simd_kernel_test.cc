@@ -9,7 +9,9 @@
 // The unpack sweep is exhaustive in bit width (0..64) and crosses every
 // alignment case the driver distinguishes: begin offsets that are not
 // 64-value aligned (scalar head), lengths straddling one or more
-// 64-value kernel blocks, and tails shorter than a block.
+// 64-value kernel blocks, and tails shorter than a block. CRC32C is
+// checked against a bitwise model at every length up to 64 and every
+// start offset mod 8.
 
 #include <gtest/gtest.h>
 
@@ -610,6 +612,44 @@ TEST_P(KernelTest, SlackContentsDoNotChangeAnyKernel) {
                            kRows, rows.data(), rows.size(), got_rows.data());
       ASSERT_EQ(got_rows, want_rows);
     }
+  }
+}
+
+// Bitwise CRC32C (reflected polynomial 0x82F63B78, initial value and
+// final xor 0xFFFFFFFF): the definition both tables must reproduce.
+uint32_t Crc32cModel(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFF;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) != 0 ? (crc >> 1) ^ 0x82F63B78 : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST_P(KernelTest, Crc32cMatchesBitwiseModel) {
+  const char* check = "123456789";
+  const auto* check_bytes = reinterpret_cast<const uint8_t*>(check);
+  EXPECT_EQ(Crc32cModel(check_bytes, 9), 0xE3069283u);
+  EXPECT_EQ(table().crc32c(check_bytes, 9), 0xE3069283u);
+
+  // Every length from 0 to 64 (the 8-byte steps and each byte tail) at
+  // every start offset mod 8 into one buffer, then 1 MiB + 3 bytes.
+  constexpr size_t kLong = (size_t{1} << 20) + 3;
+  std::mt19937_64 rng(77);
+  std::vector<uint8_t> buffer(kLong + 7);
+  for (auto& byte : buffer) {
+    byte = static_cast<uint8_t>(rng());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    SCOPED_TRACE("offset=" + std::to_string(offset));
+    const uint8_t* data = buffer.data() + offset;
+    for (size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(table().crc32c(data, len), Crc32cModel(data, len))
+          << "len=" << len;
+    }
+    ASSERT_EQ(table().crc32c(data, kLong), Crc32cModel(data, kLong));
   }
 }
 

@@ -23,6 +23,8 @@
 #include "common/random.h"
 #include "core/corra_compressor.h"
 #include "encoding/encoded_column.h"
+#include "query/aggregate.h"
+#include "storage/file_io.h"
 #include "storage/serde.h"
 #include "storage/table.h"
 
@@ -195,7 +197,8 @@ inline void ExpectColumnMatches(const enc::EncodedColumn& column,
   }
 }
 
-/// FNV-1a 64 of `bytes` (the digest the golden-bytes tests pin).
+/// FNV-1a 64 of `bytes`: the digest the golden-bytes tests pin, and the
+/// payload checksum of CORF v2 and v3 files.
 inline uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
   uint64_t hash = 0xcbf29ce484222325ull;
   for (uint8_t b : bytes) {
@@ -205,19 +208,34 @@ inline uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
   return hash;
 }
 
-/// Writes `table` in the legacy CORF v2 layout (directory without the
-/// v3 per-block column stats section) — the backward-compatibility
-/// fixture for readers, which must treat such files as stats-less.
-inline void WriteCompressedTableV2(const CompressedTable& table,
-                                   const std::string& path) {
+/// Writes `table` in a legacy CORF layout, the backward-compatibility
+/// fixture for readers: `version` 2 has no per-block column stats section
+/// (readers treat such files as stats-less), 3 has it. Both checksum each
+/// payload with FNV-1a 64 as their writers did, so a v3 file is byte for
+/// byte what WriteCompressedTable wrote before v4 moved to CRC32C.
+inline void WriteCompressedTableLegacy(const CompressedTable& table,
+                                       const std::string& path,
+                                       uint8_t version) {
+  ASSERT_TRUE(version == 2 || version == 3) << "version " << int{version};
   std::vector<std::vector<uint8_t>> payloads;
+  std::vector<ColumnStats> stats;
   for (size_t b = 0; b < table.num_blocks(); ++b) {
-    payloads.push_back(table.block(b).Serialize());
+    const Block& block = table.block(b);
+    payloads.push_back(block.Serialize());
+    for (size_t c = 0; version >= 3 && c < block.num_columns(); ++c) {
+      ColumnStats column_stats{INT64_MAX, INT64_MIN};  // Empty block.
+      if (const auto& range = block.range(c)) {
+        column_stats = {range->min, range->max};
+      } else if (const auto mm = query::MinMaxColumn(block.column(c))) {
+        column_stats = {mm->min, mm->max};
+      }
+      stats.push_back(column_stats);
+    }
   }
   auto build_header = [&](const std::vector<uint64_t>& offsets) {
     BufferWriter writer;
     writer.Write<uint32_t>(0x46524F43);  // "CORF"
-    writer.Write<uint8_t>(2);            // Version 2: no stats section.
+    writer.Write<uint8_t>(version);
     writer.Write<uint32_t>(static_cast<uint32_t>(table.schema().num_fields()));
     for (const Field& field : table.schema().fields()) {
       writer.WriteString(field.name);
@@ -229,6 +247,10 @@ inline void WriteCompressedTableV2(const CompressedTable& table,
       writer.Write<uint64_t>(payloads[b].size());
       writer.Write<uint64_t>(table.block(b).rows());
       writer.Write<uint64_t>(Fnv1a64(payloads[b]));
+    }
+    for (const ColumnStats& column_stats : stats) {
+      writer.Write<int64_t>(column_stats.min);
+      writer.Write<int64_t>(column_stats.max);
     }
     return std::move(writer).Finish();
   };

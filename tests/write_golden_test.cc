@@ -5,6 +5,15 @@
 // or a stats entry changes a digest, so the write path's optimizations
 // must reproduce the files byte for byte.
 //
+// Each table is written twice. The legacy fixture writer
+// (test::WriteCompressedTableLegacy) writes the v3 file, whose directory
+// holds FNV-1a checksums; its digests are the constants recorded before
+// v4, so they prove the block payloads and stats bytes unchanged.
+// WriteCompressedTable writes the v4 file, which differs only in the
+// version byte and the CRC32C checksums; its digests are the second set
+// of constants. Under CORRA_FORCE_SCALAR=1 the v4 constants also prove
+// the scalar CRC32C equal to the hardware one.
+//
 // Covered: lineitem, taxi, DMV and LDBC at ~20k rows, each under its
 // Table 2 plan (bench/bench_table2_compression.cc), under AllAuto and
 // under AllAuto with WorkloadHint::kPointServing; plus one table whose
@@ -13,7 +22,7 @@
 // workload hint has no effect, so each kPointServing file must equal
 // its kAnalytic twin.
 //
-// The constants were recorded with the encoders that preceded the
+// The v3 constants were recorded with the encoders that preceded the
 // single-pass write path. If a deliberate format change moves them,
 // the failure message prints the new digest.
 
@@ -33,6 +42,7 @@
 #include "datagen/taxi.h"
 #include "datagen/tpch.h"
 #include "storage/file_io.h"
+#include "test_util.h"
 
 namespace corra {
 namespace {
@@ -41,14 +51,9 @@ constexpr size_t kBlockRows = 8192;
 
 uint64_t FileDigest(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  return test::Fnv1a64(bytes);
 }
 
 std::string Hex(uint64_t v) {
@@ -57,42 +62,59 @@ std::string Hex(uint64_t v) {
   return buf;
 }
 
+// Digests of one compressed table written as a v3 and as a v4 file.
+struct Digests {
+  uint64_t v3 = 0;
+  uint64_t v4 = 0;
+};
+
 // Compresses `table` under `plan` (block size forced to kBlockRows),
-// writes it, and returns the file's digest.
-uint64_t WriteAndDigest(const Table& table, CompressionPlan plan,
-                        const std::string& name) {
+// writes it as a legacy v3 file and through WriteCompressedTable, and
+// returns both files' digests.
+Digests WriteAndDigest(const Table& table, CompressionPlan plan,
+                       const std::string& name) {
   plan.block_rows = kBlockRows;
   auto compressed = CorraCompressor::Compress(table, plan);
   EXPECT_TRUE(compressed.ok()) << name << ": "
                                << compressed.status().ToString();
   if (!compressed.ok()) {
-    return 0;
+    return {};
   }
   EXPECT_GE(compressed.value().num_blocks(), 3u) << name;
   const std::string path =
       ::testing::TempDir() + "corra_write_golden_" + name + ".corf";
+  Digests digests;
+  test::WriteCompressedTableLegacy(compressed.value(), path, 3);
+  digests.v3 = FileDigest(path);
   EXPECT_TRUE(WriteCompressedTable(compressed.value(), path).ok()) << name;
-  const uint64_t digest = FileDigest(path);
+  digests.v4 = FileDigest(path);
   std::remove(path.c_str());
-  return digest;
+  return digests;
+}
+
+// Checks `digests` against the recorded v3 and v4 constants.
+void ExpectDigests(const Digests& digests, uint64_t v3, uint64_t v4,
+                   const std::string& what) {
+  EXPECT_EQ(Hex(digests.v3), Hex(v3)) << what << ", v3";
+  EXPECT_EQ(Hex(digests.v4), Hex(v4)) << what << ", v4";
 }
 
 // Checks the three plans of one dataset: its Table 2 plan, AllAuto, and
-// AllAuto under the point-serving hint.
+// AllAuto under the point-serving hint, whose files equal AllAuto's.
 void CheckDataset(const Table& table, const CompressionPlan& table2_plan,
-                  const std::string& name, uint64_t table2_digest,
-                  uint64_t auto_digest, uint64_t auto_point_digest) {
-  const uint64_t table2 = WriteAndDigest(table, table2_plan, name + "_table2");
-  EXPECT_EQ(Hex(table2), Hex(table2_digest)) << name << " Table 2 plan";
+                  const std::string& name, uint64_t table2_v3,
+                  uint64_t auto_v3, uint64_t auto_point_v3,
+                  uint64_t table2_v4, uint64_t auto_v4) {
+  ExpectDigests(WriteAndDigest(table, table2_plan, name + "_table2"),
+                table2_v3, table2_v4, name + " Table 2 plan");
 
   CompressionPlan all_auto = CompressionPlan::AllAuto(table.num_columns());
-  const uint64_t automatic = WriteAndDigest(table, all_auto, name + "_auto");
-  EXPECT_EQ(Hex(automatic), Hex(auto_digest)) << name << " AllAuto";
+  ExpectDigests(WriteAndDigest(table, all_auto, name + "_auto"), auto_v3,
+                auto_v4, name + " AllAuto");
 
   all_auto.workload = enc::WorkloadHint::kPointServing;
-  const uint64_t point = WriteAndDigest(table, all_auto, name + "_point");
-  EXPECT_EQ(Hex(point), Hex(auto_point_digest))
-      << name << " AllAuto + kPointServing";
+  ExpectDigests(WriteAndDigest(table, all_auto, name + "_point"),
+                auto_point_v3, auto_v4, name + " AllAuto + kPointServing");
 }
 
 TEST(WriteGoldenTest, Lineitem) {
@@ -105,7 +127,8 @@ TEST(WriteGoldenTest, Lineitem) {
     plan.columns[target].reference = 1;  // l_shipdate
   }
   CheckDataset(table.value(), plan, "lineitem", 0xb7cbcb9428e33bed,
-               0xcde4b2134f15ca0a, 0xcde4b2134f15ca0a);
+               0xcde4b2134f15ca0a, 0xcde4b2134f15ca0a, 0xd95a1d7e989aca4f,
+               0x0007d53105fcd260);
 }
 
 TEST(WriteGoldenTest, Taxi) {
@@ -128,7 +151,8 @@ TEST(WriteGoldenTest, Taxi) {
   total.formulas.code_bits = 2;
   total.max_outlier_fraction = 0.02;
   CheckDataset(table.value(), plan, "taxi", 0xcd08b56f5cb585f8,
-               0x7db78402699f1c50, 0x7db78402699f1c50);
+               0x7db78402699f1c50, 0x7db78402699f1c50, 0x7d4b199839a732b7,
+               0x206221adf4f429e9);
 }
 
 TEST(WriteGoldenTest, Dmv) {
@@ -142,7 +166,8 @@ TEST(WriteGoldenTest, Dmv) {
   plan.columns[2].scheme = enc::Scheme::kHierarchical;
   plan.columns[2].reference = 1;
   CheckDataset(table.value(), plan, "dmv", 0x2e7515a65703e273,
-               0xe5e2772bb61eb29f, 0xe5e2772bb61eb29f);
+               0xe5e2772bb61eb29f, 0xe5e2772bb61eb29f, 0x516558502133c400,
+               0xedf32d46f4de480a);
 }
 
 TEST(WriteGoldenTest, Ldbc) {
@@ -153,7 +178,8 @@ TEST(WriteGoldenTest, Ldbc) {
   plan.columns[1].scheme = enc::Scheme::kHierarchical;
   plan.columns[1].reference = 0;
   CheckDataset(table.value(), plan, "ldbc", 0x5db63f5350c00968,
-               0x29c61c089ccce0e9, 0x29c61c089ccce0e9);
+               0x29c61c089ccce0e9, 0x29c61c089ccce0e9, 0xa4143233e0b6c10d,
+               0x91f247e0db68e636);
 }
 
 // One column per scheme, shaped so the pinned scheme encodes it, as in
@@ -231,13 +257,13 @@ TEST(WriteGoldenTest, EveryScheme) {
   EXPECT_FALSE(
       static_cast<const MultiRefColumn&>(block.column(6)).outliers().empty());
 
-  const uint64_t analytic = WriteAndDigest(table, plan, "every_analytic");
-  EXPECT_EQ(Hex(analytic), Hex(0x206935e404e4515d))
-      << "every scheme, kAnalytic";
+  ExpectDigests(WriteAndDigest(table, plan, "every_analytic"),
+                0x206935e404e4515d, 0xb71fff38042d748d,
+                "every scheme, kAnalytic");
   plan.workload = enc::WorkloadHint::kPointServing;
-  const uint64_t point = WriteAndDigest(table, plan, "every_point");
-  EXPECT_EQ(Hex(point), Hex(0x206935e404e4515d))
-      << "every scheme, kPointServing";
+  ExpectDigests(WriteAndDigest(table, plan, "every_point"),
+                0x206935e404e4515d, 0xb71fff38042d748d,
+                "every scheme, kPointServing");
 }
 
 }  // namespace
