@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/bit_util.h"
 #include "common/random.h"
 #include "common/simd/simd.h"
 #include "core/diff_encoding.h"
@@ -203,11 +204,15 @@ void RunAll(const bench::Flags& flags) {
   // Wide domains, whose distinct values Dict and Hierarchical number in a
   // hash: a high-cardinality column (FOR wins; Dict's distinct count
   // stops early), a low-cardinality one with a wide range (Dict wins) and
-  // the zip codes above (~75k span over 2,500 cities). Narrow domains
-  // (max - min < 2 * rows; cardinality * span <= 2 * rows), numbered in
-  // a table indexed by value: 300 distinct values in a 4,096 span (Dict
-  // wins), the date-like reference (FOR wins after Dict's early stop)
-  // and ~60 references over 900 dense codes (DMV's zip under city).
+  // 30 values per city scattered over a ~29M span under each of the
+  // 2,500 cities above (hierarchical_wide: the per-reference spans pass
+  // 2 * rows, so Hierarchical's per-reference pass gives up). Narrow
+  // domains, numbered in a table indexed by value: 300 distinct values in
+  // a 4,096 span (Dict wins; max - min < 2 * rows), the date-like
+  // reference (FOR wins after Dict's early stop), ~60 references over
+  // 900 dense codes (DMV's zip under city; cardinality * span <= 2 *
+  // rows) and the zip codes above (a ~75k span over 2,500 cities, but 30
+  // per city: per-reference slices of 30 slots).
   Rng card_rng(12);
   std::vector<int64_t> high_card(rows);
   std::vector<int64_t> low_card(rows);
@@ -222,10 +227,12 @@ void RunAll(const bench::Flags& flags) {
   std::vector<int64_t> narrow(rows);
   std::vector<int64_t> code_refs(rows);
   std::vector<int64_t> codes(rows);
+  std::vector<int64_t> zip_wide(rows);
   for (size_t i = 0; i < rows; ++i) {
     narrow[i] = narrow_pool[static_cast<size_t>(card_rng.Uniform(0, 299))];
     code_refs[i] = card_rng.Uniform(0, 59);
     codes[i] = code_refs[i] * 15 + card_rng.Uniform(0, 14);
+    zip_wide[i] = (city[i] << 32) + card_rng.Uniform(0, 29) * 999983;
   }
   RunBench(&reporter, "encode/for", rows, reps, [&] {
     sink += static_cast<int64_t>(enc::ForColumn::Encode(reference)
@@ -252,6 +259,10 @@ void RunAll(const bench::Flags& flags) {
   RunBench(&reporter, "encode/hierarchical_codes", rows, reps, [&] {
     sink += static_cast<int64_t>(
         HierarchicalColumn::Encode(codes, code_refs, 0).value()->SizeBytes());
+  });
+  RunBench(&reporter, "encode/hierarchical_wide", rows, reps, [&] {
+    sink += static_cast<int64_t>(
+        HierarchicalColumn::Encode(zip_wide, city, 0).value()->SizeBytes());
   });
   RunBench(&reporter, "select/auto_high_card", rows, reps, [&] {
     sink += static_cast<int64_t>(
@@ -446,6 +457,17 @@ void RunAll(const bench::Flags& flags) {
            [&] { sink += query::SumColumn(*diff_column); });
   RunBench(&reporter, "min/diff", rows, reps, [&] {
     sink += query::MinMaxColumn(*diff_column).value_or(bit_util::MinMax{}).min;
+  });
+  // The statistics pass every encoded column starts with, over the
+  // date-like reference: in one call, and per 2,048-value morsel as
+  // query::MinMaxColumn folds decoded values.
+  RunBench(&reporter, "stats/minmax", rows, reps,
+           [&] { sink += bit_util::ComputeMinMax(reference).max; });
+  RunBench(&reporter, "stats/minmax_morsel", rows, reps, [&] {
+    query::ForEachMorsel(0, rows, [&](size_t begin, size_t len) {
+      sink += bit_util::ComputeMinMax(std::span(reference).subspan(begin, len))
+                  .max;
+    });
   });
 
   // The CORF v4 block checksum: CRC32C over the date column's raw bytes.

@@ -1,11 +1,55 @@
 #include "common/bit_stream.h"
 
+#include <array>
+#include <utility>
+
 #include "common/bit_util.h"
+#include "common/simd/kernel_table.h"
 #include "common/simd/simd.h"
 
 namespace corra {
 
 namespace {
+
+using simd::internal::kMaxKernelWidth;
+using simd::internal::kUnpackBlock;
+
+// One compile-time placement: value J of a 64-value block of width W at
+// bit W * J of `words`; a value that straddles a word boundary spills its
+// high bits into the next word.
+template <int W, size_t J>
+inline void PackAt(const uint64_t* in, uint64_t* words) {
+  constexpr size_t bit = static_cast<size_t>(W) * J;
+  constexpr size_t word = bit >> 6;
+  constexpr int shift = static_cast<int>(bit & 63);
+  words[word] |= in[J] << shift;
+  if constexpr (shift + W > 64) {
+    words[word + 1] |= in[J] >> (64 - shift);
+  }
+}
+
+// Packs exactly 64 values of width W into the W words at `out`: the
+// inverse of the scalar unpack kernels, with every word index and shift
+// a compile-time constant.
+template <int W>
+void Pack64(const uint64_t* in, uint8_t* out) {
+  if constexpr (W > 0) {
+    uint64_t words[W] = {};
+    [&]<size_t... J>(std::index_sequence<J...>) {
+      (PackAt<W, J>(in, words), ...);
+    }(std::make_index_sequence<kUnpackBlock>{});
+    std::memcpy(out, words, sizeof(words));
+  }
+}
+
+using Pack64Fn = void (*)(const uint64_t* in, uint8_t* out);
+
+// Indexed by bit width; the unpack kernels' range, where every stream
+// that ingest writes falls.
+constexpr auto kPack64 = []<size_t... W>(std::index_sequence<W...>) {
+  return std::array<Pack64Fn, kMaxKernelWidth + 1>{
+      &Pack64<static_cast<int>(W)>...};
+}(std::make_index_sequence<kMaxKernelWidth + 1>{});
 
 // Exact payload bytes of `count` values of `bit_width` bits each. Callers
 // must know count * bit_width does not wrap (ReadPayload checks first).
@@ -28,6 +72,16 @@ void PackBits(const uint64_t* values, size_t count, int bit_width,
   if (bit_width == 64) {
     std::memcpy(out, values, count * sizeof(uint64_t));
     return;
+  }
+  if (bit_width <= kMaxKernelWidth) {
+    // 64 values of W bits are exactly W words, so each full block starts
+    // on a word boundary and the tail below starts on an empty word.
+    const Pack64Fn pack = kPack64[static_cast<size_t>(bit_width)];
+    for (; count >= kUnpackBlock; count -= kUnpackBlock) {
+      pack(values, out);
+      values += kUnpackBlock;
+      out += kUnpackBlock / 8 * static_cast<size_t>(bit_width);
+    }
   }
   // Word accumulator: OR each value in at the fill position; when a word
   // is full, store it and carry the value's overflow bits into the next.

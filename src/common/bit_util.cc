@@ -1,16 +1,11 @@
 #include "common/bit_util.h"
 
-#include <algorithm>
+#include "common/simd/simd.h"
 
 namespace corra::bit_util {
 
 MinMax ComputeMinMax(std::span<const int64_t> values) {
-  MinMax mm{values.empty() ? 0 : values[0], values.empty() ? 0 : values[0]};
-  for (int64_t v : values) {
-    mm.min = std::min(mm.min, v);
-    mm.max = std::max(mm.max, v);
-  }
-  return mm;
+  return simd::MinMax(values.data(), values.size());
 }
 
 }  // namespace corra::bit_util

@@ -19,6 +19,10 @@
 // Precondition: the reference column's logical values are dense codes in
 // [0, C) — e.g. dictionary codes of a string column, or LDBC's countryid.
 // CorraCompressor dict-encodes reference columns that are not yet dense.
+// A row whose pair lies outside the metadata (a reference code not in
+// [0, C) or a local index past its reference's slice) reads 0: only
+// hostile bytes hold one, and a block loaded without verification
+// (VerifyWithReference) may.
 
 #ifndef CORRA_CORE_HIERARCHICAL_ENCODING_H_
 #define CORRA_CORE_HIERARCHICAL_ENCODING_H_
@@ -74,17 +78,28 @@ class HierarchicalColumn final : public SingleRefColumn {
 
   int bit_width() const { return local_.bit_width(); }
   /// Number of distinct reference codes covered by the metadata.
-  size_t ref_cardinality() const { return offsets_.size() - 1; }
+  size_t ref_cardinality() const { return offsets_.size() - 2; }
   /// Total distinct (ref, target) pairs — the length of the values array.
-  size_t value_count() const { return values_.size(); }
+  size_t value_count() const { return values_.size() - 1; }
 
  private:
+  /// `values` and `offsets` are the serialized arrays (offsets holds
+  /// cardinality + 1 entries, monotone from 0 to values.size()).
   HierarchicalColumn(uint32_t ref_index, std::vector<int64_t> values,
                      std::vector<uint32_t> offsets, PackedArray local);
 
-  std::vector<int64_t> values_;    // Concatenated local dictionaries.
-  std::vector<uint32_t> offsets_;  // ref_cardinality()+1 entries.
-  PackedArray local_;              // Per-row local indices.
+  // values_'s index for the pair (ref code, local index): the pair's
+  // entry, or value_count() (a zero) when it lies outside the metadata.
+  // A clamp and one compare that every valid row passes, so valid data
+  // never mispredicts.
+  size_t ValueIndex(uint64_t ref, uint64_t local) const;
+
+  // Concatenated local dictionaries, then one 0.
+  std::vector<int64_t> values_;
+  // ref_cardinality() + 1 slice starts, then the last one again: the
+  // empty slice that every out-of-range reference code is clamped to.
+  std::vector<uint32_t> offsets_;
+  PackedArray local_;  // Per-row local indices.
 };
 
 }  // namespace corra

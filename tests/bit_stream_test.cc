@@ -399,5 +399,66 @@ TEST(PackedArrayTest, BulkPackMatchesPerValueAppend) {
   }
 }
 
+// The bit-by-bit model of PackBits: value i's bit b is bit
+// i * width + b of the stream, little-endian, and every bit up to the
+// last whole 64-bit word is zero otherwise.
+std::vector<uint8_t> PackBitByBit(const std::vector<uint64_t>& values,
+                                  int width) {
+  std::vector<uint8_t> bytes(
+      bit_util::CeilDiv(values.size() * static_cast<size_t>(width), 64) * 8,
+      0);
+  for (size_t i = 0; i < values.size(); ++i) {
+    for (int b = 0; b < width; ++b) {
+      const size_t bit = i * static_cast<size_t>(width) + b;
+      bytes[bit / 8] |= static_cast<uint8_t>(((values[i] >> b) & 1) << (bit % 8));
+    }
+  }
+  return bytes;
+}
+
+TEST(PackBitsTest, MatchesBitByBitModelInOneAndTwoCalls) {
+  // Every width, counts around the 64-value blocks of the per-width
+  // packers (and 4,097: 64 blocks and a one-value tail), all-ones values
+  // and a pattern that sets every bit position of the width. The output
+  // is compared byte for byte with the model, through the last word
+  // PackBits stores, and no byte past that word is written.
+  constexpr uint8_t kCanary = 0xA5;
+  for (int width = 0; width <= 64; ++width) {
+    const uint64_t mask = width == 0    ? 0
+                          : width == 64 ? ~uint64_t{0}
+                                        : (uint64_t{1} << width) - 1;
+    for (size_t count : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                         size_t{65}, size_t{127}, size_t{128}, size_t{129},
+                         size_t{4097}}) {
+      std::vector<uint64_t> ones(count, mask);
+      std::vector<uint64_t> pattern(count);
+      for (size_t i = 0; i < count; ++i) {
+        pattern[i] = (i * 0x9E3779B97F4A7C15ull ^ (i << 7)) & mask;
+      }
+      for (const auto* values : {&ones, &pattern}) {
+        SCOPED_TRACE("width " + std::to_string(width) + " count " +
+                     std::to_string(count) +
+                     (values == &ones ? " ones" : " pattern"));
+        const std::vector<uint8_t> expected = PackBitByBit(*values, width);
+        std::vector<uint8_t> out(expected.size() + 16, kCanary);
+        PackBits(values->data(), count, width, out.data());
+        EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()));
+        EXPECT_TRUE(std::all_of(out.begin() + expected.size(), out.end(),
+                                [](uint8_t b) { return b == kCanary; }));
+
+        // Two calls, the first a multiple of 64 values.
+        const size_t split = count / 2 / 64 * 64;
+        std::vector<uint8_t> two(expected.size() + 16, kCanary);
+        PackBits(values->data(), split, width, two.data());
+        PackBits(values->data() + split, count - split, width,
+                 two.data() + split / 8 * static_cast<size_t>(width));
+        EXPECT_TRUE(std::equal(expected.begin(), expected.end(), two.begin()));
+        EXPECT_TRUE(std::all_of(two.begin() + expected.size(), two.end(),
+                                [](uint8_t b) { return b == kCanary; }));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace corra

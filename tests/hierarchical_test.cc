@@ -298,10 +298,11 @@ TEST(HierarchicalTest, LocalCodesMatchFirstSeenReference) {
 
 TEST(HierarchicalTest, BothSidesOfTheDirectTableRuleMatchFirstSeenReference) {
   // With span = max - min + 1, the pairs are numbered in a table indexed
-  // by ref * span + (value - min) when cardinality * span <= 2 * rows,
-  // and in the hash otherwise: 40 * 50 is at the bound over 1,000 rows,
-  // 41 * 49 one over it over 1,004. Reference codes skip every third
-  // code below the largest, whose slices stay empty.
+  // by ref * span + (value - min) when cardinality * span <= 2 * rows:
+  // 40 * 50 is at the bound over 1,000 rows, 41 * 49 one over it over
+  // 1,004 (which then fits the per-reference table; the int64 extremes
+  // take the hash). Reference codes skip every third code below the
+  // largest, whose slices stay empty.
   Rng rng(34);
   // `rows` rows under `cardinality` reference codes whose targets lie in
   // [lo, lo + max_offset], both ends present; each reference draws from
@@ -351,6 +352,83 @@ TEST(HierarchicalTest, BothSidesOfTheDirectTableRuleMatchFirstSeenReference) {
     ExpectFirstSeenModel(c.tc.first, c.tc.second);
   }
   ExpectFirstSeenModel({}, {});
+}
+
+TEST(HierarchicalTest, PerReferenceTablesMatchFirstSeenReference) {
+  // When the global span rule fails, each reference code's own span is
+  // taken: if they sum to at most 2 * rows, the pairs are numbered in a
+  // table of per-reference slices, and in the hash otherwise. The model
+  // cannot tell the paths apart, so every case must give the same bytes.
+  Rng rng(35);
+  // `rows` rows spread over the references of `pools`, each row drawing
+  // its target from its reference's [base, base + span - 1] skewed
+  // toward the base; each pool's first two rows hold both ends.
+  struct Pool {
+    int64_t ref;
+    int64_t base;
+    uint64_t span;
+  };
+  const auto make = [&](size_t rows, const std::vector<Pool>& pools) {
+    std::pair<std::vector<int64_t>, std::vector<int64_t>> tc;
+    auto& [target, city] = tc;
+    for (size_t i = 0; i < rows; ++i) {
+      const Pool& pool =
+          i < 2 * pools.size()
+              ? pools[i / 2]
+              : pools[static_cast<size_t>(rng.Uniform(
+                    0, static_cast<int64_t>(pools.size()) - 1))];
+      uint64_t offset = pool.span - 1;
+      if (i >= 2 * pools.size()) {
+        const double u = rng.NextDouble();
+        offset = static_cast<uint64_t>(u * u * static_cast<double>(offset));
+      } else if (i % 2 == 0) {
+        offset = 0;
+      }
+      city.push_back(pool.ref);
+      target.push_back(
+          static_cast<int64_t>(static_cast<uint64_t>(pool.base) + offset));
+    }
+    return tc;
+  };
+  // LDBC's ip: 111 countries whose dense pools sit 38M apart, a global
+  // span near 2^32; the pools sum to 8,833 slots over 20,000 rows.
+  std::vector<Pool> ldbc;
+  for (int64_t c = 0; c < 111; ++c) {
+    ldbc.push_back({c, c * 38'000'000 + 16'777'216,
+                    static_cast<uint64_t>(30 + (c * 37) % 101)});
+  }
+  // Four references 1e9 apart whose spans sum to exactly 2 * 1,000 rows
+  // (table), or to one more (hash).
+  const std::vector<Pool> at_bound = {{0, 0, 500},
+                                      {1, 1'000'000'000, 500},
+                                      {2, 2'000'000'000, 500},
+                                      {3, 3'000'000'000, 500}};
+  std::vector<Pool> one_over = at_bound;
+  one_over[2].span = 501;
+  const struct {
+    std::string name;
+    std::pair<std::vector<int64_t>, std::vector<int64_t>> tc;
+  } cases[] = {
+      {"ldbc ip", make(20000, ldbc)},
+      {"spans sum to 2 * rows", make(1000, at_bound)},
+      {"spans sum to 2 * rows + 1", make(1000, one_over)},
+      {"codes with gaps", make(2000, {{0, -5'000'000'000, 40},
+                                      {3, 7, 25},
+                                      {9, 1'000'000'000'000, 60}})},
+      {"one reference spans int64",
+       make(3000, {{0, 100, 20}, {1, INT64_MIN, UINT64_MAX}, {2, -50, 30}})},
+      {"pools at both int64 extremes",
+       make(3000, {{0, INT64_MIN, 50}, {1, 0, 10}, {2, INT64_MAX - 49, 50}})},
+      // One row takes the global rule under codes 0 and 1, and the hash
+      // under code 5 (more codes than 2 * rows).
+      {"single row, code 0", make(1, {{0, INT64_MAX, 1}})},
+      {"single row, code 1", make(1, {{1, INT64_MIN, 1}})},
+      {"single row, code 5", make(1, {{5, 42, 1}})},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExpectFirstSeenModel(c.tc.first, c.tc.second);
+  }
 }
 
 // Property sweep: hierarchical reconstruction is exact for random

@@ -8,13 +8,17 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/corra_compressor.h"
 #include "datagen/taxi.h"
 #include "encoding/bitpack.h"
 #include "encoding/delta.h"
+#include "encoding/for.h"
+#include "query/scan.h"
 #include "storage/block.h"
 #include "storage/serde.h"
 #include "test_util.h"
@@ -504,6 +508,133 @@ TEST(RobustnessTest, OneToOneReferenceValueWithoutKeyReadsZero) {
     std::vector<int64_t> range(kRows - 10);
     column.DecodeRange(10, range.size(), range.data());
     EXPECT_TRUE(std::equal(range.begin(), range.end(), expected.begin() + 10));
+  }
+}
+
+// A block of two columns over `refs.size()` rows: column 0 a FOR column
+// of `refs`, column 1 a Hierarchical column over it with the metadata
+// `values` and `offsets` and the per-row local indices `locals`. The
+// encoder never writes a pair outside its metadata; hand-built bytes can.
+std::vector<uint8_t> HierarchicalBlockBytes(
+    const std::vector<int64_t>& refs, const std::vector<uint64_t>& locals,
+    const std::vector<int64_t>& values, const std::vector<uint32_t>& offsets) {
+  BufferWriter w;
+  w.Write<uint32_t>(0);  // Magic and version, copied below.
+  w.Write<uint8_t>(0);
+  w.Write<uint32_t>(2);  // Columns.
+  w.Write<uint64_t>(refs.size());
+  w.Write<uint8_t>(0);  // No string dictionary.
+  enc::ForColumn::Encode(refs).value()->Serialize(&w);
+  w.Write<uint8_t>(0);
+  w.Write<uint8_t>(static_cast<uint8_t>(enc::Scheme::kHierarchical));
+  w.Write<uint32_t>(0);  // Reference column.
+  w.WriteInt64Array(values);
+  w.WriteUint32Array(offsets);
+  uint64_t max_local = 0;
+  for (uint64_t local : locals) {
+    max_local = std::max(max_local, local);
+  }
+  PackedArray::Pack(locals, bit_util::BitWidth(max_local)).Write(&w);
+  std::vector<uint8_t> bytes = std::move(w).Finish();
+  const auto pristine = MakeRichBlockBytes();
+  std::copy_n(pristine.begin(), 5, bytes.begin());
+  return bytes;
+}
+
+TEST(RobustnessTest, HierarchicalPairsOutsideTheMetadataReadZero) {
+  // Serving loads blocks without verification, so Hierarchical's reads
+  // meet whatever reference codes and local indices the bytes hold. A
+  // pair outside the metadata reads 0 through every read path without
+  // reading past values_ or offsets_ (ASan, _GLIBCXX_ASSERTIONS); under
+  // verification each block is Corruption.
+  constexpr size_t kRows = 300;
+  const std::vector<int64_t> values = {10, 11, 20, 21, 22, 30};
+  const std::vector<uint32_t> offsets = {0, 2, 5, 6};  // Cardinality 3.
+  const auto rows_of = [&](auto fn) {
+    std::vector<int64_t> refs(kRows);
+    std::vector<uint64_t> locals(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      std::tie(refs[i], locals[i]) = fn(i);
+    }
+    return std::make_pair(refs, locals);
+  };
+  const struct {
+    std::string name;
+    std::pair<std::vector<int64_t>, std::vector<uint64_t>> rows;
+    std::vector<int64_t> values;
+    std::vector<uint32_t> offsets;
+  } cases[] = {
+      {"reference code past the cardinality",
+       rows_of([](size_t i) {
+         const int64_t refs[] = {0, 3, 1, 1000000, 2, INT64_MAX};
+         return std::make_pair(refs[i % 6], uint64_t{0});
+       }),
+       values, offsets},
+      {"negative reference value",
+       rows_of([](size_t i) {
+         const int64_t refs[] = {0, -1, 1, INT64_MIN, 2, -3};
+         return std::make_pair(refs[i % 6], uint64_t{0});
+       }),
+       values, offsets},
+      {"local index past its slice",
+       rows_of([](size_t i) {
+         return std::make_pair(static_cast<int64_t>(i % 3),
+                               static_cast<uint64_t>(i % 7));
+       }),
+       values, offsets},
+      {"empty values over nonzero rows",
+       rows_of([](size_t i) {
+         return std::make_pair(static_cast<int64_t>(i % 2),
+                               static_cast<uint64_t>(i % 4));
+       }),
+       {}, {0, 0, 0}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto& [refs, locals] = c.rows;
+    const auto bytes =
+        HierarchicalBlockBytes(refs, locals, c.values, c.offsets);
+    auto verified = Block::Deserialize(bytes, /*verify=*/true);
+    ASSERT_FALSE(verified.ok());
+    EXPECT_TRUE(verified.status().IsCorruption())
+        << verified.status().ToString();
+
+    auto block = Block::Deserialize(bytes, /*verify=*/false);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    std::vector<int64_t> expected(kRows, 0);
+    const int64_t cardinality = static_cast<int64_t>(c.offsets.size()) - 1;
+    for (size_t i = 0; i < kRows; ++i) {
+      if (refs[i] >= 0 && refs[i] < cardinality) {
+        const size_t ref = static_cast<size_t>(refs[i]);
+        if (c.offsets[ref] + locals[i] < c.offsets[ref + 1]) {
+          expected[i] = c.values[c.offsets[ref] + locals[i]];
+        }
+      }
+    }
+    ASSERT_TRUE(std::count(expected.begin(), expected.end(), 0) > 0);
+    test::ExpectColumnMatches(block.value().column(1), expected);
+    // A sorted gather, a dense scan, and both through the reference the
+    // pair scans decode first.
+    std::vector<uint32_t> rows;
+    for (uint32_t i = 1; i < kRows; i += 2) {
+      rows.push_back(i);
+    }
+    std::vector<int64_t> gathered(rows.size());
+    query::ScanColumn(block.value(), 1, rows, gathered.data());
+    std::vector<int64_t> ref_out(kRows);
+    std::vector<int64_t> paired(rows.size());
+    query::ScanPair(block.value(), 0, 1, rows, ref_out.data(), paired.data());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      EXPECT_EQ(gathered[k], expected[rows[k]]) << "row " << rows[k];
+      EXPECT_EQ(paired[k], expected[rows[k]]) << "row " << rows[k];
+    }
+    std::vector<int64_t> dense(kRows);
+    query::ScanColumnRange(block.value(), 1, 0, kRows, dense.data());
+    EXPECT_EQ(dense, expected);
+    std::vector<int64_t> dense_pair(kRows);
+    query::ScanPairRange(block.value(), 0, 1, 0, kRows, ref_out.data(),
+                         dense_pair.data());
+    EXPECT_EQ(dense_pair, expected);
   }
 }
 
