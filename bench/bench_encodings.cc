@@ -459,16 +459,9 @@ void RunAll(const bench::Flags& flags) {
     sink += query::MinMaxColumn(*diff_column).value_or(bit_util::MinMax{}).min;
   });
   // The statistics pass every encoded column starts with, over the
-  // date-like reference: in one call, and per 2,048-value morsel as
-  // query::MinMaxColumn folds decoded values.
+  // date-like reference.
   RunBench(&reporter, "stats/minmax", rows, reps,
            [&] { sink += bit_util::ComputeMinMax(reference).max; });
-  RunBench(&reporter, "stats/minmax_morsel", rows, reps, [&] {
-    query::ForEachMorsel(0, rows, [&](size_t begin, size_t len) {
-      sink += bit_util::ComputeMinMax(std::span(reference).subspan(begin, len))
-                  .max;
-    });
-  });
 
   // The CORF v4 block checksum: CRC32C over the date column's raw bytes.
   // A row is one byte here, so ns/row reads ns per byte.

@@ -44,9 +44,7 @@ constexpr size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 /// scalar path only needs the 8-byte window of PackedArray::Get).
 inline constexpr size_t kDecodePadBytes = 32;
 
-/// Minimum and maximum of a span in a single pass ({0, 0} when empty):
-/// the statistics pass of every encoder, through the SIMD kernel layer's
-/// simd::MinMax.
+/// Minimum and maximum of a span in a single pass ({0, 0} when empty).
 struct MinMax {
   int64_t min;
   int64_t max;

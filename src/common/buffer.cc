@@ -61,9 +61,11 @@ Status BufferReader::ReadString(std::string* out) {
   return Status::OK();
 }
 
-Status BufferReader::ReadInt64Array(std::vector<int64_t>* out) {
+Status BufferReader::ReadInt64Array(std::vector<int64_t>* out,
+                                    size_t spare) {
   size_t count = 0;
   CORRA_RETURN_NOT_OK(ReadLength(sizeof(int64_t), &count));
+  out->reserve(count + spare);
   out->resize(count);
   if (count > 0) {
     std::memcpy(out->data(), data_.data() + pos_, count * sizeof(int64_t));
@@ -85,9 +87,11 @@ Status BufferReader::ReadInt64Values(size_t count,
   return Status::OK();
 }
 
-Status BufferReader::ReadUint32Array(std::vector<uint32_t>* out) {
+Status BufferReader::ReadUint32Array(std::vector<uint32_t>* out,
+                                     size_t spare) {
   size_t count = 0;
   CORRA_RETURN_NOT_OK(ReadLength(sizeof(uint32_t), &count));
+  out->reserve(count + spare);
   out->resize(count);
   if (count > 0) {
     std::memcpy(out->data(), data_.data() + pos_, count * sizeof(uint32_t));

@@ -108,16 +108,18 @@ class BufferReader {
   /// Reads a length-prefixed string written by WriteString.
   Status ReadString(std::string* out);
 
-  /// Reads a length-prefixed int64 array written by WriteInt64Array.
-  Status ReadInt64Array(std::vector<int64_t>* out);
+  /// Reads a length-prefixed int64 array written by WriteInt64Array,
+  /// leaving capacity for `spare` more values (a caller that appends).
+  Status ReadInt64Array(std::vector<int64_t>* out, size_t spare = 0);
 
   /// Reads exactly `count` raw int64 values (no length prefix). Used by
   /// readers that already consumed the length — e.g. format sniffers
   /// that distinguish a legacy array length from an extension marker.
   Status ReadInt64Values(size_t count, std::vector<int64_t>* out);
 
-  /// Reads a length-prefixed uint32 array written by WriteUint32Array.
-  Status ReadUint32Array(std::vector<uint32_t>* out);
+  /// Reads a length-prefixed uint32 array written by WriteUint32Array,
+  /// leaving capacity for `spare` more values.
+  Status ReadUint32Array(std::vector<uint32_t>* out, size_t spare = 0);
 
   size_t position() const { return pos_; }
   size_t remaining() const { return data_.size() - pos_; }

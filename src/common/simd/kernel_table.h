@@ -11,8 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/bit_util.h"
-
 namespace corra::simd::internal {
 
 /// Unpacks exactly 64 values of a fixed width (the table index) from the
@@ -36,7 +34,6 @@ struct KernelTable {
   size_t (*filter_packed)(const uint8_t*, int, size_t, size_t, uint64_t,
                           uint64_t, uint32_t*);
   uint64_t (*sum_u64)(const uint64_t*, size_t);
-  bit_util::MinMax (*min_max)(const int64_t*, size_t);
   void (*translate_codes)(const int64_t*, const uint64_t*, size_t, int64_t*);
   void (*add_const)(int64_t*, size_t, int64_t);
   void (*add_ref_base)(const int64_t*, const uint64_t*, int64_t, size_t,

@@ -72,10 +72,6 @@ uint64_t SumU64(const uint64_t* values, size_t count) {
   return ActiveTable().sum_u64(values, count);
 }
 
-bit_util::MinMax MinMax(const int64_t* values, size_t count) {
-  return ActiveTable().min_max(values, count);
-}
-
 void TranslateCodes(const int64_t* dict, const uint64_t* codes, size_t count,
                     int64_t* out) {
   ActiveTable().translate_codes(dict, codes, count, out);

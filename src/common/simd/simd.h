@@ -19,13 +19,13 @@
 //     and compares 8 codes per step in registers on AVX2 for widths 1 to
 //     25 and through a 256-code stack chunk otherwise, so its callers
 //     never stage a morsel of codes.
-//   * Aggregate kernels — a 4-lane wrap-around sum with one horizontal
-//     reduce per call, used by query/aggregate.cc, and min/max, which
-//     bit_util::ComputeMinMax dispatches to: the compressor's statistics
-//     pass, Diff's and DFOR's ranges, the outlier store and
-//     query::MinMaxColumn. AVX2 folds it with two independent
-//     compare+blend chains per bound; a single chain lost to the scalar
-//     loop.
+//   * Aggregate kernel — a 4-lane wrap-around sum with one horizontal
+//     reduce per call, used by query/aggregate.cc. Min and max are not
+//     kernels: query/aggregate.cc folds morsels through the compressor's
+//     scalar statistics loop. An AVX2 compare+blend fold with one chain
+//     per bound lost to it; one with two chains ran twice as fast on
+//     cached data but saved too little of an ingest op to keep, where
+//     the loop reads each column from the last-level cache (README).
 //   * Reconstruction and sparse-decode kernels — dictionary translate,
 //     FOR rebase, Diff/DFOR reference adds, run expansion, positioned
 //     gathers and the fused Delta decode/point/gather folds.
@@ -53,8 +53,6 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "common/bit_util.h"
 
 namespace corra::simd {
 
@@ -87,14 +85,10 @@ size_t FilterPacked(const uint8_t* data, int bit_width, size_t begin,
                     size_t count, uint64_t lo, uint64_t hi,
                     uint32_t* out_rows);
 
-// --- Aggregate kernels ------------------------------------------------------
+// --- Aggregate kernel -------------------------------------------------------
 
 /// Sum with wrap-around (two's complement: also the correct int64 sum).
 uint64_t SumU64(const uint64_t* values, size_t count);
-
-/// Minimum and maximum of `count` values in one pass; {0, 0} when count
-/// is 0. `values` needs no alignment or slack.
-bit_util::MinMax MinMax(const int64_t* values, size_t count);
 
 // --- Value-reconstruction kernels -------------------------------------------
 

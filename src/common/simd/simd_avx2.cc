@@ -23,9 +23,9 @@
 // unpack a stack chunk with the unpack kernels and compare it as 4 x
 // 64-bit lanes.
 //
-// Aggregate kernels: two 4-lane sum accumulators, horizontally reduced
-// once per call, and a min/max fold whose two compare + blend chains per
-// bound stand in for the 64-bit min/max instruction AVX2 lacks.
+// Aggregate kernel: two 4-lane sum accumulators, horizontally reduced
+// once per call. There is no min/max kernel: AVX2 has no 64-bit min/max
+// instruction, and the compare + blend folds did not pay (simd.h).
 //
 // Checksum kernel: CRC32C through SSE4.2's crc32 instruction, which every
 // AVX2 CPU has; the CPU probe asks for both.
@@ -308,44 +308,6 @@ uint64_t SumU64Avx2(const uint64_t* values, size_t count) {
     sum += values[i];
   }
   return sum;
-}
-
-// AVX2 has no 64-bit min or max, so each bound folds through vpcmpgtq
-// and vpblendvb, a 4-5 cycle dependency per step. Two independent chains
-// per bound overlap those latencies (one chain lost to the scalar cmov
-// loop). The last vectors overlap the ones before them, which min and
-// max ignore, so there is no scalar tail.
-bit_util::MinMax MinMaxAvx2(const int64_t* values, size_t count) {
-  if (count < 8) {
-    return ScalarTable().min_max(values, count);
-  }
-  const auto load = [values](size_t i) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i));
-  };
-  const auto min4 = [](__m256i a, __m256i b) {
-    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-  };
-  const auto max4 = [](__m256i a, __m256i b) {
-    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(b, a));
-  };
-  __m256i lo0 = load(0), hi0 = lo0;
-  __m256i lo1 = load(4), hi1 = lo1;
-  for (size_t i = 8; i < count; i += 8) {
-    // The last step re-reads up to 7 values so that it stays in bounds.
-    const size_t at = std::min(i, count - 8);
-    const __m256i a = load(at);
-    const __m256i b = load(at + 4);
-    lo0 = min4(lo0, a);
-    hi0 = max4(hi0, a);
-    lo1 = min4(lo1, b);
-    hi1 = max4(hi1, b);
-  }
-  alignas(32) int64_t lo[4];
-  alignas(32) int64_t hi[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lo), min4(lo0, lo1));
-  _mm256_store_si256(reinterpret_cast<__m256i*>(hi), max4(hi0, hi1));
-  return {std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3])),
-          std::max(std::max(hi[0], hi[1]), std::max(hi[2], hi[3]))};
 }
 
 void TranslateCodesAvx2(const int64_t* dict, const uint64_t* codes,
@@ -905,7 +867,6 @@ constexpr KernelTable MakeAvx2Table() {
   table.filter_i64 = &FilterI64Avx2;
   table.filter_packed = &FilterPackedAvx2;
   table.sum_u64 = &SumU64Avx2;
-  table.min_max = &MinMaxAvx2;
   table.translate_codes = &TranslateCodesAvx2;
   table.add_const = &AddConstAvx2;
   table.add_ref_base = &AddRefBaseAvx2;

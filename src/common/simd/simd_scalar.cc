@@ -121,15 +121,6 @@ uint64_t SumU64Scalar(const uint64_t* values, size_t count) {
   return s0 + s1 + s2 + s3;
 }
 
-bit_util::MinMax MinMaxScalar(const int64_t* values, size_t count) {
-  bit_util::MinMax mm{count == 0 ? 0 : values[0], count == 0 ? 0 : values[0]};
-  for (size_t i = 0; i < count; ++i) {
-    mm.min = std::min(mm.min, values[i]);
-    mm.max = std::max(mm.max, values[i]);
-  }
-  return mm;
-}
-
 void TranslateCodesScalar(const int64_t* dict, const uint64_t* codes,
                           size_t count, int64_t* out) {
   for (size_t i = 0; i < count; ++i) {
@@ -430,7 +421,6 @@ constexpr KernelTable MakeScalarTable() {
   table.filter_i64 = &FilterI64Scalar;
   table.filter_packed = &FilterPackedScalar;
   table.sum_u64 = &SumU64Scalar;
-  table.min_max = &MinMaxScalar;
   table.translate_codes = &TranslateCodesScalar;
   table.add_const = &AddConstScalar;
   table.add_ref_base = &AddRefBaseScalar;

@@ -27,7 +27,7 @@ int64_t SumColumn(const enc::EncodedColumn& column);
 
 /// Minimum and maximum in one pass; nullopt for an empty column. Every
 /// morsel (Dict: every morsel of codes) folds through the compressor's
-/// statistics kernel, bit_util::ComputeMinMax.
+/// statistics loop, bit_util::ComputeMinMax.
 std::optional<bit_util::MinMax> MinMaxColumn(
     const enc::EncodedColumn& column);
 

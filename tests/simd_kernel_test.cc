@@ -11,8 +11,7 @@
 // 64-value aligned (scalar head), lengths straddling one or more
 // 64-value kernel blocks, and tails shorter than a block. CRC32C is
 // checked against a bitwise model at every length up to 64 and every
-// start offset mod 8, and min/max against a scalar model likewise up to
-// 33 values.
+// start offset mod 8.
 
 #include <gtest/gtest.h>
 
@@ -295,69 +294,6 @@ TEST_P(KernelTest, SumWrapsLikeTwosComplement) {
     }
     EXPECT_EQ(table().sum_u64(values.data(), len), expected);
   }
-}
-
-bit_util::MinMax MinMaxModel(const int64_t* values, size_t count) {
-  bit_util::MinMax mm{0, 0};
-  for (size_t i = 0; i < count; ++i) {
-    mm.min = i == 0 ? values[i] : std::min(mm.min, values[i]);
-    mm.max = i == 0 ? values[i] : std::max(mm.max, values[i]);
-  }
-  return mm;
-}
-
-TEST_P(KernelTest, MinMaxMatchesScalarModel) {
-  // Every length from 0 to 33 (the 8-value steps, the overlapping last
-  // step and the short path) at every start offset mod 8 into one
-  // buffer, then 1,000,003 values; the int64 extremes at the first, the
-  // last and a tail position; all-equal and descending inputs.
-  constexpr size_t kLong = 1'000'003;
-  std::mt19937_64 rng(91);
-  std::vector<int64_t> buffer(kLong + 7);
-  for (auto& v : buffer) {
-    v = static_cast<int64_t>(rng() >> 8) - (int64_t{1} << 55);
-  }
-  const auto expect_model = [&](const int64_t* data, size_t len) {
-    const bit_util::MinMax want = MinMaxModel(data, len);
-    const bit_util::MinMax got = table().min_max(data, len);
-    EXPECT_EQ(got.min, want.min) << "len=" << len;
-    EXPECT_EQ(got.max, want.max) << "len=" << len;
-  };
-  for (size_t offset = 0; offset < 8; ++offset) {
-    SCOPED_TRACE("offset=" + std::to_string(offset));
-    int64_t* data = buffer.data() + offset;
-    for (size_t len = 0; len <= 33; ++len) {
-      expect_model(data, len);
-    }
-    expect_model(data, kLong);
-    // 37 and kLong end in 5 and 3 values past the last whole 8-value
-    // step, which len - 2 and len - 5 fall in.
-    for (size_t len : {size_t{1}, size_t{9}, size_t{37}, kLong}) {
-      for (size_t back : {len, size_t{1}, size_t{2}, size_t{5}}) {
-        if (back > len) {
-          continue;
-        }
-        const size_t at = len - back;
-        for (int64_t extreme : {INT64_MIN, INT64_MAX}) {
-          const int64_t saved = data[at];
-          data[at] = extreme;
-          expect_model(data, len);
-          data[at] = saved;
-        }
-      }
-    }
-  }
-  for (size_t len : {size_t{5}, size_t{8}, size_t{33}, size_t{4099}}) {
-    const std::vector<int64_t> equal(len, -7);
-    expect_model(equal.data(), len);
-    std::vector<int64_t> descending(len);
-    for (size_t i = 0; i < len; ++i) {
-      descending[i] = INT64_MAX - static_cast<int64_t>(i) * 1000003;
-    }
-    expect_model(descending.data(), len);
-  }
-  EXPECT_EQ(table().min_max(nullptr, 0).min, 0);
-  EXPECT_EQ(table().min_max(nullptr, 0).max, 0);
 }
 
 TEST_P(KernelTest, TranslateAddConstAddRefZigZag) {
