@@ -1,10 +1,21 @@
 // Overhead gates: the two hooks every default build carries on the
-// serving path must cost next to nothing. One process runs two
+// serving path must cost next to nothing. One process runs three
 // interleaved A/Bs over the bench_serve table (correlated dates plus a
 // fare column):
 //   * obs         dense scans against a cache that holds the whole
 //                 table, telemetry on vs obs::SetEnabled(false); the
 //                 bound is kObsBound (2%).
+//   * obs_point   the same switch over hot point gathers: 128 sorted rows
+//                 in a 4,096-row window of one block, of the Diff target
+//                 and its reference, the shape of the ladder's point_hot.
+//                 A request's fixed telemetry charge (five clock reads,
+//                 about two dozen relaxed adds) does not amortize over
+//                 under a microsecond of kernels, so the bound is
+//                 kObsPointBound (60%). Single attempts read 33-53% on a
+//                 4-vCPU Xeon VM, clustering near 35% or near 48% from
+//                 one process to the next, so the gate catches a charge
+//                 that grows by about half (a per-request allocation or
+//                 lock), not a few dozen nanoseconds.
 //   * failpoints  the same scans against a cache that holds a quarter of
 //                 the table, so every scan re-crosses the CorfFile pread
 //                 sites and the BlockCache loader site, with every
@@ -15,9 +26,10 @@
 //                 relaxed load.
 //
 // Methodology: one warm inline ScanService, so no pool scheduling noise
-// surrounds the per-block hooks. Each sample times kScansPerSample scans
-// per side back to back, alternating which side goes first, and yields
-// one on/off ratio; the overhead is the median ratio minus one. Two
+// surrounds the per-block hooks. Each sample times a batch of operations
+// per side back to back (kScansPerSample scans, or kGathersPerSample
+// gathers), alternating which side goes first, and yields one on/off
+// ratio; the overhead is the median ratio minus one. Two
 // adjacent batches see the same machine state, so the ratios are immune
 // to the slow drift (frequency scaling, background load) that makes
 // whole-run medians or minima unstable.
@@ -52,8 +64,12 @@ using namespace corra;
 
 constexpr size_t kBlockRows = 250000;
 constexpr size_t kScansPerSample = 3;
+constexpr size_t kGathersPerSample = 4096;
+constexpr size_t kGatherRows = 128;
+constexpr size_t kGatherWindow = 4096;
 constexpr int kAttempts = 3;
 constexpr double kObsBound = 0.02;
+constexpr double kObsPointBound = 0.60;
 constexpr double kFailpointBound = 0.01;
 
 // Every site on the serve read path.
@@ -83,25 +99,27 @@ double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-// Seconds for `scans` back-to-back executions: batching several scans
-// per timing absorbs single-scan scheduler jitter.
-double TimeScans(serve::ScanService& service,
-                 const serve::TableReader& reader,
-                 const serve::ScanRequest& request, size_t scans) {
+// Exits the bench when a served operation fails.
+void CheckOk(const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "operation failed: %s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+// Seconds for `ops` back-to-back runs of `op`: batching several per
+// timing absorbs single-operation scheduler jitter.
+double TimeOps(const std::function<void()>& op, size_t ops) {
   const uint64_t begin_ns = obs::MonotonicNs();
-  for (size_t i = 0; i < scans; ++i) {
-    auto result = service.Execute(reader, request);
-    if (!result.ok()) {
-      std::fprintf(stderr, "scan failed: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
+  for (size_t i = 0; i < ops; ++i) {
+    op();
   }
   return obs::SecondsSince(begin_ns);
 }
 
-// One A/B: select(true) turns the hook on, select(false) off; the scans
-// run against `reader`'s cache. Measure() fills the results.
+// One A/B: select(true) turns the hook on, select(false) off, around
+// batches of `ops_per_sample` runs of `op` (each serving `rows_per_op`
+// rows). Measure() fills the results.
 struct Gate {
   const char* name;       // JSON key.
   const char* title;      // Text table header.
@@ -109,16 +127,17 @@ struct Gate {
   const char* on_label;
   const char* off_label;
   double bound;
-  const serve::TableReader* reader;
   std::function<void(bool)> select;
+  std::function<void()> op;
+  size_t ops_per_sample;
+  size_t rows_per_op;
 
-  double on_median_s = 0;
+  double on_median_s = 0;  // Per operation.
   double off_median_s = 0;
   double overhead = 0;
   int attempts = 0;
 
-  void MeasureOnce(serve::ScanService& service,
-                   const serve::ScanRequest& request, size_t samples) {
+  void MeasureOnce(size_t samples) {
     std::vector<double> on_s, off_s, ratios;
     for (size_t r = 0; r < samples; ++r) {
       const bool on_first = r % 2 == 0;
@@ -126,11 +145,10 @@ struct Gate {
       for (int half = 0; half < 2; ++half) {
         const bool on = (half == 0) == on_first;
         select(on);
-        pair[on ? 0 : 1] =
-            TimeScans(service, *reader, request, kScansPerSample);
+        pair[on ? 0 : 1] = TimeOps(op, ops_per_sample);
       }
-      on_s.push_back(pair[0] / kScansPerSample);  // Per-scan time.
-      off_s.push_back(pair[1] / kScansPerSample);
+      on_s.push_back(pair[0] / static_cast<double>(ops_per_sample));
+      off_s.push_back(pair[1] / static_cast<double>(ops_per_sample));
       ratios.push_back(pair[0] / pair[1]);
     }
     on_median_s = Median(on_s);
@@ -140,15 +158,13 @@ struct Gate {
 
   // Warms the cache and both sides, then measures; under `assert_bound`
   // re-measures a reading over the bound, up to kAttempts in all.
-  void Measure(serve::ScanService& service,
-               const serve::ScanRequest& request, size_t samples,
-               bool assert_bound) {
+  void Measure(size_t samples, bool assert_bound) {
     select(true);
-    TimeScans(service, *reader, request, 1);
+    TimeOps(op, ops_per_sample);
     select(false);
-    TimeScans(service, *reader, request, 1);
+    TimeOps(op, ops_per_sample);
     for (attempts = 1;; ++attempts) {
-      MeasureOnce(service, request, samples);
+      MeasureOnce(samples);
       if (!assert_bound || overhead <= bound || attempts == kAttempts) {
         break;
       }
@@ -158,11 +174,12 @@ struct Gate {
     }
   }
 
-  void Print(bool json, size_t rows, size_t samples) const {
-    const double mrows_on = static_cast<double>(rows) / on_median_s / 1e6;
-    const double mrows_off = static_cast<double>(rows) / off_median_s / 1e6;
+  void Print(bool json, size_t samples) const {
+    const double rows = static_cast<double>(rows_per_op);
+    const double mrows_on = rows / on_median_s / 1e6;
+    const double mrows_off = rows / off_median_s / 1e6;
     if (json) {
-      std::printf("\"%s\": {\"%s_median_ms\": %.3f, \"%s_median_ms\": %.3f, "
+      std::printf("\"%s\": {\"%s_median_ms\": %.6f, \"%s_median_ms\": %.6f, "
                   "\"mrows_per_s_%s\": %.1f, \"mrows_per_s_%s\": %.1f, "
                   "\"overhead\": %.4f, \"bound\": %.4f}",
                   name, on_label, on_median_s * 1e3, off_label,
@@ -170,14 +187,14 @@ struct Gate {
                   mrows_off, overhead, bound);
       return;
     }
-    bench::PrintHeader(std::string(title) + " (" + std::to_string(rows) +
-                       " rows, " + std::to_string(samples) +
-                       " interleaved samples)");
+    bench::PrintHeader(std::string(title) + " (" +
+                       std::to_string(rows_per_op) + " rows, " +
+                       std::to_string(samples) + " interleaved samples)");
     std::printf("%-10s %12s %12s\n", column, "median ms", "Mrows/s");
     bench::PrintRule();
-    std::printf("%-10s %12.3f %12.1f\n", on_label, on_median_s * 1e3,
+    std::printf("%-10s %12.6f %12.1f\n", on_label, on_median_s * 1e3,
                 mrows_on);
-    std::printf("%-10s %12.3f %12.1f\n", off_label, off_median_s * 1e3,
+    std::printf("%-10s %12.6f %12.1f\n", off_label, off_median_s * 1e3,
                 mrows_off);
     std::printf("overhead (median pair ratio): %.2f%% (bound %.2f%%)\n",
                 overhead * 100.0, bound * 100.0);
@@ -250,6 +267,35 @@ int main(int argc, char** argv) {
   // bound is stated for (per-block hook cost amortizes over most rows).
   serve::ScanRequest request;
   request.project_columns = {0, 1, 2};
+  const auto scan = [&service, &request](const serve::TableReader* reader) {
+    return [&service, &request, reader] {
+      CheckOk(service.Execute(*reader, request).status());
+    };
+  };
+
+  // Point gathers of ship and receipt (Diff on ship): each op reads
+  // kGatherRows sorted rows of a kGatherWindow-row window in one block.
+  const std::vector<size_t> gather_columns = {0, 1};
+  const auto block_rows = static_cast<int64_t>(std::min(kBlockRows, rows));
+  const auto window = std::min<int64_t>(kGatherWindow, block_rows);
+  const int64_t full_blocks = static_cast<int64_t>(rows) / block_rows;
+  std::vector<std::vector<uint64_t>> gather_rows(64);
+  for (std::vector<uint64_t>& op_rows : gather_rows) {
+    const int64_t start = rng.Uniform(0, full_blocks - 1) * block_rows +
+                          rng.Uniform(0, block_rows - window);
+    for (size_t j = 0; j < kGatherRows; ++j) {
+      op_rows.push_back(
+          static_cast<uint64_t>(start + rng.Uniform(0, window - 1)));
+    }
+    std::sort(op_rows.begin(), op_rows.end());
+  }
+  size_t next_gather = 0;
+  const auto gather = [&] {
+    const std::vector<uint64_t>& op_rows =
+        gather_rows[next_gather++ % gather_rows.size()];
+    CheckOk(service.Gather(*hot, gather_columns, op_rows).status());
+  };
+  const auto set_obs = [](bool on) { obs::SetEnabled(on); };
 
   Gate gates[] = {
       {.name = "obs",
@@ -258,19 +304,33 @@ int main(int argc, char** argv) {
        .on_label = "on",
        .off_label = "off",
        .bound = kObsBound,
-       .reader = hot.get(),
-       .select = [](bool on) { obs::SetEnabled(on); }},
+       .select = set_obs,
+       .op = scan(hot.get()),
+       .ops_per_sample = kScansPerSample,
+       .rows_per_op = rows},
+      {.name = "obs_point",
+       .title = "Telemetry overhead on hot point gathers",
+       .column = "obs",
+       .on_label = "on",
+       .off_label = "off",
+       .bound = kObsPointBound,
+       .select = set_obs,
+       .op = gather,
+       .ops_per_sample = kGathersPerSample,
+       .rows_per_op = kGatherRows * gather_columns.size()},
       {.name = "failpoints",
        .title = "Failpoint overhead on miss-heavy scans",
        .column = "sites",
        .on_label = "armed",
        .off_label = "unarmed",
        .bound = kFailpointBound,
-       .reader = cold.get(),
-       .select = SetSitesParked},
+       .select = SetSitesParked,
+       .op = scan(cold.get()),
+       .ops_per_sample = kScansPerSample,
+       .rows_per_op = rows},
   };
   for (Gate& gate : gates) {
-    gate.Measure(service, request, samples, assert_bounds);
+    gate.Measure(samples, assert_bounds);
     // Leave telemetry on and every site disarmed, as a production
     // process runs, for the next gate.
     obs::SetEnabled(true);
@@ -278,14 +338,15 @@ int main(int argc, char** argv) {
   }
 
   if (flags.json) {
-    std::printf("{\"rows\": %zu, \"samples\": %zu, ", rows, samples);
-    gates[0].Print(true, rows, samples);
-    std::printf(", ");
-    gates[1].Print(true, rows, samples);
+    std::printf("{\"rows\": %zu, \"samples\": %zu", rows, samples);
+    for (const Gate& gate : gates) {
+      std::printf(", ");
+      gate.Print(true, samples);
+    }
     std::printf("}\n");
   } else {
     for (const Gate& gate : gates) {
-      gate.Print(false, rows, samples);
+      gate.Print(false, samples);
     }
   }
 

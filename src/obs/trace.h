@@ -14,7 +14,8 @@
 //
 // Traces are opt-in on the request (ScanRequest::collect_trace →
 // ScanResult::trace) and cost a handful of steady_clock reads per block
-// — never per row. Independently of opt-in, the service keeps the last
+// — never per row; the scheme annotation text is built only for a trace
+// that leaves the service. Independently of opt-in, the service keeps the last
 // N traces that breached its slow threshold in a TraceRing for post-hoc
 // dumping (a request you did not think to trace can still be explained
 // after the fact).
@@ -80,7 +81,9 @@ struct BlockSpan {
   uint64_t fill_ns = 0;
   uint64_t decode_ns = 0;
   /// Touched columns as "index:scheme", comma-joined (e.g.
-  /// "0:FOR,1:Corra-Diff") — which kernels served this block.
+  /// "0:FOR,1:Corra-Diff") — which kernels served this block. Filled
+  /// only on traces that leave the service (an opted-in trace and one
+  /// the slow ring keeps); empty for a pruned block.
   std::string schemes;
 };
 

@@ -11,15 +11,85 @@ namespace corra::query {
 
 namespace {
 
-// The target column as a single-reference horizontal column bound to
-// `ref_col`, or null. scheme() pins down the class, so no RTTI.
-const SingleRefColumn* AsSingleRefOn(const enc::EncodedColumn& target,
-                                     size_t ref_col) {
-  if (!enc::IsSingleReference(target.scheme())) {
+// Column `col` as a single-reference horizontal target to decode from
+// its reference's materialized values, when `cols` also requests that
+// reference; otherwise null. scheme() pins down the class, so no RTTI.
+const SingleRefColumn* StagedTarget(const Block& block,
+                                    std::span<const size_t> cols,
+                                    size_t col) {
+  const enc::EncodedColumn& column = block.column(col);
+  if (!enc::IsSingleReference(column.scheme())) {
     return nullptr;
   }
-  const auto& horizontal = static_cast<const SingleRefColumn&>(target);
-  return horizontal.ref_index() == ref_col ? &horizontal : nullptr;
+  const auto& target = static_cast<const SingleRefColumn&>(column);
+  return std::find(cols.begin(), cols.end(), target.ref_index()) !=
+                 cols.end()
+             ? &target
+             : nullptr;
+}
+
+// How many requested references lie below `col`: 0 for a column served
+// on its own, 1 for a target whose requested reference is, and so on.
+// Blocks reject reference cycles at load, so the walk ends.
+size_t StageDepth(const Block& block, std::span<const size_t> cols,
+                  size_t col) {
+  size_t depth = 0;
+  while (const SingleRefColumn* target = StagedTarget(block, cols, col)) {
+    col = target->ref_index();
+    ++depth;
+  }
+  return depth;
+}
+
+size_t FirstIndex(std::span<const size_t> cols, size_t col) {
+  return static_cast<size_t>(std::find(cols.begin(), cols.end(), col) -
+                             cols.begin());
+}
+
+// Materializes every entry of `cols` into out[k] + offset (`count`
+// values each), each requested reference before the targets decoded
+// from it: one pass per stage depth, so a target's reference is done
+// before the pass that reads it. `plain(col, dst)` materializes a
+// column on its own, and `staged(target, ref_values, dst)` a target
+// from its reference's values. A repeated column is copied from its
+// first entry. `count_rows(scheme)` runs once per entry, duplicates
+// too, so the per-scheme row counters read as they would for one call
+// per column.
+template <typename Plain, typename Staged, typename CountRows>
+void MaterializeInReferenceOrder(const Block& block,
+                                 std::span<const size_t> cols,
+                                 std::span<int64_t* const> out, size_t offset,
+                                 size_t count, Plain&& plain,
+                                 Staged&& staged, CountRows&& count_rows) {
+  if (cols.size() == 1) {
+    // Nothing to share: skip the staging walk (ScanColumn's case).
+    count_rows(block.column(cols[0]).scheme());
+    plain(cols[0], out[0] + offset);
+    return;
+  }
+  size_t done = 0;
+  for (size_t depth = 0; done < cols.size(); ++depth) {
+    for (size_t k = 0; k < cols.size(); ++k) {
+      const size_t col = cols[k];
+      if (StageDepth(block, cols, col) != depth) {
+        continue;
+      }
+      ++done;
+      count_rows(block.column(col).scheme());
+      int64_t* dst = out[k] + offset;
+      const size_t first = FirstIndex(cols, col);
+      if (first < k) {
+        // Same depth, so the first entry is already done.
+        std::copy_n(out[first] + offset, count, dst);
+      } else if (depth == 0) {
+        plain(col, dst);
+      } else {
+        const SingleRefColumn* target = StagedTarget(block, cols, col);
+        staged(*target, out[FirstIndex(cols, target->ref_index())] + offset,
+               dst);
+      }
+    }
+  }
 }
 
 // Strategy crossover, measured on the AVX2 dev box (1M rows, uniform
@@ -77,95 +147,94 @@ SelectionShape ClassifySelection(std::span<const uint32_t> rows) {
 
 }  // namespace
 
-void ScanColumn(const Block& block, size_t col,
-                std::span<const uint32_t> rows, int64_t* out) {
+void ScanColumns(const Block& block, std::span<const size_t> cols,
+                 std::span<const uint32_t> rows,
+                 std::span<int64_t* const> out, size_t out_offset) {
   switch (ClassifySelection(rows)) {
     case SelectionShape::kEmpty:
       return;
     case SelectionShape::kSingle:
-      out[0] = block.column(col).Get(rows[0]);
+      // A horizontal target's point access fetches its reference itself;
+      // one row is not worth staging.
+      for (size_t k = 0; k < cols.size(); ++k) {
+        out[k][out_offset] = block.column(cols[k]).Get(rows[0]);
+      }
       return;
     case SelectionShape::kContiguous:
-      ScanColumnRange(block, col, rows.front(), rows.size(), out);
+      ScanColumnsRange(block, cols, rows.front(), rows.size(), out,
+                       out_offset);
       return;
     case SelectionShape::kSorted:
-      CountGatherRows(block.column(col).scheme(), rows.size());
-      block.column(col).GatherRange(rows, out);
+      MaterializeInReferenceOrder(
+          block, cols, out, out_offset, rows.size(),
+          [&](size_t col, int64_t* dst) {
+            block.column(col).GatherRange(rows, dst);
+          },
+          [&](const SingleRefColumn& target, const int64_t* ref,
+              int64_t* dst) {
+            // The paper's "query on both columns" fast path: reuse the
+            // already materialized reference values.
+            target.GatherWithReference(rows, ref, dst);
+          },
+          [&](enc::Scheme scheme) { CountGatherRows(scheme, rows.size()); });
       return;
     case SelectionShape::kUnsorted:
       // Contract violation (see scan.h). Loud in debug; in release the
       // behavior stays defined — per-row point access is order-immune.
-      assert(!"ScanColumn: selection positions must be non-decreasing");
-      for (size_t i = 0; i < rows.size(); ++i) {
-        out[i] = block.column(col).Get(rows[i]);
+      assert(!"ScanColumns: selection positions must be non-decreasing");
+      for (size_t k = 0; k < cols.size(); ++k) {
+        for (size_t i = 0; i < rows.size(); ++i) {
+          out[k][out_offset + i] = block.column(cols[k]).Get(rows[i]);
+        }
       }
       return;
   }
+}
+
+void ScanColumnsRange(const Block& block, std::span<const size_t> cols,
+                      size_t row_begin, size_t count,
+                      std::span<int64_t* const> out, size_t out_offset) {
+  MaterializeInReferenceOrder(
+      block, cols, out, out_offset, count,
+      [&](size_t col, int64_t* dst) {
+        block.column(col).DecodeRange(row_begin, count, dst);
+      },
+      [&](const SingleRefColumn& target, const int64_t* ref, int64_t* dst) {
+        // Feed each decoded reference morsel straight into the ranged
+        // kernel: the reference is never decoded a second time.
+        ForEachMorsel(row_begin, count, [&](size_t begin, size_t len) {
+          target.DecodeRangeWithReference(begin, len,
+                                          ref + (begin - row_begin),
+                                          dst + (begin - row_begin));
+        });
+      },
+      [&](enc::Scheme scheme) { CountDecodeRows(scheme, count); });
+}
+
+void ScanColumn(const Block& block, size_t col,
+                std::span<const uint32_t> rows, int64_t* out) {
+  ScanColumns(block, {&col, 1}, rows, {&out, 1});
 }
 
 void ScanPair(const Block& block, size_t ref_col, size_t target_col,
               std::span<const uint32_t> rows, int64_t* out_ref,
               int64_t* out_target) {
-  switch (ClassifySelection(rows)) {
-    case SelectionShape::kEmpty:
-      return;
-    case SelectionShape::kSingle:
-      // Horizontal targets fetch their reference internally on the
-      // per-row path, so a pair lookup is just two Gets.
-      out_ref[0] = block.column(ref_col).Get(rows[0]);
-      out_target[0] = block.column(target_col).Get(rows[0]);
-      return;
-    case SelectionShape::kContiguous:
-      ScanPairRange(block, ref_col, target_col, rows.front(), rows.size(),
-                    out_ref, out_target);
-      return;
-    case SelectionShape::kSorted:
-      break;
-    case SelectionShape::kUnsorted:
-      assert(!"ScanPair: selection positions must be non-decreasing");
-      for (size_t i = 0; i < rows.size(); ++i) {
-        out_ref[i] = block.column(ref_col).Get(rows[i]);
-        out_target[i] = block.column(target_col).Get(rows[i]);
-      }
-      return;
-  }
-  CountGatherRows(block.column(ref_col).scheme(), rows.size());
-  CountGatherRows(block.column(target_col).scheme(), rows.size());
-  block.column(ref_col).GatherRange(rows, out_ref);
-  if (const SingleRefColumn* horizontal =
-          AsSingleRefOn(block.column(target_col), ref_col)) {
-    // Reuse the already materialized reference values: the paper's
-    // "query on both columns" fast path.
-    horizontal->GatherWithReference(rows, out_ref, out_target);
-    return;
-  }
-  block.column(target_col).GatherRange(rows, out_target);
-}
-
-void ScanColumnRange(const Block& block, size_t col, size_t row_begin,
-                     size_t count, int64_t* out) {
-  CountDecodeRows(block.column(col).scheme(), count);
-  block.column(col).DecodeRange(row_begin, count, out);
+  const size_t cols[] = {ref_col, target_col};
+  int64_t* const out[] = {out_ref, out_target};
+  ScanColumns(block, cols, rows, out);
 }
 
 void ScanPairRange(const Block& block, size_t ref_col, size_t target_col,
                    size_t row_begin, size_t count, int64_t* out_ref,
                    int64_t* out_target) {
-  CountDecodeRows(block.column(ref_col).scheme(), count);
-  CountDecodeRows(block.column(target_col).scheme(), count);
-  block.column(ref_col).DecodeRange(row_begin, count, out_ref);
-  if (const SingleRefColumn* horizontal =
-          AsSingleRefOn(block.column(target_col), ref_col)) {
-    // Feed each decoded reference morsel straight into the ranged
-    // kernel — the reference is never fetched a second time.
-    ForEachMorsel(row_begin, count, [&](size_t begin, size_t len) {
-      horizontal->DecodeRangeWithReference(
-          begin, len, out_ref + (begin - row_begin),
-          out_target + (begin - row_begin));
-    });
-    return;
-  }
-  block.column(target_col).DecodeRange(row_begin, count, out_target);
+  const size_t cols[] = {ref_col, target_col};
+  int64_t* const out[] = {out_ref, out_target};
+  ScanColumnsRange(block, cols, row_begin, count, out);
+}
+
+void ScanColumnRange(const Block& block, size_t col, size_t row_begin,
+                     size_t count, int64_t* out) {
+  ScanColumnsRange(block, {&col, 1}, row_begin, count, {&out, 1});
 }
 
 std::vector<int64_t> ScanColumn(const Block& block, size_t col,

@@ -2,13 +2,15 @@
 // paper's latency experiments (Fig. 5-8).
 //
 // Two access patterns matter:
-//  * ScanColumn: materialize one column at the selected positions. For a
-//    horizontal column this transparently fetches the reference too —
-//    the overhead the paper measures as "query on diff-encoded column".
-//  * ScanPair: materialize the reference *and* the target. The scan
-//    gathers the reference once and feeds it to GatherWithReference, so
-//    the reference access is shared — the paper's "query on both columns"
-//    case, where Corra's overhead (mostly) vanishes.
+//  * A horizontal column on its own: ScanColumn transparently fetches
+//    the reference too — the overhead the paper measures as "query on
+//    diff-encoded column".
+//  * A horizontal column with its reference: ScanColumns materializes
+//    every requested column of a block, each requested reference once
+//    and before its targets, and feeds the reference's values to the
+//    targets' GatherWithReference — the paper's "query on both columns"
+//    case, where Corra's overhead (mostly) vanishes. ScanColumn is its
+//    one-column case and ScanPair its two-column case.
 
 #ifndef CORRA_QUERY_SCAN_H_
 #define CORRA_QUERY_SCAN_H_
@@ -39,11 +41,28 @@ namespace corra::query {
 void ScanColumn(const Block& block, size_t col,
                 std::span<const uint32_t> rows, int64_t* out);
 
-/// Materializes a (reference, target) pair at the positions `rows`
-/// (same selection contract as ScanColumn). When `target_col` is a
-/// single-reference horizontal column whose reference is `ref_col`, the
-/// reference values gathered into `out_ref` are reused to decode the
-/// target (no second reference fetch).
+/// Materializes columns `cols` of `block` at the positions `rows` (same
+/// selection contract as ScanColumn): out[k] + out_offset receives
+/// rows.size() values of column cols[k], and the outputs must not
+/// overlap. The selection is classified once for every column. A
+/// single-reference horizontal target (Diff, Hierarchical, C3) whose
+/// reference is also in `cols` is decoded from that reference's values
+/// (GatherWithReference, or DecodeRangeWithReference for a contiguous
+/// selection), so a requested reference is gathered exactly once; a
+/// target requested without its reference fetches it internally, as
+/// ScanColumn does. `cols` may list a reference before or after its
+/// targets, repeat a column (copied from its first entry) and chain
+/// targets (a target's reference may itself be a target). The
+/// per-scheme row counters count every entry, as one ScanColumn call
+/// per entry would.
+void ScanColumns(const Block& block, std::span<const size_t> cols,
+                 std::span<const uint32_t> rows,
+                 std::span<int64_t* const> out, size_t out_offset = 0);
+
+/// ScanColumns for the (reference, target) pair {ref_col, target_col}:
+/// when `target_col` is a single-reference horizontal column whose
+/// reference is `ref_col`, the reference values gathered into `out_ref`
+/// are reused to decode the target (no second reference fetch).
 void ScanPair(const Block& block, size_t ref_col, size_t target_col,
               std::span<const uint32_t> rows, int64_t* out_ref,
               int64_t* out_target);
@@ -55,9 +74,16 @@ void ScanPair(const Block& block, size_t ref_col, size_t target_col,
 void ScanColumnRange(const Block& block, size_t col, size_t row_begin,
                      size_t count, int64_t* out);
 
-/// Dense-range pair scan: like ScanPair but for a dense row range. When
-/// `target_col` is a single-reference column on `ref_col`, each
-/// reference morsel is decoded once and fed to DecodeRangeWithReference.
+/// Dense-range counterpart of ScanColumns: materializes [row_begin,
+/// row_begin + count) of every column in `cols` into out[k] +
+/// out_offset. A column served on its own takes one DecodeRange; a
+/// target whose reference is requested runs DecodeRangeWithReference
+/// morsel by morsel over the reference's decoded values.
+void ScanColumnsRange(const Block& block, std::span<const size_t> cols,
+                      size_t row_begin, size_t count,
+                      std::span<int64_t* const> out, size_t out_offset = 0);
+
+/// ScanColumnsRange for the pair {ref_col, target_col}, like ScanPair.
 void ScanPairRange(const Block& block, size_t ref_col, size_t target_col,
                    size_t row_begin, size_t count, int64_t* out_ref,
                    int64_t* out_target);

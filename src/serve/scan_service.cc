@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "encoding/scheme.h"
@@ -26,7 +27,7 @@ struct ScanService::Unit {
 // What every unit of one request shares.
 struct ScanService::UnitWork {
   uint64_t deadline_ns = 0;  // Absolute MonotonicNs; 0 = none.
-  std::span<const size_t> columns;  // Annotated on each unit's span.
+  std::span<const size_t> columns;  // Whose schemes each span records.
   std::span<Status> statuses;       // By slot.
   std::span<obs::BlockSpan> spans;  // By slot; empty when not tracing.
   // The request's work against one pinned block; returns the rows the
@@ -143,17 +144,21 @@ void ScanOneBlock(const Block& block, uint64_t base,
     }
   }
 
-  out->columns.reserve(request.project_columns.size());
-  for (size_t col : request.project_columns) {
-    if (all_rows) {
-      // Whole-block morsel decode through the ranged kernel — no
-      // position vector is materialized for a dense scan.
-      std::vector<int64_t> values(block.rows());
-      query::ScanColumnRange(block, col, 0, block.rows(), values.data());
-      out->columns.push_back(std::move(values));
-    } else {
-      out->columns.push_back(query::ScanColumn(block, col, selection));
-    }
+  // One multi-column pass, so a projected reference is decoded once for
+  // its projected targets. A dense scan decodes through the ranged
+  // kernels; no position vector is materialized for it.
+  out->columns.resize(request.project_columns.size());
+  std::vector<int64_t*> dst;
+  dst.reserve(out->columns.size());
+  for (std::vector<int64_t>& column : out->columns) {
+    column.resize(out->rows_matched);
+    dst.push_back(column.data());
+  }
+  if (all_rows) {
+    query::ScanColumnsRange(block, request.project_columns, 0, block.rows(),
+                            dst);
+  } else {
+    query::ScanColumns(block, request.project_columns, selection, dst);
   }
 
   if (request.aggregate) {
@@ -218,19 +223,19 @@ std::vector<size_t> TouchedColumns(const ScanRequest& request) {
   return cols;
 }
 
-// "index:scheme" comma-joined for `columns` of one block — the trace's
-// per-block kernel annotation. Schemes are per block (auto-selection
-// can differ block to block), so this runs against the pinned block.
-std::string SchemesAnnotation(const Block& block,
+// "index:scheme" comma-joined for `columns` — the trace's per-block
+// kernel annotation — from the scheme bytes RunUnit recorded (one per
+// column; none for a block that was never pinned).
+std::string SchemesAnnotation(std::string_view scheme_bytes,
                               std::span<const size_t> columns) {
   std::string out;
-  for (size_t col : columns) {
+  for (size_t c = 0; c < scheme_bytes.size(); ++c) {
     if (!out.empty()) {
       out += ',';
     }
-    out += std::to_string(col);
+    out += std::to_string(columns[c]);
     out += ':';
-    out += enc::SchemeToString(block.column(col).scheme());
+    out += enc::SchemeToString(static_cast<enc::Scheme>(scheme_bytes[c]));
   }
   return out;
 }
@@ -282,6 +287,7 @@ ScanService::ScanService(Options options)
 }
 
 void ScanService::FinishRequest(obs::RequestTrace trace, uint64_t start_ns,
+                                std::span<const size_t> columns,
                                 obs::RequestTrace* sink) {
   trace.total_ns = obs::MonotonicNs() - start_ns;
   auto phase = [&trace](obs::Phase p) -> uint64_t& {
@@ -302,7 +308,14 @@ void ScanService::FinishRequest(obs::RequestTrace trace, uint64_t start_ns,
   metrics_.rows_scanned->Add(trace.rows_scanned);
   metrics_.rows_matched->Add(trace.rows_matched);
   metrics_.blocks_pruned->Add(pruned);
-  if (trace.total_ns >= slow_trace_ns_) {
+  const bool slow = trace.total_ns >= slow_trace_ns_;
+  if (!slow && sink == nullptr) {
+    return;  // Nobody reads this trace: its annotations stay unrendered.
+  }
+  for (obs::BlockSpan& span : trace.blocks) {
+    span.schemes = SchemesAnnotation(span.schemes, columns);
+  }
+  if (slow) {
     if (sink != nullptr) {
       slow_traces_.Push(trace);  // The caller keeps the original.
     } else {
@@ -320,8 +333,10 @@ Status ScanService::Admit(uint64_t deadline_ns) {
     metrics_.deadline_missed->Increment();
     return Status::DeadlineExceeded("deadline expired before admission");
   }
-  const size_t prior = inflight_.fetch_add(1, std::memory_order_relaxed);
-  if (max_inflight_ != 0 && prior >= max_inflight_) {
+  // The shared count exists for the bound alone; unbounded services
+  // leave it untouched (the gauge is per-thread sharded).
+  if (max_inflight_ != 0 &&
+      inflight_.fetch_add(1, std::memory_order_relaxed) >= max_inflight_) {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     metrics_.rejected->Increment();
     return Status::ResourceExhausted("scan service over max in-flight requests");
@@ -331,7 +346,9 @@ Status ScanService::Admit(uint64_t deadline_ns) {
 }
 
 void ScanService::ReleaseSlot() {
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  if (max_inflight_ != 0) {
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+  }
   metrics_.inflight->Sub(1);
 }
 
@@ -386,7 +403,8 @@ void ScanService::RunUnit(const TableReader& reader, const Unit& unit,
     return;
   }
   const uint64_t t_pinned = span != nullptr ? obs::MonotonicNs() : 0;
-  const uint64_t rows = work.run(unit.slot, *handle.value());
+  const Block& block = *handle.value();
+  const uint64_t rows = work.run(unit.slot, block);
   if (span != nullptr) {
     const uint64_t t_done = obs::MonotonicNs();
     span->rows = rows;
@@ -396,7 +414,15 @@ void ScanService::RunUnit(const TableReader& reader, const Unit& unit,
     const uint64_t pin_total = t_pinned - t_start;
     span->pin_ns = pin_total > fetch.fill_ns ? pin_total - fetch.fill_ns : 0;
     span->decode_ns = t_done - t_pinned;
-    span->schemes = SchemesAnnotation(*handle.value(), work.columns);
+    // Schemes are per block (auto-selection can differ block to block),
+    // so they are read while the block is pinned: one byte per column,
+    // held in-line by the string for up to 15 columns. FinishRequest
+    // renders them only for a trace that leaves the service.
+    span->schemes.resize(work.columns.size());
+    for (size_t c = 0; c < work.columns.size(); ++c) {
+      span->schemes[c] =
+          static_cast<char>(block.column(work.columns[c]).scheme());
+    }
   }
 }
 
@@ -562,7 +588,7 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
         obs::MonotonicNs() - t_merge;
     trace.blocks = std::move(spans);
     metrics_.requests->Increment();
-    FinishRequest(std::move(trace), t_start,
+    FinishRequest(std::move(trace), t_start, touched,
                   request.collect_trace ? &result.trace.emplace() : nullptr);
   }
   return result;
@@ -591,8 +617,11 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
       query::SplitSelectionByBlocks(reader.block_row_offsets(), rows));
 
   std::vector<std::vector<int64_t>> out(columns.size());
+  std::vector<int64_t*> dst;
+  dst.reserve(columns.size());
   for (auto& column : out) {
     column.resize(rows.size());
+    dst.push_back(column.data());
   }
   std::vector<Status> statuses(slices.size());
   std::vector<obs::BlockSpan> spans;
@@ -612,10 +641,8 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
             .spans = spans,
             .run = [&](size_t s, const Block& block) -> uint64_t {
               const query::SelectionSlice& slice = slices[s];
-              for (size_t c = 0; c < columns.size(); ++c) {
-                query::ScanColumn(block, columns[c], slice.local_rows,
-                                  out[c].data() + slice.out_offset);
-              }
+              query::ScanColumns(block, columns, slice.local_rows, dst,
+                                 slice.out_offset);
               return slice.local_rows.size();
             }});
 
@@ -635,7 +662,7 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
     trace.blocks = std::move(spans);
     metrics_.gather_requests->Increment();
     metrics_.gather_rows->Add(rows.size());
-    FinishRequest(std::move(trace), t_start, options.trace);
+    FinishRequest(std::move(trace), t_start, columns, options.trace);
   }
   return out;
 }

@@ -4,8 +4,10 @@
 // the same steps: check the deadline, pin its block through the
 // reader's BlockCache, run the request's kernels against the compressed
 // representation (query::FilterToSelection, ranged scans, aggregate
-// pushdown for Execute; one query::ScanColumn per column for Gather),
-// fill the unit's trace span, and release the pin. The caller claims
+// pushdown for Execute; one query::ScanColumns over the requested
+// columns for Gather and for Execute's projections, so a requested
+// reference is gathered once for its requested targets), fill the
+// unit's trace span, and release the pin. The caller claims
 // units in order from a per-request cursor and runs them; a multi-block
 // request also queues min(num_threads, units - 1) helpers that claim
 // from the same cursor. A single-block request never leaves its caller's
@@ -42,14 +44,21 @@
 //
 // Telemetry (src/obs/): every request feeds the registry's serving
 // histograms (total latency plus per-phase queue wait / cache pin /
-// miss fill / decode / merge) and counters, at a cost of a handful of
-// clock reads per block — never per row. A request with collect_trace
-// set additionally returns the full obs::RequestTrace (per-block scheme
-// annotations, pruned/hit flags, span timings) on ScanResult::trace,
-// and any request slower than Options::slow_trace_ns is retained in a
-// last-N ring (DrainSlowTraces) whether or not it opted in. All of it
-// is inert — no clock reads, no traces — when obs::Enabled() is false
-// (env CORRA_OBS_OFF, or obs::SetEnabled(false)).
+// miss fill / decode / merge) and counters. A caller-run single-block
+// Gather pays a fixed charge: five clock reads (request start and end;
+// the unit's start, pin and done; Execute adds two around pruning and
+// merging) and about two dozen relaxed adds on per-thread shards,
+// gauges included, where a zero phase is one add — never anything per
+// row. Each unit records its touched columns' scheme bytes
+// while its block is pinned; the per-block "index:scheme" text is built
+// only for a trace that leaves the service. A request with
+// collect_trace set (Gather: GatherOptions::trace) returns the full
+// obs::RequestTrace (per-block scheme annotations, pruned/hit flags,
+// span timings), and any request slower than Options::slow_trace_ns is
+// retained in a last-N ring (DrainSlowTraces) whether or not it opted
+// in. All of it is inert — no clock reads, no traces — when
+// obs::Enabled() is false (env CORRA_OBS_OFF, or
+// obs::SetEnabled(false)).
 
 #ifndef CORRA_SERVE_SCAN_SERVICE_H_
 #define CORRA_SERVE_SCAN_SERVICE_H_
@@ -210,8 +219,10 @@ class ScanService {
   /// Materializes `columns` at the sorted global positions `rows`,
   /// touching (and caching) only the blocks that own selected rows, and
   /// returns one value vector per requested column. Each block slice
-  /// goes through query::ScanColumn: positioned GatherRange kernels, or
-  /// one ranged decode for a contiguous slice, never a per-row Get.
+  /// goes through one query::ScanColumns: positioned GatherRange
+  /// kernels, or ranged decodes for a contiguous slice, never a per-row
+  /// Get, and a requested reference is gathered once and reused by its
+  /// requested targets.
   /// `options` carries the deadline and an optional trace sink (see
   /// ScanRequest::collect_trace). Gather is strict: the first failed
   /// block fails the request.
@@ -271,8 +282,11 @@ class ScanService {
 
   // Sums the trace's block spans into its phases, records histograms and
   // counters for the finished request, and files the trace (slow ring,
-  // and the caller's sink when opted in).
+  // and the caller's sink when opted in). Only a filed trace gets its
+  // spans' scheme annotations rendered, from the scheme bytes RunUnit
+  // recorded for `columns`.
   void FinishRequest(obs::RequestTrace trace, uint64_t start_ns,
+                     std::span<const size_t> columns,
                      obs::RequestTrace* sink);
 
   // Admission: deadline-expired or over-limit requests are rejected

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -84,6 +85,7 @@ TEST(CounterTest, AddsAccumulateAcrossThreads) {
     threads.emplace_back([&counter] {
       for (int i = 0; i < kIters; ++i) {
         counter.Increment();
+        counter.Add(0);  // Returns at once; counts nothing.
       }
     });
   }
@@ -102,8 +104,55 @@ TEST(GaugeTest, MovesBothWays) {
   gauge.Add(100);
   gauge.Sub(30);
   EXPECT_EQ(gauge.Value(), 70);
+  // Another thread's moves land on its own shard; Set replaces the level
+  // across every shard, and later moves start from it.
+  std::thread([&gauge] { gauge.Sub(80); }).join();
+  EXPECT_EQ(gauge.Value(), -10);
   gauge.Set(-5);
   EXPECT_EQ(gauge.Value(), -5);
+  std::thread([&gauge] { gauge.Add(7); }).join();
+  EXPECT_EQ(gauge.Value(), 2);
+}
+
+// More threads than shards move one gauge both ways (a pin on one thread
+// can be released on another), while a reader sums it; once they join,
+// the gauge reads exactly their net.
+TEST(GaugeTest, ManyThreadsNetExactlyAfterJoin) {
+  SetEnabled(true);
+  Gauge gauge;
+  constexpr int kThreads = 24;
+  static_assert(kThreads > static_cast<int>(kMetricShards));
+  constexpr int kIters = 5000;
+  std::atomic<bool> done{false};
+  std::thread reader([&gauge, &done] {
+    while (!done.load(std::memory_order_relaxed)) {
+      (void)gauge.Value();  // Any level; racing reads need not be exact.
+    }
+  });
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&gauge, t] {
+      for (int i = 0; i < kIters; ++i) {
+        gauge.Add(3);
+        gauge.Sub(i % 2 == 0 ? 3 : 2);
+      }
+      gauge.Sub(t);
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  // Each thread nets kIters / 2 - t.
+  int64_t net = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    net += kIters / 2 - t;
+  }
+  EXPECT_EQ(gauge.Value(), net);
+  gauge.Reset();
+  EXPECT_EQ(gauge.Value(), 0);
 }
 
 TEST(HistogramTest, ZeroSamples) {
@@ -154,14 +203,24 @@ TEST(HistogramTest, BoundaryValuesBinIntoInclusiveUpperBound) {
   SetEnabled(true);
   const uint64_t bounds[] = {10, 100};
   Histogram histogram(bounds);
+  histogram.Record(0);  // First bucket, adding nothing to sum or max.
+  HistogramSnapshot snap = histogram.Snapshot();
+  EXPECT_EQ(snap.counts[0], 1u);
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, 0u);
+  EXPECT_EQ(snap.max, 0u);
   histogram.Record(10);   // == first bound: first bucket.
   histogram.Record(11);   // second bucket.
   histogram.Record(100);  // == last bound: second bucket.
   histogram.Record(101);  // overflow.
-  const HistogramSnapshot snap = histogram.Snapshot();
-  EXPECT_EQ(snap.counts[0], 1u);
+  histogram.Record(0);
+  snap = histogram.Snapshot();
+  EXPECT_EQ(snap.counts[0], 3u);
   EXPECT_EQ(snap.counts[1], 2u);
   EXPECT_EQ(snap.counts[2], 1u);
+  EXPECT_EQ(snap.count, 6u);
+  EXPECT_EQ(snap.sum, 222u);
+  EXPECT_EQ(snap.max, 101u);
 }
 
 TEST(HistogramTest, ConcurrentRecordsAllCounted) {

@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <numeric>
+#include <optional>
+#include <string>
 #include <unordered_set>
 
 #include "core/corra_compressor.h"
+#include "obs/metrics.h"
 #include "query/latency.h"
 #include "query/scan.h"
 #include "query/selection_vector.h"
 #include "query/table_scan.h"
+#include "test_util.h"
 
 namespace corra::query {
 namespace {
@@ -303,6 +310,172 @@ TEST_F(ScanDeathTest, UnsortedSelectionAssertsInDebugIsDefinedInRelease) {
     EXPECT_EQ(out_target[i], receipt_[rows[i]]) << "i=" << i;
   }
 #endif
+}
+
+// ScanColumns against one ScanColumn call per entry, on the 12-scheme
+// table plus a Diff column whose reference is the Diff column (c12 on c1
+// on c0): Diff, DFOR and Numerical share c0, and Hierarchical and 1-to-1
+// share c2.
+class ScanColumnsTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 6000;
+  static constexpr size_t kChained = 12;
+
+  void SetUp() override {
+    obs::SetEnabled(true);
+    Rng rng(41);
+    raw_ = test::AllSchemesColumns(kRows, 0.01, rng);
+    std::vector<int64_t> chained(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      chained[i] = raw_[1][i] + rng.Uniform(1, 30);
+    }
+    raw_.push_back(std::move(chained));
+    CompressionPlan plan = test::AllSchemesPlan(kRows);
+    ColumnPlan diff_on_diff;
+    diff_on_diff.auto_vertical = false;
+    diff_on_diff.scheme = enc::Scheme::kDiff;
+    diff_on_diff.reference = 1;
+    plan.columns.push_back(diff_on_diff);
+    auto compressed =
+        CorraCompressor::Compress(test::TableOf(raw_), plan);
+    ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+    compressed_.emplace(std::move(compressed).value());
+    ASSERT_EQ(compressed_->num_blocks(), 1u);
+    ASSERT_EQ(block().column(kChained).scheme(), enc::Scheme::kDiff);
+  }
+
+  const Block& block() const { return compressed_->block(0); }
+
+  // query.gather_rows and query.decode_rows per scheme, process-wide.
+  static std::map<std::string, uint64_t> RowCounters() {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, value] :
+         obs::Registry::Default().Snapshot().counters) {
+      if (name.starts_with("query.gather_rows") ||
+          name.starts_with("query.decode_rows")) {
+        out[name] = value;
+      }
+    }
+    return out;
+  }
+
+  // Row-counter growth from start to end, by name.
+  static std::map<std::string, uint64_t> Growth(
+      const std::map<std::string, uint64_t>& start,
+      const std::map<std::string, uint64_t>& end) {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, value] : end) {
+      const auto it = start.find(name);
+      const uint64_t delta = value - (it == start.end() ? 0 : it->second);
+      if (delta != 0) {
+        out[name] = delta;
+      }
+    }
+    return out;
+  }
+
+  // ScanColumns(cols, rows) equals one ScanColumn per entry, value for
+  // value, matches the raw table, and moves the row counters by as much.
+  void ExpectMatchesPerColumn(const std::vector<size_t>& cols,
+                              const std::vector<uint32_t>& rows) {
+    const std::map<std::string, uint64_t> before = RowCounters();
+    std::vector<std::vector<int64_t>> single;
+    for (size_t col : cols) {
+      single.push_back(ScanColumn(block(), col, rows));
+    }
+    const std::map<std::string, uint64_t> middle = RowCounters();
+    // Outputs at an offset, past canaries, as Gather writes block slices.
+    constexpr size_t kOffset = 3;
+    std::vector<std::vector<int64_t>> multi(
+        cols.size(), std::vector<int64_t>(kOffset + rows.size() + 1,
+                                          INT64_MIN));
+    std::vector<int64_t*> out;
+    for (auto& column : multi) {
+      out.push_back(column.data());
+    }
+    ScanColumns(block(), cols, rows, out, kOffset);
+    const std::map<std::string, uint64_t> after = RowCounters();
+
+    for (size_t k = 0; k < cols.size(); ++k) {
+      SCOPED_TRACE("entry " + std::to_string(k) + " column " +
+                   std::to_string(cols[k]));
+      const std::vector<int64_t> got(multi[k].begin() + kOffset,
+                                     multi[k].end() - 1);
+      EXPECT_EQ(got, single[k]);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(got[i], raw_[cols[k]][rows[i]]) << "i=" << i;
+      }
+      EXPECT_EQ(multi[k].front(), INT64_MIN);
+      EXPECT_EQ(multi[k].back(), INT64_MIN);
+    }
+    EXPECT_EQ(Growth(middle, after), Growth(before, middle));
+  }
+
+  std::vector<std::vector<int64_t>> raw_;
+  std::optional<CompressedTable> compressed_;
+};
+
+TEST_F(ScanColumnsTest, MatchesPerColumnScansForEverySelectionShape) {
+  Rng rng(42);
+  std::vector<uint32_t> contiguous(700);
+  std::iota(contiguous.begin(), contiguous.end(), 2500);
+  std::vector<uint32_t> duplicates = {0, 0, 17, 17, 17, 4000, 5999, 5999};
+  const std::vector<std::pair<std::string, std::vector<uint32_t>>>
+      selections = {
+          {"empty", {}},
+          {"single", {1234}},
+          {"contiguous", contiguous},
+          {"contiguous whole block",
+           GenerateSelectionVector(kRows, 1.0, &rng)},
+          {"sorted 2%", GenerateSelectionVector(kRows, 0.02, &rng)},
+          {"sorted 40%", GenerateSelectionVector(kRows, 0.4, &rng)},
+          {"sorted with duplicates", duplicates},
+      };
+  const std::vector<std::pair<std::string, std::vector<size_t>>> requests =
+      {
+          {"reference before target", {0, 1}},
+          {"reference after target", {1, 0}},
+          {"Hierarchical and 1-to-1 on their reference", {9, 2, 3}},
+          {"Diff, DFOR and Numerical on one reference", {10, 0, 11, 1}},
+          {"duplicated columns", {1, 1, 0, 1, 0}},
+          {"targets without their references", {1, 3, 9, 10, 11}},
+          {"target on a target, listed backwards", {kChained, 1, 0}},
+          {"target on a target without the root", {1, kChained}},
+          {"vertical columns only", {4, 5, 6, 7, 8}},
+          {"every column", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, kChained}},
+      };
+  for (const auto& [selection_name, rows] : selections) {
+    for (const auto& [request_name, cols] : requests) {
+      SCOPED_TRACE(selection_name + " / " + request_name);
+      ExpectMatchesPerColumn(cols, rows);
+    }
+  }
+}
+
+TEST_F(ScanColumnsTest, RangeMatchesPerColumnDecodes) {
+  const std::vector<size_t> cols = {kChained, 3, 1, 2, 0, 10, 9, 11, 1};
+  for (const auto& [begin, count] :
+       std::vector<std::pair<size_t, size_t>>{
+           {0, 0}, {0, kRows}, {1, 1}, {2047, 2050}, {5000, 1000}}) {
+    SCOPED_TRACE("begin " + std::to_string(begin) + " count " +
+                 std::to_string(count));
+    std::vector<std::vector<int64_t>> multi(cols.size(),
+                                            std::vector<int64_t>(count));
+    std::vector<int64_t*> out;
+    for (auto& column : multi) {
+      out.push_back(column.data());
+    }
+    ScanColumnsRange(block(), cols, begin, count, out);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      std::vector<int64_t> single(count);
+      ScanColumnRange(block(), cols[k], begin, count, single.data());
+      EXPECT_EQ(multi[k], single) << "column " << cols[k];
+      EXPECT_TRUE(std::equal(single.begin(), single.end(),
+                             raw_[cols[k]].begin() +
+                                 static_cast<std::ptrdiff_t>(begin)))
+          << "column " << cols[k];
+    }
+  }
 }
 
 TEST(LatencyTest, MeanRunSecondsAveragesBodies) {

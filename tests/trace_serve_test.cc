@@ -216,6 +216,52 @@ TEST_F(TraceServeTest, SlowRingRetainsUntracedRequests) {
               std::string::npos);
   }
   EXPECT_TRUE(service.DrainSlowTraces().empty());
+
+  // A retained trace's scheme annotations read as an opted-in trace's
+  // for the same request: each request below runs once untraced, then
+  // once traced, and the ring keeps both.
+  const auto expect_same_schemes = [&service](
+                                       const obs::RequestTrace& traced,
+                                       std::vector<std::string> expected) {
+    const auto retained = service.DrainSlowTraces();
+    ASSERT_EQ(retained.size(), 2u);
+    for (const obs::RequestTrace& trace : retained) {
+      ASSERT_EQ(trace.blocks.size(), traced.blocks.size());
+      for (size_t b = 0; b < traced.blocks.size(); ++b) {
+        EXPECT_EQ(trace.blocks[b].schemes, traced.blocks[b].schemes)
+            << "block " << b;
+      }
+    }
+    ASSERT_EQ(traced.blocks.size(), expected.size());
+    for (size_t b = 0; b < expected.size(); ++b) {
+      EXPECT_EQ(traced.blocks[b].schemes, expected[b]) << "block " << b;
+    }
+  };
+
+  ScanRequest filtered;
+  filtered.filter_column = 0;
+  filtered.filter_lo = 0;
+  filtered.filter_hi = 22500;  // Matches blocks 0-2; block 3 prunes.
+  filtered.project_columns = {1, 0};
+  ASSERT_TRUE(service.Execute(*reader.value(), filtered).ok());
+  filtered.collect_trace = true;
+  auto traced_execute = service.Execute(*reader.value(), filtered);
+  ASSERT_TRUE(traced_execute.ok());
+  ASSERT_TRUE(traced_execute.value().trace.has_value());
+  const std::string both = "0:FOR,1:Corra-Diff";
+  expect_same_schemes(*traced_execute.value().trace,
+                      {both, both, both, /*pruned=*/""});
+
+  const std::vector<size_t> columns = {1, 0};
+  const std::vector<uint64_t> rows = {5, 700, 2100, 2999};
+  ASSERT_TRUE(service.Gather(*reader.value(), columns, rows).ok());
+  obs::RequestTrace traced_gather;
+  ASSERT_TRUE(service
+                  .Gather(*reader.value(), columns, rows,
+                          GatherOptions{.trace = &traced_gather})
+                  .ok());
+  expect_same_schemes(traced_gather,
+                      {"1:Corra-Diff,0:FOR", "1:Corra-Diff,0:FOR"});
 }
 
 TEST_F(TraceServeTest, GatherProducesTraceAndCounters) {
