@@ -61,12 +61,6 @@ void MaterializeInReferenceOrder(const Block& block,
                                  std::span<int64_t* const> out, size_t offset,
                                  size_t count, Plain&& plain,
                                  Staged&& staged, CountRows&& count_rows) {
-  if (cols.size() == 1) {
-    // Nothing to share: skip the staging walk (ScanColumn's case).
-    count_rows(block.column(cols[0]).scheme());
-    plain(cols[0], out[0] + offset);
-    return;
-  }
   size_t done = 0;
   for (size_t depth = 0; done < cols.size(); ++depth) {
     for (size_t k = 0; k < cols.size(); ++k) {
@@ -222,19 +216,6 @@ void ScanPair(const Block& block, size_t ref_col, size_t target_col,
   const size_t cols[] = {ref_col, target_col};
   int64_t* const out[] = {out_ref, out_target};
   ScanColumns(block, cols, rows, out);
-}
-
-void ScanPairRange(const Block& block, size_t ref_col, size_t target_col,
-                   size_t row_begin, size_t count, int64_t* out_ref,
-                   int64_t* out_target) {
-  const size_t cols[] = {ref_col, target_col};
-  int64_t* const out[] = {out_ref, out_target};
-  ScanColumnsRange(block, cols, row_begin, count, out);
-}
-
-void ScanColumnRange(const Block& block, size_t col, size_t row_begin,
-                     size_t count, int64_t* out) {
-  ScanColumnsRange(block, {&col, 1}, row_begin, count, {&out, 1});
 }
 
 std::vector<int64_t> ScanColumn(const Block& block, size_t col,

@@ -67,26 +67,16 @@ void ScanPair(const Block& block, size_t ref_col, size_t target_col,
               std::span<const uint32_t> rows, int64_t* out_ref,
               int64_t* out_target);
 
-/// Dense-range scan: materializes [row_begin, row_begin + count) of
-/// column `col` through the ranged kernel (one DecodeRange dispatch per
-/// morsel, never a per-row virtual Get). Fully-selected blocks go
-/// through this instead of building an iota position vector.
-void ScanColumnRange(const Block& block, size_t col, size_t row_begin,
-                     size_t count, int64_t* out);
-
 /// Dense-range counterpart of ScanColumns: materializes [row_begin,
 /// row_begin + count) of every column in `cols` into out[k] +
-/// out_offset. A column served on its own takes one DecodeRange; a
+/// out_offset through the ranged kernels, never a per-row virtual Get.
+/// Fully-selected blocks go through this instead of building an iota
+/// position vector. A column served on its own takes one DecodeRange; a
 /// target whose reference is requested runs DecodeRangeWithReference
 /// morsel by morsel over the reference's decoded values.
 void ScanColumnsRange(const Block& block, std::span<const size_t> cols,
                       size_t row_begin, size_t count,
                       std::span<int64_t* const> out, size_t out_offset = 0);
-
-/// ScanColumnsRange for the pair {ref_col, target_col}, like ScanPair.
-void ScanPairRange(const Block& block, size_t ref_col, size_t target_col,
-                   size_t row_begin, size_t count, int64_t* out_ref,
-                   int64_t* out_target);
 
 /// Convenience wrappers returning vectors.
 std::vector<int64_t> ScanColumn(const Block& block, size_t col,

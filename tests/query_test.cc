@@ -468,7 +468,8 @@ TEST_F(ScanColumnsTest, RangeMatchesPerColumnDecodes) {
     ScanColumnsRange(block(), cols, begin, count, out);
     for (size_t k = 0; k < cols.size(); ++k) {
       std::vector<int64_t> single(count);
-      ScanColumnRange(block(), cols[k], begin, count, single.data());
+      int64_t* const single_out[] = {single.data()};
+      ScanColumnsRange(block(), {&cols[k], 1}, begin, count, single_out);
       EXPECT_EQ(multi[k], single) << "column " << cols[k];
       EXPECT_TRUE(std::equal(single.begin(), single.end(),
                              raw_[cols[k]].begin() +

@@ -629,11 +629,14 @@ TEST(RobustnessTest, HierarchicalPairsOutsideTheMetadataReadZero) {
       EXPECT_EQ(paired[k], expected[rows[k]]) << "row " << rows[k];
     }
     std::vector<int64_t> dense(kRows);
-    query::ScanColumnRange(block.value(), 1, 0, kRows, dense.data());
+    const size_t target_only[] = {1};
+    int64_t* const dense_out[] = {dense.data()};
+    query::ScanColumnsRange(block.value(), target_only, 0, kRows, dense_out);
     EXPECT_EQ(dense, expected);
     std::vector<int64_t> dense_pair(kRows);
-    query::ScanPairRange(block.value(), 0, 1, 0, kRows, ref_out.data(),
-                         dense_pair.data());
+    const size_t pair[] = {0, 1};
+    int64_t* const pair_out[] = {ref_out.data(), dense_pair.data()};
+    query::ScanColumnsRange(block.value(), pair, 0, kRows, pair_out);
     EXPECT_EQ(dense_pair, expected);
   }
 }
