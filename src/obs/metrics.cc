@@ -67,17 +67,11 @@ void Histogram::Record(uint64_t value) {
   if (!Enabled()) {
     return;
   }
-  Shard& shard = shards_[internal::ThreadSlot()];
-  if (value == 0) {
-    // Bucket 0 owns a zero (bounds are unsigned); the sum and the max
-    // would not move.
-    shard.counts[0].fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   // First bound >= value owns it; past-the-end = overflow bucket.
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
+  Shard& shard = shards_[internal::ThreadSlot()];
   shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(value, std::memory_order_relaxed);
   uint64_t seen = shard.max.load(std::memory_order_relaxed);

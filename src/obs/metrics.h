@@ -5,7 +5,7 @@
 //   * Counter   — monotonically increasing. Add() is a relaxed atomic
 //                 add on a per-thread cache-line-private shard, so a
 //                 hot-path increment never contends or fences; Value()
-//                 sums the shards. Add(0) returns at once.
+//                 sums the shards.
 //   * Gauge     — a level that moves both ways (resident bytes, pinned
 //                 blocks, requests in flight). Every request moves some
 //                 of them twice from every client, so a gauge shards
@@ -17,8 +17,6 @@
 //   * Histogram — fixed-bucket latency distribution with p50/p90/p99/
 //                 p999 extraction. Record() bins into per-thread shard
 //                 arrays with relaxed adds; Snapshot() merges shards.
-//                 Record(0) is one add to bucket 0: a zero adds nothing
-//                 to the sum and never raises the max.
 //
 // The Registry owns metrics by name. Lookup (counter()/gauge()/
 // histogram()) takes a mutex and is meant to run once per call site —
@@ -133,10 +131,9 @@ class Counter {
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  /// Relaxed add on the calling thread's shard; no-op when disabled or
-  /// when `n` is 0.
+  /// Relaxed add on the calling thread's shard; no-op when disabled.
   void Add(uint64_t n) {
-    if (n == 0 || !Enabled()) {
+    if (!Enabled()) {
       return;
     }
     sum_.Add(n);
@@ -217,9 +214,7 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  /// Bins `value`, relaxed, on the calling thread's shard. A zero is one
-  /// add to bucket 0 (it adds nothing to the sum and cannot raise the
-  /// max).
+  /// Bins `value`, relaxed, on the calling thread's shard.
   void Record(uint64_t value);
 
   [[nodiscard]] HistogramSnapshot Snapshot() const;

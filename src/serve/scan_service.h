@@ -48,10 +48,10 @@
 // Gather pays a fixed charge: five clock reads (request start and end;
 // the unit's start, pin and done; Execute adds two around pruning and
 // merging) and about two dozen relaxed adds on per-thread shards,
-// gauges included, where a zero phase is one add — never anything per
-// row. Each unit records its touched columns' scheme bytes
-// while its block is pinned; the per-block "index:scheme" text is built
-// only for a trace that leaves the service. A request with
+// gauges included — never anything per row. Each unit records its
+// touched columns' scheme bytes while its block is pinned; the
+// per-block "index:scheme" text is built only for a trace that leaves
+// the service. A request with
 // collect_trace set (Gather: GatherOptions::trace) returns the full
 // obs::RequestTrace (per-block scheme annotations, pruned/hit flags,
 // span timings), and any request slower than Options::slow_trace_ns is

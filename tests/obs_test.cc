@@ -85,7 +85,7 @@ TEST(CounterTest, AddsAccumulateAcrossThreads) {
     threads.emplace_back([&counter] {
       for (int i = 0; i < kIters; ++i) {
         counter.Increment();
-        counter.Add(0);  // Returns at once; counts nothing.
+        counter.Add(0);  // Counts nothing.
       }
     });
   }
